@@ -38,6 +38,7 @@ from .core import (
     PureState,
     ShapeError,
     _frozen,
+    check_size_cap,
     tensor_power,
 )
 from .symmetric import SymBasis, dim_sym, sym_projector
@@ -276,6 +277,7 @@ def pointwise_payoff(povm: Povm, psi: PureState) -> float:
 
 def payoff_operator(povm: Povm) -> np.ndarray:
     """sum_r (embedded E_r) tensor |phi_r><phi_r| on the (n+1)-copy space."""
+    check_size_cap(2 ** (povm.n + 1))
     basis = SymBasis(2, povm.n)
     total = np.zeros((2 ** (povm.n + 1),) * 2, dtype=complex)
     for e, g in zip(povm.effects, povm.guesses):
@@ -287,6 +289,7 @@ def payoff_operator(povm: Povm) -> np.ndarray:
 def mean_fidelity(povm: Povm) -> float:
     """Exact Haar-averaged payoff, tr[W P_sym] / dim_sym over n+1 copies."""
     k = povm.n + 1
+    check_size_cap(2**k)
     w = payoff_operator(povm)
     val = np.einsum("ij,ji->", w, sym_projector(2, k))
     return float(val.real) / dim_sym(2, k)
@@ -302,6 +305,7 @@ def frame_averaged_payoff(povm: Povm, psi: PureState) -> float:
     of psi^{tensor (n+1)} - which is 1 for product states.
     """
     k = povm.n + 1
+    check_size_cap(2**k)
     w = payoff_operator(povm)
     proj = sym_projector(2, k)
     off = np.linalg.norm(w - proj @ w @ proj, 2)

@@ -52,6 +52,7 @@ from .estimation import (
     mean_fidelity,
     pointwise_payoff,
 )
+from .swap_test import draw_outcome
 from .zerosum import EquilibriumPair, MatrixGame, MixedStrategy, solve
 from .core import haar_random_state
 
@@ -325,9 +326,7 @@ def _estimation_round(povm: Povm, stream: RandomStream) -> int:
     draw = stream.uniform() * total
     outcome = int(np.searchsorted(np.cumsum(probs), draw))
     outcome = min(outcome, len(probs) - 1)
-    guess = povm.guesses[outcome]
-    p_pass = 0.5 * (1.0 + psi.overlap_probability(guess))
-    return 1 if stream.uniform() < p_pass else -1
+    return draw_outcome(psi.overlap_probability(povm.guesses[outcome]), stream)
 
 
 def _cloning_round(ch: Channel, stream: RandomStream) -> int:
@@ -335,8 +334,7 @@ def _cloning_round(ch: Channel, stream: RandomStream) -> int:
     vin = tensor_power(psi, ch.n_in).amplitudes
     vout = tensor_power(psi, ch.n_out).amplitudes
     fid = sum(abs(np.vdot(vout, k @ vin)) ** 2 for k in ch.kraus)
-    p_pass = 0.5 * (1.0 + fid)
-    return 1 if stream.uniform() < p_pass else -1
+    return draw_outcome(fid, stream)
 
 
 def _one_particle_round(ch: Channel, stream: RandomStream) -> int:
@@ -349,8 +347,7 @@ def _one_particle_round(ch: Channel, stream: RandomStream) -> int:
         branch = np.outer(k @ vin, (k @ vin).conj())
         reduced += partial_trace_matrix(branch, dims, keep=[clone - 1])
     fid = float(np.vdot(psi.amplitudes, reduced @ psi.amplitudes).real)
-    p_pass = 0.5 * (1.0 + fid)
-    return 1 if stream.uniform() < p_pass else -1
+    return draw_outcome(fid, stream)
 
 
 def monte_carlo_play(spec: GameSpec, strategy, seed=None) -> MonteCarloRecord:

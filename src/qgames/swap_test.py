@@ -22,8 +22,17 @@ def expected_payoff(rho: DensityOperator, sigma: DensityOperator) -> float:
     return overlap(rho, sigma)
 
 
+def draw_outcome(overlap_value: float, rng: RandomStream) -> int:
+    """One +-1 referee outcome for registers with the given overlap tr(rho sigma).
+
+    Takes exactly one uniform draw from `rng`: +1 with probability
+    (1 + overlap_value) / 2.
+    """
+    return 1 if rng.uniform() < 0.5 * (1.0 + overlap_value) else -1
+
+
 def sample_outcome(rho: DensityOperator, sigma: DensityOperator, rng: RandomStream) -> int:
     """One +-1 referee outcome, +1 with the pass probability."""
     if rho.dim != sigma.dim:
         raise ShapeError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    return 1 if rng.uniform() < pass_probability(rho, sigma) else -1
+    return draw_outcome(overlap(rho, sigma), rng)

@@ -4,33 +4,25 @@ The row player maximizes entry A[i, j]; the column player receives the
 negation.  `solve` produces an (x, y, value) triple whose exploitability
 (best-response gap) is below the requested tolerance.
 
-Two solution engines:
-
-* an exact simplex over Fractions.  Shift the payoffs so every entry is >= 1;
-  then the column player's program is  max sum(w)  s.t.  A'w <= 1, w >= 0,
-  whose origin is feasible, so one Phase-2 simplex with Bland's rule finishes
-  it.  The optimal w rescales to y, the slack reduced costs rescale to x, and
-  value = 1/sum(w) shifted back.  Exact arithmetic keeps the equilibrium
-  certificate at rounding error, which the refinement experiments need.
-
-* regret matching (the plus variant with alternating updates and linearly
-  weighted averaging), kept for games past the exact-size limit and for
-  sampling distinct equilibria of degenerate games from different seeds.
+There is one engine: the row player's linear program, solved by HiGHS, the
+LP solver that scipy ships (Huangfu and Hall, "Parallelizing the dual revised
+simplex method", Math. Prog. Comp. 2018).  The row strategy is the primal
+solution and the column strategy is read off the duals.  Floating-point LP
+solutions are only approximately optimal, so the exploitability of the
+returned pair, recomputed from the payoff matrix, is the acceptance test: a
+pair is returned only when that certificate is within tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
-
-#: Largest side length handed to the exact simplex by method="auto".
-EXACT_SIZE_LIMIT = 64
+from scipy.optimize import linprog
 
 
 class NonConvergence(RuntimeError):
-    """Iterative solver hit its iteration cap; carries the achieved gap."""
+    """The equilibrium certificate did not reach tol; carries the achieved gap."""
 
     def __init__(self, message, exploitability):
         super().__init__(message)
@@ -137,134 +129,41 @@ def _pair(game, x_probs, y_probs):
     return EquilibriumPair(x, y, value, gap)
 
 
-def _exact_simplex(payoff):
-    """Exact equilibrium of  max_x min_y x^T A y  via one rational simplex."""
-    m, n = payoff.shape
-    shift = Fraction(float(payoff.min())) - 1
-    rows = [[Fraction(float(payoff[i, j])) - shift for j in range(n)] for i in range(m)]
+def solve(game: MatrixGame, tol: float = 1e-9) -> EquilibriumPair:
+    """Equilibrium pair whose exploitability is certified to be <= tol.
 
-    # Tableau for max sum(w) s.t. rows @ w <= 1, w >= 0 (slack basis start).
-    # Columns: n originals, m slacks, rhs.  Cost row holds reduced costs of
-    # the minimization of -sum(w); its rhs accumulates -objective.
-    width = n + m + 1
-    tab = []
-    for i in range(m):
-        row = rows[i] + [Fraction(0)] * m + [Fraction(1)]
-        row[n + i] = Fraction(1)
-        tab.append(row)
-    cost = [Fraction(-1)] * n + [Fraction(0)] * (m + 1)
-    basis = list(range(n, n + m))
-
-    while True:
-        enter = next((j for j in range(n + m) if cost[j] < 0), None)  # Bland
-        if enter is None:
-            break
-        leave, best = None, None
-        for i in range(m):
-            coef = tab[i][enter]
-            if coef > 0:
-                ratio = tab[i][width - 1] / coef
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    leave, best = i, ratio
-        if leave is None:
-            raise RuntimeError("unbounded program; payoff shift failed")
-        piv = tab[leave][enter]
-        tab[leave] = [v / piv for v in tab[leave]]
-        for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [a - f * b for a, b in zip(tab[i], tab[leave])]
-        if cost[enter] != 0:
-            f = cost[enter]
-            cost = [a - f * b for a, b in zip(cost, tab[leave])]
-        basis[leave] = enter
-
-    w = [Fraction(0)] * n
-    for i, b in enumerate(basis):
-        if b < n:
-            w[b] = tab[i][width - 1]
-    u = cost[n : n + m]  # dual solution: reduced costs of the slacks
-    total = sum(w)  # equals sum(u) by strong duality; positive since A' >= 1
-    value = 1 / total + shift
-    x = np.array([float(ui / total) for ui in u])
-    y = np.array([float(wj / total) for wj in w])
-    return x / x.sum(), y / y.sum(), float(value)
-
-
-def _regret_matching(payoff, tol, max_iterations, seed, check_every=64):
-    """Regret matching plus: alternating updates, linear averaging."""
-    m, n = payoff.shape
-    if seed is None:
-        regret_x = np.zeros(m)
-        regret_y = np.zeros(n)
-    else:
-        gen = np.random.default_rng(int(seed))
-        regret_x = gen.random(m) * 1e-3
-        regret_y = gen.random(n) * 1e-3
-    x_acc = np.zeros(m)
-    y_acc = np.zeros(n)
-    game = MatrixGame(payoff)
-
-    def normalized(regret, size):
-        pos = np.clip(regret, 0.0, None)
-        total = pos.sum()
-        return pos / total if total > 0 else np.full(size, 1.0 / size)
-
-    achieved = np.inf
-    for t in range(1, max_iterations + 1):
-        y = normalized(regret_y, n)
-        payoff_x = payoff @ y
-        x = normalized(regret_x, m)
-        regret_x = np.clip(regret_x + payoff_x - x @ payoff_x, 0.0, None)
-        x = normalized(regret_x, m)
-        payoff_y = -(x @ payoff)
-        regret_y = np.clip(regret_y + payoff_y - y @ payoff_y, 0.0, None)
-        x_acc += t * x
-        y_acc += t * normalized(regret_y, n)
-        if t % check_every == 0 or t == max_iterations:
-            x_avg = x_acc / x_acc.sum()
-            y_avg = y_acc / y_acc.sum()
-            achieved = exploitability(game, MixedStrategy(x_avg), MixedStrategy(y_avg))
-            if achieved <= tol:
-                return x_avg, y_avg
-    raise NonConvergence(
-        f"regret matching reached exploitability {achieved:.3e} > tol {tol:.0e} "
-        f"after {max_iterations} iterations",
-        achieved,
-    )
-
-
-def solve(
-    game: MatrixGame,
-    tol: float = 1e-9,
-    method: str = "auto",
-    max_iterations: int = 1_000_000,
-    seed=None,
-) -> EquilibriumPair:
-    """Equilibrium with exploitability <= tol.
-
-    method="auto" uses closed forms for single-row/column games, the exact
-    simplex up to EXACT_SIZE_LIMIT, and regret matching beyond; "exact" and
-    "regret" force an engine.  Regret matching raises NonConvergence (with the
-    achieved gap attached) if the cap runs out first.
+    HiGHS solves the row player's program  max v  s.t.  A^T x >= v 1,
+    sum(x) = 1, x >= 0.  x comes from the primal solution and y from the
+    duals of the A^T x >= v 1 rows, both clipped at 0 and renormalised.  The
+    pair is returned only if its best-response gap, recomputed from the
+    payoffs, is <= tol; otherwise NonConvergence carries the gap.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     a = game.payoff
     m, n = a.shape
-    if m == 1:
-        j = int(np.argmin(a[0]))
-        return _pair(game, np.ones(1), np.eye(n)[j])
-    if n == 1:
-        i = int(np.argmax(a[:, 0]))
-        return _pair(game, np.eye(m)[i], np.ones(1))
-    if method not in ("auto", "exact", "regret"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "exact" or (method == "auto" and max(m, n) <= EXACT_SIZE_LIMIT):
-        x, y, _ = _exact_simplex(a)
-        return _pair(game, x, y)
-    x, y = _regret_matching(a, tol, max_iterations, seed)
-    return _pair(game, x, y)
+    cost = np.zeros(m + 1)
+    cost[-1] = -1.0
+    res = linprog(
+        cost,
+        A_ub=np.hstack([-a.T, np.ones((n, 1))]),
+        b_ub=np.zeros(n),
+        A_eq=np.hstack([np.ones((1, m)), np.zeros((1, 1))]),
+        b_eq=[1.0],
+        bounds=[(0, None)] * m + [(None, None)],
+        method="highs",
+    )
+    if res.status != 0:
+        raise NonConvergence(f"HiGHS found no optimum: {res.message}", np.inf)
+    x = np.clip(res.x[:m], 0.0, None)
+    y = np.clip(-res.ineqlin.marginals, 0.0, None)
+    eq = _pair(game, x / x.sum(), y / y.sum())
+    if eq.exploitability > tol:
+        raise NonConvergence(
+            f"equilibrium certificate {eq.exploitability:.3e} exceeds tol {tol:.0e}",
+            eq.exploitability,
+        )
+    return eq
 
 
 def _compose(p, q):

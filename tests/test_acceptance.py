@@ -239,9 +239,14 @@ def test_criterion_08_equilibrium_interchange():
     rep = interchange_check(zeros, z1, z2, tol=1e-6)
     assert rep.passed
 
-    # regret-matching pairs from two different seeds (deterministic given seeds)
-    r1 = solve(dup, tol=1e-5, method="regret", seed=1)
-    r2 = solve(dup, tol=1e-5, method="regret", seed=2)
+    # solver pairs from dup and from its column-reversed copy, mapped back
+    r1 = solve(dup, tol=1e-9)
+    perm = [2, 1, 0]
+    flipped = solve(MatrixGame(dup.payoff[:, perm]), tol=1e-9)
+    y2 = np.empty(3)
+    y2[perm] = flipped.y.probs
+    r2 = _pair_from(dup, flipped.x.probs, y2)
+    assert np.max(np.abs(r1.y.probs - r2.y.probs)) > 1e-3  # genuinely distinct
     rep = interchange_check(dup, r1, r2, tol=1e-5)
     assert rep.passed
     worst_cross = max(worst_cross, *rep.cross_exploitabilities)

@@ -82,6 +82,12 @@ class TestEstimateCommand:
         assert doc["universal"] is True
         assert doc["mean_fidelity"] == pytest.approx(0.75, abs=1e-9)
 
+    def test_oversized_payoff_operator_fails_fast(self, capsys):
+        # 13 qubits would need a 1 GiB payoff operator; the cap refuses it first
+        code, out = run_cli(["estimate", "--universal", "--n", "12"], capsys)
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "SizeCapExceeded"
+
 
 class TestSolveCommand:
     def test_rps_document(self, capsys):
@@ -135,13 +141,29 @@ class TestMcPlayCommand:
         assert doc["exact_value"] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_byte_identical_given_seed(self, tmp_path):
-        args = ["mc-play", "--game", "estimation", "--n", "1", "--samples", "500",
-                "--seed", "21"]
-        path_a = tmp_path / "a.json"
-        path_b = tmp_path / "b.json"
-        assert main(args + ["--out", str(path_a)]) == 0
-        assert main(args + ["--out", str(path_b)]) == 0
-        assert path_a.read_bytes() == path_b.read_bytes()
+        for name, args in [
+            ("mc", ["mc-play", "--game", "estimation", "--n", "1", "--samples", "500",
+                    "--seed", "21"]),
+            ("sandwich", ["sandwich", "--game", "cloning", "--seed", "21"]),
+        ]:
+            path_a = tmp_path / f"{name}-a.json"
+            path_b = tmp_path / f"{name}-b.json"
+            assert main(args + ["--out", str(path_a)]) == 0
+            assert main(args + ["--out", str(path_b)]) == 0
+            assert path_a.read_bytes() == path_b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "game, mean_payoff",
+        [("estimation", 0.68), ("cloning", 0.666), ("one_particle", 0.84)],
+    )
+    def test_fixed_seed_draw_sequence_is_pinned(self, capsys, game, mean_payoff):
+        # pinned fixed-seed results: a change to the order or the number of
+        # draws per round moves them, and the determinism contract forbids that
+        code, out = run_cli(
+            ["mc-play", "--game", game, "--samples", "1000", "--seed", "21"], capsys
+        )
+        assert code == 0
+        assert json.loads(out)["mean_payoff"] == mean_payoff
 
     def test_estimation_rejects_non_qubit(self):
         with pytest.raises(SystemExit) as info:

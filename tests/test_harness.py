@@ -30,6 +30,8 @@ from qgames.harness import (
 from qgames.swap_test import expected_payoff
 from qgames.zerosum import solve
 
+from exact_simplex import exact_simplex
+
 
 class TestGameSpec:
     def test_estimation_requires_qubits(self):
@@ -130,6 +132,26 @@ class TestSandwich:
         report = sandwich_report(spec, player_i, sets, tol=1e-9)
         assert report.lower_bound_ok and report.monotone_ok and report.converged
         assert report.levels[-1].value == pytest.approx(2.0 / 3.0, abs=1e-9)
+
+    def test_cli_games_match_exact_simplex(self):
+        # the restricted games behind `qgames sandwich` for both game kinds
+        sizes = (4, 8, 16)
+        games = [
+            discretize_estimation_game(
+                1, [universal_povm(1), build_povm(1, default_directions(1))], states
+            )
+            for states in default_state_sets(2, sizes)
+        ]
+        games += [
+            discretize_cloning_game(
+                2, 1, 2, [optimal_cloner(2, 1, 2), product_embedding_channel(2, 1, 2)], states
+            )
+            for states in default_state_sets(2, sizes)
+        ]
+        for game in games:
+            eq = solve(game, tol=1e-9)
+            assert eq.exploitability <= 1e-9
+            assert abs(eq.value - exact_simplex(game.payoff)[2]) <= 1e-12
 
     def test_estimation_single_optimal_povm_against_icosahedron(self):
         spec = GameSpec("estimation", n=1, seed=1)

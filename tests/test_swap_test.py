@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qgames.core import DensityOperator, PureState, RandomStream, ShapeError
-from qgames.swap_test import expected_payoff, pass_probability, sample_outcome
+from qgames.swap_test import draw_outcome, expected_payoff, pass_probability, sample_outcome
 
 from conftest import random_density
 
@@ -99,6 +99,21 @@ class TestSampleOutcome:
         a = [sample_outcome(KET0.density(), KET1.density(), RandomStream(9, i)) for i in range(50)]
         b = [sample_outcome(KET0.density(), KET1.density(), RandomStream(9, i)) for i in range(50)]
         assert a == b
+
+    def test_one_uniform_draw_per_outcome(self):
+        # Monte Carlo rounds rely on the referee taking exactly one draw
+        a, b = RandomStream(4), RandomStream(4)
+        draw_outcome(0.3, a)
+        b.uniform()
+        assert a.uniform() == b.uniform()
+
+    def test_sample_outcome_is_draw_outcome_of_overlap(self, rng):
+        rho, sigma = random_density(3, rng.substream(0)), random_density(3, rng.substream(1))
+        for i in range(50):
+            fid = expected_payoff(rho, sigma)
+            assert sample_outcome(rho, sigma, RandomStream(9, i)) == draw_outcome(
+                fid, RandomStream(9, i)
+            )
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import linprog
 
 from qgames.zerosum import (
     CovarianceViolation,
@@ -20,27 +19,9 @@ from qgames.zerosum import (
     symmetrize,
 )
 
+from exact_simplex import exact_simplex
+
 PENNIES = MatrixGame(np.array([[1.0, -1.0], [-1.0, 1.0]]))
-
-
-def lp_value_oracle(a):
-    """Independent LP route: max v s.t. x^T A >= v 1, x a distribution."""
-    m, n = a.shape
-    c = np.zeros(m + 1)
-    c[-1] = -1.0
-    a_ub = np.hstack([-a.T, np.ones((n, 1))])
-    a_eq = np.zeros((1, m + 1))
-    a_eq[0, :m] = 1.0
-    res = linprog(
-        c,
-        A_ub=a_ub,
-        b_ub=np.zeros(n),
-        A_eq=a_eq,
-        b_eq=[1.0],
-        bounds=[(0, None)] * m + [(None, None)],
-        method="highs",
-    )
-    return float(res.x[-1])
 
 
 class TestSolve:
@@ -69,13 +50,13 @@ class TestSolve:
         assert eq.value == pytest.approx(3.0)
         assert eq.x.probs[0] == 1.0
 
-    def test_exact_agrees_with_lp_oracle_on_random_games(self):
+    def test_agrees_with_exact_simplex_on_random_games(self):
         gen = np.random.default_rng(17)
         for _ in range(40):
             a = gen.standard_normal((gen.integers(2, 7), gen.integers(2, 7)))
             eq = solve(MatrixGame(a))
             assert eq.exploitability <= 1e-10
-            assert abs(eq.value - lp_value_oracle(a)) <= 1e-9
+            assert abs(eq.value - exact_simplex(a)[2]) <= 1e-12
 
     def test_value_antisymmetry(self):
         gen = np.random.default_rng(3)
@@ -95,29 +76,24 @@ class TestSolve:
             upper = np.min(np.max(a, axis=0))
             assert lower - 1e-9 <= eq.value <= upper + 1e-9
 
-    def test_regret_matching_small_games(self):
-        eq = solve(PENNIES, tol=1e-5, method="regret")
-        assert abs(eq.value) <= 1e-4
-        assert eq.exploitability <= 1e-5
-        gen = np.random.default_rng(11)
-        a = gen.standard_normal((6, 6))
-        eq = solve(MatrixGame(a), tol=1e-4, method="regret")
-        assert eq.exploitability <= 1e-4
-        assert abs(eq.value - lp_value_oracle(a)) <= 1e-4
+    @pytest.mark.parametrize("size", [65, 200])
+    def test_large_random_games_meet_default_tol(self, size):
+        a = np.random.default_rng(size).standard_normal((size, size))
+        eq = solve(MatrixGame(a), tol=1e-9)
+        assert eq.exploitability <= 1e-9
+        lower = np.max(np.min(a, axis=1))
+        upper = np.min(np.max(a, axis=0))
+        assert lower - 1e-9 <= eq.value <= upper + 1e-9
 
-    def test_regret_matching_nonconvergence_reports_gap(self):
-        # a generic asymmetric game cannot hit 1e-12 in a handful of rounds
-        gen = np.random.default_rng(2)
-        game = MatrixGame(gen.standard_normal((5, 5)))
+    def test_unreachable_tol_raises_with_gap(self):
+        game = MatrixGame(np.random.default_rng(32).standard_normal((32, 32)))
         with pytest.raises(NonConvergence) as info:
-            solve(game, tol=1e-12, method="regret", max_iterations=300)
+            solve(game, tol=1e-20)
         assert info.value.exploitability > 0.0
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             solve(PENNIES, tol=0.0)
-        with pytest.raises(ValueError):
-            solve(PENNIES, method="magic")
         with pytest.raises(ValueError):
             MatrixGame(np.array([[np.inf, 1.0]]))
 
