@@ -11,22 +11,29 @@ padding register.  On product-state inputs its n_out-copy fidelity with the
 source state is the constant dim_sym(d, n_in)/dim_sym(d, n_out), and no
 channel beats that on Haar average.
 
-Haar-averaged fidelities are evaluated exactly through the Choi matrix: for a
-channel J on (input tensor output), the average of
-<psi^{m}| ch(psi^{n}) |psi^{m}> over Haar psi is
+Haar-averaged fidelities are evaluated exactly through the Choi matrix.
+Game inputs psi^{(x)n_in} lie in the symmetric subspace, so the channel only
+matters on Sym_in, and the cached Choi matrix is the one of the restricted
+map: J = sum_K vec(K V_in) vec(K V_in)^dag on Sym_in (x) out, where
+V_in = sym_isometry(d, n_in).  The average of <psi^{m}| ch(psi^{n}) |psi^{m}>
+over Haar psi is then
 
-    tr[ J * PT_in(P_sym^{(n+m)}) ] / dim_sym(d, n+m),
+    tr[ J * PT_in( (I (x) V_m) S S^T (I (x) V_m)^T ) ] / dim_sym(d, n+m),
 
-where PT_in transposes the input block, because averaging psi^{tensor(n+m)}
-gives the symmetric projector over dim_sym (see symmetric.haar_moment) and the
-input factors enter the trace transposed.
+where S = sym_split(d, n, m) maps Sym_{n+m} into Sym_n (x) Sym_m and PT_in
+transposes the input block: averaging psi^{tensor(n+m)} gives the symmetric
+projector over dim_sym (see symmetric.haar_moment), that projector is
+(V_n (x) V_m) S S^T (V_n (x) V_m)^T, and the input factors enter the trace
+transposed.  No object of dimension d^(n+m) is built.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,13 +44,16 @@ from .core import (
     PureState,
     RandomStream,
     ShapeError,
+    _frozen,
     check_size_cap,
     partial_trace_matrix,
     tensor_power,
 )
-from .symmetric import dim_sym, sym_isometry, sym_projector
+from .symmetric import dim_sym, sym_isometry, sym_projector, sym_split
 
 COMPLETENESS_ATOL = 1e-10
+
+_log = logging.getLogger(__name__)
 
 
 class Channel:
@@ -55,6 +65,13 @@ class Channel:
     subspace (game inputs are always product states, which live there).
     Completeness and positivity of the cached Choi matrix are verified at
     construction.
+
+    `choi` is the Choi matrix of the channel restricted to the symmetric
+    input subspace, sum_K vec(K V_in) vec(K V_in)^dag on Sym_in (x) out with
+    V_in = sym_isometry(d, n_in), index (c, a) for symmetric input c and output
+    a; its side is dim_sym(d, n_in) * d^n_out.  It fixes the channel on every
+    game input, which is all the exact evaluators read; the Kraus operators
+    keep the full input space.
     """
 
     def __init__(self, d, n_in, n_out, kraus, domain="full", atol=COMPLETENESS_ATOL):
@@ -85,14 +102,20 @@ class Channel:
                 f"Kraus operators not trace preserving on {domain} domain "
                 f"(defect {defect:.3e} > {atol:.0e})"
             )
-        choi = np.zeros((self.dim_in * self.dim_out,) * 2, dtype=complex)
-        for k in self.kraus:
-            w = k.T.reshape(-1)  # w[(i, a)] = K[a, i]: Choi lives on in (x) out
-            choi += np.outer(w, w.conj())
+        compressed = np.stack(self.kraus) @ sym_isometry(self.d, self.n_in)
+        # w[K, (c, a)] = (K V_in)[a, c]: the Choi matrix lives on Sym_in (x) out
+        w = compressed.transpose(0, 2, 1).reshape(len(self.kraus), -1)
+        choi = w.T @ w.conj()
         if np.linalg.eigvalsh(choi).min() < -atol:
             raise ValueError("Choi matrix is not PSD within tolerance")
         choi.setflags(write=False)
         self.choi = choi
+        _log.debug(
+            "Channel d=%d n_in=%d n_out=%d: %d Kraus operators, Choi side %d on "
+            "Sym_in (x) out (full in (x) out: %d)",
+            self.d, self.n_in, self.n_out, len(self.kraus), choi.shape[0],
+            self.dim_in * self.dim_out,
+        )
 
     def completeness_defect(self) -> float:
         """Operator-norm distance of sum(K^dag K) from the domain identity."""
@@ -112,14 +135,6 @@ class Channel:
         for k in self.kraus:
             out += k @ mat @ k.conj().T
         return out
-
-    def apply_matrix_via_choi(self, mat: np.ndarray) -> np.ndarray:
-        """Same map evaluated through the Choi matrix (cross-check route)."""
-        mat = np.asarray(mat, dtype=complex)
-        if mat.shape != (self.dim_in, self.dim_in):
-            raise ShapeError(f"input shape {mat.shape} != ({self.dim_in}, {self.dim_in})")
-        j = self.choi.reshape(self.dim_in, self.dim_out, self.dim_in, self.dim_out)
-        return np.einsum("iajb,ij->ab", j, mat)
 
     def apply(self, rho: DensityOperator) -> DensityOperator:
         return DensityOperator(self.apply_matrix(rho.matrix))
@@ -251,18 +266,26 @@ def global_fidelity(ch: Channel, psi: PureState, size_cap=DEFAULT_SIZE_CAP) -> f
     return float(total)
 
 
-def _input_transposed_projector(d, n_in, dim_out_block, n_total, size_cap):
-    proj = sym_projector(d, n_total, size_cap)
-    dim_in = d**n_in
-    g = proj.reshape(dim_in, dim_out_block, dim_in, dim_out_block)
-    return g.transpose(2, 1, 0, 3).reshape(dim_in * dim_out_block, dim_in * dim_out_block)
+@lru_cache(maxsize=None)
+def _transposed_moment(d: int, n_in: int, n_out: int) -> np.ndarray:
+    """PT_in(S S^T) on Sym_in (x) Sym_out for S = sym_split(d, n_in, n_out).
+
+    The input-transposed (n_in + n_out)-copy symmetric projector in
+    occupation coordinates; Sym_1 is C^d itself, so for n_out = 1 this is
+    already the operator on Sym_in (x) C^d.
+    """
+    ds_in, ds_out = dim_sym(d, n_in), dim_sym(d, n_out)
+    split = sym_split(d, n_in, n_out)
+    g = (split @ split.T).reshape(ds_in, ds_out, ds_in, ds_out)
+    return _frozen(g.transpose(2, 1, 0, 3).reshape(ds_in * ds_out, ds_in * ds_out))
 
 
 def haar_avg_global_fidelity(ch: Channel, size_cap=DEFAULT_SIZE_CAP) -> float:
-    """Exact Haar average of global_fidelity via the Choi matrix."""
+    """Exact Haar average of global_fidelity via the Choi matrix (module docstring)."""
     n_total = ch.n_in + ch.n_out
     check_size_cap(ch.d**n_total, size_cap)
-    g = _input_transposed_projector(ch.d, ch.n_in, ch.dim_out, n_total, size_cap)
+    lift = np.kron(np.eye(dim_sym(ch.d, ch.n_in)), sym_isometry(ch.d, ch.n_out, size_cap))
+    g = lift @ _transposed_moment(ch.d, ch.n_in, ch.n_out) @ lift.T
     val = np.einsum("ij,ji->", ch.choi, g)
     return float(val.real) / dim_sym(ch.d, n_total)
 
@@ -271,16 +294,16 @@ def single_clone_haar_fidelity(ch: Channel, k: int, size_cap=DEFAULT_SIZE_CAP) -
     """Exact Haar average of <psi| tr_(not k)[ch(psi^{n_in})] |psi>.
 
     Tracing all output factors except the k-th (1-based) out of the Choi
-    matrix yields the Choi matrix of the reduced channel; the average is then
-    the (n_in + 1)-copy moment formula on that.
+    matrix yields the Choi matrix of the reduced channel on Sym_in (x) C^d;
+    the average is then the (n_in + 1)-copy moment formula on that.
     """
     if not 1 <= k <= ch.n_out:
         raise IndexError(f"clone index {k} not in 1..{ch.n_out}")
-    dims = [ch.dim_in] + [ch.d] * ch.n_out
-    reduced = partial_trace_matrix(ch.choi, dims, keep=[0, k])
     n_total = ch.n_in + 1
-    g = _input_transposed_projector(ch.d, ch.n_in, ch.d, n_total, size_cap)
-    val = np.einsum("ij,ji->", reduced, g)
+    check_size_cap(ch.d**n_total, size_cap)
+    dims = [dim_sym(ch.d, ch.n_in)] + [ch.d] * ch.n_out
+    reduced = partial_trace_matrix(ch.choi, dims, keep=[0, k])
+    val = np.einsum("ij,ji->", reduced, _transposed_moment(ch.d, ch.n_in, 1))
     return float(val.real) / dim_sym(ch.d, n_total)
 
 

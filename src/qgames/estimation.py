@@ -27,6 +27,7 @@ projector and the per-state payoff is constant to rounding.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -39,9 +40,10 @@ from .core import (
     ShapeError,
     _frozen,
     check_size_cap,
-    tensor_power,
 )
-from .symmetric import SymBasis, dim_sym, sym_projector
+from .symmetric import dim_sym, sym_split
+
+_log = logging.getLogger(__name__)
 
 
 class IncompletePovm(ValueError):
@@ -117,6 +119,19 @@ def measurement_vector(n_copies: int, direction: Direction) -> PureState:
     return PureState(amps / np.linalg.norm(amps))
 
 
+def _power_coordinates(psi: PureState, n_copies: int) -> np.ndarray:
+    """Symmetric-basis coordinates of psi^{tensor n} for a qubit psi = (a, b).
+
+    Component k (n - k excitations in level 0, as in `measurement_vector`) is
+    sqrt(binom(n, k)) a^{n-k} b^k, the overlap of psi^{tensor n} with the
+    normalized sum of the binom(n, k) strings that hold k ones.
+    """
+    a, b = psi.amplitudes
+    k = np.arange(n_copies + 1)
+    root_binom = np.sqrt([math.comb(n_copies, j) for j in k])
+    return root_binom * a ** (n_copies - k) * b**k
+
+
 @dataclass(frozen=True)
 class Povm:
     """Measure-and-resend strategy: effects on the symmetric subspace plus guesses.
@@ -164,7 +179,8 @@ class Povm:
         """Born probabilities tr[E_r rho] for the n-copy input psi^{tensor n}."""
         if psi.dim != 2:
             raise ShapeError("input must be a qubit")
-        amp = SymBasis(2, self.n).compress(tensor_power(psi, self.n).amplitudes)
+        check_size_cap(2**self.n)
+        amp = _power_coordinates(psi, self.n)
         probs = np.array([np.vdot(amp, e @ amp).real for e in self.effects])
         return np.clip(probs, 0.0, None)
 
@@ -173,7 +189,9 @@ def default_directions(n_copies: int) -> list[Direction]:
     """Direction set used when the caller has no opinion.
 
     n = 1 gets the antipodal pair; larger n gets (n+1)^2 golden-angle spiral
-    points, enough for the weight solver to tile the identity.
+    points.  Nonnegative weights on these points do not always tile the
+    identity: `build_povm` succeeds for n = 1-8 and 10-13 but raises
+    IncompletePovm at n = 9, 14 and 15.  `universal_povm` is exact for every n.
     """
     if n_copies < 1:
         raise ValueError("need at least one copy")
@@ -276,22 +294,37 @@ def pointwise_payoff(povm: Povm, psi: PureState) -> float:
 
 
 def payoff_operator(povm: Povm) -> np.ndarray:
-    """sum_r (embedded E_r) tensor |phi_r><phi_r| on the (n+1)-copy space."""
+    """sum_r E_r tensor |phi_r><phi_r| on Sym_n (x) C^2, side 2(n+1).
+
+    E_r acts on the n-copy symmetric subspace in occupation coordinates and the
+    guess qubit is the last factor.  Embedding the first factor with
+    sym_isometry(2, n) gives the operator on the full 2^(n+1)-dimensional
+    copy-and-guess space; the evaluators below never need that embedding.
+    """
     check_size_cap(2 ** (povm.n + 1))
-    basis = SymBasis(2, povm.n)
-    total = np.zeros((2 ** (povm.n + 1),) * 2, dtype=complex)
-    for e, g in zip(povm.effects, povm.guesses):
-        guess_proj = np.outer(g.amplitudes, g.amplitudes.conj())
-        total += np.kron(basis.embed_operator(e), guess_proj)
-    return total
+    effects = np.stack(povm.effects)
+    guesses = np.stack([g.amplitudes for g in povm.guesses])
+    total = np.einsum("rij,ra,rb->iajb", effects, guesses, guesses.conj())
+    dim = 2 * (povm.n + 1)
+    return total.reshape(dim, dim)
 
 
 def mean_fidelity(povm: Povm) -> float:
-    """Exact Haar-averaged payoff, tr[W P_sym] / dim_sym over n+1 copies."""
+    """Exact Haar-averaged payoff, tr[S^T W S] / dim_sym(2, n+1).
+
+    W is `payoff_operator` and S = sym_split(2, n, 1), so S^T W S is W on the
+    (n+2)-dimensional space Sym_{n+1}; this equals tr[W P_sym] over n+1 copies.
+    """
     k = povm.n + 1
     check_size_cap(2**k)
     w = payoff_operator(povm)
-    val = np.einsum("ij,ji->", w, sym_projector(2, k))
+    split = sym_split(2, povm.n, 1)
+    _log.debug(
+        "mean_fidelity n=%d: %d effects, payoff operator side %d on Sym_n (x) C^2 "
+        "(full copy-and-guess space: %d)",
+        povm.n, len(povm.effects), w.shape[0], 2**k,
+    )
+    val = np.trace(split.T @ w @ split)
     return float(val.real) / dim_sym(2, k)
 
 
@@ -299,21 +332,23 @@ def frame_averaged_payoff(povm: Povm, psi: PureState) -> float:
     """Expected payoff against psi when the frame is re-drawn Haar each round.
 
     Requires aligned guesses so the payoff operator W lives inside the
-    (n+1)-copy symmetric subspace; the uniform frame twirl then reduces W to
-    its overlap with the projector (the subspace is irreducible under
+    (n+1)-copy symmetric subspace, i.e. W = P W P for P = S S^T, the projector
+    onto Sym_{n+1} inside Sym_n (x) C^2; the uniform frame twirl then reduces W
+    to its overlap with the projector (the subspace is irreducible under
     collective rotations), giving mean_fidelity times the symmetric overlap
-    of psi^{tensor (n+1)} - which is 1 for product states.
+    of psi^{tensor (n+1)} - which is 1, since product states lie in Sym_{n+1}.
     """
+    if psi.dim != 2:
+        raise ShapeError("input must be a qubit")
     k = povm.n + 1
     check_size_cap(2**k)
     w = payoff_operator(povm)
-    proj = sym_projector(2, k)
+    split = sym_split(2, povm.n, 1)
+    proj = split @ split.T
     off = np.linalg.norm(w - proj @ w @ proj, 2)
     if off > 1e-8:
         raise ValueError(
             "payoff operator leaks out of the symmetric subspace "
             f"(norm {off:.3e}); frame averaging needs aligned guesses"
         )
-    flat = float(np.einsum("ij,ji->", w, proj).real) / dim_sym(2, k)
-    v = tensor_power(psi, k).amplitudes
-    return flat * float(np.vdot(v, proj @ v).real)
+    return float(np.trace(split.T @ w @ split).real) / dim_sym(2, k)

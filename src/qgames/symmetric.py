@@ -7,6 +7,11 @@ binomial(d+n-1, n).  We build the isometry whose columns are those vectors and
 derive the projector from it, which costs d^n * dim_sym instead of the n! * d^n
 of averaging permutation matrices.
 
+Products of copy registers split exactly: Sym_{n+m} sits inside
+Sym_n (x) Sym_m, and `sym_split` is that inclusion written in the two
+occupation bases, so moment identities over n + m copies never need the
+d^(n+m)-dimensional space.
+
 Column ordering is lexicographic over occupation vectors (n_0, ..., n_{d-1}),
 descending in n_0.  For d = 2 this makes column k the spin state with
 n - k excitations in level 0, i.e. magnetic quantum number m = n/2 - k in
@@ -78,6 +83,44 @@ def sym_projector(d: int, n: int, size_cap: int = DEFAULT_SIZE_CAP) -> np.ndarra
     return _projector(d, n)
 
 
+def _multinomial(occ) -> int:
+    """Number of strings with occupation vector occ: sum(occ)! / prod(occ_i!)."""
+    out = math.factorial(sum(occ))
+    for k in occ:
+        out //= math.factorial(k)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _split(d: int, n: int, m: int) -> np.ndarray:
+    occ_n, occ_m = occupations(d, n), occupations(d, m)
+    col_of = {occ: i for i, occ in enumerate(occupations(d, n + m))}
+    split = np.zeros((len(occ_n) * len(occ_m), len(col_of)))
+    for i, a in enumerate(occ_n):
+        for j, b in enumerate(occ_m):
+            c = tuple(x + y for x, y in zip(a, b))
+            ratio = _multinomial(a) * _multinomial(b) / _multinomial(c)
+            split[i * len(occ_m) + j, col_of[c]] = math.sqrt(ratio)
+    return _frozen(split)
+
+
+def sym_split(d: int, n: int, m: int) -> np.ndarray:
+    """Isometry Sym_{n+m} -> Sym_n (x) Sym_m in occupation coordinates.
+
+    Equals (V_n (x) V_m)^T V_{n+m} for the isometries V of `sym_isometry`,
+    without building them: the entry at rows (a, b) and column c is
+    sqrt(multinom(a) multinom(b) / multinom(c)) when c = a + b and 0
+    otherwise, since the occupation state c contains multinom(a) multinom(b)
+    of its multinom(c) strings in the product of the states a and b.  So
+    S S^T is the projector onto Sym_{n+m} inside Sym_n (x) Sym_m, and
+    (V_n (x) V_m) S S^T (V_n (x) V_m)^T is the (n+m)-copy projector.
+    Shape (dim_sym(d,n) dim_sym(d,m), dim_sym(d,n+m)); cached per (d, n, m).
+    """
+    if d < 1 or n < 0 or m < 0:
+        raise ValueError(f"invalid arguments d={d}, n={n}, m={m}")
+    return _split(d, n, m)
+
+
 def haar_moment(d: int, n: int, size_cap: int = DEFAULT_SIZE_CAP) -> np.ndarray:
     """Exact n-th moment of a Haar-random pure state.
 
@@ -113,17 +156,3 @@ class SymBasis:
     def embed(self, sym_vector: np.ndarray) -> np.ndarray:
         """Full-space vector of symmetric-basis coordinates."""
         return self.isometry @ np.asarray(sym_vector, dtype=complex)
-
-    def embed_operator(self, sym_matrix: np.ndarray) -> np.ndarray:
-        iso = self.isometry
-        return iso @ np.asarray(sym_matrix, dtype=complex) @ iso.conj().T
-
-
-def transposition_operator(d: int, n: int, i: int, j: int) -> np.ndarray:
-    """Permutation matrix swapping tensor factors i and j of (C^d)^{tensor n}."""
-    dims = [d] * n
-    perm = list(range(n))
-    perm[i], perm[j] = perm[j], perm[i]
-    op = np.eye(d**n).reshape(dims + dims)
-    op = op.transpose(perm + list(range(n, 2 * n)))
-    return op.reshape(d**n, d**n)

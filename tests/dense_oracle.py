@@ -1,0 +1,118 @@
+"""Dense full-space evaluators: the reference for the symmetric-subspace code.
+
+`qgames` evaluates Haar averages on symmetric subspaces (Choi matrices on
+Sym_in (x) out, payoff operators on Sym_n (x) C^2).  The functions here do the
+same sums the long way, on the full d^(n_in + n_out) and 2^(n+1) spaces: the
+Choi matrix is summed from `ch.kraus` one outer product at a time and the
+moment operator is the full symmetric projector.  They share no code with the
+compressed evaluators beyond `sym_projector` and `partial_trace_matrix`.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from qgames.cloning import Channel
+from qgames.core import DEFAULT_SIZE_CAP, ShapeError, check_size_cap, partial_trace_matrix, tensor_power
+from qgames.estimation import Povm
+from qgames.symmetric import SymBasis, dim_sym, sym_projector
+
+
+def full_choi(ch: Channel) -> np.ndarray:
+    """Choi matrix of the whole channel on in (x) out, index (i, a)."""
+    choi = np.zeros((ch.dim_in * ch.dim_out,) * 2, dtype=complex)
+    for k in ch.kraus:
+        w = k.T.reshape(-1)  # w[(i, a)] = K[a, i]: Choi lives on in (x) out
+        choi += np.outer(w, w.conj())
+    return choi
+
+
+def apply_matrix_via_choi(ch: Channel, mat: np.ndarray) -> np.ndarray:
+    """The channel applied to `mat` through its full Choi matrix."""
+    mat = np.asarray(mat, dtype=complex)
+    if mat.shape != (ch.dim_in, ch.dim_in):
+        raise ShapeError(f"input shape {mat.shape} != ({ch.dim_in}, {ch.dim_in})")
+    j = full_choi(ch).reshape(ch.dim_in, ch.dim_out, ch.dim_in, ch.dim_out)
+    return np.einsum("iajb,ij->ab", j, mat)
+
+
+def transposition_operator(d: int, n: int, i: int, j: int) -> np.ndarray:
+    """Permutation matrix swapping tensor factors i and j of (C^d)^{tensor n}."""
+    dims = [d] * n
+    perm = list(range(n))
+    perm[i], perm[j] = perm[j], perm[i]
+    op = np.eye(d**n).reshape(dims + dims)
+    op = op.transpose(perm + list(range(n, 2 * n)))
+    return op.reshape(d**n, d**n)
+
+
+def _input_transposed_projector(d, n_in, dim_out_block, n_total, size_cap):
+    proj = sym_projector(d, n_total, size_cap)
+    dim_in = d**n_in
+    g = proj.reshape(dim_in, dim_out_block, dim_in, dim_out_block)
+    return g.transpose(2, 1, 0, 3).reshape(dim_in * dim_out_block, dim_in * dim_out_block)
+
+
+def haar_avg_global_fidelity(ch: Channel, size_cap=DEFAULT_SIZE_CAP) -> float:
+    """tr[J PT_in(P_sym^{(n+m)})] / dim_sym(d, n+m) on the full space."""
+    n_total = ch.n_in + ch.n_out
+    check_size_cap(ch.d**n_total, size_cap)
+    g = _input_transposed_projector(ch.d, ch.n_in, ch.dim_out, n_total, size_cap)
+    val = np.einsum("ij,ji->", full_choi(ch), g)
+    return float(val.real) / dim_sym(ch.d, n_total)
+
+
+def single_clone_haar_fidelity(ch: Channel, k: int, size_cap=DEFAULT_SIZE_CAP) -> float:
+    """The (n_in + 1)-copy moment formula on the full reduced Choi matrix."""
+    if not 1 <= k <= ch.n_out:
+        raise IndexError(f"clone index {k} not in 1..{ch.n_out}")
+    dims = [ch.dim_in] + [ch.d] * ch.n_out
+    reduced = partial_trace_matrix(full_choi(ch), dims, keep=[0, k])
+    n_total = ch.n_in + 1
+    g = _input_transposed_projector(ch.d, ch.n_in, ch.d, n_total, size_cap)
+    val = np.einsum("ij,ji->", reduced, g)
+    return float(val.real) / dim_sym(ch.d, n_total)
+
+
+def outcome_probabilities(povm: Povm, psi) -> np.ndarray:
+    """Born probabilities from the compressed full-space vector psi^{tensor n}."""
+    amp = SymBasis(2, povm.n).compress(tensor_power(psi, povm.n).amplitudes)
+    probs = np.array([np.vdot(amp, e @ amp).real for e in povm.effects])
+    return np.clip(probs, 0.0, None)
+
+
+def payoff_operator(povm: Povm) -> np.ndarray:
+    """sum_r (embedded E_r) tensor |phi_r><phi_r| on the (n+1)-copy space."""
+    check_size_cap(2 ** (povm.n + 1))
+    iso = SymBasis(2, povm.n).isometry
+    total = np.zeros((2 ** (povm.n + 1),) * 2, dtype=complex)
+    for e, g in zip(povm.effects, povm.guesses):
+        guess_proj = np.outer(g.amplitudes, g.amplitudes.conj())
+        total += np.kron(iso @ e @ iso.conj().T, guess_proj)
+    return total
+
+
+def mean_fidelity(povm: Povm) -> float:
+    """tr[W P_sym] / dim_sym over n+1 copies, W on the full space."""
+    k = povm.n + 1
+    check_size_cap(2**k)
+    w = payoff_operator(povm)
+    val = np.einsum("ij,ji->", w, sym_projector(2, k))
+    return float(val.real) / dim_sym(2, k)
+
+
+def frame_averaged_payoff(povm: Povm, psi) -> float:
+    """mean_fidelity times <psi^{n+1}| P_sym |psi^{n+1}>, after the leak check."""
+    k = povm.n + 1
+    check_size_cap(2**k)
+    w = payoff_operator(povm)
+    proj = sym_projector(2, k)
+    off = np.linalg.norm(w - proj @ w @ proj, 2)
+    if off > 1e-8:
+        raise ValueError(
+            "payoff operator leaks out of the symmetric subspace "
+            f"(norm {off:.3e}); frame averaging needs aligned guesses"
+        )
+    flat = float(np.einsum("ij,ji->", w, proj).real) / dim_sym(2, k)
+    v = tensor_power(psi, k).amplitudes
+    return flat * float(np.vdot(v, proj @ v).real)

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -74,12 +75,13 @@ class TestOptimalClonerConstruction:
 class TestChannelMechanics:
     def test_kraus_vs_choi_application_agree(self, rng):
         from conftest import random_density
+        from dense_oracle import apply_matrix_via_choi
 
         ch = optimal_cloner(2, 1, 2)
         for i in range(20):
             rho = random_density(2, rng.substream(i))
             a = ch.apply_matrix(rho.matrix)
-            b = ch.apply_matrix_via_choi(rho.matrix)
+            b = apply_matrix_via_choi(ch, rho.matrix)
             assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_output_hermitian(self, rng):
@@ -105,6 +107,14 @@ class TestChannelMechanics:
         assert np.linalg.eigvalsh(ch.choi).min() >= -1e-10
         with pytest.raises(ValueError):
             ch.choi[0, 0] = 1.0  # read-only cache
+
+    def test_construction_logs_dimensions(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="qgames"):
+            optimal_cloner(2, 2, 3)
+        (record,) = [r for r in caplog.records if r.name == "qgames.cloning"]
+        assert record.levelno == logging.DEBUG
+        assert "2 Kraus operators" in record.getMessage()
+        assert "side 24" in record.getMessage() and "full in (x) out: 32" in record.getMessage()
 
 
 class TestGlobalFidelity:

@@ -1,0 +1,164 @@
+"""Symmetric-subspace evaluators against the dense full-space oracle.
+
+Also guards the evaluators against building full-space objects again: a
+d^(n+m)-sized Choi matrix, projector or payoff operator.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import dense_oracle
+import qgames.cloning
+import qgames.estimation
+from qgames.cloning import (
+    conjugate_output,
+    haar_avg_global_fidelity,
+    haar_random_unitary,
+    mirror_embedding_channel,
+    mixture_channel,
+    optimal_cloner,
+    product_embedding_channel,
+    random_isometry_channel,
+    single_clone_haar_fidelity,
+    symmetric_noise_channel,
+)
+from qgames.core import PureState, RandomStream, haar_random_state
+from qgames.estimation import (
+    build_povm,
+    default_directions,
+    frame_averaged_payoff,
+    mean_fidelity,
+    payoff_operator,
+    universal_povm,
+)
+from qgames.harness import povm_perturbations
+from qgames.symmetric import dim_sym, sym_isometry, sym_split
+from test_cloning import CLONER_CASES
+
+TOL = 1e-12
+ORACLE_CASES = CLONER_CASES + [(2, 3, 5), (3, 2, 3)]
+CHANNEL_KINDS = ("optimal", "product", "mirror", "noise", "random", "conjugated", "mixture")
+
+
+def make_channel(kind, d, n, m):
+    stream = RandomStream(7000 + 100 * d + 10 * n + m)
+    if kind == "optimal":
+        return optimal_cloner(d, n, m)
+    if kind == "product":
+        return product_embedding_channel(d, n, m)
+    if kind == "mirror":
+        return mirror_embedding_channel(d, n, m)
+    if kind == "noise":
+        return symmetric_noise_channel(d, n, m)
+    if kind == "random":
+        return random_isometry_channel(d, n, m, stream, ancilla_dim=2 * d)
+    if kind == "conjugated":
+        return conjugate_output(optimal_cloner(d, n, m), haar_random_unitary(d**m, stream))
+    return mixture_channel(optimal_cloner(d, n, m), product_embedding_channel(d, n, m), 0.3)
+
+
+@pytest.mark.parametrize("kind", CHANNEL_KINDS)
+@pytest.mark.parametrize("d, n, m", ORACLE_CASES)
+def test_channel_evaluators_match_dense_oracle(kind, d, n, m):
+    ch = make_channel(kind, d, n, m)
+    lift = np.kron(sym_isometry(d, n), np.eye(d**m))
+    assert np.max(np.abs(ch.choi - lift.T @ dense_oracle.full_choi(ch) @ lift)) <= TOL
+    got = haar_avg_global_fidelity(ch)
+    assert abs(got - dense_oracle.haar_avg_global_fidelity(ch)) <= TOL
+    for k in range(1, m + 1):
+        got = single_clone_haar_fidelity(ch, k)
+        assert abs(got - dense_oracle.single_clone_haar_fidelity(ch, k)) <= TOL
+
+
+def estimation_strategies(n):
+    aligned = [universal_povm(n), build_povm(n, default_directions(n))]
+    misaligned = []
+    for i, povm in enumerate(aligned):
+        misaligned += povm_perturbations(povm, 2, RandomStream(8000 + 10 * n + i))
+    return [(p, True) for p in aligned] + [(p, False) for p in misaligned]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_estimation_evaluators_match_dense_oracle(n):
+    lift = np.kron(sym_isometry(2, n), np.eye(2))
+    psi = haar_random_state(2, RandomStream(8100 + n))
+    inputs = (psi, PureState.basis(2, 0), PureState.basis(2, 1))
+    for povm, aligned in estimation_strategies(n):
+        for phi in inputs:
+            got = povm.outcome_probabilities(phi)
+            assert np.max(np.abs(got - dense_oracle.outcome_probabilities(povm, phi))) <= TOL
+        dense = dense_oracle.payoff_operator(povm)
+        assert np.max(np.abs(lift @ payoff_operator(povm) @ lift.T - dense)) <= TOL
+        assert abs(mean_fidelity(povm) - dense_oracle.mean_fidelity(povm)) <= TOL
+        if aligned:
+            got = frame_averaged_payoff(povm, psi)
+            assert abs(got - dense_oracle.frame_averaged_payoff(povm, psi)) <= TOL
+        else:
+            for evaluator in (frame_averaged_payoff, dense_oracle.frame_averaged_payoff):
+                with pytest.raises(ValueError, match="aligned"):
+                    evaluator(povm, psi)
+
+
+@pytest.mark.parametrize("d, n, m", [(2, 1, 2), (2, 3, 5), (3, 2, 3), (4, 1, 2)])
+def test_split_map_is_the_product_of_isometries(d, n, m):
+    want = np.kron(sym_isometry(d, n), sym_isometry(d, m)).T @ sym_isometry(d, n + m)
+    assert np.max(np.abs(sym_split(d, n, m) - want)) <= TOL
+
+
+@pytest.fixture
+def copy_limit(monkeypatch):
+    """Make the evaluators fail on any symmetric object over more copies than `limit[0]`."""
+    limit = [0]
+
+    def guarded(fn):
+        def wrapper(d, n, *args, **kwargs):
+            if n > limit[0]:
+                raise AssertionError(f"built a {fn.__name__} on {n} copies")
+            return fn(d, n, *args, **kwargs)
+
+        return wrapper
+
+    for module in (qgames.cloning, qgames.estimation):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()  # rebuild cached operators under the guard
+        for name in ("sym_projector", "sym_isometry"):
+            fn = getattr(qgames.symmetric, name)
+            monkeypatch.setattr(module, name, guarded(fn), raising=False)
+    return limit
+
+
+@pytest.mark.parametrize("d, n, m", [(2, 4, 6), (3, 3, 4), (4, 2, 3)])
+def test_cloning_evaluators_stay_on_registers(copy_limit, d, n, m):
+    copy_limit[0] = max(n, m)
+    ch = optimal_cloner(d, n, m)
+    assert ch.choi.shape == (dim_sym(d, n) * d**m,) * 2
+    haar_avg_global_fidelity(ch)
+    for k in range(1, m + 1):
+        single_clone_haar_fidelity(ch, k)
+
+
+@pytest.mark.parametrize("n", [4, 8, 11])
+def test_estimation_evaluators_stay_on_registers(copy_limit, n):
+    copy_limit[0] = n
+    povm = universal_povm(n)
+    assert payoff_operator(povm).shape == (2 * (n + 1),) * 2
+    mean_fidelity(povm)
+    frame_averaged_payoff(povm, haar_random_state(2, RandomStream(n)))
+    povm.outcome_probabilities(haar_random_state(2, RandomStream(n)))
+
+
+def test_largest_capped_arities_stay_small():
+    # a dense Choi matrix or (n+m)-copy projector here would take 134-268 MB
+    tracemalloc.start()
+    try:
+        ch = optimal_cloner(2, 5, 7)
+        haar_avg_global_fidelity(ch)
+        single_clone_haar_fidelity(ch, 1)
+        mean_fidelity(universal_povm(11))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20

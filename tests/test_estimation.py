@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -238,6 +239,16 @@ class TestMeanFidelity:
     def test_value_ladder(self, n):
         povm = build_povm(n, default_directions(n))
         assert abs(mean_fidelity(povm) - (n + 1) / (n + 2)) <= 1e-9
+
+    def test_logs_dimensions(self, caplog):
+        povm = universal_povm(4)
+        with caplog.at_level(logging.DEBUG, logger="qgames"):
+            mean_fidelity(povm)
+        (record,) = [r for r in caplog.records if r.name == "qgames.estimation"]
+        assert record.levelno == logging.DEBUG
+        message = record.getMessage()
+        assert f"{len(povm.effects)} effects" in message
+        assert "side 10" in message and "space: 32" in message
 
     def test_flipped_guesses_score_one_third(self):
         povm = build_povm(1, default_directions(1))

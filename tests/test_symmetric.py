@@ -12,8 +12,8 @@ from qgames.symmetric import (
     occupations,
     sym_isometry,
     sym_projector,
-    transposition_operator,
 )
+from dense_oracle import transposition_operator
 
 # keep property sweeps below this total dimension so the suite stays quick
 CASES = [(d, n) for d in (2, 3, 4) for n in range(1, 7) if d**n <= 1024]
