@@ -312,6 +312,8 @@ def parse_args(argv) -> argparse.Namespace:
     parser = build_parser()
     config = parser.parse_args(argv)
     estimation_game = getattr(config, "game", None) == "estimation"
+    if config.command in ("clone", "sandwich", "asym-bound", "mc-play") and config.d < 1:
+        parser.error(f"--d must be >= 1, got {config.d}")
     if config.command in ("clone", "sandwich", "asym-bound", "mc-play") and not estimation_game:
         if not 1 <= config.n <= config.m:
             parser.error(f"need 1 <= n <= m, got n={config.n} m={config.m}")

@@ -119,14 +119,16 @@ def measurement_vector(n_copies: int, direction: Direction) -> PureState:
     return PureState(amps / np.linalg.norm(amps))
 
 
-def _power_coordinates(psi: PureState, n_copies: int) -> np.ndarray:
-    """Symmetric-basis coordinates of psi^{tensor n} for a qubit psi = (a, b).
+def _power_coordinates(amplitudes: np.ndarray, n_copies: int) -> np.ndarray:
+    """Symmetric-basis coordinates of psi^{tensor n} for qubits psi = (a, b).
 
     Component k (n - k excitations in level 0, as in `measurement_vector`) is
     sqrt(binom(n, k)) a^{n-k} b^k, the overlap of psi^{tensor n} with the
-    normalized sum of the binom(n, k) strings that hold k ones.
+    normalized sum of the binom(n, k) strings that hold k ones.  `amplitudes`
+    has shape (..., 2), one qubit per leading index; the result has shape
+    (..., n + 1).
     """
-    a, b = psi.amplitudes
+    a, b = amplitudes[..., :1], amplitudes[..., 1:]
     k = np.arange(n_copies + 1)
     root_binom = np.sqrt([math.comb(n_copies, j) for j in k])
     return root_binom * a ** (n_copies - k) * b**k
@@ -180,7 +182,7 @@ class Povm:
         if psi.dim != 2:
             raise ShapeError("input must be a qubit")
         check_size_cap(2**self.n)
-        amp = _power_coordinates(psi, self.n)
+        amp = _power_coordinates(psi.amplitudes, self.n)
         probs = np.array([np.vdot(amp, e @ amp).real for e in self.effects])
         return np.clip(probs, 0.0, None)
 

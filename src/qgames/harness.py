@@ -4,8 +4,13 @@ Discretized matrix games restrict both players to finite strategy sets; the
 restricted value can only fall as the column player's set grows, and it is
 pinned from below by any row whose payoff is constant, so refining the state
 sets sandwiches the theoretical game value.  Monte Carlo play runs the actual
-referee protocol round by round, and the brute-force scan checks the
-asymmetric-cloning fidelity-sum ceiling over random channels.
+referee protocol, and the brute-force scan checks the asymmetric-cloning
+fidelity-sum ceiling over random channels.
+
+Every Monte Carlo round takes its draws from its own substream of the seed,
+one substream per round.  Rounds are evaluated in fixed chunks of
+CHUNK_ROUNDS with array operations; the chunks bound memory and nothing else,
+so a record depends on the seed and the round count, not on the chunk size.
 
 Analytic reports quote fidelities F; the protocol's literal stakes are +-1.
 A round passes with probability p = (1 + F)/2, so the mean +-1 payoff is
@@ -15,8 +20,9 @@ Monte Carlo records carry the mean payoff and the raw pass rate side by side.
 
 from __future__ import annotations
 
+import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,28 +41,27 @@ from .cloning import (
     symmetric_noise_channel,
     value_formulas,
 )
-from .core import (
-    DEFAULT_SIZE_CAP,
-    PureState,
-    RandomStream,
-    ShapeError,
-    check_size_cap,
-    partial_trace_matrix,
-    tensor_power,
-)
+from .core import PureState, RandomStream, ShapeError, check_size_cap, haar_random_state
 from .estimation import (
     Direction,
     Povm,
+    _power_coordinates,
     bloch_state,
     fibonacci_directions,
     mean_fidelity,
     pointwise_payoff,
 )
-from .swap_test import draw_outcome
-from .zerosum import EquilibriumPair, MatrixGame, MixedStrategy, solve
-from .core import haar_random_state
+from .swap_test import referee_outcomes
+from .zerosum import MatrixGame, solve
 
 GAME_KINDS = ("estimation", "cloning", "one_particle")
+
+#: Monte Carlo rounds evaluated together with array operations.  It bounds the
+#: working memory only: each round draws from its own substream, so records do
+#: not depend on it.
+CHUNK_ROUNDS = 256
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -73,6 +78,8 @@ class GameSpec:
     def __post_init__(self):
         if self.kind not in GAME_KINDS:
             raise ValueError(f"kind must be one of {GAME_KINDS}, got {self.kind!r}")
+        if self.d < 1:
+            raise ValueError(f"dimension d must be >= 1, got {self.d}")
         if self.kind == "estimation":
             if self.d != 2:
                 raise ValueError("estimation strategies are implemented for qubits only")
@@ -319,53 +326,128 @@ class MonteCarloRecord:
     pass_rate: float
 
 
-def _estimation_round(povm: Povm, stream: RandomStream) -> int:
-    psi = haar_random_state(2, stream)
-    probs = povm.outcome_probabilities(psi)
-    total = probs.sum()
-    draw = stream.uniform() * total
-    outcome = int(np.searchsorted(np.cumsum(probs), draw))
-    outcome = min(outcome, len(probs) - 1)
-    return draw_outcome(psi.overlap_probability(povm.guesses[outcome]), stream)
+def _unit_rows(vectors: np.ndarray) -> np.ndarray:
+    """Rows normalised to unit length, with `PureState`'s 1e-12 norm check."""
+    vectors = vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
+    norms = np.linalg.norm(vectors, axis=1)
+    off = np.abs(norms - 1.0) > 1e-12
+    if np.any(off):
+        raise ValueError(f"state vector norm {norms[off][0]!r} is not 1 within 1e-12")
+    return vectors
 
 
-def _cloning_round(ch: Channel, stream: RandomStream) -> int:
-    psi = haar_random_state(ch.d, stream)
-    vin = tensor_power(psi, ch.n_in).amplitudes
-    vout = tensor_power(psi, ch.n_out).amplitudes
-    fid = sum(abs(np.vdot(vout, k @ vin)) ** 2 for k in ch.kraus)
-    return draw_outcome(fid, stream)
+def _tensor_powers(psi: np.ndarray, k: int) -> np.ndarray:
+    """Rows psi^{(x)k}, renormalised as `tensor_power` does."""
+    out = psi
+    for _ in range(k - 1):
+        out = (out[:, :, None] * psi[:, None, :]).reshape(len(psi), -1)
+    return _unit_rows(out)
 
 
-def _one_particle_round(ch: Channel, stream: RandomStream) -> int:
-    psi = haar_random_state(ch.d, stream)
-    clone = int(stream.generator.integers(1, ch.n_out + 1))
-    vin = tensor_power(psi, ch.n_in).amplitudes
-    dims = [ch.d] * ch.n_out
-    reduced = np.zeros((ch.d, ch.d), dtype=complex)
-    for k in ch.kraus:
-        branch = np.outer(k @ vin, (k @ vin).conj())
-        reduced += partial_trace_matrix(branch, dims, keep=[clone - 1])
-    fid = float(np.vdot(psi.amplitudes, reduced @ psi.amplitudes).real)
-    return draw_outcome(fid, stream)
+def _draw_rounds(root: RandomStream, rounds: range, d: int, kind: str, n_out: int):
+    """Each round's draws from its own substream, in protocol order.
+
+    Returns the complex normals of the Haar states, the middle draw (the
+    estimation outcome's uniform or the one-particle clone index; unused by
+    cloning) and the referee's uniform.
+    """
+    normals = np.empty((len(rounds), d), dtype=complex)
+    middle = np.zeros(len(rounds))
+    referee = np.empty(len(rounds))
+    for j, i in enumerate(rounds):
+        stream = root.substream(i)
+        normals[j] = stream.complex_normals(d)
+        if kind == "estimation":
+            middle[j] = stream.uniform()
+        elif kind == "one_particle":
+            middle[j] = stream.generator.integers(1, n_out + 1)
+        referee[j] = stream.uniform()
+    return normals, middle, referee
+
+
+def _estimation_overlaps(povm: Povm, psi: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """|<psi|guess>|^2 for the outcome each round's uniform picks from the Born rule."""
+    if psi.shape[1] != 2:
+        raise ShapeError("input must be a qubit")
+    check_size_cap(2**povm.n)
+    amp = _power_coordinates(psi, povm.n)
+    probs = np.einsum("bi,rij,bj->br", amp.conj(), np.stack(povm.effects), amp).real
+    probs = np.clip(probs, 0.0, None)
+    draws = uniforms * probs.sum(axis=1)
+    # the first outcome whose cumulative probability reaches the draw
+    outcome = np.sum(np.cumsum(probs, axis=1) < draws[:, None], axis=1)
+    outcome = np.minimum(outcome, len(povm.effects) - 1)
+    guesses = np.stack([g.amplitudes for g in povm.guesses])[outcome]
+    return np.abs(np.sum(psi.conj() * guesses, axis=1)) ** 2
+
+
+def _kraus_branches(ch: Channel, psi: np.ndarray) -> np.ndarray:
+    """K psi^{(x)n_in} for every Kraus operator K and round: shape (K, rounds, d^n_out)."""
+    return _tensor_powers(psi, ch.n_in) @ np.stack(ch.kraus).transpose(0, 2, 1)
+
+
+def _cloning_overlaps(ch: Channel, psi: np.ndarray, _middle) -> np.ndarray:
+    """Global fidelity sum_K |<psi^{(x)n_out}| K |psi^{(x)n_in}>|^2 per round."""
+    vout = _tensor_powers(psi, ch.n_out)
+    overlaps = np.sum(vout.conj() * _kraus_branches(ch, psi), axis=2)
+    return np.sum(np.abs(overlaps) ** 2, axis=0)
+
+
+def _one_particle_overlaps(ch: Channel, psi: np.ndarray, clones: np.ndarray) -> np.ndarray:
+    """<psi| rho_c |psi> for the output clone c each round drew.
+
+    Contracting clone c of every Kraus branch with psi* and summing the squared
+    norms over the Kraus operators and the other clones gives the reduced
+    state's overlap without forming it.
+    """
+    d, m = ch.d, ch.n_out
+    branches = _kraus_branches(ch, psi)
+    fid = np.empty(len(psi))
+    for c in range(1, m + 1):
+        rows = clones == c
+        count = int(np.count_nonzero(rows))
+        split = branches[:, rows].reshape(len(ch.kraus), count, d ** (c - 1), d, d ** (m - c))
+        kept = np.einsum("rbidj,bd->rbij", split, psi[rows].conj())
+        fid[rows] = np.sum(np.abs(kept) ** 2, axis=(0, 2, 3))
+    return fid
+
+
+_OVERLAPS = {
+    "estimation": _estimation_overlaps,
+    "cloning": _cloning_overlaps,
+    "one_particle": _one_particle_overlaps,
+}
 
 
 def monte_carlo_play(spec: GameSpec, strategy, seed=None) -> MonteCarloRecord:
-    """Play `spec.samples` protocol rounds; reproducible via per-round substreams."""
+    """Play `spec.samples` protocol rounds against the SWAP-test referee.
+
+    Round i draws from its own substream `RandomStream(seed).substream(i)`, in
+    protocol order: the Haar state's complex normals, then the estimation
+    outcome's uniform or the one-particle clone index, then the referee's
+    uniform.  The rounds are evaluated CHUNK_ROUNDS at a time with array
+    operations.  Chunking only bounds the working memory: every round keeps
+    its own draws, so the record depends on the seed and not on the chunk size.
+    """
     if spec.samples < 1:
         raise ValueError("samples must be >= 1")
     check_size_cap(spec.d ** max(spec.n, spec.m))
     seed = spec.seed if seed is None else int(seed)
     root = RandomStream(seed)
-    if spec.kind == "estimation":
-        play = lambda s: _estimation_round(strategy, s)
-    elif spec.kind == "cloning":
-        play = lambda s: _cloning_round(strategy, s)
-    else:
-        play = lambda s: _one_particle_round(strategy, s)
+    d = 2 if spec.kind == "estimation" else strategy.d
+    n_out = 0 if spec.kind == "estimation" else strategy.n_out
+    overlaps_of = _OVERLAPS[spec.kind]
+    chunk = CHUNK_ROUNDS
+    _log.debug(
+        "monte_carlo_play %s d=%d n=%d m=%d: %d rounds in %d chunks of %d",
+        spec.kind, spec.d, spec.n, spec.m, spec.samples, -(-spec.samples // chunk), chunk,
+    )
     total = 0
-    for i in range(spec.samples):
-        total += play(root.substream(i))
+    for start in range(0, spec.samples, chunk):
+        rounds = range(start, min(start + chunk, spec.samples))
+        normals, middle, referee = _draw_rounds(root, rounds, d, spec.kind, n_out)
+        overlaps = overlaps_of(strategy, _unit_rows(normals), middle)
+        total += int(np.sum(referee_outcomes(overlaps, referee)))
     mean = total / spec.samples
     # outcomes are +-1, so the sample variance is exactly 1 - mean^2
     stderr = math.sqrt(max(0.0, 1.0 - mean * mean) / spec.samples)

@@ -33,6 +33,17 @@ class TestParsing:
             parse_args(["mc-play", "--game", "cloning"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize(
+        "command",
+        [["clone"], ["sandwich", "--game", "cloning", "--seed", "1"],
+         ["asym-bound", "--seed", "1"], ["mc-play", "--game", "cloning", "--seed", "1"]],
+    )
+    def test_nonpositive_dimension_exits_2(self, command, capsys):
+        with pytest.raises(SystemExit) as info:
+            parse_args(command + ["--d", "0"])
+        assert info.value.code == 2
+        assert "--d must be >= 1" in capsys.readouterr().err
+
     def test_estimate_csv_config(self):
         config = parse_args(["estimate", "--n", "3", "--format", "csv", "--out", "r.csv"])
         assert config.n == 3 and config.format == "csv" and config.out == "r.csv"

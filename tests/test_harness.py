@@ -1,11 +1,16 @@
+import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import qgames.harness
+
 from qgames.cloning import (
     optimal_cloner,
     product_embedding_channel,
+    random_isometry_channel,
     symmetric_noise_channel,
     value_formulas,
 )
@@ -31,6 +36,7 @@ from qgames.swap_test import expected_payoff
 from qgames.zerosum import solve
 
 from exact_simplex import exact_simplex
+from mc_oracle import oracle_outcomes, oracle_record
 
 
 class TestGameSpec:
@@ -45,6 +51,12 @@ class TestGameSpec:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             GameSpec("guessing", d=2, n=1, m=1)
+
+    @pytest.mark.parametrize("kind", ["cloning", "one_particle"])
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_dimension_must_be_positive(self, kind, d):
+        with pytest.raises(ValueError, match="d must be >= 1"):
+            GameSpec(kind, d=d, n=1, m=2)
 
     def test_theoretical_values(self):
         assert GameSpec("estimation", n=1).theoretical_value() == pytest.approx(2 / 3)
@@ -252,6 +264,81 @@ class TestMonteCarlo:
             z = abs(record.mean_payoff - 2.0 / 3.0) / record.stderr_payoff
             bad += z > 3.0
         assert bad <= 1
+
+
+def _mc_game(kind, d, n, m, make, label="optimal"):
+    return pytest.param(kind, d, n, m, make, id=f"{kind}-{d}-{n}-{m}-{label}")
+
+
+# (kind, d, n, m, strategy factory) for the oracle comparisons; the optimal
+# cloner's clones are interchangeable, so the asymmetric channels are what
+# checks that each one-particle round scores the clone it drew
+MC_GAMES = [
+    _mc_game("estimation", 2, 1, 1, lambda: build_povm(1, default_directions(1)), "default"),
+    _mc_game("estimation", 2, 4, 4, lambda: build_povm(4, default_directions(4)), "default"),
+    _mc_game("estimation", 2, 3, 3, lambda: universal_povm(3), "universal"),
+    _mc_game("cloning", 2, 1, 2, lambda: optimal_cloner(2, 1, 2)),
+    _mc_game("cloning", 3, 2, 3, lambda: optimal_cloner(3, 2, 3)),
+    _mc_game("cloning", 2, 2, 3, lambda: optimal_cloner(2, 2, 3)),
+    _mc_game("cloning", 2, 1, 3,
+             lambda: random_isometry_channel(2, 1, 3, RandomStream(8), ancilla_dim=3), "random"),
+    _mc_game("one_particle", 2, 1, 2, lambda: optimal_cloner(2, 1, 2)),
+    _mc_game("one_particle", 3, 1, 3, lambda: optimal_cloner(3, 1, 3)),
+    _mc_game("one_particle", 2, 2, 3, lambda: optimal_cloner(2, 2, 3)),
+    _mc_game("one_particle", 2, 1, 3, lambda: product_embedding_channel(2, 1, 3), "product"),
+    _mc_game("one_particle", 3, 1, 3,
+             lambda: random_isometry_channel(3, 1, 3, RandomStream(9), ancilla_dim=2), "random"),
+]
+# one round, chunk edges of the 256-round chunks, and several chunks
+MC_SAMPLE_COUNTS = (1, 255, 256, 257, 1000)
+
+
+class TestMonteCarloOracle:
+    """The batched rounds against round-by-round play (`tests/mc_oracle.py`)."""
+
+    @pytest.mark.parametrize("seed", [5, 21])
+    @pytest.mark.parametrize("kind, d, n, m, make", MC_GAMES)
+    def test_records_equal_round_by_round_play(self, kind, d, n, m, make, seed):
+        strategy = make()
+        outcomes = oracle_outcomes(kind, strategy, max(MC_SAMPLE_COUNTS), seed)
+        for samples in MC_SAMPLE_COUNTS:
+            spec = GameSpec(kind, d=d, n=n, m=m, samples=samples, seed=seed)
+            assert monte_carlo_play(spec, strategy) == oracle_record(
+                kind, outcomes[:samples], seed
+            )
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    @pytest.mark.parametrize("kind, d, n, m, make", MC_GAMES)
+    def test_records_do_not_depend_on_chunk_size(self, monkeypatch, kind, d, n, m, make, chunk):
+        strategy = make()
+        specs = [GameSpec(kind, d=d, n=n, m=m, samples=s, seed=21) for s in (1, 20, 257)]
+        expected = [monte_carlo_play(spec, strategy) for spec in specs]
+        monkeypatch.setattr(qgames.harness, "CHUNK_ROUNDS", chunk)
+        assert [monte_carlo_play(spec, strategy) for spec in specs] == expected
+
+    @pytest.mark.parametrize("kind, d, n, m", [("cloning", 3, 2, 3), ("one_particle", 3, 1, 3)])
+    def test_memory_stays_bounded_at_cli_default_rounds(self, kind, d, n, m):
+        # 100 000 rounds is the `mc-play` default; batching them all at once
+        # would hold every round's tensor powers and Kraus branches together
+        strategy = optimal_cloner(d, n, m)
+        spec = GameSpec(kind, d=d, n=n, m=m, samples=100_000, seed=3)
+        tracemalloc.start()
+        try:
+            monte_carlo_play(spec, strategy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
+
+    def test_logs_one_record_per_call(self, caplog):
+        spec = GameSpec("cloning", d=3, n=2, m=3, samples=600, seed=1)
+        with caplog.at_level(logging.DEBUG, logger="qgames"):
+            monte_carlo_play(spec, optimal_cloner(3, 2, 3))
+        (record,) = [r for r in caplog.records if r.name == "qgames.harness"]
+        assert record.levelno == logging.DEBUG
+        message = record.getMessage()
+        assert "cloning d=3 n=2 m=3" in message
+        assert "600 rounds in 3 chunks of 256" in message
 
 
 class TestAsymBoundScan:

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from qgames.core import DensityOperator, PureState, RandomStream, ShapeError
-from qgames.swap_test import draw_outcome, expected_payoff, pass_probability, sample_outcome
+from qgames.swap_test import (
+    draw_outcome,
+    expected_payoff,
+    pass_probability,
+    referee_outcomes,
+    sample_outcome,
+)
 
 from conftest import random_density
 
@@ -114,6 +120,16 @@ class TestSampleOutcome:
             assert sample_outcome(rho, sigma, RandomStream(9, i)) == draw_outcome(
                 fid, RandomStream(9, i)
             )
+
+    def test_referee_outcomes_match_draw_outcome(self):
+        overlaps = np.linspace(0.0, 1.0, 40)
+        uniforms = np.array([RandomStream(11, i).uniform() for i in range(40)])
+        expected = [draw_outcome(f, RandomStream(11, i)) for i, f in enumerate(overlaps)]
+        assert referee_outcomes(overlaps, uniforms).tolist() == expected
+
+    def test_referee_outcome_at_the_pass_probability_fails(self):
+        # +1 needs the uniform strictly below (1 + overlap) / 2
+        assert referee_outcomes([0.5, 0.5], [0.7499999, 0.75]).tolist() == [1, -1]
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
