@@ -22,13 +22,7 @@ from .core import (
     tensor_power,
 )
 from .symmetric import SymBasis, dim_sym, haar_moment, sym_isometry, sym_projector
-from .swap_test import (
-    draw_outcome,
-    expected_payoff,
-    pass_probability,
-    referee_outcomes,
-    sample_outcome,
-)
+from .swap_test import draw_outcome, expected_payoff, pass_probability, sample_outcome
 from .cloning import (
     Channel,
     CloningValues,

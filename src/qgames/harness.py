@@ -8,9 +8,11 @@ referee protocol, and the brute-force scan checks the asymmetric-cloning
 fidelity-sum ceiling over random channels.
 
 Every Monte Carlo round takes its draws from its own substream of the seed,
-one substream per round.  Rounds are evaluated in fixed chunks of
-CHUNK_ROUNDS with array operations; the chunks bound memory and nothing else,
-so a record depends on the seed and the round count, not on the chunk size.
+one substream per round.  Rounds are evaluated in fixed chunks with array
+operations: CHUNK_ROUNDS rounds, fewer for games whose output rows are so wide
+that a chunk would pass CHUNK_BYTES.  The chunks bound memory and nothing
+else, so a record depends on the seed and the round count, not on the chunk
+size.
 
 Analytic reports quote fidelities F; the protocol's literal stakes are +-1.
 A round passes with probability p = (1 + F)/2, so the mean +-1 payoff is
@@ -56,10 +58,13 @@ from .zerosum import MatrixGame, solve
 
 GAME_KINDS = ("estimation", "cloning", "one_particle")
 
-#: Monte Carlo rounds evaluated together with array operations.  It bounds the
-#: working memory only: each round draws from its own substream, so records do
-#: not depend on it.
+#: Monte Carlo rounds evaluated together with array operations.  Chunks bound
+#: the working memory only: each round draws from its own substream, so records
+#: do not depend on the chunk length.
 CHUNK_ROUNDS = 256
+#: Bytes one chunk's widest per-round array may take: games whose output rows
+#: are wide (d^m amplitudes) run fewer than CHUNK_ROUNDS rounds per chunk.
+CHUNK_BYTES = 2**22
 
 _log = logging.getLogger(__name__)
 
@@ -344,79 +349,57 @@ def _tensor_powers(psi: np.ndarray, k: int) -> np.ndarray:
     return _unit_rows(out)
 
 
-def _draw_rounds(root: RandomStream, rounds: range, d: int, kind: str, n_out: int):
-    """Each round's draws from its own substream, in protocol order.
-
-    Returns the complex normals of the Haar states, the middle draw (the
-    estimation outcome's uniform or the one-particle clone index; unused by
-    cloning) and the referee's uniform.
-    """
-    normals = np.empty((len(rounds), d), dtype=complex)
-    middle = np.zeros(len(rounds))
-    referee = np.empty(len(rounds))
-    for j, i in enumerate(rounds):
-        stream = root.substream(i)
-        normals[j] = stream.complex_normals(d)
-        if kind == "estimation":
-            middle[j] = stream.uniform()
-        elif kind == "one_particle":
-            middle[j] = stream.generator.integers(1, n_out + 1)
-        referee[j] = stream.uniform()
-    return normals, middle, referee
-
-
-def _estimation_overlaps(povm: Povm, psi: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+def _estimation_overlaps(n: int, effects: np.ndarray, guesses: np.ndarray, psi: np.ndarray,
+                         uniforms: np.ndarray) -> np.ndarray:
     """|<psi|guess>|^2 for the outcome each round's uniform picks from the Born rule."""
     if psi.shape[1] != 2:
         raise ShapeError("input must be a qubit")
-    check_size_cap(2**povm.n)
-    amp = _power_coordinates(psi, povm.n)
-    probs = np.einsum("bi,rij,bj->br", amp.conj(), np.stack(povm.effects), amp).real
+    check_size_cap(2**n)
+    amp = _power_coordinates(psi, n)
+    probs = np.einsum("bi,rij,bj->br", amp.conj(), effects, amp).real
     probs = np.clip(probs, 0.0, None)
     draws = uniforms * probs.sum(axis=1)
     # the first outcome whose cumulative probability reaches the draw
     outcome = np.sum(np.cumsum(probs, axis=1) < draws[:, None], axis=1)
-    outcome = np.minimum(outcome, len(povm.effects) - 1)
-    guesses = np.stack([g.amplitudes for g in povm.guesses])[outcome]
-    return np.abs(np.sum(psi.conj() * guesses, axis=1)) ** 2
+    outcome = np.minimum(outcome, len(effects) - 1)
+    return np.abs(np.sum(psi.conj() * guesses[outcome], axis=1)) ** 2
 
 
-def _kraus_branches(ch: Channel, psi: np.ndarray) -> np.ndarray:
-    """K psi^{(x)n_in} for every Kraus operator K and round: shape (K, rounds, d^n_out)."""
-    return _tensor_powers(psi, ch.n_in) @ np.stack(ch.kraus).transpose(0, 2, 1)
+def _cloning_overlaps(ch: Channel, psi: np.ndarray) -> np.ndarray:
+    """Global fidelity sum_K |<psi^{(x)n_out}| K |psi^{(x)n_in}>|^2 per round.
 
-
-def _cloning_overlaps(ch: Channel, psi: np.ndarray, _middle) -> np.ndarray:
-    """Global fidelity sum_K |<psi^{(x)n_out}| K |psi^{(x)n_in}>|^2 per round."""
-    vout = _tensor_powers(psi, ch.n_out)
-    overlaps = np.sum(vout.conj() * _kraus_branches(ch, psi), axis=2)
-    return np.sum(np.abs(overlaps) ** 2, axis=0)
+    Contracting <psi^{(x)n_out}| with one Kraus operator at a time keeps the
+    working arrays at one output row per round, however many Kraus operators
+    the channel has.
+    """
+    vin = _tensor_powers(psi, ch.n_in)
+    bra = _tensor_powers(psi, ch.n_out).conj()
+    fid = np.zeros(len(psi))
+    for k in ch.kraus:
+        fid += np.abs(np.sum((bra @ k) * vin, axis=1)) ** 2
+    return fid
 
 
 def _one_particle_overlaps(ch: Channel, psi: np.ndarray, clones: np.ndarray) -> np.ndarray:
     """<psi| rho_c |psi> for the output clone c each round drew.
 
-    Contracting clone c of every Kraus branch with psi* and summing the squared
+    Contracting clone c of each Kraus branch with psi* and summing the squared
     norms over the Kraus operators and the other clones gives the reduced
-    state's overlap without forming it.
+    state's overlap without forming it.  One Kraus operator at a time, so the
+    working arrays stay at one output row per round.
     """
     d, m = ch.d, ch.n_out
-    branches = _kraus_branches(ch, psi)
-    fid = np.empty(len(psi))
+    vin = _tensor_powers(psi, ch.n_in)
+    fid = np.zeros(len(psi))
     for c in range(1, m + 1):
         rows = clones == c
-        count = int(np.count_nonzero(rows))
-        split = branches[:, rows].reshape(len(ch.kraus), count, d ** (c - 1), d, d ** (m - c))
-        kept = np.einsum("rbidj,bd->rbij", split, psi[rows].conj())
-        fid[rows] = np.sum(np.abs(kept) ** 2, axis=(0, 2, 3))
+        bra, kets = psi[rows].conj(), vin[rows]
+        kept = np.zeros(len(bra))
+        for k in ch.kraus:
+            split = (kets @ k.T).reshape(len(bra), d ** (c - 1), d, d ** (m - c))
+            kept += np.sum(np.abs(np.einsum("bidj,bd->bij", split, bra)) ** 2, axis=(1, 2))
+        fid[rows] = kept
     return fid
-
-
-_OVERLAPS = {
-    "estimation": _estimation_overlaps,
-    "cloning": _cloning_overlaps,
-    "one_particle": _one_particle_overlaps,
-}
 
 
 def monte_carlo_play(spec: GameSpec, strategy, seed=None) -> MonteCarloRecord:
@@ -425,28 +408,41 @@ def monte_carlo_play(spec: GameSpec, strategy, seed=None) -> MonteCarloRecord:
     Round i draws from its own substream `RandomStream(seed).substream(i)`, in
     protocol order: the Haar state's complex normals, then the estimation
     outcome's uniform or the one-particle clone index, then the referee's
-    uniform.  The rounds are evaluated CHUNK_ROUNDS at a time with array
-    operations.  Chunking only bounds the working memory: every round keeps
-    its own draws, so the record depends on the seed and not on the chunk size.
+    uniform.  The rounds are evaluated in fixed chunks with array operations:
+    CHUNK_ROUNDS rounds, or fewer where one round's output row is so wide that
+    a chunk's rows would pass CHUNK_BYTES.  Chunking only bounds the working
+    memory: every round keeps its own draws, so the record depends on the seed
+    and not on the chunk length.
     """
     if spec.samples < 1:
         raise ValueError("samples must be >= 1")
     check_size_cap(spec.d ** max(spec.n, spec.m))
     seed = spec.seed if seed is None else int(seed)
     root = RandomStream(seed)
-    d = 2 if spec.kind == "estimation" else strategy.d
-    n_out = 0 if spec.kind == "estimation" else strategy.n_out
-    overlaps_of = _OVERLAPS[spec.kind]
-    chunk = CHUNK_ROUNDS
+    if spec.kind == "estimation":
+        effects = np.stack(strategy.effects)
+        guesses = np.stack([g.amplitudes for g in strategy.guesses])
+        d, width = 2, len(effects)
+    else:
+        d, width = strategy.d, strategy.d**strategy.n_out
+    chunk = max(1, min(CHUNK_ROUNDS, CHUNK_BYTES // (16 * width)))
     _log.debug(
         "monte_carlo_play %s d=%d n=%d m=%d: %d rounds in %d chunks of %d",
         spec.kind, spec.d, spec.n, spec.m, spec.samples, -(-spec.samples // chunk), chunk,
     )
     total = 0
     for start in range(0, spec.samples, chunk):
-        rounds = range(start, min(start + chunk, spec.samples))
-        normals, middle, referee = _draw_rounds(root, rounds, d, spec.kind, n_out)
-        overlaps = overlaps_of(strategy, _unit_rows(normals), middle)
+        streams = [root.substream(i) for i in range(start, min(start + chunk, spec.samples))]
+        psi = _unit_rows(np.array([s.complex_normals(d) for s in streams]))
+        if spec.kind == "estimation":
+            uniforms = np.array([s.uniform() for s in streams])
+            overlaps = _estimation_overlaps(strategy.n, effects, guesses, psi, uniforms)
+        elif spec.kind == "cloning":
+            overlaps = _cloning_overlaps(strategy, psi)
+        else:
+            clones = np.array([s.generator.integers(1, strategy.n_out + 1) for s in streams])
+            overlaps = _one_particle_overlaps(strategy, psi, clones)
+        referee = np.array([s.uniform() for s in streams])
         total += int(np.sum(referee_outcomes(overlaps, referee)))
     mean = total / spec.samples
     # outcomes are +-1, so the sample variance is exactly 1 - mean^2

@@ -307,21 +307,30 @@ class TestMonteCarloOracle:
                 kind, outcomes[:samples], seed
             )
 
-    @pytest.mark.parametrize("chunk", [1, 7])
+    # CHUNK_BYTES = 1000 gives 15 rounds per chunk at d^m = 4, 7 at 8 and 2 at 27
+    @pytest.mark.parametrize("limit, value", [("CHUNK_ROUNDS", 1), ("CHUNK_ROUNDS", 7),
+                                              ("CHUNK_BYTES", 1000)])
     @pytest.mark.parametrize("kind, d, n, m, make", MC_GAMES)
-    def test_records_do_not_depend_on_chunk_size(self, monkeypatch, kind, d, n, m, make, chunk):
+    def test_records_do_not_depend_on_chunk_size(self, monkeypatch, kind, d, n, m, make,
+                                                 limit, value):
         strategy = make()
         specs = [GameSpec(kind, d=d, n=n, m=m, samples=s, seed=21) for s in (1, 20, 257)]
         expected = [monte_carlo_play(spec, strategy) for spec in specs]
-        monkeypatch.setattr(qgames.harness, "CHUNK_ROUNDS", chunk)
+        monkeypatch.setattr(qgames.harness, limit, value)
         assert [monte_carlo_play(spec, strategy) for spec in specs] == expected
 
-    @pytest.mark.parametrize("kind, d, n, m", [("cloning", 3, 2, 3), ("one_particle", 3, 1, 3)])
-    def test_memory_stays_bounded_at_cli_default_rounds(self, kind, d, n, m):
-        # 100 000 rounds is the `mc-play` default; batching them all at once
-        # would hold every round's tensor powers and Kraus branches together
+    # Chunked play peaks near 1 MiB whatever the round count.  Batched all at
+    # once, 20 000 rounds take about 48 MiB (cloning) and 27 MiB (one-particle)
+    # of tensor powers.  (2, 1, 7) has 64 Kraus operators and 128-dimensional
+    # outputs, so a chunk holding every Kraus branch of its 256 rounds at once
+    # would take 32 MB for that array alone.
+    @pytest.mark.parametrize("kind, d, n, m, samples", [
+        ("cloning", 3, 2, 3, 20_000), ("one_particle", 3, 1, 3, 20_000),
+        ("cloning", 2, 1, 7, 512), ("one_particle", 2, 1, 7, 512),
+    ])
+    def test_memory_stays_bounded(self, kind, d, n, m, samples):
         strategy = optimal_cloner(d, n, m)
-        spec = GameSpec(kind, d=d, n=n, m=m, samples=100_000, seed=3)
+        spec = GameSpec(kind, d=d, n=n, m=m, samples=samples, seed=3)
         tracemalloc.start()
         try:
             monte_carlo_play(spec, strategy)
@@ -339,6 +348,14 @@ class TestMonteCarloOracle:
         message = record.getMessage()
         assert "cloning d=3 n=2 m=3" in message
         assert "600 rounds in 3 chunks of 256" in message
+
+    def test_wide_outputs_shorten_chunks(self, monkeypatch, caplog):
+        # 27 output amplitudes per round; CHUNK_BYTES fits 100 rounds of them
+        monkeypatch.setattr(qgames.harness, "CHUNK_BYTES", 16 * 27 * 100)
+        spec = GameSpec("cloning", d=3, n=2, m=3, samples=600, seed=1)
+        with caplog.at_level(logging.DEBUG, logger="qgames.harness"):
+            monte_carlo_play(spec, optimal_cloner(3, 2, 3))
+        assert "600 rounds in 6 chunks of 100" in caplog.records[-1].getMessage()
 
 
 class TestAsymBoundScan:
