@@ -90,11 +90,13 @@ class Channel:
                 raise ShapeError(
                     f"Kraus operator shape {k.shape} != ({self.dim_out}, {self.dim_in})"
                 )
-            k.setflags(write=False)
             ops.append(k)
         if not ops:
             raise ShapeError("channel needs at least one Kraus operator")
-        self.kraus = tuple(ops)
+        stacked = np.stack(ops)
+        stacked.setflags(write=False)
+        # read-only views into the one (K, out, in) array
+        self.kraus = tuple(stacked)
 
         defect = self.completeness_defect()
         if defect > atol:
@@ -102,9 +104,9 @@ class Channel:
                 f"Kraus operators not trace preserving on {domain} domain "
                 f"(defect {defect:.3e} > {atol:.0e})"
             )
-        compressed = np.stack(self.kraus) @ sym_isometry(self.d, self.n_in)
+        compressed = stacked @ sym_isometry(self.d, self.n_in)
         # w[K, (c, a)] = (K V_in)[a, c]: the Choi matrix lives on Sym_in (x) out
-        w = compressed.transpose(0, 2, 1).reshape(len(self.kraus), -1)
+        w = compressed.transpose(0, 2, 1).reshape(len(stacked), -1)
         choi = w.T @ w.conj()
         if np.linalg.eigvalsh(choi).min() < -atol:
             raise ValueError("Choi matrix is not PSD within tolerance")
@@ -118,8 +120,13 @@ class Channel:
         )
 
     def completeness_defect(self) -> float:
-        """Operator-norm distance of sum(K^dag K) from the domain identity."""
-        total = sum(k.conj().T @ k for k in self.kraus)
+        """Operator-norm distance of sum(K^dag K) from the domain identity.
+
+        The Kraus operators stacked vertically form one (K * out, in) matrix
+        whose Gram matrix is sum(K^dag K).
+        """
+        rows = np.reshape(self.kraus, (-1, self.dim_in))
+        total = rows.conj().T @ rows
         if self.domain == "full":
             delta = total - np.eye(self.dim_in)
         else:
@@ -231,13 +238,22 @@ def mixture_channel(a: Channel, b: Channel, weight: float) -> Channel:
     return Channel(a.d, a.n_in, a.n_out, kraus, domain=domain)
 
 
-def haar_random_unitary(dim: int, rng: RandomStream) -> np.ndarray:
-    """Haar-distributed unitary via phase-fixed QR of a complex Ginibre matrix."""
-    z = rng.complex_normals(dim * dim).reshape(dim, dim) / math.sqrt(2.0)
+def _phase_fixed_q(z: np.ndarray) -> np.ndarray:
+    """Q of the reduced QR z = QR, its columns re-phased so that diag(R) > 0.
+
+    Fixing the phases makes Q a function of z alone, so a Ginibre z gives
+    Haar-distributed orthonormal columns.
+    """
     q, r = np.linalg.qr(z)
     phases = np.diag(r).copy()
     phases /= np.abs(phases)
     return q * phases.conj()
+
+
+def haar_random_unitary(dim: int, rng: RandomStream) -> np.ndarray:
+    """Haar-distributed unitary via phase-fixed QR of a complex Ginibre matrix."""
+    z = rng.complex_normals(dim * dim).reshape(dim, dim) / math.sqrt(2.0)
+    return _phase_fixed_q(z)
 
 
 def random_isometry_channel(d, n_in, n_out, rng: RandomStream, ancilla_dim=None) -> Channel:
@@ -245,13 +261,22 @@ def random_isometry_channel(d, n_in, n_out, rng: RandomStream, ancilla_dim=None)
 
     Every channel arises this way for a large enough ancilla; ancilla_dim
     defaults to d**n_out, which already covers the cloning-game examples.
+
+    The isometry is the first d**n_in columns of the Haar unitary that
+    `haar_random_unitary(d**n_out * ancilla_dim, rng)` would return.  The
+    stream therefore still yields the whole (d**n_out * ancilla_dim)**2 Ginibre
+    matrix, so every seed gives the channel it always gave.  Only the kept
+    columns are orthonormalised: Q's first k columns and R's leading k x k
+    block depend on the Ginibre matrix's first k columns alone, so the reduced
+    QR of those columns, with the same phase fix, gives the same isometry to
+    rounding at a fraction of the cost.
     """
     dim_in, dim_out = d**n_in, d**n_out
     anc = dim_out if ancilla_dim is None else int(ancilla_dim)
-    u = haar_random_unitary(dim_out * anc, rng)
-    iso = u[:, :dim_in].reshape(dim_out, anc, dim_in)
-    kraus = [iso[:, a, :] for a in range(anc)]
-    return Channel(d, n_in, n_out, kraus, domain="full")
+    dim = dim_out * anc
+    z = rng.complex_normals(dim * dim).reshape(dim, dim)[:, :dim_in] / math.sqrt(2.0)
+    iso = _phase_fixed_q(z).reshape(dim_out, anc, dim_in)
+    return Channel(d, n_in, n_out, iso.transpose(1, 0, 2), domain="full")
 
 
 def global_fidelity(ch: Channel, psi: PureState, size_cap=DEFAULT_SIZE_CAP) -> float:

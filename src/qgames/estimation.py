@@ -134,6 +134,20 @@ def _power_coordinates(amplitudes: np.ndarray, n_copies: int) -> np.ndarray:
     return root_binom * a ** (n_copies - k) * b**k
 
 
+def _born_probabilities(n_copies: int, effects: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Born probabilities tr[E_r psi^{tensor n}], clipped at 0, one row per qubit.
+
+    `effects` is the (R, n+1, n+1) stack of effects and `psi` a (B, 2) array of
+    qubit amplitudes; the result has shape (B, R).
+    """
+    if psi.shape[1] != 2:
+        raise ShapeError("input must be a qubit")
+    check_size_cap(2**n_copies)
+    amp = _power_coordinates(psi, n_copies)
+    probs = np.einsum("bi,rij,bj->br", amp.conj(), effects, amp).real
+    return np.clip(probs, 0.0, None)
+
+
 @dataclass(frozen=True)
 class Povm:
     """Measure-and-resend strategy: effects on the symmetric subspace plus guesses.

@@ -30,7 +30,6 @@ import numpy as np
 
 from .cloning import (
     Channel,
-    global_fidelity,
     haar_avg_global_fidelity,
     haar_random_unitary,
     conjugate_output,
@@ -47,13 +46,13 @@ from .core import PureState, RandomStream, ShapeError, check_size_cap, haar_rand
 from .estimation import (
     Direction,
     Povm,
-    _power_coordinates,
+    _born_probabilities,
     bloch_state,
     fibonacci_directions,
     mean_fidelity,
-    pointwise_payoff,
 )
 from .swap_test import referee_outcomes
+from .symmetric import dim_sym
 from .zerosum import MatrixGame, solve
 
 GAME_KINDS = ("estimation", "cloning", "one_particle")
@@ -154,33 +153,67 @@ def default_state_sets(d: int, sizes, rng: RandomStream | None = None):
 # ---------------------------------------------------------------------------
 # discretized matrix games
 
+def _state_rows(states, dim: int) -> np.ndarray:
+    """The states' amplitudes stacked as rows; every state must have dimension `dim`."""
+    for psi in states:
+        if psi.dim != dim:
+            raise ShapeError(f"state dimension {psi.dim} != local dimension {dim}")
+    return np.stack([psi.amplitudes for psi in states])
+
+
+def _chunk_length(width: int) -> int:
+    """Rows per chunk: CHUNK_ROUNDS, fewer when width-wide rows would pass CHUNK_BYTES."""
+    return max(1, min(CHUNK_ROUNDS, CHUNK_BYTES // (16 * width)))
+
+
 def discretize_estimation_game(n_copies: int, povms, states) -> MatrixGame:
-    """A[i, j] = mean payoff of povms[i] against states[j] (fixed frames)."""
+    """A[i, j] = mean payoff of povms[i] against states[j] (fixed frames).
+
+    Each row is sum_r tr[E_r psi_j^{tensor n}] |<psi_j|guess_r>|^2 over all
+    columns at once, in chunks of columns as `monte_carlo_play` chunks rounds.
+    """
     povms = list(povms)
     states = list(states)
     if not povms or not states:
         raise ShapeError("need at least one strategy per player")
-    a = np.empty((len(povms), len(states)))
-    for i, povm in enumerate(povms):
+    for povm in povms:
         if povm.n != n_copies:
             raise ShapeError(f"povm copy count {povm.n} != {n_copies}")
-        for j, psi in enumerate(states):
-            a[i, j] = pointwise_payoff(povm, psi)
+    psi = _state_rows(states, 2)
+    a = np.empty((len(povms), len(states)))
+    for i, povm in enumerate(povms):
+        effects = np.stack(povm.effects)
+        guesses = np.stack([g.amplitudes for g in povm.guesses])
+        chunk = _chunk_length(len(effects))
+        for start in range(0, len(psi), chunk):
+            rows = psi[start:start + chunk]
+            probs = _born_probabilities(n_copies, effects, rows)
+            a[i, start:start + chunk] = np.sum(
+                probs * np.abs(rows.conj() @ guesses.T) ** 2, axis=1
+            )
     return MatrixGame(a)
 
 
 def discretize_cloning_game(d, n_in, n_out, channels, states) -> MatrixGame:
-    """A[i, j] = global fidelity of channels[i] on states[j]."""
+    """A[i, j] = global fidelity of channels[i] on states[j].
+
+    Each row is evaluated over all columns at once, in chunks of columns as
+    `monte_carlo_play` chunks rounds.
+    """
     channels = list(channels)
     states = list(states)
     if not channels or not states:
         raise ShapeError("need at least one strategy per player")
-    a = np.empty((len(channels), len(states)))
-    for i, ch in enumerate(channels):
+    for ch in channels:
         if (ch.d, ch.n_in, ch.n_out) != (d, n_in, n_out):
             raise ShapeError(f"channel arity {(ch.d, ch.n_in, ch.n_out)} != {(d, n_in, n_out)}")
-        for j, psi in enumerate(states):
-            a[i, j] = global_fidelity(ch, psi)
+    check_size_cap(d**n_out)
+    psi = _state_rows(states, d)
+    chunk = _chunk_length(d**n_out)
+    a = np.empty((len(channels), len(states)))
+    for i, ch in enumerate(channels):
+        for start in range(0, len(psi), chunk):
+            a[i, start:start + chunk] = _cloning_overlaps(ch, psi[start:start + chunk])
     return MatrixGame(a)
 
 
@@ -352,12 +385,7 @@ def _tensor_powers(psi: np.ndarray, k: int) -> np.ndarray:
 def _estimation_overlaps(n: int, effects: np.ndarray, guesses: np.ndarray, psi: np.ndarray,
                          uniforms: np.ndarray) -> np.ndarray:
     """|<psi|guess>|^2 for the outcome each round's uniform picks from the Born rule."""
-    if psi.shape[1] != 2:
-        raise ShapeError("input must be a qubit")
-    check_size_cap(2**n)
-    amp = _power_coordinates(psi, n)
-    probs = np.einsum("bi,rij,bj->br", amp.conj(), effects, amp).real
-    probs = np.clip(probs, 0.0, None)
+    probs = _born_probabilities(n, effects, psi)
     draws = uniforms * probs.sum(axis=1)
     # the first outcome whose cumulative probability reaches the draw
     outcome = np.sum(np.cumsum(probs, axis=1) < draws[:, None], axis=1)
@@ -402,6 +430,21 @@ def _one_particle_overlaps(ch: Channel, psi: np.ndarray, clones: np.ndarray) -> 
     return fid
 
 
+def _check_strategy(spec: GameSpec, strategy) -> None:
+    """Refuse a strategy built for another game than `spec` describes."""
+    if spec.kind == "estimation":
+        if not isinstance(strategy, Povm):
+            raise TypeError(f"estimation is played with a Povm, got {type(strategy).__name__}")
+        if strategy.n != spec.n:
+            raise ShapeError(f"povm copy count {strategy.n} != spec n {spec.n}")
+    else:
+        if not isinstance(strategy, Channel):
+            raise TypeError(f"{spec.kind} is played with a Channel, got {type(strategy).__name__}")
+        arity = (strategy.d, strategy.n_in, strategy.n_out)
+        if arity != (spec.d, spec.n, spec.m):
+            raise ShapeError(f"channel arity {arity} != spec arity {(spec.d, spec.n, spec.m)}")
+
+
 def monte_carlo_play(spec: GameSpec, strategy, seed=None) -> MonteCarloRecord:
     """Play `spec.samples` protocol rounds against the SWAP-test referee.
 
@@ -416,6 +459,7 @@ def monte_carlo_play(spec: GameSpec, strategy, seed=None) -> MonteCarloRecord:
     """
     if spec.samples < 1:
         raise ValueError("samples must be >= 1")
+    _check_strategy(spec, strategy)
     check_size_cap(spec.d ** max(spec.n, spec.m))
     seed = spec.seed if seed is None else int(seed)
     root = RandomStream(seed)
@@ -425,7 +469,7 @@ def monte_carlo_play(spec: GameSpec, strategy, seed=None) -> MonteCarloRecord:
         d, width = 2, len(effects)
     else:
         d, width = strategy.d, strategy.d**strategy.n_out
-    chunk = max(1, min(CHUNK_ROUNDS, CHUNK_BYTES // (16 * width)))
+    chunk = _chunk_length(width)
     _log.debug(
         "monte_carlo_play %s d=%d n=%d m=%d: %d rounds in %d chunks of %d",
         spec.kind, spec.d, spec.n, spec.m, spec.samples, -(-spec.samples // chunk), chunk,
@@ -518,13 +562,20 @@ def asym_bound_scan(
     """
     check_size_cap(d ** (n_in + n_out))
     bound = value_formulas(d, n_in, n_out).asym_bound
+    n_grid = grid_points if (n_in, n_out) == (1, 2) and grid_points > 0 else 0
+    _log.debug(
+        "asym_bound_scan d=%d n_in=%d n_out=%d: %d random channels (%d Kraus operators), "
+        "%d grid channels, Choi side %d",
+        d, n_in, n_out, n_random, d**n_out if ancilla_dim is None else int(ancilla_dim),
+        n_grid, dim_sym(d, n_in) * d**n_out,
+    )
     root = RandomStream(seed)
     records = [_scan_channel(optimal_cloner(d, n_in, n_out), "optimal", "optimal-cloner")]
     for i in range(n_random):
         ch = random_isometry_channel(d, n_in, n_out, root.substream(i), ancilla_dim)
         records.append(_scan_channel(ch, "random", f"random-{i}"))
-    if (n_in, n_out) == (1, 2) and grid_points > 0:
-        for t, ch in asymmetry_grid_channels(d, grid_points):
+    if n_grid:
+        for t, ch in asymmetry_grid_channels(d, n_grid):
             records.append(_scan_channel(ch, "grid", f"grid-t={t:.6f}"))
     best = max(records, key=lambda r: r.sum_fidelity)
     return ScanReport(best.sum_fidelity, bound, best.label, tuple(records), tol)

@@ -6,13 +6,16 @@ same sums the long way, on the full d^(n_in + n_out) and 2^(n+1) spaces: the
 Choi matrix is summed from `ch.kraus` one outer product at a time and the
 moment operator is the full symmetric projector.  They share no code with the
 compressed evaluators beyond `sym_projector` and `partial_trace_matrix`.
+
+`random_isometry_kraus` is the long way to a random isometry channel: the
+leading columns of a full Haar unitary.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from qgames.cloning import Channel
+from qgames.cloning import Channel, haar_random_unitary
 from qgames.core import DEFAULT_SIZE_CAP, ShapeError, check_size_cap, partial_trace_matrix, tensor_power
 from qgames.estimation import Povm
 from qgames.symmetric import SymBasis, dim_sym, sym_projector
@@ -25,6 +28,19 @@ def full_choi(ch: Channel) -> np.ndarray:
         w = k.T.reshape(-1)  # w[(i, a)] = K[a, i]: Choi lives on in (x) out
         choi += np.outer(w, w.conj())
     return choi
+
+
+def random_isometry_kraus(d, n_in, n_out, rng, ancilla_dim=None) -> list[np.ndarray]:
+    """Kraus operators of `random_isometry_channel` from the whole Haar unitary.
+
+    Orthonormalises all d^n_out * ancilla_dim columns of the unitary and keeps
+    the first d^n_in of them as the isometry into output (x) ancilla.
+    """
+    dim_in, dim_out = d**n_in, d**n_out
+    anc = dim_out if ancilla_dim is None else int(ancilla_dim)
+    u = haar_random_unitary(dim_out * anc, rng)
+    iso = u[:, :dim_in].reshape(dim_out, anc, dim_in)
+    return [iso[:, a, :] for a in range(anc)]
 
 
 def apply_matrix_via_choi(ch: Channel, mat: np.ndarray) -> np.ndarray:

@@ -140,6 +140,21 @@ class TestAsymBoundCommand:
         assert doc["max_sum_fidelity"] <= doc["bound"] + 1e-9
         assert len(doc["records"]) == 1 + 20 + 5
 
+    def test_random_channels_are_pinned(self, capsys):
+        # pinned fixed-seed results: every random channel is drawn from the
+        # whole Ginibre matrix of its substream, however it is orthonormalised
+        code, out = run_cli(
+            ["asym-bound", "--d", "3", "--n", "1", "--m", "2", "--samples", "20", "--seed", "21"],
+            capsys,
+        )
+        assert code == 0
+        records = json.loads(out)["records"]
+        assert [(r["label"], r["sum_fidelity"]) for r in records[1:4]] == [
+            ("random-0", 0.681790644642),
+            ("random-1", 0.661895794648),
+            ("random-2", 0.674109588843),
+        ]
+
 
 class TestMcPlayCommand:
     def test_cloning_document(self, capsys):
@@ -156,6 +171,7 @@ class TestMcPlayCommand:
             ("mc", ["mc-play", "--game", "estimation", "--n", "1", "--samples", "500",
                     "--seed", "21"]),
             ("sandwich", ["sandwich", "--game", "cloning", "--seed", "21"]),
+            ("asym-bound", ["asym-bound", "--d", "3", "--samples", "20", "--seed", "21"]),
         ]:
             path_a = tmp_path / f"{name}-a.json"
             path_b = tmp_path / f"{name}-b.json"

@@ -28,7 +28,7 @@ from qgames.core import (
     haar_random_state,
     tensor_power,
 )
-from qgames.symmetric import dim_sym
+from qgames.symmetric import dim_sym, sym_isometry
 
 KET0 = PureState.basis(2, 0)
 
@@ -107,6 +107,19 @@ class TestChannelMechanics:
         assert np.linalg.eigvalsh(ch.choi).min() >= -1e-10
         with pytest.raises(ValueError):
             ch.choi[0, 0] = 1.0  # read-only cache
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: random_isometry_channel(2, 1, 2, rng, ancilla_dim=3),
+        lambda rng: optimal_cloner(2, 2, 3),
+    ])
+    def test_kraus_read_only_and_defect_sums_each_operator(self, rng, make):
+        ch = make(rng)
+        with pytest.raises(ValueError):
+            ch.kraus[0][0, 0] = 1.0
+        total = sum(k.conj().T @ k for k in ch.kraus)
+        iso = sym_isometry(ch.d, ch.n_in) if ch.domain == "symmetric" else np.eye(ch.dim_in)
+        want = np.linalg.norm(iso.T @ total @ iso - np.eye(iso.shape[1]), 2)
+        assert abs(ch.completeness_defect() - want) <= 1e-14
 
     def test_construction_logs_dimensions(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="qgames"):

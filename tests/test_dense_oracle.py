@@ -101,6 +101,19 @@ def test_estimation_evaluators_match_dense_oracle(n):
                     evaluator(povm, psi)
 
 
+@pytest.mark.parametrize("ancilla_dim", [None, 2, 3])
+@pytest.mark.parametrize("d, n, m", [(2, 1, 2), (3, 1, 2), (2, 1, 3), (2, 2, 3)])
+def test_random_isometry_matches_full_unitary_columns(d, n, m, ancilla_dim):
+    # several substreams, so that some QR factor has a negative diagonal to fix
+    for counter in range(4):
+        stream = RandomStream(8200 + 100 * d + 10 * n + m, counter)
+        ch = random_isometry_channel(d, n, m, stream, ancilla_dim)
+        stream = RandomStream(8200 + 100 * d + 10 * n + m, counter)
+        want = dense_oracle.random_isometry_kraus(d, n, m, stream, ancilla_dim)
+        assert len(ch.kraus) == len(want)
+        assert max(np.max(np.abs(k - w)) for k, w in zip(ch.kraus, want)) <= TOL
+
+
 @pytest.mark.parametrize("d, n, m", [(2, 1, 2), (2, 3, 5), (3, 2, 3), (4, 1, 2)])
 def test_split_map_is_the_product_of_isometries(d, n, m):
     want = np.kron(sym_isometry(d, n), sym_isometry(d, m)).T @ sym_isometry(d, n + m)

@@ -4,18 +4,28 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qgames.harness
 
 from qgames.cloning import (
+    global_fidelity,
     optimal_cloner,
     product_embedding_channel,
     random_isometry_channel,
+    single_clone_haar_fidelity,
     symmetric_noise_channel,
     value_formulas,
 )
 from qgames.core import PureState, RandomStream, ShapeError, haar_random_state
-from qgames.estimation import Povm, build_povm, default_directions, respond, universal_povm
+from qgames.estimation import (
+    Povm,
+    build_povm,
+    default_directions,
+    pointwise_payoff,
+    respond,
+    universal_povm,
+)
 from qgames.harness import (
     GameSpec,
     asym_bound_scan,
@@ -25,6 +35,7 @@ from qgames.harness import (
     discretize_cloning_game,
     discretize_estimation_game,
     fibonacci_states,
+    haar_states,
     icosahedral_states,
     monte_carlo_play,
     nested_state_sets,
@@ -37,6 +48,7 @@ from qgames.zerosum import solve
 
 from exact_simplex import exact_simplex
 from mc_oracle import oracle_outcomes, oracle_record
+from test_dense_oracle import estimation_strategies
 
 
 class TestGameSpec:
@@ -134,6 +146,61 @@ class TestDiscretizedGames:
     def test_empty_inputs_rejected(self):
         with pytest.raises(ShapeError):
             discretize_estimation_game(1, [], [PureState.basis(2, 0)])
+
+    def test_strategy_arity_mismatch_rejected(self):
+        with pytest.raises(ShapeError, match="copy count"):
+            discretize_estimation_game(2, [universal_povm(1)], [PureState.basis(2, 0)])
+        with pytest.raises(ShapeError, match="arity"):
+            discretize_cloning_game(2, 1, 3, [optimal_cloner(2, 1, 2)], [PureState.basis(2, 0)])
+
+    def test_state_dimension_mismatch_rejected(self):
+        with pytest.raises(ShapeError, match="dimension 3"):
+            discretize_estimation_game(1, [universal_povm(1)], [PureState.basis(3, 0)])
+        with pytest.raises(ShapeError, match="dimension 3"):
+            discretize_cloning_game(
+                2, 1, 2, [optimal_cloner(2, 1, 2)], [PureState.basis(2, 0), PureState.basis(3, 0)]
+            )
+
+    def test_cloning_matrix_memory_stays_bounded(self):
+        # 2000 columns of 512-amplitude output rows take 16 MiB per array when
+        # evaluated all at once; chunks of 256 columns take 2 MiB
+        ch = optimal_cloner(2, 1, 9)
+        states = haar_states(2, 2000, RandomStream(8600))
+        tracemalloc.start()
+        try:
+            discretize_cloning_game(2, 1, 9, [ch], states)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
+
+    # the matrices are evaluated a chunk of columns at a time; 3-column chunks
+    # split the 20 states unevenly
+    @pytest.mark.parametrize("chunk_rounds", [256, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_estimation_matrix_matches_pointwise_payoff(self, monkeypatch, n, chunk_rounds):
+        monkeypatch.setattr(qgames.harness, "CHUNK_ROUNDS", chunk_rounds)
+        povms = [povm for povm, _ in estimation_strategies(n)]
+        states = fibonacci_states(12) + [haar_random_state(2, RandomStream(8300 + i))
+                                         for i in range(8)]
+        game = discretize_estimation_game(n, povms, states)
+        want = np.array([[pointwise_payoff(povm, psi) for psi in states] for povm in povms])
+        assert np.max(np.abs(game.payoff - want)) <= 1e-14
+
+    @pytest.mark.parametrize("chunk_rounds", [256, 3])
+    @pytest.mark.parametrize("d, n, m", [(2, 1, 2), (3, 1, 2), (2, 1, 3), (2, 2, 3), (3, 2, 3)])
+    def test_cloning_matrix_matches_global_fidelity(self, monkeypatch, d, n, m, chunk_rounds):
+        monkeypatch.setattr(qgames.harness, "CHUNK_ROUNDS", chunk_rounds)
+        channels = [
+            optimal_cloner(d, n, m),
+            product_embedding_channel(d, n, m),
+            random_isometry_channel(d, n, m, RandomStream(8400, d * n * m)),
+            random_isometry_channel(d, n, m, RandomStream(8401, d * n * m), ancilla_dim=2),
+        ]
+        states = [haar_random_state(d, RandomStream(8500 + i)) for i in range(20)]
+        game = discretize_cloning_game(d, n, m, channels, states)
+        want = np.array([[global_fidelity(ch, psi) for psi in states] for ch in channels])
+        assert np.max(np.abs(game.payoff - want)) <= 1e-14
 
 
 class TestSandwich:
@@ -252,6 +319,30 @@ class TestMonteCarlo:
         spec = GameSpec("cloning", d=2, n=1, m=2, samples=500, seed=7)
         a = monte_carlo_play(spec, optimal_cloner(2, 1, 2), seed=8)
         assert a.seed == 8
+
+    @pytest.mark.parametrize("spec, make", [
+        # the two mismatches that used to play the strategy's own game
+        (GameSpec("cloning", d=3, n=2, m=3, samples=2000, seed=1),
+         lambda: optimal_cloner(2, 1, 2)),
+        (GameSpec("estimation", n=1, samples=2000, seed=1), lambda: universal_povm(4)),
+        (GameSpec("one_particle", d=2, n=1, m=3, samples=10, seed=1),
+         lambda: optimal_cloner(2, 1, 2)),
+    ])
+    def test_strategy_must_match_spec(self, monkeypatch, spec, make):
+        strategy = make()
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew random numbers before checking the strategy")
+
+        monkeypatch.setattr(qgames.harness, "RandomStream", no_draws)
+        with pytest.raises(ShapeError):
+            monte_carlo_play(spec, strategy)
+
+    def test_strategy_kind_must_match_spec(self):
+        with pytest.raises(TypeError, match="Povm"):
+            monte_carlo_play(GameSpec("estimation", n=1, samples=10), optimal_cloner(2, 1, 2))
+        with pytest.raises(TypeError, match="Channel"):
+            monte_carlo_play(GameSpec("cloning", d=2, n=1, m=2, samples=10), universal_povm(1))
 
     def test_calibration_across_seeds(self):
         # z <= 3 should hold in at least 99% of repetitions; with these fixed
@@ -403,3 +494,28 @@ class TestAsymBoundScan:
         a = asym_bound_scan(2, 1, 2, n_random=5, grid_points=5, seed=11)
         b = asym_bound_scan(2, 1, 2, n_random=5, grid_points=5, seed=11)
         assert a == b
+
+    @pytest.mark.parametrize("args, message", [
+        ((2, 1, 2, 7, 5, 3, None),
+         "d=2 n_in=1 n_out=2: 7 random channels (4 Kraus operators), 5 grid channels, "
+         "Choi side 8"),
+        ((2, 2, 3, 4, 21, 3, 3),
+         "d=2 n_in=2 n_out=3: 4 random channels (3 Kraus operators), 0 grid channels, "
+         "Choi side 24"),
+    ])
+    def test_logs_one_record_per_call(self, caplog, args, message):
+        with caplog.at_level(logging.DEBUG, logger="qgames"):
+            asym_bound_scan(*args)
+        (record,) = [r for r in caplog.records if r.name == "qgames.harness"]
+        assert record.levelno == logging.DEBUG
+        assert message in record.getMessage()
+
+    @settings(deadline=None, derandomize=True)
+    @given(st.sampled_from([2, 3]), st.integers(1, 3), st.integers(1, 3),
+           st.integers(0, 2**32 - 1))
+    def test_random_isometry_channels_respect_the_ceiling(self, d, a, b, seed):
+        n, m = min(a, b), max(a, b)
+        ch = random_isometry_channel(d, n, m, RandomStream(seed))
+        assert ch.completeness_defect() <= 1e-10
+        fids = [single_clone_haar_fidelity(ch, k) for k in range(1, m + 1)]
+        assert sum(fids) <= value_formulas(d, n, m).asym_bound + 1e-9
