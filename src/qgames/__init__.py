@@ -21,11 +21,12 @@ from .core import (
     partial_trace,
     tensor_power,
 )
-from .symmetric import SymBasis, dim_sym, haar_moment, sym_isometry, sym_projector
+from .symmetric import coherent_coordinates, dim_sym, haar_moment, sym_isometry, sym_projector
 from .swap_test import draw_outcome, expected_payoff, pass_probability, sample_outcome
 from .cloning import (
     Channel,
     CloningValues,
+    NonSymmetricInput,
     global_fidelity,
     haar_avg_global_fidelity,
     optimal_cloner,

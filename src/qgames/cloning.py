@@ -1,30 +1,47 @@
 """Quantum channels for copy games: the optimal universal cloner and friends.
 
+Representation.  Game inputs psi^{(x)n_in} lie in the n_in-copy symmetric
+subspace Sym_in, so a `Channel` takes its input in Sym_in occupation
+coordinates: every Kraus operator has dim_sym(d, n_in) columns, in
+`symmetric.occupations` order, and a product state enters as
+`symmetric.coherent_coordinates(psi, n_in)`.  The output is either Sym_out
+occupation coordinates (dim_sym(d, n_out) rows) or the full d^n_out output
+space (d^n_out rows), and the Kraus row count says which.  The two counts
+differ exactly when n_out >= 2 and d >= 2; where they are equal the two bases
+are the same.  Channels built for the symmetric games (the optimal cloner,
+symmetric noise) keep Sym_out rows; embeddings and random isometries need the
+full output.  V_in = sym_isometry(d, n_in) and V_out = sym_isometry(d, n_out)
+embed either side in the full registers: `Channel.apply_matrix` acts on full
+operators through them, and `mixture_channel` and `conjugate_output` lift a
+Sym_out side with V_out when it meets a full output.
+
 The star construction maps an n_in-copy input to the n_out-copy symmetric
-subspace,
+subspace (Werner, PRA 58, 1827 (1998)),
 
     rho  ->  (dim_sym(d, n_in) / dim_sym(d, n_out)) *
-             P_sym (rho tensor I^{(n_out - n_in)}) P_sym,
+             P_sym (rho tensor I^{(n_out - n_in)}) P_sym.
 
-realized here by one Kraus operator per computational basis vector of the
-padding register.  On product-state inputs its n_out-copy fidelity with the
-source state is the constant dim_sym(d, n_in)/dim_sym(d, n_out), and no
-channel beats that on Haar average.
+Its output lies in Sym_out, and
+P_sym^{(m)} (I (x) P_sym^{(m-n)}) = P_sym^{(m)}, so the padding register only
+needs its own symmetric subspace: one Kraus operator
+sqrt(dim ratio) S^T (I (x) |e>) per occupation state e of Sym_{m-n}, with
+S = sym_split(d, n, m - n).  On product-state inputs its n_out-copy fidelity
+with the source state is the constant dim_sym(d, n_in)/dim_sym(d, n_out), and
+no channel beats that on Haar average.
 
-Haar-averaged fidelities are evaluated exactly through the Choi matrix.
-Game inputs psi^{(x)n_in} lie in the symmetric subspace, so the channel only
-matters on Sym_in, and the cached Choi matrix is the one of the restricted
-map: J = sum_K vec(K V_in) vec(K V_in)^dag on Sym_in (x) out, where
-V_in = sym_isometry(d, n_in).  The average of <psi^{m}| ch(psi^{n}) |psi^{m}>
-over Haar psi is then
+Haar-averaged fidelities are evaluated exactly through the Choi matrix
+J = sum_K vec(K) vec(K)^dag on Sym_in (x) out.  The average of
+<psi^{m}| ch(psi^{n}) |psi^{m}> over Haar psi is
 
-    tr[ J * PT_in( (I (x) V_m) S S^T (I (x) V_m)^T ) ] / dim_sym(d, n+m),
+    tr[ J * PT_in(S S^T) ] / dim_sym(d, n+m)
 
-where S = sym_split(d, n, m) maps Sym_{n+m} into Sym_n (x) Sym_m and PT_in
-transposes the input block: averaging psi^{tensor(n+m)} gives the symmetric
-projector over dim_sym (see symmetric.haar_moment), that projector is
-(V_n (x) V_m) S S^T (V_n (x) V_m)^T, and the input factors enter the trace
-transposed.  No object of dimension d^(n+m) is built.
+for Sym_out rows, where S = sym_split(d, n, m) maps Sym_{n+m} into
+Sym_n (x) Sym_m and PT_in transposes the input block: averaging
+psi^{tensor(n+m)} gives the symmetric projector over dim_sym (see
+symmetric.haar_moment), that projector is S S^T in occupation coordinates, and
+the input factors enter the trace transposed.  Full rows lift the output block
+first, (I (x) V_m) PT_in(S S^T) (I (x) V_m)^T.  No object of dimension
+d^(n+m) is built.
 """
 
 from __future__ import annotations
@@ -49,98 +66,120 @@ from .core import (
     partial_trace_matrix,
     tensor_power,
 )
-from .symmetric import dim_sym, sym_isometry, sym_projector, sym_split
+from .symmetric import coherent_coordinates, dim_sym, sym_isometry, sym_split
 
 COMPLETENESS_ATOL = 1e-10
+#: Largest Frobenius norm `apply_matrix` accepts outside Sym_in (x) Sym_in.
+SYMMETRIC_INPUT_ATOL = 1e-10
 
 _log = logging.getLogger(__name__)
 
 
+class NonSymmetricInput(ValueError):
+    """An operator handed to a channel has weight outside the symmetric input subspace."""
+
+
 class Channel:
-    """Completely positive map between copy registers, stored as Kraus operators.
+    """Completely positive map from Sym_in to an output register, stored as Kraus operators.
 
-    `domain` declares where trace preservation is promised: "full" means
-    sum(K^dag K) equals the identity on the whole input space, "symmetric"
-    means it equals the identity restricted to the n_in-copy symmetric
-    subspace (game inputs are always product states, which live there).
-    Completeness and positivity of the cached Choi matrix are verified at
-    construction.
+    `kraus` is the read-only (K, rows, dim_sym(d, n_in)) stack of Kraus
+    operators on Sym_in occupation coordinates.  rows = dim_sym(d, n_out) means
+    Sym_out occupation coordinates and rows = d^n_out the full output space
+    (module docstring); `sym_out` reads which.  No other row count is
+    accepted.  Construction verifies that sum(K^dag K) is the identity on
+    Sym_in and that the Choi matrix is PSD, both within `atol`.
 
-    `choi` is the Choi matrix of the channel restricted to the symmetric
-    input subspace, sum_K vec(K V_in) vec(K V_in)^dag on Sym_in (x) out with
-    V_in = sym_isometry(d, n_in), index (c, a) for symmetric input c and output
-    a; its side is dim_sym(d, n_in) * d^n_out.  It fixes the channel on every
-    game input, which is all the exact evaluators read; the Kraus operators
-    keep the full input space.
+    `choi` is sum_K vec(K) vec(K)^dag on Sym_in (x) out, index (c, a) for
+    input c and output a; its side is dim_sym(d, n_in) * rows.  It fixes the
+    channel on every game input, which is all the exact evaluators read.
+    `dim_in` and `dim_out` are the full register dimensions d^n_in and
+    d^n_out, the spaces `apply_matrix` acts on.
     """
 
-    def __init__(self, d, n_in, n_out, kraus, domain="full", atol=COMPLETENESS_ATOL):
-        if domain not in ("full", "symmetric"):
-            raise ValueError(f"unknown domain {domain!r}")
+    def __init__(self, d, n_in, n_out, kraus, atol=COMPLETENESS_ATOL):
         self.d = int(d)
         self.n_in = int(n_in)
         self.n_out = int(n_out)
         self.dim_in = self.d**self.n_in
         self.dim_out = self.d**self.n_out
-        self.domain = domain
-        ops = []
-        for k in kraus:
-            k = np.asarray(k, dtype=complex)
-            if k.shape != (self.dim_out, self.dim_in):
-                raise ShapeError(
-                    f"Kraus operator shape {k.shape} != ({self.dim_out}, {self.dim_in})"
-                )
-            ops.append(k)
+        ops = [np.asarray(k, dtype=complex) for k in kraus]
         if not ops:
             raise ShapeError("channel needs at least one Kraus operator")
+        cols = dim_sym(self.d, self.n_in)
+        allowed = ((dim_sym(self.d, self.n_out), cols), (self.dim_out, cols))
+        for k in ops:
+            if k.shape not in allowed:
+                raise ShapeError(
+                    f"Kraus operator shape {k.shape} is neither {allowed[0]} (Sym_out rows) "
+                    f"nor {allowed[1]} (full output rows)"
+                )
+            if k.shape != ops[0].shape:
+                raise ShapeError(f"Kraus operator shapes {ops[0].shape} and {k.shape} differ")
         stacked = np.stack(ops)
         stacked.setflags(write=False)
-        # read-only views into the one (K, out, in) array
-        self.kraus = tuple(stacked)
+        self.kraus = stacked
+        rows = stacked.shape[1]
 
         defect = self.completeness_defect()
         if defect > atol:
             raise ValueError(
-                f"Kraus operators not trace preserving on {domain} domain "
+                f"Kraus operators not trace preserving on Sym_in "
                 f"(defect {defect:.3e} > {atol:.0e})"
             )
-        compressed = stacked @ sym_isometry(self.d, self.n_in)
-        # w[K, (c, a)] = (K V_in)[a, c]: the Choi matrix lives on Sym_in (x) out
-        w = compressed.transpose(0, 2, 1).reshape(len(stacked), -1)
+        # w[K, (c, a)] = K[a, c]: the Choi matrix lives on Sym_in (x) out
+        w = stacked.transpose(0, 2, 1).reshape(len(stacked), -1)
         choi = w.T @ w.conj()
         if np.linalg.eigvalsh(choi).min() < -atol:
             raise ValueError("Choi matrix is not PSD within tolerance")
         choi.setflags(write=False)
         self.choi = choi
         _log.debug(
-            "Channel d=%d n_in=%d n_out=%d: %d Kraus operators, Choi side %d on "
-            "Sym_in (x) out (full in (x) out: %d)",
-            self.d, self.n_in, self.n_out, len(self.kraus), choi.shape[0],
+            "Channel d=%d n_in=%d n_out=%d: %d Kraus operators of shape %d x %d "
+            "(%s output), Choi side %d (full in (x) out: %d)",
+            self.d, self.n_in, self.n_out, len(stacked), rows, cols,
+            "Sym_out" if self.sym_out else "full", choi.shape[0],
             self.dim_in * self.dim_out,
         )
 
-    def completeness_defect(self) -> float:
-        """Operator-norm distance of sum(K^dag K) from the domain identity.
+    @property
+    def sym_out(self) -> bool:
+        """Whether the Kraus rows are Sym_out occupation coordinates."""
+        return self.kraus.shape[1] == dim_sym(self.d, self.n_out)
 
-        The Kraus operators stacked vertically form one (K * out, in) matrix
-        whose Gram matrix is sum(K^dag K).
+    def completeness_defect(self) -> float:
+        """Operator norm of sum(K^dag K) - I on Sym_in.
+
+        The Kraus operators stacked vertically form one (K * rows, in) matrix
+        whose Gram matrix is sum(K^dag K); the defect is Hermitian, so its
+        norm is its largest eigenvalue modulus.
         """
-        rows = np.reshape(self.kraus, (-1, self.dim_in))
-        total = rows.conj().T @ rows
-        if self.domain == "full":
-            delta = total - np.eye(self.dim_in)
-        else:
-            iso = sym_isometry(self.d, self.n_in)
-            delta = iso.conj().T @ total @ iso - np.eye(iso.shape[1])
-        return float(np.linalg.norm(delta, 2))
+        stacked = np.asarray(self.kraus)
+        rows = stacked.reshape(-1, stacked.shape[-1])
+        delta = rows.conj().T @ rows - np.eye(rows.shape[1])
+        return float(np.max(np.abs(np.linalg.eigvalsh(delta))))
 
     def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
+        """The channel applied to a d^n_in-dimensional operator, as a d^n_out one.
+
+        The operator is compressed to Sym_in with V_in and the output embedded
+        with V_out.  An operator whose part outside Sym_in (x) Sym_in has
+        Frobenius norm above SYMMETRIC_INPUT_ATOL raises NonSymmetricInput:
+        the channel is only defined on the symmetric subspace.
+        """
         mat = np.asarray(mat, dtype=complex)
         if mat.shape != (self.dim_in, self.dim_in):
             raise ShapeError(f"input shape {mat.shape} != ({self.dim_in}, {self.dim_in})")
+        iso = sym_isometry(self.d, self.n_in)
+        sym = iso.T @ mat @ iso
+        leak = float(np.linalg.norm(mat - iso @ sym @ iso.T))
+        if leak > SYMMETRIC_INPUT_ATOL:
+            raise NonSymmetricInput(
+                f"input has norm {leak:.3e} outside the {self.n_in}-copy symmetric subspace "
+                f"(> {SYMMETRIC_INPUT_ATOL:.0e})"
+            )
         out = np.zeros((self.dim_out, self.dim_out), dtype=complex)
-        for k in self.kraus:
-            out += k @ mat @ k.conj().T
+        for k in _full_output(self):
+            out += k @ sym @ k.conj().T
         return out
 
     def apply(self, rho: DensityOperator) -> DensityOperator:
@@ -149,93 +188,93 @@ class Channel:
     def __repr__(self):
         return (
             f"Channel(d={self.d}, n_in={self.n_in}, n_out={self.n_out}, "
-            f"kraus={len(self.kraus)}, domain={self.domain!r})"
+            f"kraus={len(self.kraus)}, output={'Sym_out' if self.sym_out else 'full'})"
         )
+
+
+def _full_output(ch: Channel) -> np.ndarray:
+    """The Kraus stack with rows on the full output space: V_out K for Sym_out rows."""
+    if ch.kraus.shape[1] == ch.dim_out:
+        return ch.kraus
+    return sym_isometry(ch.d, ch.n_out) @ ch.kraus
 
 
 def optimal_cloner(d, n_in, n_out, size_cap=DEFAULT_SIZE_CAP) -> Channel:
     """The optimal universal n_in -> n_out cloner (see module docstring).
 
-    Kraus operators are sqrt(dim ratio) * P_sym * (I tensor |e_i>), one per
-    basis vector e_i of the padding register; their completeness on the
-    symmetric input subspace follows from the partial-trace identity
-    tr_partial(P_sym^{(m)}) = (dim_sym(d,m)/dim_sym(d,n)) P_sym^{(n)}.
+    Kraus operators are sqrt(dim ratio) * S^T (I (x) |e>) from Sym_in to
+    Sym_out, one per occupation state e of the padding register's Sym_{m-n},
+    with S = sym_split(d, n_in, n_out - n_in).  Their completeness on Sym_in is
+    the partial-trace identity tr_pad(S S^T) = (dim_sym(d,m)/dim_sym(d,n)) I.
+    The size cap counts the Choi side dim_sym(d, n_in) * dim_sym(d, n_out).
     """
     if not 1 <= n_in <= n_out:
         raise InvalidArity(f"need 1 <= n_in <= n_out, got ({n_in}, {n_out})")
-    check_size_cap(d ** (n_in + n_out), size_cap)
-    proj = sym_projector(d, n_out, size_cap)
-    dim_in, dim_out = d**n_in, d**n_out
-    pad = d ** (n_out - n_in)
-    scale = math.sqrt(dim_sym(d, n_in) / dim_sym(d, n_out))
-    kraus = []
-    for i in range(pad):
-        inject = np.zeros((dim_out, dim_in))
-        inject[np.arange(dim_in) * pad + i, np.arange(dim_in)] = 1.0
-        kraus.append(scale * (proj @ inject))
-    return Channel(d, n_in, n_out, kraus, domain="symmetric")
+    ds_in, ds_out = dim_sym(d, n_in), dim_sym(d, n_out)
+    check_size_cap(ds_in * ds_out, size_cap)
+    split = sym_split(d, n_in, n_out - n_in)
+    # K_e[b, c] = S[(c, e), b]
+    kraus = split.reshape(ds_in, -1, ds_out).transpose(1, 2, 0)
+    return Channel(d, n_in, n_out, math.sqrt(ds_in / ds_out) * kraus)
+
+
+def _padding_kraus(d, n_in, n_out, input_first) -> np.ndarray:
+    """Full-output Kraus stack of rho -> rho (x) (I/d)^{(n_out - n_in)}, or its mirror."""
+    if not 1 <= n_in <= n_out:
+        raise InvalidArity(f"need 1 <= n_in <= n_out, got ({n_in}, {n_out})")
+    dim_in, pad = d**n_in, d ** (n_out - n_in)
+    # K_i maps basis state x to x (x) e_i (input first) or e_i (x) x, over sqrt(pad)
+    if input_first:
+        inject = np.eye(dim_in * pad).reshape(-1, dim_in, pad).transpose(2, 0, 1)
+    else:
+        inject = np.eye(dim_in * pad).reshape(-1, pad, dim_in).transpose(1, 0, 2)
+    return (inject / math.sqrt(pad)) @ sym_isometry(d, n_in)
 
 
 def product_embedding_channel(d, n_in, n_out) -> Channel:
     """rho -> rho tensor (I/d)^{(n_out - n_in)}: keep the input, pad with noise."""
-    if not 1 <= n_in <= n_out:
-        raise InvalidArity(f"need 1 <= n_in <= n_out, got ({n_in}, {n_out})")
-    dim_in = d**n_in
-    pad = d ** (n_out - n_in)
-    kraus = []
-    for i in range(pad):
-        inject = np.zeros((dim_in * pad, dim_in))
-        inject[np.arange(dim_in) * pad + i, np.arange(dim_in)] = 1.0 / math.sqrt(pad)
-        kraus.append(inject)
-    return Channel(d, n_in, n_out, kraus, domain="full")
+    return Channel(d, n_in, n_out, _padding_kraus(d, n_in, n_out, input_first=True))
 
 
 def mirror_embedding_channel(d, n_in, n_out) -> Channel:
     """rho -> (I/d)^{(n_out - n_in)} tensor rho: noise first, input last."""
-    if not 1 <= n_in <= n_out:
-        raise InvalidArity(f"need 1 <= n_in <= n_out, got ({n_in}, {n_out})")
-    dim_in = d**n_in
-    pad = d ** (n_out - n_in)
-    kraus = []
-    for i in range(pad):
-        inject = np.zeros((dim_in * pad, dim_in))
-        inject[i * dim_in + np.arange(dim_in), np.arange(dim_in)] = 1.0 / math.sqrt(pad)
-        kraus.append(inject)
-    return Channel(d, n_in, n_out, kraus, domain="full")
+    return Channel(d, n_in, n_out, _padding_kraus(d, n_in, n_out, input_first=False))
 
 
 def symmetric_noise_channel(d, n_in, n_out) -> Channel:
-    """rho -> tr(rho) * P_sym / dim_sym: maximally mixed on the output Bose space."""
-    iso = sym_isometry(d, n_out)
-    dim_in = d**n_in
-    ds = dim_sym(d, n_out)
-    kraus = []
-    for c in range(ds):
-        for b in range(dim_in):
-            k = np.zeros((d**n_out, dim_in), dtype=complex)
-            k[:, b] = iso[:, c] / math.sqrt(ds)
-            kraus.append(k)
-    return Channel(d, n_in, n_out, kraus, domain="full")
+    """rho -> tr(rho) * P_sym / dim_sym: maximally mixed on the output Bose space.
+
+    One Kraus operator |c><b| / sqrt(dim_sym(d, n_out)) per pair of Sym_out
+    state c and Sym_in state b.
+    """
+    ds_in, ds_out = dim_sym(d, n_in), dim_sym(d, n_out)
+    kraus = np.eye(ds_out * ds_in).reshape(-1, ds_out, ds_in) / math.sqrt(ds_out)
+    return Channel(d, n_in, n_out, kraus)
 
 
 def conjugate_output(ch: Channel, unitary: np.ndarray) -> Channel:
-    """Compose a channel with a unitary rotation of its output register."""
+    """Compose a channel with a unitary rotation of its full output register."""
     unitary = np.asarray(unitary, dtype=complex)
     if unitary.shape != (ch.dim_out, ch.dim_out):
         raise ShapeError(f"unitary shape {unitary.shape} != ({ch.dim_out}, {ch.dim_out})")
-    return Channel(ch.d, ch.n_in, ch.n_out, [unitary @ k for k in ch.kraus], domain=ch.domain)
+    return Channel(ch.d, ch.n_in, ch.n_out, unitary @ _full_output(ch))
 
 
 def mixture_channel(a: Channel, b: Channel, weight: float) -> Channel:
-    """Convex mixture (1 - weight) * a + weight * b."""
+    """Convex mixture (1 - weight) * a + weight * b.
+
+    Two Sym_out channels mix on Sym_out; a Sym_out side mixed with a
+    full-output side is lifted to the full output first.
+    """
     if (a.d, a.n_in, a.n_out) != (b.d, b.n_in, b.n_out):
         raise ShapeError("cannot mix channels with different arities")
     if not 0.0 <= weight <= 1.0:
         raise ValueError(f"weight {weight} not in [0, 1]")
-    kraus = [math.sqrt(1.0 - weight) * k for k in a.kraus]
-    kraus += [math.sqrt(weight) * k for k in b.kraus]
-    domain = "symmetric" if "symmetric" in (a.domain, b.domain) else "full"
-    return Channel(a.d, a.n_in, a.n_out, kraus, domain=domain)
+    ka, kb = a.kraus, b.kraus
+    if ka.shape[1] != kb.shape[1]:
+        ka, kb = _full_output(a), _full_output(b)
+    kraus = np.concatenate([math.sqrt(1.0 - weight) * ka, math.sqrt(weight) * kb])
+    return Channel(a.d, a.n_in, a.n_out, kraus)
 
 
 def _phase_fixed_q(z: np.ndarray) -> np.ndarray:
@@ -261,6 +300,8 @@ def random_isometry_channel(d, n_in, n_out, rng: RandomStream, ancilla_dim=None)
 
     Every channel arises this way for a large enough ancilla; ancilla_dim
     defaults to d**n_out, which already covers the cloning-game examples.
+    The channel has full output rows, and its Kraus operators are the
+    isometry's blocks restricted to Sym_in (times V_in).
 
     The isometry is the first d**n_in columns of the Haar unitary that
     `haar_random_unitary(d**n_out * ancilla_dim, rng)` would return.  The
@@ -269,22 +310,27 @@ def random_isometry_channel(d, n_in, n_out, rng: RandomStream, ancilla_dim=None)
     columns are orthonormalised: Q's first k columns and R's leading k x k
     block depend on the Ginibre matrix's first k columns alone, so the reduced
     QR of those columns, with the same phase fix, gives the same isometry to
-    rounding at a fraction of the cost.
+    rounding at a fraction of the cost.  The size cap counts the Ginibre side
+    d**n_out * ancilla_dim and is checked before anything is drawn.
     """
     dim_in, dim_out = d**n_in, d**n_out
     anc = dim_out if ancilla_dim is None else int(ancilla_dim)
-    dim = dim_out * anc
+    dim = check_size_cap(dim_out * anc)
     z = rng.complex_normals(dim * dim).reshape(dim, dim)[:, :dim_in] / math.sqrt(2.0)
     iso = _phase_fixed_q(z).reshape(dim_out, anc, dim_in)
-    return Channel(d, n_in, n_out, iso.transpose(1, 0, 2), domain="full")
+    kraus = np.ascontiguousarray(iso.transpose(1, 0, 2)) @ sym_isometry(d, n_in)
+    return Channel(d, n_in, n_out, kraus)
 
 
 def global_fidelity(ch: Channel, psi: PureState, size_cap=DEFAULT_SIZE_CAP) -> float:
-    """<psi^{n_out}| ch(psi^{n_in}) |psi^{n_out}>."""
+    """<psi^{n_out}| ch(psi^{n_in}) |psi^{n_out}>, in the channel's own coordinates."""
     if psi.dim != ch.d:
         raise ShapeError(f"state dimension {psi.dim} != local dimension {ch.d}")
-    vin = tensor_power(psi, ch.n_in, size_cap).amplitudes
-    vout = tensor_power(psi, ch.n_out, size_cap).amplitudes
+    vin = coherent_coordinates(psi.amplitudes, ch.n_in)
+    if ch.sym_out:
+        vout = coherent_coordinates(psi.amplitudes, ch.n_out)
+    else:
+        vout = tensor_power(psi, ch.n_out, size_cap).amplitudes
     total = 0.0
     for k in ch.kraus:
         total += abs(np.vdot(vout, k @ vin)) ** 2
@@ -306,30 +352,56 @@ def _transposed_moment(d: int, n_in: int, n_out: int) -> np.ndarray:
 
 
 def haar_avg_global_fidelity(ch: Channel, size_cap=DEFAULT_SIZE_CAP) -> float:
-    """Exact Haar average of global_fidelity via the Choi matrix (module docstring)."""
-    n_total = ch.n_in + ch.n_out
-    check_size_cap(ch.d**n_total, size_cap)
-    lift = np.kron(np.eye(dim_sym(ch.d, ch.n_in)), sym_isometry(ch.d, ch.n_out, size_cap))
-    g = lift @ _transposed_moment(ch.d, ch.n_in, ch.n_out) @ lift.T
+    """Exact Haar average of global_fidelity via the Choi matrix (module docstring).
+
+    The size cap counts the Choi side, which the moment operator shares.
+    """
+    check_size_cap(ch.choi.shape[0], size_cap)
+    g = _transposed_moment(ch.d, ch.n_in, ch.n_out)
+    if not ch.sym_out:
+        lift = np.kron(np.eye(dim_sym(ch.d, ch.n_in)), sym_isometry(ch.d, ch.n_out, size_cap))
+        g = lift @ g @ lift.T
     val = np.einsum("ij,ji->", ch.choi, g)
-    return float(val.real) / dim_sym(ch.d, n_total)
+    return float(val.real) / dim_sym(ch.d, ch.n_in + ch.n_out)
+
+
+def _sym_out_reduced_choi(ch: Channel) -> np.ndarray:
+    """Choi matrix on Sym_in (x) C^d of one clone of a Sym_out channel.
+
+    S = sym_split(d, n_out - 1, 1) writes Sym_out inside Sym_{n_out-1} (x) C^d,
+    so tracing the first factor of S K leaves the last clone, and every clone
+    of a symmetric output has that same reduced state.  One Kraus operator at
+    a time: no matrix wider than one clone's Choi matrix is built.
+    """
+    d, cols = ch.d, ch.kraus.shape[2]
+    split = sym_split(d, ch.n_out - 1, 1)
+    reduced = np.zeros((cols * d, cols * d), dtype=complex)
+    for k in ch.kraus:
+        # w[j, (c, a)] = (S K)[(j, a), c] for traced state j, input c, clone a
+        w = (split @ k).reshape(-1, d, cols).transpose(0, 2, 1).reshape(-1, cols * d)
+        reduced += w.T @ w.conj()
+    return reduced
 
 
 def single_clone_haar_fidelity(ch: Channel, k: int, size_cap=DEFAULT_SIZE_CAP) -> float:
     """Exact Haar average of <psi| tr_(not k)[ch(psi^{n_in})] |psi>.
 
-    Tracing all output factors except the k-th (1-based) out of the Choi
-    matrix yields the Choi matrix of the reduced channel on Sym_in (x) C^d;
-    the average is then the (n_in + 1)-copy moment formula on that.
+    The Choi matrix of the reduced channel on Sym_in (x) C^d comes from
+    `_sym_out_reduced_choi` for Sym_out rows and from tracing all output
+    factors except the k-th (1-based) out of `choi` for full rows; the
+    average is then the (n_in + 1)-copy moment formula on it.  The size cap
+    counts that reduced side, dim_sym(d, n_in) * d.
     """
     if not 1 <= k <= ch.n_out:
         raise IndexError(f"clone index {k} not in 1..{ch.n_out}")
-    n_total = ch.n_in + 1
-    check_size_cap(ch.d**n_total, size_cap)
-    dims = [dim_sym(ch.d, ch.n_in)] + [ch.d] * ch.n_out
-    reduced = partial_trace_matrix(ch.choi, dims, keep=[0, k])
+    ds_in = dim_sym(ch.d, ch.n_in)
+    check_size_cap(ds_in * ch.d, size_cap)
+    if ch.sym_out:
+        reduced = _sym_out_reduced_choi(ch)
+    else:
+        reduced = partial_trace_matrix(ch.choi, [ds_in] + [ch.d] * ch.n_out, keep=[0, k])
     val = np.einsum("ij,ji->", reduced, _transposed_moment(ch.d, ch.n_in, 1))
-    return float(val.real) / dim_sym(ch.d, n_total)
+    return float(val.real) / dim_sym(ch.d, ch.n_in + 1)
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ from .core import (
     _frozen,
     check_size_cap,
 )
-from .symmetric import dim_sym, sym_split
+from .symmetric import coherent_coordinates, dim_sym, sym_split
 
 _log = logging.getLogger(__name__)
 
@@ -119,19 +119,9 @@ def measurement_vector(n_copies: int, direction: Direction) -> PureState:
     return PureState(amps / np.linalg.norm(amps))
 
 
-def _power_coordinates(amplitudes: np.ndarray, n_copies: int) -> np.ndarray:
-    """Symmetric-basis coordinates of psi^{tensor n} for qubits psi = (a, b).
-
-    Component k (n - k excitations in level 0, as in `measurement_vector`) is
-    sqrt(binom(n, k)) a^{n-k} b^k, the overlap of psi^{tensor n} with the
-    normalized sum of the binom(n, k) strings that hold k ones.  `amplitudes`
-    has shape (..., 2), one qubit per leading index; the result has shape
-    (..., n + 1).
-    """
-    a, b = amplitudes[..., :1], amplitudes[..., 1:]
-    k = np.arange(n_copies + 1)
-    root_binom = np.sqrt([math.comb(n_copies, j) for j in k])
-    return root_binom * a ** (n_copies - k) * b**k
+def _check_effect_stack(n_copies: int, count: int) -> None:
+    """Refuse `count` effects on Sym_n: their stack has count * (n+1) rows of side n+1."""
+    check_size_cap(count * (n_copies + 1))
 
 
 def _born_probabilities(n_copies: int, effects: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -142,8 +132,8 @@ def _born_probabilities(n_copies: int, effects: np.ndarray, psi: np.ndarray) -> 
     """
     if psi.shape[1] != 2:
         raise ShapeError("input must be a qubit")
-    check_size_cap(2**n_copies)
-    amp = _power_coordinates(psi, n_copies)
+    check_size_cap(n_copies + 1)
+    amp = coherent_coordinates(psi, n_copies)
     probs = np.einsum("bi,rij,bj->br", amp.conj(), effects, amp).real
     return np.clip(probs, 0.0, None)
 
@@ -195,8 +185,8 @@ class Povm:
         """Born probabilities tr[E_r rho] for the n-copy input psi^{tensor n}."""
         if psi.dim != 2:
             raise ShapeError("input must be a qubit")
-        check_size_cap(2**self.n)
-        amp = _power_coordinates(psi.amplitudes, self.n)
+        check_size_cap(self.n + 1)
+        amp = coherent_coordinates(psi.amplitudes, self.n)
         probs = np.array([np.vdot(amp, e @ amp).real for e in self.effects])
         return np.clip(probs, 0.0, None)
 
@@ -234,12 +224,15 @@ def design_directions(n_copies: int) -> tuple[list[Direction], np.ndarray]:
     Gauss-Legendre nodes in cos(theta) crossed with n+2 equispaced azimuths:
     the product rule integrates every monomial of degree <= n+1 in the Bloch
     components, hence sum_r w_r proj(phi_r^{tensor (n+1)}) equals the
-    (n+1)-copy Haar moment to rounding.  Weights sum to 1.
+    (n+1)-copy Haar moment to rounding.  Weights sum to 1.  The size cap counts
+    the effect stack of the POVM these points define (`universal_povm`) and is
+    checked before any point is made.
     """
     k = n_copies + 1
     q = k // 2 + 1  # Gauss-Legendre is exact through degree 2q - 1 >= k
-    nodes, gl_weights = np.polynomial.legendre.leggauss(q)
     p = k + 1  # uniform azimuths kill e^{i j psi} for 0 < |j| <= k
+    _check_effect_stack(n_copies, q * p)
+    nodes, gl_weights = np.polynomial.legendre.leggauss(q)
     dirs, weights = [], []
     for x, w in zip(nodes, gl_weights):
         theta = math.acos(max(-1.0, min(1.0, float(x))))
@@ -254,9 +247,12 @@ def build_povm(n_copies: int, directions, tol: float = 1e-8) -> Povm:
 
     Minimizes the Frobenius defect || sum_r c_r |Phi_r><Phi_r| - I || over
     c_r >= 0 (nonnegative least squares); raises IncompletePovm when the
-    residual exceeds `tol`.  Guesses are the directions themselves.
+    residual exceeds `tol`.  Guesses are the directions themselves.  The size
+    cap counts the effect stack, one effect of side n+1 per direction, and is
+    checked before any effect is built.
     """
     directions = list(directions)
+    _check_effect_stack(n_copies, len(directions))
     vectors = [measurement_vector(n_copies, d).amplitudes for d in directions]
     projectors = [np.outer(v, v.conj()) for v in vectors]
     dim = n_copies + 1
@@ -316,8 +312,10 @@ def payoff_operator(povm: Povm) -> np.ndarray:
     guess qubit is the last factor.  Embedding the first factor with
     sym_isometry(2, n) gives the operator on the full 2^(n+1)-dimensional
     copy-and-guess space; the evaluators below never need that embedding.
+    The size cap counts the effect stack and the side 2(n+1).
     """
-    check_size_cap(2 ** (povm.n + 1))
+    _check_effect_stack(povm.n, len(povm.effects))
+    check_size_cap(2 * (povm.n + 1))
     effects = np.stack(povm.effects)
     guesses = np.stack([g.amplitudes for g in povm.guesses])
     total = np.einsum("rij,ra,rb->iajb", effects, guesses, guesses.conj())
@@ -332,7 +330,6 @@ def mean_fidelity(povm: Povm) -> float:
     (n+2)-dimensional space Sym_{n+1}; this equals tr[W P_sym] over n+1 copies.
     """
     k = povm.n + 1
-    check_size_cap(2**k)
     w = payoff_operator(povm)
     split = sym_split(2, povm.n, 1)
     _log.debug(
@@ -357,7 +354,6 @@ def frame_averaged_payoff(povm: Povm, psi: PureState) -> float:
     if psi.dim != 2:
         raise ShapeError("input must be a qubit")
     k = povm.n + 1
-    check_size_cap(2**k)
     w = payoff_operator(povm)
     split = sym_split(2, povm.n, 1)
     proj = split @ split.T

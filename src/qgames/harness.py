@@ -9,10 +9,13 @@ fidelity-sum ceiling over random channels.
 
 Every Monte Carlo round takes its draws from its own substream of the seed,
 one substream per round.  Rounds are evaluated in fixed chunks with array
-operations: CHUNK_ROUNDS rounds, fewer for games whose output rows are so wide
-that a chunk would pass CHUNK_BYTES.  The chunks bound memory and nothing
-else, so a record depends on the seed and the round count, not on the chunk
-size.
+operations: CHUNK_ROUNDS rounds, fewer for games whose rows are so wide that a
+chunk would pass CHUNK_BYTES.  The chunks bound memory and nothing else, so a
+record depends on the seed and the round count, not on the chunk size.  A
+round's rows are its state's coordinates in the strategy's own spaces: Sym_in
+and Sym_out occupation coordinates (`symmetric.coherent_coordinates`) for a
+channel with symmetric output, and the full d^m tensor power only for a
+full-output channel.
 
 Analytic reports quote fidelities F; the protocol's literal stakes are +-1.
 A round passes with probability p = (1 + F)/2, so the mean +-1 payoff is
@@ -52,7 +55,7 @@ from .estimation import (
     mean_fidelity,
 )
 from .swap_test import referee_outcomes
-from .symmetric import dim_sym
+from .symmetric import coherent_coordinates, dim_sym, sym_split
 from .zerosum import MatrixGame, solve
 
 GAME_KINDS = ("estimation", "cloning", "one_particle")
@@ -61,8 +64,9 @@ GAME_KINDS = ("estimation", "cloning", "one_particle")
 #: the working memory only: each round draws from its own substream, so records
 #: do not depend on the chunk length.
 CHUNK_ROUNDS = 256
-#: Bytes one chunk's widest per-round array may take: games whose output rows
-#: are wide (d^m amplitudes) run fewer than CHUNK_ROUNDS rounds per chunk.
+#: Bytes one chunk's widest per-round array may take: games whose rows are wide
+#: (many Sym_out coordinates or d^m amplitudes) run fewer than CHUNK_ROUNDS
+#: rounds per chunk.
 CHUNK_BYTES = 2**22
 
 _log = logging.getLogger(__name__)
@@ -161,6 +165,11 @@ def _state_rows(states, dim: int) -> np.ndarray:
     return np.stack([psi.amplitudes for psi in states])
 
 
+def _row_width(ch: Channel) -> int:
+    """Widest per-round row a channel's rounds build: its Kraus rows or columns."""
+    return max(ch.kraus.shape[1:])
+
+
 def _chunk_length(width: int) -> int:
     """Rows per chunk: CHUNK_ROUNDS, fewer when width-wide rows would pass CHUNK_BYTES."""
     return max(1, min(CHUNK_ROUNDS, CHUNK_BYTES // (16 * width)))
@@ -207,9 +216,9 @@ def discretize_cloning_game(d, n_in, n_out, channels, states) -> MatrixGame:
     for ch in channels:
         if (ch.d, ch.n_in, ch.n_out) != (d, n_in, n_out):
             raise ShapeError(f"channel arity {(ch.d, ch.n_in, ch.n_out)} != {(d, n_in, n_out)}")
-    check_size_cap(d**n_out)
+    width = check_size_cap(max(_row_width(ch) for ch in channels))
     psi = _state_rows(states, d)
-    chunk = _chunk_length(d**n_out)
+    chunk = _chunk_length(width)
     a = np.empty((len(channels), len(states)))
     for i, ch in enumerate(channels):
         for start in range(0, len(psi), chunk):
@@ -400,8 +409,11 @@ def _cloning_overlaps(ch: Channel, psi: np.ndarray) -> np.ndarray:
     working arrays at one output row per round, however many Kraus operators
     the channel has.
     """
-    vin = _tensor_powers(psi, ch.n_in)
-    bra = _tensor_powers(psi, ch.n_out).conj()
+    vin = coherent_coordinates(psi, ch.n_in)
+    if ch.sym_out:
+        bra = coherent_coordinates(psi, ch.n_out).conj()
+    else:
+        bra = _tensor_powers(psi, ch.n_out).conj()
     fid = np.zeros(len(psi))
     for k in ch.kraus:
         fid += np.abs(np.sum((bra @ k) * vin, axis=1)) ** 2
@@ -414,11 +426,19 @@ def _one_particle_overlaps(ch: Channel, psi: np.ndarray, clones: np.ndarray) -> 
     Contracting clone c of each Kraus branch with psi* and summing the squared
     norms over the Kraus operators and the other clones gives the reduced
     state's overlap without forming it.  One Kraus operator at a time, so the
-    working arrays stay at one output row per round.
+    working arrays stay at one output row per round.  A Sym_out branch is split
+    as Sym_{m-1} (x) C^d by sym_split(d, m - 1, 1): its clones all have the
+    same reduced state, so the last one stands for the clone drawn.
     """
     d, m = ch.d, ch.n_out
-    vin = _tensor_powers(psi, ch.n_in)
+    vin = coherent_coordinates(psi, ch.n_in)
     fid = np.zeros(len(psi))
+    if ch.sym_out:
+        split = sym_split(d, m - 1, 1)
+        for k in ch.kraus:
+            branch = (vin @ k.T @ split.T).reshape(len(psi), -1, d)
+            fid += np.sum(np.abs(np.einsum("bjd,bd->bj", branch, psi.conj())) ** 2, axis=1)
+        return fid
     for c in range(1, m + 1):
         rows = clones == c
         bra, kets = psi[rows].conj(), vin[rows]
@@ -452,23 +472,25 @@ def monte_carlo_play(spec: GameSpec, strategy, seed=None) -> MonteCarloRecord:
     protocol order: the Haar state's complex normals, then the estimation
     outcome's uniform or the one-particle clone index, then the referee's
     uniform.  The rounds are evaluated in fixed chunks with array operations:
-    CHUNK_ROUNDS rounds, or fewer where one round's output row is so wide that
+    CHUNK_ROUNDS rounds, or fewer where one round's widest row is so wide that
     a chunk's rows would pass CHUNK_BYTES.  Chunking only bounds the working
     memory: every round keeps its own draws, so the record depends on the seed
-    and not on the chunk length.
+    and not on the chunk length.  The size cap counts that widest row: the
+    Povm's outcome count or its n + 1 coordinates, or the channel's Kraus rows
+    or columns.
     """
     if spec.samples < 1:
         raise ValueError("samples must be >= 1")
     _check_strategy(spec, strategy)
-    check_size_cap(spec.d ** max(spec.n, spec.m))
-    seed = spec.seed if seed is None else int(seed)
-    root = RandomStream(seed)
     if spec.kind == "estimation":
         effects = np.stack(strategy.effects)
         guesses = np.stack([g.amplitudes for g in strategy.guesses])
-        d, width = 2, len(effects)
+        d, width = 2, max(len(effects), strategy.n + 1)
     else:
-        d, width = strategy.d, strategy.d**strategy.n_out
+        d, width = strategy.d, _row_width(strategy)
+    check_size_cap(width)
+    seed = spec.seed if seed is None else int(seed)
+    root = RandomStream(seed)
     chunk = _chunk_length(width)
     _log.debug(
         "monte_carlo_play %s d=%d n=%d m=%d: %d rounds in %d chunks of %d",
@@ -558,16 +580,18 @@ def asym_bound_scan(
     """Brute-force search for a violation of the fidelity-sum ceiling.
 
     Scans Haar-random isometry channels plus (for 1 -> 2) the asymmetry grid
-    and the optimal cloner itself, which attains the bound exactly.
+    and the optimal cloner itself, which attains the bound exactly.  The
+    random channels' Ginibre side d^n_out * ancilla_dim is checked against the
+    size cap before the first channel is built.
     """
-    check_size_cap(d ** (n_in + n_out))
+    anc = d**n_out if ancilla_dim is None else int(ancilla_dim)
+    check_size_cap(d**n_out * anc)
     bound = value_formulas(d, n_in, n_out).asym_bound
     n_grid = grid_points if (n_in, n_out) == (1, 2) and grid_points > 0 else 0
     _log.debug(
         "asym_bound_scan d=%d n_in=%d n_out=%d: %d random channels (%d Kraus operators), "
         "%d grid channels, Choi side %d",
-        d, n_in, n_out, n_random, d**n_out if ancilla_dim is None else int(ancilla_dim),
-        n_grid, dim_sym(d, n_in) * d**n_out,
+        d, n_in, n_out, n_random, anc, n_grid, dim_sym(d, n_in) * d**n_out,
     )
     root = RandomStream(seed)
     records = [_scan_channel(optimal_cloner(d, n_in, n_out), "optimal", "optimal-cloner")]

@@ -10,7 +10,9 @@ of averaging permutation matrices.
 Products of copy registers split exactly: Sym_{n+m} sits inside
 Sym_n (x) Sym_m, and `sym_split` is that inclusion written in the two
 occupation bases, so moment identities over n + m copies never need the
-d^(n+m)-dimensional space.
+d^(n+m)-dimensional space.  Product states psi^{(x)n} lie in the symmetric
+subspace too, and `coherent_coordinates` writes them in the occupation basis
+directly from psi's d amplitudes.
 
 Column ordering is lexicographic over occupation vectors (n_0, ..., n_{d-1}),
 descending in n_0.  For d = 2 this makes column k the spin state with
@@ -21,7 +23,6 @@ decreasing order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
@@ -121,6 +122,33 @@ def sym_split(d: int, n: int, m: int) -> np.ndarray:
     return _split(d, n, m)
 
 
+@lru_cache(maxsize=None)
+def _coherent_factors(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    occs = occupations(d, n)
+    exponents = np.array(occs, dtype=np.int64).reshape(len(occs), d)
+    roots = np.array([math.sqrt(_multinomial(occ)) for occ in occs])
+    return _frozen(exponents), _frozen(roots)
+
+
+def coherent_coordinates(amplitudes, n: int) -> np.ndarray:
+    """Occupation coordinates of psi^{(x)n}, for psi given by its amplitudes.
+
+    Component k (in `occupations(d, n)` order) is sqrt(multinom(k)) prod_i
+    psi_i^{k_i}: the overlap of psi^{(x)n} with the normalised sum of the
+    multinom(k) strings that hold k_i copies of level i.  So this equals
+    sym_isometry(d, n)^T psi^{(x)n} without the d^n-dimensional tensor power.
+    `amplitudes` has shape (..., d), one state per leading index; the result
+    has shape (..., dim_sym(d, n)).  Nothing is renormalised: the coordinates
+    have norm |psi|^n.
+    """
+    amplitudes = np.asarray(amplitudes)
+    exponents, roots = _coherent_factors(amplitudes.shape[-1], n)
+    out = roots * amplitudes[..., :1] ** exponents[:, 0]
+    for i in range(1, exponents.shape[1]):
+        out *= amplitudes[..., i:i + 1] ** exponents[:, i]
+    return out
+
+
 def haar_moment(d: int, n: int, size_cap: int = DEFAULT_SIZE_CAP) -> np.ndarray:
     """Exact n-th moment of a Haar-random pure state.
 
@@ -132,27 +160,3 @@ def haar_moment(d: int, n: int, size_cap: int = DEFAULT_SIZE_CAP) -> np.ndarray:
     average in the game modules into an exact finite computation.
     """
     return sym_projector(d, n, size_cap) / dim_sym(d, n)
-
-
-@dataclass(frozen=True)
-class SymBasis:
-    """Occupation-number basis of the symmetric subspace, as an isometry."""
-
-    d: int
-    n: int
-
-    @property
-    def dim(self) -> int:
-        return dim_sym(self.d, self.n)
-
-    @property
-    def isometry(self) -> np.ndarray:
-        return sym_isometry(self.d, self.n)
-
-    def compress(self, full_vector: np.ndarray) -> np.ndarray:
-        """Coordinates of a (symmetric) full-space vector in this basis."""
-        return self.isometry.conj().T @ np.asarray(full_vector, dtype=complex)
-
-    def embed(self, sym_vector: np.ndarray) -> np.ndarray:
-        """Full-space vector of symmetric-basis coordinates."""
-        return self.isometry @ np.asarray(sym_vector, dtype=complex)

@@ -3,9 +3,13 @@
 `qgames` evaluates Haar averages on symmetric subspaces (Choi matrices on
 Sym_in (x) out, payoff operators on Sym_n (x) C^2).  The functions here do the
 same sums the long way, on the full d^(n_in + n_out) and 2^(n+1) spaces: the
-Choi matrix is summed from `ch.kraus` one outer product at a time and the
-moment operator is the full symmetric projector.  They share no code with the
-compressed evaluators beyond `sym_projector` and `partial_trace_matrix`.
+Choi matrix is summed from the full-space Kraus operators (`full_kraus`) one
+outer product at a time and the moment operator is the full symmetric
+projector.  They share no code with the compressed evaluators beyond
+`sym_isometry`, `sym_projector` and `partial_trace_matrix`.
+
+`SymBasis` is the occupation basis as an explicit isometry, for compressing
+full-space vectors the long way.
 
 `random_isometry_kraus` is the long way to a random isometry channel: the
 leading columns of a full Haar unitary.
@@ -13,18 +17,52 @@ leading columns of a full Haar unitary.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from qgames.cloning import Channel, haar_random_unitary
 from qgames.core import DEFAULT_SIZE_CAP, ShapeError, check_size_cap, partial_trace_matrix, tensor_power
 from qgames.estimation import Povm
-from qgames.symmetric import SymBasis, dim_sym, sym_projector
+from qgames.symmetric import dim_sym, sym_isometry, sym_projector
+
+
+@dataclass(frozen=True)
+class SymBasis:
+    """Occupation-number basis of the symmetric subspace, as an isometry."""
+
+    d: int
+    n: int
+
+    @property
+    def dim(self) -> int:
+        return dim_sym(self.d, self.n)
+
+    @property
+    def isometry(self) -> np.ndarray:
+        return sym_isometry(self.d, self.n)
+
+    def compress(self, full_vector: np.ndarray) -> np.ndarray:
+        """Coordinates of a (symmetric) full-space vector in this basis."""
+        return self.isometry.conj().T @ np.asarray(full_vector, dtype=complex)
+
+    def embed(self, sym_vector: np.ndarray) -> np.ndarray:
+        """Full-space vector of symmetric-basis coordinates."""
+        return self.isometry @ np.asarray(sym_vector, dtype=complex)
+
+
+def full_kraus(ch: Channel) -> np.ndarray:
+    """Kraus operators on the full registers, V_out K V_in^T (V_out = I for full rows)."""
+    kraus = np.asarray(ch.kraus) @ sym_isometry(ch.d, ch.n_in).T
+    if kraus.shape[1] != ch.dim_out:
+        kraus = sym_isometry(ch.d, ch.n_out) @ kraus
+    return kraus
 
 
 def full_choi(ch: Channel) -> np.ndarray:
     """Choi matrix of the whole channel on in (x) out, index (i, a)."""
     choi = np.zeros((ch.dim_in * ch.dim_out,) * 2, dtype=complex)
-    for k in ch.kraus:
+    for k in full_kraus(ch):
         w = k.T.reshape(-1)  # w[(i, a)] = K[a, i]: Choi lives on in (x) out
         choi += np.outer(w, w.conj())
     return choi

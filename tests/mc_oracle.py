@@ -1,8 +1,9 @@
 """Round-by-round Monte Carlo play, the oracle for `harness.monte_carlo_play`.
 
 Each round builds its Haar state, tensor powers and Kraus branches on its own,
-exactly as the harness did before it batched rounds; the batched code must
-return records equal to these.
+on the full d^n and d^m registers, exactly as the harness did before it batched
+rounds and compressed them; the batched code must return records equal to
+these.
 """
 
 import math
@@ -14,6 +15,15 @@ from qgames.core import RandomStream, haar_random_state, partial_trace_matrix, t
 from qgames.estimation import Povm
 from qgames.harness import MonteCarloRecord
 from qgames.swap_test import draw_outcome
+from qgames.symmetric import sym_isometry
+
+
+def full_kraus(ch: Channel) -> np.ndarray:
+    """Kraus operators on the full registers, V_out K V_in^T (V_out = I for full rows)."""
+    kraus = np.asarray(ch.kraus) @ sym_isometry(ch.d, ch.n_in).T
+    if kraus.shape[1] != ch.dim_out:
+        kraus = sym_isometry(ch.d, ch.n_out) @ kraus
+    return kraus
 
 
 def _estimation_round(povm: Povm, stream: RandomStream) -> int:
@@ -30,7 +40,7 @@ def _cloning_round(ch: Channel, stream: RandomStream) -> int:
     psi = haar_random_state(ch.d, stream)
     vin = tensor_power(psi, ch.n_in).amplitudes
     vout = tensor_power(psi, ch.n_out).amplitudes
-    fid = sum(abs(np.vdot(vout, k @ vin)) ** 2 for k in ch.kraus)
+    fid = sum(abs(np.vdot(vout, k @ vin)) ** 2 for k in full_kraus(ch))
     return draw_outcome(fid, stream)
 
 
@@ -40,7 +50,7 @@ def _one_particle_round(ch: Channel, stream: RandomStream) -> int:
     vin = tensor_power(psi, ch.n_in).amplitudes
     dims = [ch.d] * ch.n_out
     reduced = np.zeros((ch.d, ch.d), dtype=complex)
-    for k in ch.kraus:
+    for k in full_kraus(ch):
         branch = np.outer(k @ vin, (k @ vin).conj())
         reduced += partial_trace_matrix(branch, dims, keep=[clone - 1])
     fid = float(np.vdot(psi.amplitudes, reduced @ psi.amplitudes).real)

@@ -1,8 +1,10 @@
 import json
+import tracemalloc
 
 import pytest
 
 from qgames.cli import main, parse_args
+from qgames.core import RandomStream
 
 
 def run_cli(args, capsys):
@@ -73,7 +75,8 @@ class TestCloneCommand:
         assert lines[0].startswith("command,d,n,m,global_value")
 
     def test_inner_error_surfaces_as_document(self, capsys):
-        code, out = run_cli(["clone", "--d", "2", "--n", "6", "--m", "7"], capsys)
+        # Choi side dim_sym(3, 10) * dim_sym(3, 12) = 6006 exceeds the cap
+        code, out = run_cli(["clone", "--d", "3", "--n", "10", "--m", "12"], capsys)
         assert code == 1
         doc = json.loads(out)
         assert doc["error"]["type"] == "SizeCapExceeded"
@@ -93,11 +96,26 @@ class TestEstimateCommand:
         assert doc["universal"] is True
         assert doc["mean_fidelity"] == pytest.approx(0.75, abs=1e-9)
 
-    def test_oversized_payoff_operator_fails_fast(self, capsys):
-        # 13 qubits would need a 1 GiB payoff operator; the cap refuses it first
-        code, out = run_cli(["estimate", "--universal", "--n", "12"], capsys)
+    @pytest.mark.parametrize("n", [40, 200])
+    def test_oversized_payoff_operator_fails_fast(self, capsys, n):
+        # n = 40 has 882 effects of side 41 (49 MB built by the time the old
+        # caps ran); n = 200 has 20 402 effects of side 201 (13.2 GB).  The
+        # effect stack's rows exceed the cap, which refuses before any effect.
+        tracemalloc.start()
+        try:
+            code, out = run_cli(["estimate", "--universal", "--n", str(n)], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert code == 1
         assert json.loads(out)["error"]["type"] == "SizeCapExceeded"
+        assert peak <= 2**20
+
+    def test_payoff_operator_cap_counts_the_compressed_side(self, capsys):
+        # 98 effects of side 13 and a 26 x 26 payoff operator
+        code, out = run_cli(["estimate", "--universal", "--n", "12"], capsys)
+        assert code == 0
+        assert json.loads(out)["mean_fidelity"] == pytest.approx(13 / 14, abs=1e-12)
 
 
 class TestSolveCommand:
@@ -139,6 +157,18 @@ class TestAsymBoundCommand:
         assert doc["passed"] is True
         assert doc["max_sum_fidelity"] <= doc["bound"] + 1e-9
         assert len(doc["records"]) == 1 + 20 + 5
+
+    def test_oversized_ginibre_draw_fails_fast(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(RandomStream, "complex_normals",
+                            lambda self, count: calls.append(count))
+        code, out = run_cli(
+            ["asym-bound", "--d", "2", "--n", "1", "--m", "7", "--samples", "1", "--seed", "1"],
+            capsys,
+        )
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "SizeCapExceeded"
+        assert calls == []
 
     def test_random_channels_are_pinned(self, capsys):
         # pinned fixed-seed results: every random channel is drawn from the

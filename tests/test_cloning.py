@@ -6,6 +6,7 @@ import pytest
 
 from qgames.cloning import (
     Channel,
+    NonSymmetricInput,
     conjugate_output,
     global_fidelity,
     haar_avg_global_fidelity,
@@ -28,7 +29,7 @@ from qgames.core import (
     haar_random_state,
     tensor_power,
 )
-from qgames.symmetric import dim_sym, sym_isometry
+from qgames.symmetric import dim_sym
 
 KET0 = PureState.basis(2, 0)
 
@@ -69,7 +70,18 @@ class TestOptimalClonerConstruction:
 
     def test_size_cap(self):
         with pytest.raises(SizeCapExceeded):
-            optimal_cloner(2, 6, 7)  # 2^13 over the cap
+            optimal_cloner(3, 10, 12)  # Choi side 66 * 91 = 6006 over the cap
+
+    @pytest.mark.parametrize("d, n, m", [(2, 6, 7), (2, 10, 20), (2, 30, 30), (3, 4, 6),
+                                         (3, 5, 6), (4, 3, 4)])
+    def test_symmetric_output_reaches_high_arity(self, d, n, m):
+        # Kraus operators act Sym_in -> Sym_out, so the caps count dim_sym, not d^(n+m)
+        ch = optimal_cloner(d, n, m)
+        assert ch.sym_out and ch.kraus.shape == (dim_sym(d, m - n), dim_sym(d, m), dim_sym(d, n))
+        values = value_formulas(d, n, m)
+        assert abs(haar_avg_global_fidelity(ch) - values.global_value) <= 1e-12
+        for k in range(1, m + 1):
+            assert abs(single_clone_haar_fidelity(ch, k) - values.single_value) <= 1e-12
 
 
 class TestChannelMechanics:
@@ -96,11 +108,37 @@ class TestChannelMechanics:
     def test_rejects_non_trace_preserving(self):
         bad = [np.array([[0.5, 0.0], [0.0, 0.5]])]
         with pytest.raises(ValueError, match="trace preserving"):
-            Channel(2, 1, 1, bad, domain="full")
+            Channel(2, 1, 1, bad)
 
     def test_rejects_wrong_shapes(self):
         with pytest.raises(ShapeError):
-            Channel(2, 1, 2, [np.eye(2)], domain="full")
+            Channel(2, 1, 2, [np.eye(2)])
+        with pytest.raises(ShapeError):  # full-space input columns
+            Channel(2, 2, 2, [np.eye(4)])
+        with pytest.raises(ShapeError):  # rows neither Sym_out (3) nor full (4)
+            Channel(2, 1, 2, [np.zeros((5, 2))])
+        with pytest.raises(ShapeError):  # the two row counts mixed
+            Channel(2, 1, 2, [np.zeros((3, 2)), np.zeros((4, 2))])
+
+    def test_output_representation_read_from_row_count(self, rng):
+        sym, full = optimal_cloner(2, 1, 3), product_embedding_channel(2, 1, 3)
+        assert sym.sym_out and sym.kraus.shape[1] == 4
+        assert not full.sym_out and full.kraus.shape[1] == 8
+        # equal row counts (one output copy) mean one basis
+        assert optimal_cloner(3, 1, 1).sym_out and product_embedding_channel(3, 1, 1).sym_out
+        assert mixture_channel(sym, symmetric_noise_channel(2, 1, 3), 0.5).sym_out
+        assert not mixture_channel(sym, full, 0.5).sym_out
+        assert not conjugate_output(sym, haar_random_unitary(8, rng)).sym_out
+
+    def test_apply_refuses_non_symmetric_inputs(self):
+        ch = optimal_cloner(2, 2, 3)
+        singlet = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
+        with pytest.raises(NonSymmetricInput):
+            ch.apply_matrix(np.outer(singlet, singlet))
+        with pytest.raises(NonSymmetricInput):
+            ch.apply(PureState.basis(4, 1).density())  # |01> is half singlet
+        out = ch.apply(PureState.basis(4, 0).density())  # |00> is symmetric
+        assert abs(np.trace(out.matrix).real - 1.0) <= 1e-12
 
     def test_choi_psd_and_cached(self):
         ch = optimal_cloner(2, 1, 2)
@@ -117,8 +155,7 @@ class TestChannelMechanics:
         with pytest.raises(ValueError):
             ch.kraus[0][0, 0] = 1.0
         total = sum(k.conj().T @ k for k in ch.kraus)
-        iso = sym_isometry(ch.d, ch.n_in) if ch.domain == "symmetric" else np.eye(ch.dim_in)
-        want = np.linalg.norm(iso.T @ total @ iso - np.eye(iso.shape[1]), 2)
+        want = np.linalg.norm(total - np.eye(total.shape[0]), 2)
         assert abs(ch.completeness_defect() - want) <= 1e-14
 
     def test_construction_logs_dimensions(self, caplog):
@@ -126,8 +163,9 @@ class TestChannelMechanics:
             optimal_cloner(2, 2, 3)
         (record,) = [r for r in caplog.records if r.name == "qgames.cloning"]
         assert record.levelno == logging.DEBUG
-        assert "2 Kraus operators" in record.getMessage()
-        assert "side 24" in record.getMessage() and "full in (x) out: 32" in record.getMessage()
+        message = record.getMessage()
+        assert "2 Kraus operators of shape 4 x 3 (Sym_out output)" in message
+        assert "Choi side 12" in message and "full in (x) out: 32" in message
 
 
 class TestGlobalFidelity:

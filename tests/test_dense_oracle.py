@@ -4,6 +4,7 @@ Also guards the evaluators against building full-space objects again: a
 d^(n+m)-sized Choi matrix, projector or payoff operator.
 """
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 import dense_oracle
 import qgames.cloning
 import qgames.estimation
+import qgames.harness
 from qgames.cloning import (
     conjugate_output,
     haar_avg_global_fidelity,
@@ -33,6 +35,7 @@ from qgames.estimation import (
     payoff_operator,
     universal_povm,
 )
+from qgames.cli import main
 from qgames.harness import povm_perturbations
 from qgames.symmetric import dim_sym, sym_isometry, sym_split
 from test_cloning import CLONER_CASES
@@ -63,13 +66,22 @@ def make_channel(kind, d, n, m):
 @pytest.mark.parametrize("d, n, m", ORACLE_CASES)
 def test_channel_evaluators_match_dense_oracle(kind, d, n, m):
     ch = make_channel(kind, d, n, m)
-    lift = np.kron(sym_isometry(d, n), np.eye(d**m))
+    lift = np.kron(sym_isometry(d, n), sym_isometry(d, m) if ch.sym_out else np.eye(d**m))
     assert np.max(np.abs(ch.choi - lift.T @ dense_oracle.full_choi(ch) @ lift)) <= TOL
     got = haar_avg_global_fidelity(ch)
     assert abs(got - dense_oracle.haar_avg_global_fidelity(ch)) <= TOL
     for k in range(1, m + 1):
         got = single_clone_haar_fidelity(ch, k)
         assert abs(got - dense_oracle.single_clone_haar_fidelity(ch, k)) <= TOL
+
+
+@pytest.mark.parametrize("kind", CHANNEL_KINDS)
+@pytest.mark.parametrize("d, n, m", ORACLE_CASES)
+def test_completeness_defect_is_the_svd_norm(kind, d, n, m):
+    ch = make_channel(kind, d, n, m)
+    rows = np.reshape(ch.kraus, (-1, ch.kraus.shape[-1]))
+    want = np.linalg.norm(rows.conj().T @ rows - np.eye(rows.shape[1]), 2)
+    assert abs(ch.completeness_defect() - want) <= 1e-14
 
 
 def estimation_strategies(n):
@@ -111,7 +123,9 @@ def test_random_isometry_matches_full_unitary_columns(d, n, m, ancilla_dim):
         stream = RandomStream(8200 + 100 * d + 10 * n + m, counter)
         want = dense_oracle.random_isometry_kraus(d, n, m, stream, ancilla_dim)
         assert len(ch.kraus) == len(want)
-        assert max(np.max(np.abs(k - w)) for k, w in zip(ch.kraus, want)) <= TOL
+        # the channel keeps each block's restriction to Sym_in
+        iso = sym_isometry(d, n)
+        assert max(np.max(np.abs(k - w @ iso)) for k, w in zip(ch.kraus, want)) <= TOL
 
 
 @pytest.mark.parametrize("d, n, m", [(2, 1, 2), (2, 3, 5), (3, 2, 3), (4, 1, 2)])
@@ -133,7 +147,7 @@ def copy_limit(monkeypatch):
 
         return wrapper
 
-    for module in (qgames.cloning, qgames.estimation):
+    for module in (qgames.cloning, qgames.estimation, qgames.harness):
         for obj in vars(module).values():
             if hasattr(obj, "cache_clear"):
                 obj.cache_clear()  # rebuild cached operators under the guard
@@ -147,10 +161,33 @@ def copy_limit(monkeypatch):
 def test_cloning_evaluators_stay_on_registers(copy_limit, d, n, m):
     copy_limit[0] = max(n, m)
     ch = optimal_cloner(d, n, m)
-    assert ch.choi.shape == (dim_sym(d, n) * d**m,) * 2
+    assert ch.choi.shape == (dim_sym(d, n) * dim_sym(d, m),) * 2
     haar_avg_global_fidelity(ch)
     for k in range(1, m + 1):
         single_clone_haar_fidelity(ch, k)
+
+
+def test_symmetric_output_games_build_no_register_above_three_copies(copy_limit, tmp_path):
+    # the optimal cloner and its rounds live on Sym_in -> Sym_out: no isometry
+    # or projector of the 10-, 12- or 20-copy registers is needed
+    copy_limit[0] = 3
+    out = tmp_path / "doc.json"
+    runs = [
+        ["clone", "--d", "2", "--n", "10", "--m", "20"],
+        ["mc-play", "--game", "cloning", "--d", "2", "--n", "1", "--m", "12",
+         "--samples", "600", "--seed", "4"],
+        ["mc-play", "--game", "one_particle", "--d", "2", "--n", "1", "--m", "12",
+         "--samples", "600", "--seed", "4"],
+    ]
+    docs = []
+    for argv in runs:
+        assert main(argv + ["--out", str(out)]) == 0
+        docs.append(json.loads(out.read_text()))
+    assert abs(docs[0]["measured_global_fidelity"] - docs[0]["global_value"]) <= TOL
+    assert max(abs(f - docs[0]["single_value"])
+               for f in docs[0]["measured_single_fidelities"]) <= TOL
+    for doc in docs[1:]:
+        assert abs(doc["z_score"]) <= 5.0
 
 
 @pytest.mark.parametrize("n", [4, 8, 11])

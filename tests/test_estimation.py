@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.linalg import expm
 
-from qgames.core import PureState, RandomStream, ShapeError, haar_random_state, tensor_power
+from qgames.core import (
+    PureState,
+    RandomStream,
+    ShapeError,
+    SizeCapExceeded,
+    haar_random_state,
+    tensor_power,
+)
 from qgames.estimation import (
     Direction,
     IncompletePovm,
@@ -24,7 +31,9 @@ from qgames.estimation import (
     universal_povm,
     wigner_d_top,
 )
-from qgames.symmetric import SymBasis, dim_sym, sym_projector
+from qgames.symmetric import dim_sym, sym_projector
+
+from dense_oracle import SymBasis
 
 KET0 = PureState.basis(2, 0)
 PLUS = PureState(np.array([1.0, 1.0]) / math.sqrt(2.0))
@@ -147,6 +156,19 @@ class TestBuildPovm:
     def test_single_direction_incomplete(self):
         with pytest.raises(IncompletePovm):
             build_povm(1, [Direction(0.0, 0.0)])
+
+    def test_effect_stack_capped_before_it_is_built(self, monkeypatch):
+        # 441 effects of side 21 stack 9261 rows, over the cap of 4096
+        import qgames.estimation
+
+        def no_vectors(*args):
+            raise AssertionError("built a measurement vector before the cap check")
+
+        monkeypatch.setattr(qgames.estimation, "measurement_vector", no_vectors)
+        with pytest.raises(SizeCapExceeded):
+            build_povm(20, default_directions(20))
+        with pytest.raises(SizeCapExceeded):
+            universal_povm(19)  # 10 x 21 points of side 20
 
     def test_effect_positivity_many_cases(self, rng):
         # property sweep: every built effect is PSD, every weight nonnegative;

@@ -9,7 +9,12 @@ from hypothesis import given, settings, strategies as st
 import qgames.harness
 
 from qgames.cloning import (
+    conjugate_output,
     global_fidelity,
+    haar_avg_global_fidelity,
+    haar_random_unitary,
+    mirror_embedding_channel,
+    mixture_channel,
     optimal_cloner,
     product_embedding_channel,
     random_isometry_channel,
@@ -17,7 +22,7 @@ from qgames.cloning import (
     symmetric_noise_channel,
     value_formulas,
 )
-from qgames.core import PureState, RandomStream, ShapeError, haar_random_state
+from qgames.core import PureState, RandomStream, ShapeError, SizeCapExceeded, haar_random_state
 from qgames.estimation import (
     Povm,
     build_povm,
@@ -163,8 +168,10 @@ class TestDiscretizedGames:
 
     def test_cloning_matrix_memory_stays_bounded(self):
         # 2000 columns of 512-amplitude output rows take 16 MiB per array when
-        # evaluated all at once; chunks of 256 columns take 2 MiB
-        ch = optimal_cloner(2, 1, 9)
+        # evaluated all at once; chunks of 256 columns take 2 MiB.  The
+        # embedding keeps the full 2^9 output, which the optimal cloner's
+        # 10 Sym_out coordinates would not exercise.
+        ch = product_embedding_channel(2, 1, 9)
         states = haar_states(2, 2000, RandomStream(8600))
         tracemalloc.start()
         try:
@@ -412,15 +419,18 @@ class TestMonteCarloOracle:
 
     # Chunked play peaks near 1 MiB whatever the round count.  Batched all at
     # once, 20 000 rounds take about 48 MiB (cloning) and 27 MiB (one-particle)
-    # of tensor powers.  (2, 1, 7) has 64 Kraus operators and 128-dimensional
-    # outputs, so a chunk holding every Kraus branch of its 256 rounds at once
-    # would take 32 MB for that array alone.
-    @pytest.mark.parametrize("kind, d, n, m, samples", [
-        ("cloning", 3, 2, 3, 20_000), ("one_particle", 3, 1, 3, 20_000),
-        ("cloning", 2, 1, 7, 512), ("one_particle", 2, 1, 7, 512),
+    # of tensor powers.  The (2, 1, 7) product embedding has 64 Kraus
+    # operators and 128-dimensional full outputs, so a chunk holding every
+    # Kraus branch of its 256 rounds at once would take 32 MB for that array
+    # alone.
+    @pytest.mark.parametrize("kind, d, n, m, samples, make", [
+        ("cloning", 3, 2, 3, 20_000, optimal_cloner),
+        ("one_particle", 3, 1, 3, 20_000, optimal_cloner),
+        ("cloning", 2, 1, 7, 512, product_embedding_channel),
+        ("one_particle", 2, 1, 7, 512, product_embedding_channel),
     ])
-    def test_memory_stays_bounded(self, kind, d, n, m, samples):
-        strategy = optimal_cloner(d, n, m)
+    def test_memory_stays_bounded(self, kind, d, n, m, samples, make):
+        strategy = make(d, n, m)
         spec = GameSpec(kind, d=d, n=n, m=m, samples=samples, seed=3)
         tracemalloc.start()
         try:
@@ -440,12 +450,15 @@ class TestMonteCarloOracle:
         assert "cloning d=3 n=2 m=3" in message
         assert "600 rounds in 3 chunks of 256" in message
 
-    def test_wide_outputs_shorten_chunks(self, monkeypatch, caplog):
-        # 27 output amplitudes per round; CHUNK_BYTES fits 100 rounds of them
-        monkeypatch.setattr(qgames.harness, "CHUNK_BYTES", 16 * 27 * 100)
+    @pytest.mark.parametrize("make, width", [(product_embedding_channel, 27),
+                                             (optimal_cloner, 10)])
+    def test_wide_outputs_shorten_chunks(self, monkeypatch, caplog, make, width):
+        # 27 full output amplitudes or 10 Sym_out coordinates per round;
+        # CHUNK_BYTES fits 100 rounds of them
+        monkeypatch.setattr(qgames.harness, "CHUNK_BYTES", 16 * width * 100)
         spec = GameSpec("cloning", d=3, n=2, m=3, samples=600, seed=1)
         with caplog.at_level(logging.DEBUG, logger="qgames.harness"):
-            monte_carlo_play(spec, optimal_cloner(3, 2, 3))
+            monte_carlo_play(spec, make(3, 2, 3))
         assert "600 rounds in 6 chunks of 100" in caplog.records[-1].getMessage()
 
 
@@ -483,7 +496,6 @@ class TestAsymBoundScan:
         ch = Channel.__new__(Channel)
         ch.d, ch.n_in, ch.n_out = 2, 1, 2
         ch.dim_in, ch.dim_out = 2, 4
-        ch.domain = "full"
         k = np.zeros((4, 2))
         k[0, 0] = 0.7
         ch.kraus = (k,)
@@ -519,3 +531,42 @@ class TestAsymBoundScan:
         assert ch.completeness_defect() <= 1e-10
         fids = [single_clone_haar_fidelity(ch, k) for k in range(1, m + 1)]
         assert sum(fids) <= value_formulas(d, n, m).asym_bound + 1e-9
+
+    @settings(deadline=None, derandomize=True)
+    @given(st.sampled_from(["optimal", "product", "mirror", "noise", "mixture", "conjugated"]),
+           st.sampled_from([2, 3]), st.integers(1, 3), st.integers(1, 3),
+           st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    def test_channel_families_respect_the_closed_forms(self, kind, d, a, b, weight, seed):
+        n, m = min(a, b), max(a, b)
+        rng = RandomStream(seed)
+        if kind == "optimal":
+            ch = optimal_cloner(d, n, m)
+        elif kind == "product":
+            ch = product_embedding_channel(d, n, m)
+        elif kind == "mirror":
+            ch = mirror_embedding_channel(d, n, m)
+        elif kind == "noise":
+            ch = symmetric_noise_channel(d, n, m)
+        elif kind == "mixture":  # a Sym_out side mixed with a full-output side
+            ch = mixture_channel(optimal_cloner(d, n, m), mirror_embedding_channel(d, n, m),
+                                 weight)
+        else:
+            ch = conjugate_output(optimal_cloner(d, n, m), haar_random_unitary(d**m, rng))
+        values = value_formulas(d, n, m)
+        assert ch.completeness_defect() <= 1e-10
+        assert haar_avg_global_fidelity(ch) <= values.global_value + 1e-12
+        fids = [single_clone_haar_fidelity(ch, k) for k in range(1, m + 1)]
+        assert sum(fids) <= values.asym_bound + 1e-9
+
+    def test_oversized_ginibre_draw_fails_before_drawing(self, monkeypatch):
+        # d^m * ancilla = 128 * 128: 2^28 complex normals (4.3 GB) if drawn
+        calls = []
+        monkeypatch.setattr(RandomStream, "complex_normals",
+                            lambda self, count: calls.append(count))
+        with pytest.raises(SizeCapExceeded):
+            asym_bound_scan(2, 1, 7, n_random=1, seed=1)
+        with pytest.raises(SizeCapExceeded):
+            random_isometry_channel(2, 1, 7, RandomStream(1))
+        with pytest.raises(SizeCapExceeded):
+            random_isometry_channel(2, 1, 2, RandomStream(1), ancilla_dim=1025)
+        assert calls == []

@@ -6,14 +6,14 @@ from hypothesis import given, strategies as st
 
 from qgames.core import RandomStream, SizeCapExceeded, haar_random_state, tensor_power
 from qgames.symmetric import (
-    SymBasis,
+    coherent_coordinates,
     dim_sym,
     haar_moment,
     occupations,
     sym_isometry,
     sym_projector,
 )
-from dense_oracle import transposition_operator
+from dense_oracle import SymBasis, transposition_operator
 
 # keep property sweeps below this total dimension so the suite stays quick
 CASES = [(d, n) for d in (2, 3, 4) for n in range(1, 7) if d**n <= 1024]
@@ -113,3 +113,16 @@ def test_sym_basis_compress_embed_roundtrip():
     compressed = basis.compress(full)
     assert abs(np.linalg.norm(compressed) - 1.0) <= 1e-12  # product states are symmetric
     assert np.max(np.abs(basis.embed(compressed) - full)) <= 1e-12
+
+
+@pytest.mark.parametrize("d, n", [(1, 3), (2, 1), (2, 5), (3, 3), (4, 2), (5, 4)])
+def test_coherent_coordinates_compress_the_tensor_power(d, n):
+    basis = SymBasis(d, n)
+    stream = RandomStream(78)
+    states = [haar_random_state(d, stream.substream(10 * d + i)) for i in range(5)]
+    rows = coherent_coordinates(np.stack([psi.amplitudes for psi in states]), n)
+    assert rows.shape == (5, dim_sym(d, n))
+    for psi, row in zip(states, rows):
+        want = basis.compress(tensor_power(psi, n).amplitudes)
+        assert np.max(np.abs(row - want)) <= 1e-12
+        assert np.max(np.abs(coherent_coordinates(psi.amplitudes, n) - row)) == 0.0
