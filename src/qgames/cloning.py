@@ -29,19 +29,25 @@ S = sym_split(d, n, m - n).  On product-state inputs its n_out-copy fidelity
 with the source state is the constant dim_sym(d, n_in)/dim_sym(d, n_out), and
 no channel beats that on Haar average.
 
-Haar-averaged fidelities are evaluated exactly through the Choi matrix
-J = sum_K vec(K) vec(K)^dag on Sym_in (x) out.  The average of
-<psi^{m}| ch(psi^{n}) |psi^{m}> over Haar psi is
+The evaluators read only the Kraus stack.  The Choi matrix
+J = sum_K w_K w_K^dag, w_K = vec(K^T) on Sym_in (x) out, is built only when
+`Channel.choi` is read; tr[J G] is summed as sum_K w_K^dag G w_K.  Two helpers
+alone read how the output rows are coordinatised.  `_sym_rows` gives every
+Kraus operator Sym_out rows (V_out^T K for full rows); a global fidelity reads
+nothing else, since psi^{(x)n_out} lies in Sym_out.  `_clone_split` splits an
+output row into (rest, clone k) for the one-particle test.
+
+The average of <psi^{m}| ch(psi^{n}) |psi^{m}> over Haar psi is
 
     tr[ J * PT_in(S S^T) ] / dim_sym(d, n+m)
 
-for Sym_out rows, where S = sym_split(d, n, m) maps Sym_{n+m} into
-Sym_n (x) Sym_m and PT_in transposes the input block: averaging
+with J on Sym_in (x) Sym_out, where S = sym_split(d, n, m) maps Sym_{n+m}
+into Sym_n (x) Sym_m and PT_in transposes the input block: averaging
 psi^{tensor(n+m)} gives the symmetric projector over dim_sym (see
 symmetric.haar_moment), that projector is S S^T in occupation coordinates, and
-the input factors enter the trace transposed.  Full rows lift the output block
-first, (I (x) V_m) PT_in(S S^T) (I (x) V_m)^T.  No object of dimension
-d^(n+m) is built.
+the input factors enter the trace transposed.  The one-clone average is the
+same formula with m = 1 on the clone's reduced Choi matrix.  No object of
+dimension d^(n+m) is built.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -63,8 +69,6 @@ from .core import (
     ShapeError,
     _frozen,
     check_size_cap,
-    partial_trace_matrix,
-    tensor_power,
 )
 from .symmetric import coherent_coordinates, dim_sym, sym_isometry, sym_split
 
@@ -83,17 +87,19 @@ class Channel:
     """Completely positive map from Sym_in to an output register, stored as Kraus operators.
 
     `kraus` is the read-only (K, rows, dim_sym(d, n_in)) stack of Kraus
-    operators on Sym_in occupation coordinates.  rows = dim_sym(d, n_out) means
-    Sym_out occupation coordinates and rows = d^n_out the full output space
-    (module docstring); `sym_out` reads which.  No other row count is
-    accepted.  Construction verifies that sum(K^dag K) is the identity on
-    Sym_in and that the Choi matrix is PSD, both within `atol`.
+    operators on Sym_in occupation coordinates, and the only stored form of
+    the channel.  rows = dim_sym(d, n_out) means Sym_out occupation
+    coordinates and rows = d^n_out the full output space (module docstring);
+    `sym_out` reads which.  No other row count is accepted.  Construction
+    verifies that every entry is finite and that sum(K^dag K) is the identity
+    on Sym_in within `atol`.  sum_K vec(K) vec(K)^dag is positive
+    semidefinite for every finite stack, so nothing else needs checking.
 
-    `choi` is sum_K vec(K) vec(K)^dag on Sym_in (x) out, index (c, a) for
-    input c and output a; its side is dim_sym(d, n_in) * rows.  It fixes the
-    channel on every game input, which is all the exact evaluators read.
-    `dim_in` and `dim_out` are the full register dimensions d^n_in and
-    d^n_out, the spaces `apply_matrix` acts on.
+    `choi` is that sum on Sym_in (x) out, index (c, a) for input c and output
+    a; its side is dim_sym(d, n_in) * rows.  It is built on first access and
+    cached read-only; the evaluators never read it.  `dim_in` and `dim_out` are
+    the full register dimensions d^n_in and d^n_out, the spaces
+    `apply_matrix` acts on.
     """
 
     def __init__(self, d, n_in, n_out, kraus, atol=COMPLETENESS_ATOL):
@@ -116,6 +122,8 @@ class Channel:
             if k.shape != ops[0].shape:
                 raise ShapeError(f"Kraus operator shapes {ops[0].shape} and {k.shape} differ")
         stacked = np.stack(ops)
+        if not np.all(np.isfinite(stacked)):
+            raise ValueError("Kraus operators have non-finite entries")
         stacked.setflags(write=False)
         self.kraus = stacked
         rows = stacked.shape[1]
@@ -126,20 +134,22 @@ class Channel:
                 f"Kraus operators not trace preserving on Sym_in "
                 f"(defect {defect:.3e} > {atol:.0e})"
             )
-        # w[K, (c, a)] = K[a, c]: the Choi matrix lives on Sym_in (x) out
-        w = stacked.transpose(0, 2, 1).reshape(len(stacked), -1)
-        choi = w.T @ w.conj()
-        if np.linalg.eigvalsh(choi).min() < -atol:
-            raise ValueError("Choi matrix is not PSD within tolerance")
-        choi.setflags(write=False)
-        self.choi = choi
         _log.debug(
             "Channel d=%d n_in=%d n_out=%d: %d Kraus operators of shape %d x %d "
             "(%s output), Choi side %d (full in (x) out: %d)",
             self.d, self.n_in, self.n_out, len(stacked), rows, cols,
-            "Sym_out" if self.sym_out else "full", choi.shape[0],
+            "Sym_out" if self.sym_out else "full", cols * rows,
             self.dim_in * self.dim_out,
         )
+
+    @cached_property
+    def choi(self) -> np.ndarray:
+        """sum_K vec(K) vec(K)^dag on Sym_in (x) out, index (c, a); read-only."""
+        # w[K, (c, a)] = K[a, c]
+        w = self.kraus.transpose(0, 2, 1).reshape(len(self.kraus), -1)
+        choi = w.T @ w.conj()
+        choi.setflags(write=False)
+        return choi
 
     @property
     def sym_out(self) -> bool:
@@ -290,7 +300,11 @@ def _phase_fixed_q(z: np.ndarray) -> np.ndarray:
 
 
 def haar_random_unitary(dim: int, rng: RandomStream) -> np.ndarray:
-    """Haar-distributed unitary via phase-fixed QR of a complex Ginibre matrix."""
+    """Haar-distributed unitary via phase-fixed QR of a complex Ginibre matrix.
+
+    The size cap counts the side `dim` and is checked before anything is drawn.
+    """
+    check_size_cap(dim)
     z = rng.complex_normals(dim * dim).reshape(dim, dim) / math.sqrt(2.0)
     return _phase_fixed_q(z)
 
@@ -311,10 +325,13 @@ def random_isometry_channel(d, n_in, n_out, rng: RandomStream, ancilla_dim=None)
     block depend on the Ginibre matrix's first k columns alone, so the reduced
     QR of those columns, with the same phase fix, gives the same isometry to
     rounding at a fraction of the cost.  The size cap counts the Ginibre side
-    d**n_out * ancilla_dim and is checked before anything is drawn.
+    d**n_out * ancilla_dim and is checked, as is ancilla_dim >= 1, before
+    anything is drawn.
     """
     dim_in, dim_out = d**n_in, d**n_out
     anc = dim_out if ancilla_dim is None else int(ancilla_dim)
+    if anc < 1:
+        raise InvalidArity(f"ancilla dimension must be >= 1, got {anc}")
     dim = check_size_cap(dim_out * anc)
     z = rng.complex_normals(dim * dim).reshape(dim, dim)[:, :dim_in] / math.sqrt(2.0)
     iso = _phase_fixed_q(z).reshape(dim_out, anc, dim_in)
@@ -322,19 +339,80 @@ def random_isometry_channel(d, n_in, n_out, rng: RandomStream, ancilla_dim=None)
     return Channel(d, n_in, n_out, kraus)
 
 
-def global_fidelity(ch: Channel, psi: PureState, size_cap=DEFAULT_SIZE_CAP) -> float:
-    """<psi^{n_out}| ch(psi^{n_in}) |psi^{n_out}>, in the channel's own coordinates."""
+def _sym_rows(ch: Channel) -> np.ndarray:
+    """The Kraus stack with rows on Sym_out: V_out^T K for full rows.
+
+    Every global fidelity pairs the output with psi^{(x)n_out}, which lies in
+    Sym_out, so the projection V_out V_out^T drops nothing it reads.
+    """
+    if ch.sym_out:
+        return ch.kraus
+    return sym_isometry(ch.d, ch.n_out).T @ ch.kraus
+
+
+def _clone_split(ch: Channel, k: int, rows: np.ndarray) -> np.ndarray:
+    """Output coordinates on the last axis of `rows`, split into (rest, clone k).
+
+    Returns shape (..., r, d) with the k-th output copy (1-based) last.  Sym_out
+    rows go through S = sym_split(d, n_out - 1, 1), which writes Sym_out inside
+    Sym_{n_out-1} (x) C^d: every clone of a symmetric output has the same
+    reduced state, so the last copy stands for clone k.  Full rows are
+    reshaped and clone k is moved last.
+    """
+    d, m = ch.d, ch.n_out
+    lead = rows.shape[:-1]
+    if ch.sym_out:
+        return (rows @ sym_split(d, m - 1, 1).T).reshape(*lead, -1, d)
+    split = rows.reshape(*lead, d ** (k - 1), d, d ** (m - k))
+    return np.moveaxis(split, -2, -1).reshape(*lead, -1, d)
+
+
+def _global_overlaps(ch: Channel, psi: np.ndarray) -> np.ndarray:
+    """sum_K |<psi^{(x)n_out}| K |psi^{(x)n_in}>|^2 for each row of amplitudes `psi`.
+
+    Contracting <psi^{(x)n_out}| with one Kraus operator at a time keeps the
+    working arrays at one output row per state, however many Kraus operators
+    the channel has.
+    """
+    vin = coherent_coordinates(psi, ch.n_in)
+    bra = coherent_coordinates(psi, ch.n_out).conj()
+    fid = np.zeros(len(psi))
+    for k in _sym_rows(ch):
+        fid += np.abs(np.sum((bra @ k) * vin, axis=1)) ** 2
+    return fid
+
+
+def _one_particle_overlaps(ch: Channel, psi: np.ndarray, clones: np.ndarray) -> np.ndarray:
+    """<psi| rho_c |psi> for each row of amplitudes `psi` and its clone c in `clones`.
+
+    Contracting clone c of each Kraus branch with psi* and summing the squared
+    norms over the Kraus operators and the other clones gives the reduced
+    state's overlap without forming it.  One Kraus operator at a time, so the
+    working arrays stay at one output row per state.  Rows are grouped by
+    clone, except that the clones of a Sym_out channel share one reduced
+    state, so one group serves them all.
+    """
+    vin = coherent_coordinates(psi, ch.n_in)
+    fid = np.zeros(len(psi))
+    if ch.sym_out:
+        groups = [(ch.n_out, slice(None))]
+    else:
+        groups = [(c, clones == c) for c in np.unique(clones)]
+    for c, rows in groups:
+        bra, kets = psi[rows].conj(), vin[rows]
+        kept = np.zeros(len(bra))
+        for k in ch.kraus:
+            branch = _clone_split(ch, c, kets @ k.T)
+            kept += np.sum(np.abs(np.einsum("bjd,bd->bj", branch, bra)) ** 2, axis=1)
+        fid[rows] = kept
+    return fid
+
+
+def global_fidelity(ch: Channel, psi: PureState) -> float:
+    """<psi^{n_out}| ch(psi^{n_in}) |psi^{n_out}>."""
     if psi.dim != ch.d:
         raise ShapeError(f"state dimension {psi.dim} != local dimension {ch.d}")
-    vin = coherent_coordinates(psi.amplitudes, ch.n_in)
-    if ch.sym_out:
-        vout = coherent_coordinates(psi.amplitudes, ch.n_out)
-    else:
-        vout = tensor_power(psi, ch.n_out, size_cap).amplitudes
-    total = 0.0
-    for k in ch.kraus:
-        total += abs(np.vdot(vout, k @ vin)) ** 2
-    return float(total)
+    return float(_global_overlaps(ch, psi.amplitudes[None])[0])
 
 
 @lru_cache(maxsize=None)
@@ -343,7 +421,7 @@ def _transposed_moment(d: int, n_in: int, n_out: int) -> np.ndarray:
 
     The input-transposed (n_in + n_out)-copy symmetric projector in
     occupation coordinates; Sym_1 is C^d itself, so for n_out = 1 this is
-    already the operator on Sym_in (x) C^d.
+    already the operator on Sym_in (x) C^d.  It is real and symmetric.
     """
     ds_in, ds_out = dim_sym(d, n_in), dim_sym(d, n_out)
     split = sym_split(d, n_in, n_out)
@@ -352,55 +430,33 @@ def _transposed_moment(d: int, n_in: int, n_out: int) -> np.ndarray:
 
 
 def haar_avg_global_fidelity(ch: Channel, size_cap=DEFAULT_SIZE_CAP) -> float:
-    """Exact Haar average of global_fidelity via the Choi matrix (module docstring).
+    """Exact Haar average of global_fidelity (module docstring).
 
-    The size cap counts the Choi side, which the moment operator shares.
+    The size cap counts the moment side dim_sym(d, n_in) * dim_sym(d, n_out).
     """
-    check_size_cap(ch.choi.shape[0], size_cap)
-    g = _transposed_moment(ch.d, ch.n_in, ch.n_out)
-    if not ch.sym_out:
-        lift = np.kron(np.eye(dim_sym(ch.d, ch.n_in)), sym_isometry(ch.d, ch.n_out, size_cap))
-        g = lift @ g @ lift.T
-    val = np.einsum("ij,ji->", ch.choi, g)
+    check_size_cap(dim_sym(ch.d, ch.n_in) * dim_sym(ch.d, ch.n_out), size_cap)
+    # w[K, (c, a)] = K[a, c] on Sym_in (x) Sym_out
+    kraus = _sym_rows(ch)
+    w = kraus.transpose(0, 2, 1).reshape(len(kraus), -1)
+    val = np.vdot(w, w @ _transposed_moment(ch.d, ch.n_in, ch.n_out))
     return float(val.real) / dim_sym(ch.d, ch.n_in + ch.n_out)
-
-
-def _sym_out_reduced_choi(ch: Channel) -> np.ndarray:
-    """Choi matrix on Sym_in (x) C^d of one clone of a Sym_out channel.
-
-    S = sym_split(d, n_out - 1, 1) writes Sym_out inside Sym_{n_out-1} (x) C^d,
-    so tracing the first factor of S K leaves the last clone, and every clone
-    of a symmetric output has that same reduced state.  One Kraus operator at
-    a time: no matrix wider than one clone's Choi matrix is built.
-    """
-    d, cols = ch.d, ch.kraus.shape[2]
-    split = sym_split(d, ch.n_out - 1, 1)
-    reduced = np.zeros((cols * d, cols * d), dtype=complex)
-    for k in ch.kraus:
-        # w[j, (c, a)] = (S K)[(j, a), c] for traced state j, input c, clone a
-        w = (split @ k).reshape(-1, d, cols).transpose(0, 2, 1).reshape(-1, cols * d)
-        reduced += w.T @ w.conj()
-    return reduced
 
 
 def single_clone_haar_fidelity(ch: Channel, k: int, size_cap=DEFAULT_SIZE_CAP) -> float:
     """Exact Haar average of <psi| tr_(not k)[ch(psi^{n_in})] |psi>.
 
-    The Choi matrix of the reduced channel on Sym_in (x) C^d comes from
-    `_sym_out_reduced_choi` for Sym_out rows and from tracing all output
-    factors except the k-th (1-based) out of `choi` for full rows; the
-    average is then the (n_in + 1)-copy moment formula on it.  The size cap
-    counts that reduced side, dim_sym(d, n_in) * d.
+    `_clone_split` writes each Kraus operator as (input c, rest j, clone a);
+    the rows w[(K, j), (c, a)] span the reduced channel's Choi matrix on
+    Sym_in (x) C^d, and the average is the (n_in + 1)-copy moment formula on
+    it.  The size cap counts that reduced side, dim_sym(d, n_in) * d.
     """
     if not 1 <= k <= ch.n_out:
         raise IndexError(f"clone index {k} not in 1..{ch.n_out}")
     ds_in = dim_sym(ch.d, ch.n_in)
     check_size_cap(ds_in * ch.d, size_cap)
-    if ch.sym_out:
-        reduced = _sym_out_reduced_choi(ch)
-    else:
-        reduced = partial_trace_matrix(ch.choi, [ds_in] + [ch.d] * ch.n_out, keep=[0, k])
-    val = np.einsum("ij,ji->", reduced, _transposed_moment(ch.d, ch.n_in, 1))
+    branch = _clone_split(ch, k, ch.kraus.transpose(0, 2, 1))
+    w = branch.transpose(0, 2, 1, 3).reshape(-1, ds_in * ch.d)
+    val = np.vdot(w, w @ _transposed_moment(ch.d, ch.n_in, 1))
     return float(val.real) / dim_sym(ch.d, ch.n_in + 1)
 
 

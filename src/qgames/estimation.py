@@ -183,12 +183,7 @@ class Povm:
 
     def outcome_probabilities(self, psi: PureState) -> np.ndarray:
         """Born probabilities tr[E_r rho] for the n-copy input psi^{tensor n}."""
-        if psi.dim != 2:
-            raise ShapeError("input must be a qubit")
-        check_size_cap(self.n + 1)
-        amp = coherent_coordinates(psi.amplitudes, self.n)
-        probs = np.array([np.vdot(amp, e @ amp).real for e in self.effects])
-        return np.clip(probs, 0.0, None)
+        return _born_probabilities(self.n, np.stack(self.effects), psi.amplitudes[None])[0]
 
 
 def default_directions(n_copies: int) -> list[Direction]:

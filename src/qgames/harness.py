@@ -11,11 +11,7 @@ Every Monte Carlo round takes its draws from its own substream of the seed,
 one substream per round.  Rounds are evaluated in fixed chunks with array
 operations: CHUNK_ROUNDS rounds, fewer for games whose rows are so wide that a
 chunk would pass CHUNK_BYTES.  The chunks bound memory and nothing else, so a
-record depends on the seed and the round count, not on the chunk size.  A
-round's rows are its state's coordinates in the strategy's own spaces: Sym_in
-and Sym_out occupation coordinates (`symmetric.coherent_coordinates`) for a
-channel with symmetric output, and the full d^m tensor power only for a
-full-output channel.
+record depends on the seed and the round count, not on the chunk size.
 
 Analytic reports quote fidelities F; the protocol's literal stakes are +-1.
 A round passes with probability p = (1 + F)/2, so the mean +-1 payoff is
@@ -33,6 +29,8 @@ import numpy as np
 
 from .cloning import (
     Channel,
+    _global_overlaps,
+    _one_particle_overlaps,
     haar_avg_global_fidelity,
     haar_random_unitary,
     conjugate_output,
@@ -55,7 +53,7 @@ from .estimation import (
     mean_fidelity,
 )
 from .swap_test import referee_outcomes
-from .symmetric import coherent_coordinates, dim_sym, sym_split
+from .symmetric import dim_sym
 from .zerosum import MatrixGame, solve
 
 GAME_KINDS = ("estimation", "cloning", "one_particle")
@@ -222,7 +220,7 @@ def discretize_cloning_game(d, n_in, n_out, channels, states) -> MatrixGame:
     a = np.empty((len(channels), len(states)))
     for i, ch in enumerate(channels):
         for start in range(0, len(psi), chunk):
-            a[i, start:start + chunk] = _cloning_overlaps(ch, psi[start:start + chunk])
+            a[i, start:start + chunk] = _global_overlaps(ch, psi[start:start + chunk])
     return MatrixGame(a)
 
 
@@ -383,14 +381,6 @@ def _unit_rows(vectors: np.ndarray) -> np.ndarray:
     return vectors
 
 
-def _tensor_powers(psi: np.ndarray, k: int) -> np.ndarray:
-    """Rows psi^{(x)k}, renormalised as `tensor_power` does."""
-    out = psi
-    for _ in range(k - 1):
-        out = (out[:, :, None] * psi[:, None, :]).reshape(len(psi), -1)
-    return _unit_rows(out)
-
-
 def _estimation_overlaps(n: int, effects: np.ndarray, guesses: np.ndarray, psi: np.ndarray,
                          uniforms: np.ndarray) -> np.ndarray:
     """|<psi|guess>|^2 for the outcome each round's uniform picks from the Born rule."""
@@ -400,54 +390,6 @@ def _estimation_overlaps(n: int, effects: np.ndarray, guesses: np.ndarray, psi: 
     outcome = np.sum(np.cumsum(probs, axis=1) < draws[:, None], axis=1)
     outcome = np.minimum(outcome, len(effects) - 1)
     return np.abs(np.sum(psi.conj() * guesses[outcome], axis=1)) ** 2
-
-
-def _cloning_overlaps(ch: Channel, psi: np.ndarray) -> np.ndarray:
-    """Global fidelity sum_K |<psi^{(x)n_out}| K |psi^{(x)n_in}>|^2 per round.
-
-    Contracting <psi^{(x)n_out}| with one Kraus operator at a time keeps the
-    working arrays at one output row per round, however many Kraus operators
-    the channel has.
-    """
-    vin = coherent_coordinates(psi, ch.n_in)
-    if ch.sym_out:
-        bra = coherent_coordinates(psi, ch.n_out).conj()
-    else:
-        bra = _tensor_powers(psi, ch.n_out).conj()
-    fid = np.zeros(len(psi))
-    for k in ch.kraus:
-        fid += np.abs(np.sum((bra @ k) * vin, axis=1)) ** 2
-    return fid
-
-
-def _one_particle_overlaps(ch: Channel, psi: np.ndarray, clones: np.ndarray) -> np.ndarray:
-    """<psi| rho_c |psi> for the output clone c each round drew.
-
-    Contracting clone c of each Kraus branch with psi* and summing the squared
-    norms over the Kraus operators and the other clones gives the reduced
-    state's overlap without forming it.  One Kraus operator at a time, so the
-    working arrays stay at one output row per round.  A Sym_out branch is split
-    as Sym_{m-1} (x) C^d by sym_split(d, m - 1, 1): its clones all have the
-    same reduced state, so the last one stands for the clone drawn.
-    """
-    d, m = ch.d, ch.n_out
-    vin = coherent_coordinates(psi, ch.n_in)
-    fid = np.zeros(len(psi))
-    if ch.sym_out:
-        split = sym_split(d, m - 1, 1)
-        for k in ch.kraus:
-            branch = (vin @ k.T @ split.T).reshape(len(psi), -1, d)
-            fid += np.sum(np.abs(np.einsum("bjd,bd->bj", branch, psi.conj())) ** 2, axis=1)
-        return fid
-    for c in range(1, m + 1):
-        rows = clones == c
-        bra, kets = psi[rows].conj(), vin[rows]
-        kept = np.zeros(len(bra))
-        for k in ch.kraus:
-            split = (kets @ k.T).reshape(len(bra), d ** (c - 1), d, d ** (m - c))
-            kept += np.sum(np.abs(np.einsum("bidj,bd->bij", split, bra)) ** 2, axis=(1, 2))
-        fid[rows] = kept
-    return fid
 
 
 def _check_strategy(spec: GameSpec, strategy) -> None:
@@ -504,7 +446,7 @@ def monte_carlo_play(spec: GameSpec, strategy, seed=None) -> MonteCarloRecord:
             uniforms = np.array([s.uniform() for s in streams])
             overlaps = _estimation_overlaps(strategy.n, effects, guesses, psi, uniforms)
         elif spec.kind == "cloning":
-            overlaps = _cloning_overlaps(strategy, psi)
+            overlaps = _global_overlaps(strategy, psi)
         else:
             clones = np.array([s.generator.integers(1, strategy.n_out + 1) for s in streams])
             overlaps = _one_particle_overlaps(strategy, psi, clones)

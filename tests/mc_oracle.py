@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from qgames.cloning import Channel
-from qgames.core import RandomStream, haar_random_state, partial_trace_matrix, tensor_power
+from qgames.core import PureState, RandomStream, haar_random_state, partial_trace_matrix, tensor_power
 from qgames.estimation import Povm
 from qgames.harness import MonteCarloRecord
 from qgames.swap_test import draw_outcome
@@ -36,25 +36,33 @@ def _estimation_round(povm: Povm, stream: RandomStream) -> int:
     return draw_outcome(psi.overlap_probability(povm.guesses[outcome]), stream)
 
 
-def _cloning_round(ch: Channel, stream: RandomStream) -> int:
-    psi = haar_random_state(ch.d, stream)
+def global_round_fidelity(ch: Channel, psi: PureState) -> float:
+    """<psi^{n_out}| ch(psi^{n_in}) |psi^{n_out}> from the full tensor powers."""
     vin = tensor_power(psi, ch.n_in).amplitudes
     vout = tensor_power(psi, ch.n_out).amplitudes
-    fid = sum(abs(np.vdot(vout, k @ vin)) ** 2 for k in full_kraus(ch))
-    return draw_outcome(fid, stream)
+    return sum(abs(np.vdot(vout, k @ vin)) ** 2 for k in full_kraus(ch))
 
 
-def _one_particle_round(ch: Channel, stream: RandomStream) -> int:
-    psi = haar_random_state(ch.d, stream)
-    clone = int(stream.generator.integers(1, ch.n_out + 1))
+def one_particle_round_fidelity(ch: Channel, psi: PureState, clone: int) -> float:
+    """<psi| rho_clone |psi>, the clone's reduced state traced out of each full branch."""
     vin = tensor_power(psi, ch.n_in).amplitudes
     dims = [ch.d] * ch.n_out
     reduced = np.zeros((ch.d, ch.d), dtype=complex)
     for k in full_kraus(ch):
         branch = np.outer(k @ vin, (k @ vin).conj())
         reduced += partial_trace_matrix(branch, dims, keep=[clone - 1])
-    fid = float(np.vdot(psi.amplitudes, reduced @ psi.amplitudes).real)
-    return draw_outcome(fid, stream)
+    return float(np.vdot(psi.amplitudes, reduced @ psi.amplitudes).real)
+
+
+def _cloning_round(ch: Channel, stream: RandomStream) -> int:
+    psi = haar_random_state(ch.d, stream)
+    return draw_outcome(global_round_fidelity(ch, psi), stream)
+
+
+def _one_particle_round(ch: Channel, stream: RandomStream) -> int:
+    psi = haar_random_state(ch.d, stream)
+    clone = int(stream.generator.integers(1, ch.n_out + 1))
+    return draw_outcome(one_particle_round_fidelity(ch, psi, clone), stream)
 
 
 _ROUNDS = {

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+import qgames.cli
+from qgames.cli import main
 from qgames.cloning import (
     Channel,
     NonSymmetricInput,
@@ -109,6 +111,43 @@ class TestChannelMechanics:
         bad = [np.array([[0.5, 0.0], [0.0, 0.5]])]
         with pytest.raises(ValueError, match="trace preserving"):
             Channel(2, 1, 1, bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, monkeypatch, bad):
+        # refused before the completeness eigensolve, which would not converge
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *args, **kwargs: calls.append(args))
+        kraus = np.eye(2, dtype=complex)[None].copy()
+        kraus[0, 1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            Channel(2, 1, 1, kraus)
+        assert calls == []
+
+    def test_construction_leaves_the_choi_matrix_unbuilt(self, monkeypatch, tmp_path):
+        # the only eigensolve is the 31 x 31 completeness defect: the Choi
+        # matrix (side 961) is neither built nor diagonalised
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        ch = optimal_cloner(2, 30, 30)
+        assert shapes == [(31, 31)]
+        assert "choi" not in vars(ch)
+        built = []
+
+        def cloner(*args):
+            built.append(optimal_cloner(*args))
+            return built[-1]
+
+        monkeypatch.setattr(qgames.cli, "optimal_cloner", cloner)
+        argv = ["clone", "--d", "2", "--n", "30", "--m", "30", "--out", str(tmp_path / "doc.json")]
+        assert main(argv) == 0
+        assert len(built) == 1 and "choi" not in vars(built[0])
+        assert ch.choi.shape == (961, 961) and "choi" in vars(ch)
 
     def test_rejects_wrong_shapes(self):
         with pytest.raises(ShapeError):

@@ -11,11 +11,15 @@ import numpy as np
 import pytest
 
 import dense_oracle
+import mc_oracle
 import qgames.cloning
 import qgames.estimation
 import qgames.harness
 from qgames.cloning import (
+    _global_overlaps,
+    _one_particle_overlaps,
     conjugate_output,
+    global_fidelity,
     haar_avg_global_fidelity,
     haar_random_unitary,
     mirror_embedding_channel,
@@ -73,6 +77,48 @@ def test_channel_evaluators_match_dense_oracle(kind, d, n, m):
     for k in range(1, m + 1):
         got = single_clone_haar_fidelity(ch, k)
         assert abs(got - dense_oracle.single_clone_haar_fidelity(ch, k)) <= TOL
+
+
+FULL_OUTPUT_CASES = [(2, 1, 2), (2, 1, 3), (2, 2, 4), (3, 1, 2), (3, 1, 3)]
+
+
+def full_output_channels(d, n, m):
+    """Full-output channels, Sym_out channels mixed with them, and every ancilla size."""
+    stream = RandomStream(9000 + 100 * d + 10 * n + m)
+    cloner = optimal_cloner(d, n, m)
+    product, mirror = product_embedding_channel(d, n, m), mirror_embedding_channel(d, n, m)
+    channels = {
+        "product": product,
+        "mirror": mirror,
+        "conjugated-cloner": conjugate_output(cloner, haar_random_unitary(d**m, stream.substream(0))),
+        "conjugated-product": conjugate_output(product, haar_random_unitary(d**m, stream.substream(1))),
+        "cloner-product": mixture_channel(cloner, product, 0.3),
+        "noise-mirror": mixture_channel(symmetric_noise_channel(d, n, m), mirror, 0.6),
+    }
+    for anc in range(1, d**m + 1):
+        channels[f"random-{anc}"] = random_isometry_channel(d, n, m, stream.substream(1 + anc), anc)
+    return channels
+
+
+@pytest.mark.parametrize("d, n, m", FULL_OUTPUT_CASES)
+def test_full_output_evaluators_match_the_oracles(d, n, m):
+    # exact averages against the dense Choi matrix, per-state fidelities and
+    # the Monte Carlo kernels against round-by-round full tensor powers
+    states = [haar_random_state(d, RandomStream(9100 + 10 * d + m, i)) for i in range(12)]
+    psi = np.stack([s.amplitudes for s in states])
+    clones = np.arange(len(states)) % m + 1
+    for label, ch in full_output_channels(d, n, m).items():
+        assert not ch.sym_out, label
+        got = haar_avg_global_fidelity(ch)
+        assert abs(got - dense_oracle.haar_avg_global_fidelity(ch)) <= TOL, label
+        for k in range(1, m + 1):
+            got = single_clone_haar_fidelity(ch, k)
+            assert abs(got - dense_oracle.single_clone_haar_fidelity(ch, k)) <= TOL, label
+        want = np.array([mc_oracle.global_round_fidelity(ch, s) for s in states])
+        assert np.max(np.abs([global_fidelity(ch, s) for s in states] - want)) <= TOL, label
+        assert np.max(np.abs(_global_overlaps(ch, psi) - want)) <= TOL, label
+        want = [mc_oracle.one_particle_round_fidelity(ch, s, c) for s, c in zip(states, clones)]
+        assert np.max(np.abs(_one_particle_overlaps(ch, psi, clones) - want)) <= TOL, label
 
 
 @pytest.mark.parametrize("kind", CHANNEL_KINDS)

@@ -22,7 +22,14 @@ from qgames.cloning import (
     symmetric_noise_channel,
     value_formulas,
 )
-from qgames.core import PureState, RandomStream, ShapeError, SizeCapExceeded, haar_random_state
+from qgames.core import (
+    InvalidArity,
+    PureState,
+    RandomStream,
+    ShapeError,
+    SizeCapExceeded,
+    haar_random_state,
+)
 from qgames.estimation import (
     Povm,
     build_povm,
@@ -569,4 +576,18 @@ class TestAsymBoundScan:
             random_isometry_channel(2, 1, 7, RandomStream(1))
         with pytest.raises(SizeCapExceeded):
             random_isometry_channel(2, 1, 2, RandomStream(1), ancilla_dim=1025)
+        # an 8192-side unitary (2^26 normals, 1 GB) and a 2^20-side one
+        with pytest.raises(SizeCapExceeded):
+            cloner_perturbations(optimal_cloner(2, 6, 13), 1, RandomStream(1))
+        with pytest.raises(SizeCapExceeded):
+            haar_random_unitary(2**20, RandomStream(1))
+        assert calls == []
+
+    @pytest.mark.parametrize("ancilla_dim", [-1, 0])
+    def test_empty_ancilla_fails_before_drawing(self, monkeypatch, ancilla_dim):
+        calls = []
+        monkeypatch.setattr(RandomStream, "complex_normals",
+                            lambda self, count: calls.append(count))
+        with pytest.raises(InvalidArity):
+            random_isometry_channel(2, 1, 2, RandomStream(1), ancilla_dim=ancilla_dim)
         assert calls == []
