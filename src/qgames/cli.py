@@ -217,7 +217,7 @@ def _run_mc_play(config):
         samples=config.samples, seed=config.seed,
     )
     if config.game == "estimation":
-        strategy = build_povm(config.n, default_directions(config.n))
+        strategy = universal_povm(config.n)
     else:
         strategy = optimal_cloner(config.d, config.n, config.m)
     record = harness.monte_carlo_play(spec, strategy)
@@ -296,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     add_common(p)
 
-    p = sub.add_parser("mc-play", help="Monte Carlo protocol play")
+    p = sub.add_parser("mc-play", help="Monte Carlo protocol play: the universal POVM "
+                                       "or the optimal cloner against the referee")
     p.add_argument("--game", choices=("estimation", "cloning", "one_particle"), required=True)
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--n", type=int, default=1)

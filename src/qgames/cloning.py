@@ -317,14 +317,15 @@ def random_isometry_channel(d, n_in, n_out, rng: RandomStream, ancilla_dim=None)
     The channel has full output rows, and its Kraus operators are the
     isometry's blocks restricted to Sym_in (times V_in).
 
-    The isometry is the first d**n_in columns of the Haar unitary that
-    `haar_random_unitary(d**n_out * ancilla_dim, rng)` would return.  The
-    stream therefore still yields the whole (d**n_out * ancilla_dim)**2 Ginibre
-    matrix, so every seed gives the channel it always gave.  Only the kept
-    columns are orthonormalised: Q's first k columns and R's leading k x k
-    block depend on the Ginibre matrix's first k columns alone, so the reduced
-    QR of those columns, with the same phase fix, gives the same isometry to
-    rounding at a fraction of the cost.  The size cap counts the Ginibre side
+    Seed scheme v2: the stream yields only the d**n_in Ginibre columns that
+    are kept, a (d**n_out * ancilla_dim, d**n_in) block of complex normals,
+    and their reduced QR with the phase fix of `_phase_fixed_q` orthonormalises
+    them.  Those columns are distributed as the leading columns of a Haar
+    unitary, so the isometry is Haar distributed.  The asymmetric-bound scan
+    takes one substream per channel; `mc-play` rounds draw by the same scheme
+    (`harness.monte_carlo_play`), while `harness.haar_states`,
+    `harness.cloner_perturbations` and `harness.povm_perturbations` keep one
+    substream per item.  The size cap counts the Ginibre side
     d**n_out * ancilla_dim and is checked, as is ancilla_dim >= 1, before
     anything is drawn.
     """
@@ -333,7 +334,7 @@ def random_isometry_channel(d, n_in, n_out, rng: RandomStream, ancilla_dim=None)
     if anc < 1:
         raise InvalidArity(f"ancilla dimension must be >= 1, got {anc}")
     dim = check_size_cap(dim_out * anc)
-    z = rng.complex_normals(dim * dim).reshape(dim, dim)[:, :dim_in] / math.sqrt(2.0)
+    z = rng.complex_normals(dim * dim_in).reshape(dim, dim_in) / math.sqrt(2.0)
     iso = _phase_fixed_q(z).reshape(dim_out, anc, dim_in)
     kraus = np.ascontiguousarray(iso.transpose(1, 0, 2)) @ sym_isometry(d, n_in)
     return Channel(d, n_in, n_out, kraus)

@@ -120,8 +120,16 @@ class RandomStream:
 
     Identical (seed, counter) pairs replay identical draw sequences.
     Substreams with distinct counters are statistically independent by
-    construction (numpy seed-sequence spawn keys), so per-round or per-worker
-    consumers can each take their own counter without coordination.
+    construction (numpy seed-sequence spawn keys), so consumers can each take
+    their own counter without coordination.
+
+    Under seed scheme v2 a consumer takes one substream per block of work and
+    draws whole arrays from it: `mc-play` rounds one substream per draw chunk
+    of `harness.DRAW_ROUNDS` rounds, and the scan's random channels one per
+    channel, drawing only the Ginibre columns they keep
+    (`cloning.random_isometry_channel`).  `harness.haar_states`,
+    `harness.cloner_perturbations` and `harness.povm_perturbations` keep one
+    substream per item.
     """
 
     def __init__(self, seed: int, counter: int = 0):

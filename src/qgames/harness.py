@@ -7,11 +7,18 @@ sets sandwiches the theoretical game value.  Monte Carlo play runs the actual
 referee protocol, and the brute-force scan checks the asymmetric-cloning
 fidelity-sum ceiling over random channels.
 
-Every Monte Carlo round takes its draws from its own substream of the seed,
-one substream per round.  Rounds are evaluated in fixed chunks with array
-operations: CHUNK_ROUNDS rounds, fewer for games whose rows are so wide that a
-chunk would pass CHUNK_BYTES.  The chunks bound memory and nothing else, so a
-record depends on the seed and the round count, not on the chunk size.
+Monte Carlo rounds and the scan's random channels draw by seed scheme v2.
+Rounds come in draw chunks of DRAW_ROUNDS: draw chunk c takes one substream of
+the seed, `substream(c)`, and draws whole arrays from it for all of its rounds,
+so round i depends on the seed and i alone.  Each random channel of the scan
+takes one substream per channel and draws only the Ginibre columns it keeps
+(`random_isometry_channel`).  The other random sets keep one substream per
+item: `haar_states` per state, `cloner_perturbations` and
+`povm_perturbations` per perturbation.  Rounds are evaluated in memory chunks
+with array operations: CHUNK_ROUNDS rounds, fewer for games whose rows are so
+wide that a chunk would pass CHUNK_BYTES.  Memory chunks subdivide a draw
+chunk and bound memory and nothing else, so a record depends on the seed and
+the round count, not on the memory chunk size.
 
 Analytic reports quote fidelities F; the protocol's literal stakes are +-1.
 A round passes with probability p = (1 + F)/2, so the mean +-1 payoff is
@@ -58,9 +65,13 @@ from .zerosum import MatrixGame, solve
 
 GAME_KINDS = ("estimation", "cloning", "one_particle")
 
-#: Monte Carlo rounds evaluated together with array operations.  Chunks bound
-#: the working memory only: each round draws from its own substream, so records
-#: do not depend on the chunk length.
+#: Rounds per draw chunk of seed scheme v2: draw chunk c covers rounds
+#: c*DRAW_ROUNDS .. (c+1)*DRAW_ROUNDS - 1 and draws them all from substream c.
+#: Part of the determinism contract: changing it changes every record.
+DRAW_ROUNDS = 256
+#: Monte Carlo rounds evaluated together with array operations.  Memory chunks
+#: subdivide a draw chunk and bound the working memory only, so records do not
+#: depend on the chunk length.
 CHUNK_ROUNDS = 256
 #: Bytes one chunk's widest per-round array may take: games whose rows are wide
 #: (many Sym_out coordinates or d^m amplitudes) run fewer than CHUNK_ROUNDS
@@ -407,16 +418,42 @@ def _check_strategy(spec: GameSpec, strategy) -> None:
             raise ShapeError(f"channel arity {arity} != spec arity {(spec.d, spec.n, spec.m)}")
 
 
+def _draw_chunk(kind: str, stream: RandomStream, d: int, n_out: int):
+    """Seed scheme v2 draws of one draw chunk, every array DRAW_ROUNDS long.
+
+    In protocol order: the Haar states' complex normals as a (DRAW_ROUNDS, d)
+    array, then the estimation outcomes' uniforms or the one-particle clone
+    indices (None for the global cloning game), then the referee's uniforms.
+    """
+    gen = stream.generator
+    normals = stream.complex_normals(DRAW_ROUNDS * d).reshape(DRAW_ROUNDS, d)
+    if kind == "estimation":
+        middle = gen.random(DRAW_ROUNDS)
+    elif kind == "one_particle":
+        middle = gen.integers(1, n_out + 1, size=DRAW_ROUNDS)
+    else:
+        middle = None
+    return normals, middle, gen.random(DRAW_ROUNDS)
+
+
 def monte_carlo_play(spec: GameSpec, strategy, seed=None) -> MonteCarloRecord:
     """Play `spec.samples` protocol rounds against the SWAP-test referee.
 
-    Round i draws from its own substream `RandomStream(seed).substream(i)`, in
-    protocol order: the Haar state's complex normals, then the estimation
-    outcome's uniform or the one-particle clone index, then the referee's
-    uniform.  The rounds are evaluated in fixed chunks with array operations:
+    Draws follow seed scheme v2, the scheme the scan's random channels also
+    use (`random_isometry_channel`).  Draw chunk c holds rounds
+    c*DRAW_ROUNDS .. (c+1)*DRAW_ROUNDS - 1 and draws all of them, whole arrays
+    at a time, from the one substream `RandomStream(seed).substream(c)`, in
+    protocol order: the Haar states' complex normals, then the estimation
+    outcomes' uniforms or the one-particle clone indices, then the referee's
+    uniforms (`_draw_chunk`).  A final partial chunk uses its first rows only,
+    so round i depends on (seed, i) alone and the record of N rounds is the
+    prefix of the record of any longer play.  `haar_states`,
+    `cloner_perturbations` and `povm_perturbations` keep one substream per item.
+
+    Each draw chunk is evaluated in memory chunks with array operations:
     CHUNK_ROUNDS rounds, or fewer where one round's widest row is so wide that
-    a chunk's rows would pass CHUNK_BYTES.  Chunking only bounds the working
-    memory: every round keeps its own draws, so the record depends on the seed
+    a chunk's rows would pass CHUNK_BYTES.  Memory chunks subdivide a draw
+    chunk and only bound the working memory, so the record depends on the seed
     and not on the chunk length.  The size cap counts that widest row: the
     Povm's outcome count or its n + 1 coordinates, or the channel's Kraus rows
     or columns.
@@ -434,24 +471,30 @@ def monte_carlo_play(spec: GameSpec, strategy, seed=None) -> MonteCarloRecord:
     seed = spec.seed if seed is None else int(seed)
     root = RandomStream(seed)
     chunk = _chunk_length(width)
+    full, rest = divmod(spec.samples, DRAW_ROUNDS)
+    draw_chunks = full + (rest > 0)
+    memory_chunks = full * -(-DRAW_ROUNDS // chunk) + -(-rest // chunk)
     _log.debug(
-        "monte_carlo_play %s d=%d n=%d m=%d: %d rounds in %d chunks of %d",
-        spec.kind, spec.d, spec.n, spec.m, spec.samples, -(-spec.samples // chunk), chunk,
+        "monte_carlo_play %s d=%d n=%d m=%d: %d rounds in %d chunks of %d; "
+        "seed scheme v2, %d draw chunks of %d",
+        spec.kind, spec.d, spec.n, spec.m, spec.samples, memory_chunks, chunk,
+        draw_chunks, DRAW_ROUNDS,
     )
     total = 0
-    for start in range(0, spec.samples, chunk):
-        streams = [root.substream(i) for i in range(start, min(start + chunk, spec.samples))]
-        psi = _unit_rows(np.array([s.complex_normals(d) for s in streams]))
-        if spec.kind == "estimation":
-            uniforms = np.array([s.uniform() for s in streams])
-            overlaps = _estimation_overlaps(strategy.n, effects, guesses, psi, uniforms)
-        elif spec.kind == "cloning":
-            overlaps = _global_overlaps(strategy, psi)
-        else:
-            clones = np.array([s.generator.integers(1, strategy.n_out + 1) for s in streams])
-            overlaps = _one_particle_overlaps(strategy, psi, clones)
-        referee = np.array([s.uniform() for s in streams])
-        total += int(np.sum(referee_outcomes(overlaps, referee)))
+    for c in range(draw_chunks):
+        normals, middle, referee = _draw_chunk(spec.kind, root.substream(c), d, spec.m)
+        rounds = min(DRAW_ROUNDS, spec.samples - c * DRAW_ROUNDS)
+        psi = _unit_rows(normals[:rounds])
+        for start in range(0, rounds, chunk):
+            rows = slice(start, min(start + chunk, rounds))
+            if spec.kind == "estimation":
+                overlaps = _estimation_overlaps(strategy.n, effects, guesses, psi[rows],
+                                                middle[rows])
+            elif spec.kind == "cloning":
+                overlaps = _global_overlaps(strategy, psi[rows])
+            else:
+                overlaps = _one_particle_overlaps(strategy, psi[rows], middle[rows])
+            total += int(np.sum(referee_outcomes(overlaps, referee[rows])))
     mean = total / spec.samples
     # outcomes are +-1, so the sample variance is exactly 1 - mean^2
     stderr = math.sqrt(max(0.0, 1.0 - mean * mean) / spec.samples)

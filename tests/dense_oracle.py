@@ -12,7 +12,7 @@ projector.  They share no code with the compressed evaluators beyond
 full-space vectors the long way.
 
 `random_isometry_kraus` is the long way to a random isometry channel: the
-leading columns of a full Haar unitary.
+same Ginibre columns, orthonormalised by Gram-Schmidt instead of QR.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qgames.cloning import Channel, haar_random_unitary
+from qgames.cloning import Channel
 from qgames.core import DEFAULT_SIZE_CAP, ShapeError, check_size_cap, partial_trace_matrix, tensor_power
 from qgames.estimation import Povm
 from qgames.symmetric import dim_sym, sym_isometry, sym_projector
@@ -69,15 +69,27 @@ def full_choi(ch: Channel) -> np.ndarray:
 
 
 def random_isometry_kraus(d, n_in, n_out, rng, ancilla_dim=None) -> list[np.ndarray]:
-    """Kraus operators of `random_isometry_channel` from the whole Haar unitary.
+    """Kraus operators of `random_isometry_channel` by Gram-Schmidt.
 
-    Orthonormalises all d^n_out * ancilla_dim columns of the unitary and keeps
-    the first d^n_in of them as the isometry into output (x) ancilla.
+    Draws the same d^n_out * ancilla_dim by d^n_in block of complex normals
+    (seed scheme v2: the kept columns only) and orthonormalises its columns by
+    modified Gram-Schmidt, each column swept twice.  R's diagonal is then the
+    positive norm of each residual, which is the phase fix that makes the
+    isometry unique.  Its blocks are the Kraus operators on the full input.
     """
     dim_in, dim_out = d**n_in, d**n_out
     anc = dim_out if ancilla_dim is None else int(ancilla_dim)
-    u = haar_random_unitary(dim_out * anc, rng)
-    iso = u[:, :dim_in].reshape(dim_out, anc, dim_in)
+    gen = rng.generator
+    real = gen.standard_normal((dim_out * anc, dim_in))
+    z = real + 1j * gen.standard_normal((dim_out * anc, dim_in))
+    q = np.empty_like(z)
+    for j in range(dim_in):
+        v = z[:, j].copy()
+        for _ in range(2):
+            for i in range(j):
+                v -= q[:, i] * np.vdot(q[:, i], v)
+        q[:, j] = v / np.linalg.norm(v)
+    iso = q.reshape(dim_out, anc, dim_in)
     return [iso[:, a, :] for a in range(anc)]
 
 

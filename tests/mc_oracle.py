@@ -1,9 +1,13 @@
 """Round-by-round Monte Carlo play, the oracle for `harness.monte_carlo_play`.
 
-Each round builds its Haar state, tensor powers and Kraus branches on its own,
-on the full d^n and d^m registers, exactly as the harness did before it batched
-rounds and compressed them; the batched code must return records equal to
-these.
+The draws follow seed scheme v2, replayed here with this module's own code:
+draw chunk c of ORACLE_DRAW_ROUNDS rounds takes the substream c of the seed
+and draws, in this order, the rounds' complex normals (all real parts, then
+all imaginary parts), the estimation uniforms or the one-particle clone
+indices, and the referee uniforms.  Each round then builds its Haar state,
+tensor powers and Kraus branches on its own, on the full d^n and d^m
+registers, exactly as the harness did before it batched rounds and compressed
+them; the batched code must return records equal to these.
 """
 
 import math
@@ -11,11 +15,13 @@ import math
 import numpy as np
 
 from qgames.cloning import Channel
-from qgames.core import PureState, RandomStream, haar_random_state, partial_trace_matrix, tensor_power
+from qgames.core import PureState, RandomStream, partial_trace_matrix, tensor_power
 from qgames.estimation import Povm
 from qgames.harness import MonteCarloRecord
-from qgames.swap_test import draw_outcome
 from qgames.symmetric import sym_isometry
+
+#: The draw-chunk length of seed scheme v2, written out rather than imported.
+ORACLE_DRAW_ROUNDS = 256
 
 
 def full_kraus(ch: Channel) -> np.ndarray:
@@ -26,14 +32,17 @@ def full_kraus(ch: Channel) -> np.ndarray:
     return kraus
 
 
-def _estimation_round(povm: Povm, stream: RandomStream) -> int:
-    psi = haar_random_state(2, stream)
+def _referee(fidelity: float, uniform: float) -> int:
+    """The SWAP test passes, +1, when the uniform falls below (1 + fidelity)/2."""
+    return 1 if uniform < 0.5 * (1.0 + fidelity) else -1
+
+
+def _estimation_round(povm: Povm, psi: PureState, uniform: float) -> float:
     probs = povm.outcome_probabilities(psi)
-    total = probs.sum()
-    draw = stream.uniform() * total
+    draw = uniform * probs.sum()
     outcome = int(np.searchsorted(np.cumsum(probs), draw))
     outcome = min(outcome, len(probs) - 1)
-    return draw_outcome(psi.overlap_probability(povm.guesses[outcome]), stream)
+    return psi.overlap_probability(povm.guesses[outcome])
 
 
 def global_round_fidelity(ch: Channel, psi: PureState) -> float:
@@ -54,29 +63,39 @@ def one_particle_round_fidelity(ch: Channel, psi: PureState, clone: int) -> floa
     return float(np.vdot(psi.amplitudes, reduced @ psi.amplitudes).real)
 
 
-def _cloning_round(ch: Channel, stream: RandomStream) -> int:
-    psi = haar_random_state(ch.d, stream)
-    return draw_outcome(global_round_fidelity(ch, psi), stream)
-
-
-def _one_particle_round(ch: Channel, stream: RandomStream) -> int:
-    psi = haar_random_state(ch.d, stream)
-    clone = int(stream.generator.integers(1, ch.n_out + 1))
-    return draw_outcome(one_particle_round_fidelity(ch, psi, clone), stream)
-
-
-_ROUNDS = {
-    "estimation": _estimation_round,
-    "cloning": _cloning_round,
-    "one_particle": _one_particle_round,
-}
+def _chunk_outcomes(kind: str, strategy, stream: RandomStream, rounds: int) -> list[int]:
+    """The first `rounds` outcomes of one draw chunk, from its own substream."""
+    b = ORACLE_DRAW_ROUNDS
+    d = 2 if kind == "estimation" else strategy.d
+    gen = stream.generator
+    real = gen.standard_normal((b, d))
+    normals = real + 1j * gen.standard_normal((b, d))
+    if kind == "estimation":
+        middle = gen.random(b)
+    elif kind == "one_particle":
+        middle = gen.integers(1, strategy.n_out + 1, size=b)
+    referee = gen.random(b)
+    outcomes = []
+    for i in range(rounds):
+        psi = PureState.normalized(normals[i])
+        if kind == "estimation":
+            fidelity = _estimation_round(strategy, psi, float(middle[i]))
+        elif kind == "cloning":
+            fidelity = global_round_fidelity(strategy, psi)
+        else:
+            fidelity = one_particle_round_fidelity(strategy, psi, int(middle[i]))
+        outcomes.append(_referee(fidelity, float(referee[i])))
+    return outcomes
 
 
 def oracle_outcomes(kind: str, strategy, samples: int, seed: int) -> list[int]:
-    """The +-1 outcomes of rounds 0 .. samples-1, one substream per round."""
+    """The +-1 outcomes of rounds 0 .. samples-1, one substream per draw chunk."""
     root = RandomStream(seed)
-    play = _ROUNDS[kind]
-    return [play(strategy, root.substream(i)) for i in range(samples)]
+    outcomes = []
+    for c in range(-(-samples // ORACLE_DRAW_ROUNDS)):
+        rounds = min(ORACLE_DRAW_ROUNDS, samples - c * ORACLE_DRAW_ROUNDS)
+        outcomes += _chunk_outcomes(kind, strategy, root.substream(c), rounds)
+    return outcomes
 
 
 def oracle_record(kind: str, outcomes, seed: int) -> MonteCarloRecord:

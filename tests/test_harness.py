@@ -394,8 +394,9 @@ MC_GAMES = [
     _mc_game("one_particle", 3, 1, 3,
              lambda: random_isometry_channel(3, 1, 3, RandomStream(9), ancilla_dim=2), "random"),
 ]
-# one round, chunk edges of the 256-round chunks, and several chunks
-MC_SAMPLE_COUNTS = (1, 255, 256, 257, 1000)
+# one round, the edges of the first two 256-round draw chunks, and several
+# draw chunks
+MC_SAMPLE_COUNTS = (1, 255, 256, 257, 513, 1000)
 
 
 class TestMonteCarloOracle:
@@ -455,18 +456,58 @@ class TestMonteCarloOracle:
         assert record.levelno == logging.DEBUG
         message = record.getMessage()
         assert "cloning d=3 n=2 m=3" in message
-        assert "600 rounds in 3 chunks of 256" in message
+        assert "600 rounds in 3 chunks of 256; seed scheme v2, 3 draw chunks of 256" in message
 
     @pytest.mark.parametrize("make, width", [(product_embedding_channel, 27),
                                              (optimal_cloner, 10)])
     def test_wide_outputs_shorten_chunks(self, monkeypatch, caplog, make, width):
         # 27 full output amplitudes or 10 Sym_out coordinates per round;
-        # CHUNK_BYTES fits 100 rounds of them
+        # CHUNK_BYTES fits 100 rounds of them.  Memory chunks subdivide the
+        # draw chunks of 256, 256 and 88 rounds: 3 + 3 + 1 of them.
         monkeypatch.setattr(qgames.harness, "CHUNK_BYTES", 16 * width * 100)
         spec = GameSpec("cloning", d=3, n=2, m=3, samples=600, seed=1)
         with caplog.at_level(logging.DEBUG, logger="qgames.harness"):
             monte_carlo_play(spec, make(3, 2, 3))
-        assert "600 rounds in 6 chunks of 100" in caplog.records[-1].getMessage()
+        assert "600 rounds in 7 chunks of 100" in caplog.records[-1].getMessage()
+
+    @pytest.mark.parametrize("kind, d, n, m, make", MC_GAMES)
+    def test_shorter_play_is_a_prefix(self, monkeypatch, kind, d, n, m, make):
+        # seed scheme v2: round i depends on (seed, i) alone, so 300 rounds
+        # replay the first 300 outcomes of 600; the spy keeps the harness's own
+        # per-round outcomes, which the records only sum
+        strategy = make()
+        chunks = []
+        real = qgames.harness.referee_outcomes
+
+        def spy(overlaps, uniforms):
+            chunks.append(real(overlaps, uniforms))
+            return chunks[-1]
+
+        monkeypatch.setattr(qgames.harness, "referee_outcomes", spy)
+        outcomes = []
+        for samples in (300, 600):
+            chunks.clear()
+            monte_carlo_play(GameSpec(kind, d=d, n=n, m=m, samples=samples, seed=17), strategy)
+            outcomes.append(np.concatenate(chunks))
+        assert len(outcomes[0]) == 300 and len(outcomes[1]) == 600
+        assert np.array_equal(outcomes[0], outcomes[1][:300])
+
+    @pytest.mark.parametrize("kind, d, n, m, make", MC_GAMES)
+    def test_one_stream_per_draw_chunk(self, monkeypatch, kind, d, n, m, make):
+        # the root stream plus one substream per draw chunk of DRAW_ROUNDS
+        strategy = make()
+        streams = []
+        real = RandomStream.__init__
+
+        def spy(self, *args, **kwargs):
+            streams.append(args)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(RandomStream, "__init__", spy)
+        for samples in (1, 256, 600, 2000):
+            streams.clear()
+            monte_carlo_play(GameSpec(kind, d=d, n=n, m=m, samples=samples, seed=5), strategy)
+            assert len(streams) <= -(-samples // qgames.harness.DRAW_ROUNDS) + 1
 
 
 class TestAsymBoundScan:
@@ -582,6 +623,25 @@ class TestAsymBoundScan:
         with pytest.raises(SizeCapExceeded):
             haar_random_unitary(2**20, RandomStream(1))
         assert calls == []
+
+    @pytest.mark.parametrize("d, n, m, ancilla_dim", [(2, 1, 2, None), (3, 1, 2, None),
+                                                      (2, 2, 3, 3), (2, 1, 3, 1)])
+    def test_random_channels_draw_only_kept_columns(self, monkeypatch, d, n, m, ancilla_dim):
+        # seed scheme v2: D * d^n_in normals per channel, D = d^m * ancilla,
+        # not the D^2 of the whole Ginibre matrix
+        calls = []
+        real = RandomStream.complex_normals
+
+        def spy(self, count):
+            calls.append(count)
+            return real(self, count)
+
+        monkeypatch.setattr(RandomStream, "complex_normals", spy)
+        report = asym_bound_scan(d, n, m, n_random=3, grid_points=0, seed=4,
+                                 ancilla_dim=ancilla_dim)
+        assert report.passed
+        anc = d**m if ancilla_dim is None else ancilla_dim
+        assert calls == [d**m * anc * d**n] * 3
 
     @pytest.mark.parametrize("ancilla_dim", [-1, 0])
     def test_empty_ancilla_fails_before_drawing(self, monkeypatch, ancilla_dim):

@@ -96,9 +96,8 @@ class TestSampleOutcome:
     def test_orthogonal_states_fair_coin(self):
         rng = RandomStream(6)
         count = 100_000
-        total = sum(
-            sample_outcome(KET0.density(), KET1.density(), rng) for _ in range(count)
-        )
+        rho, sigma = KET0.density(), KET1.density()
+        total = sum(sample_outcome(rho, sigma, rng) for _ in range(count))
         assert abs(total / count) <= 3.0 / math.sqrt(count)
 
     def test_deterministic_sequence(self):
