@@ -42,10 +42,8 @@ from .estimation import (
     default_directions,
     design_directions,
     mean_fidelity,
-    measurement_vector,
     respond,
     universal_povm,
-    wigner_d_top,
 )
 from .zerosum import (
     CovarianceViolation,

@@ -17,8 +17,8 @@ import sys
 
 from . import harness
 from .cloning import optimal_cloner, product_embedding_channel, single_clone_haar_fidelity, value_formulas, haar_avg_global_fidelity
-from .core import RandomStream, SizeCapExceeded, ShapeError, InvalidArity
-from .estimation import IncompletePovm, build_povm, default_directions, mean_fidelity, universal_povm
+from .core import RandomStream
+from .estimation import build_povm, default_directions, mean_fidelity, universal_povm
 from .zerosum import NonConvergence, rock_paper_scissors, solve
 
 
@@ -334,7 +334,7 @@ def run(config) -> int:
     runner = _RUNNERS[config.command]
     try:
         doc, rows, code = runner(config)
-    except (SizeCapExceeded, ShapeError, InvalidArity, IncompletePovm, NonConvergence, ValueError) as exc:
+    except (ValueError, NonConvergence) as exc:
         doc = {
             "command": config.command,
             "error": {"type": type(exc).__name__, "message": str(exc)},

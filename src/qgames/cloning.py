@@ -326,13 +326,15 @@ def random_isometry_channel(d, n_in, n_out, rng: RandomStream, ancilla_dim=None)
     (`harness.monte_carlo_play`), while `harness.haar_states`,
     `harness.cloner_perturbations` and `harness.povm_perturbations` keep one
     substream per item.  The size cap counts the Ginibre side
-    d**n_out * ancilla_dim and is checked, as is ancilla_dim >= 1, before
-    anything is drawn.
+    d**n_out * ancilla_dim and is checked before anything is drawn, as are
+    ancilla_dim >= 1 and a Ginibre side of at least the d**n_in kept columns.
     """
     dim_in, dim_out = d**n_in, d**n_out
     anc = dim_out if ancilla_dim is None else int(ancilla_dim)
     if anc < 1:
         raise InvalidArity(f"ancilla dimension must be >= 1, got {anc}")
+    if dim_out * anc < dim_in:
+        raise InvalidArity(f"Ginibre side {dim_out * anc} < {dim_in} kept columns; raise ancilla_dim")
     dim = check_size_cap(dim_out * anc)
     z = rng.complex_normals(dim * dim_in).reshape(dim, dim_in) / math.sqrt(2.0)
     iso = _phase_fixed_q(z).reshape(dim_out, anc, dim_in)

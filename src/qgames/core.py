@@ -47,6 +47,15 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_unit_rows(rows: np.ndarray) -> np.ndarray:
+    """`rows` itself, once every row has unit norm within 1e-12 as `PureState` requires."""
+    norms = np.linalg.norm(rows, axis=-1)
+    off = np.abs(norms - 1.0) > 1e-12
+    if np.any(off):
+        raise ValueError(f"state vector norm {norms[off][0]!r} is not 1 within 1e-12")
+    return rows
+
+
 @dataclass(frozen=True)
 class PureState:
     """Unit-norm complex state vector."""

@@ -2,8 +2,10 @@
 
 Strategies are POVMs on the (n+1)-dimensional symmetric subspace of the copy
 register, each outcome paired with a guess state.  Effects are weighted
-projectors onto rotated spin-coherent vectors; the weights must tile the
-identity of the symmetric subspace (completeness), which we solve for by
+projectors onto the coherent coordinates of each direction's qubit, the
+occupation coordinates of phi_r^{tensor n} that `coherent_coordinates` writes
+down, the same representation the cloning side uses; the weights must tile
+the identity of the symmetric subspace (completeness), which we solve for by
 nonnegative least squares over any supplied direction set.
 
 Why completeness alone pins the mean fidelity at (n+1)/(n+2) for aligned
@@ -34,13 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import nnls
 
-from .core import (
-    DensityOperator,
-    PureState,
-    ShapeError,
-    _frozen,
-    check_size_cap,
-)
+from .core import DensityOperator, PureState, ShapeError, _check_unit_rows, check_size_cap
 from .symmetric import coherent_coordinates, dim_sym, sym_split
 
 _log = logging.getLogger(__name__)
@@ -64,59 +60,22 @@ class Direction:
             raise ValueError(f"psi_phase {self.psi_phase} not in [0, 2 pi)")
 
 
-def bloch_state(direction: Direction) -> PureState:
-    """Qubit along the given Bloch direction.
+def _amplitudes(directions) -> np.ndarray:
+    """Qubit amplitudes of the directions, one (cos, sin) row each: shape (R, 2).
 
     Uses the symmetric phase split (e^{-i psi/2} cos(theta/2),
     e^{+i psi/2} sin(theta/2)), i.e. the rotation e^{-i psi Jz} e^{-i theta Jy}
-    applied to |0>, so that n-fold tensor powers match `measurement_vector`
-    exactly rather than up to a global phase.
+    applied to |0>.
     """
-    half = 0.5 * direction.theta
-    phase = 0.5 * direction.psi_phase
-    amp = np.array(
-        [math.cos(half) * np.exp(-1j * phase), math.sin(half) * np.exp(1j * phase)]
-    )
-    return PureState(amp)
+    half = 0.5 * np.array([d.theta for d in directions], dtype=float)
+    phase = 0.5 * np.array([d.psi_phase for d in directions], dtype=float)
+    return np.stack([np.cos(half) * np.exp(-1j * phase), np.sin(half) * np.exp(1j * phase)],
+                    axis=1)
 
 
-def wigner_d_top(two_j: int, two_m: int, theta: float) -> float:
-    """Highest-weight column of the spin-j rotation about the y axis.
-
-    Indices are doubled to stay integral.  Returns
-    sqrt(binom(2j, j+m)) cos(theta/2)^{j+m} sin(theta/2)^{j-m}, the (m, j)
-    entry of expm(-i theta Jy) in the m-descending basis; that matrix
-    exponential is the sign convention (oracle-checked in the tests), and any
-    other convention only re-phases the measurement vectors, which cancels in
-    the effects.
-    """
-    if two_j < 0 or (two_j + two_m) % 2 != 0 or not -two_j <= two_m <= two_j:
-        raise IndexError(f"invalid doubled index two_m={two_m} for two_j={two_j}")
-    kp = (two_j + two_m) // 2
-    km = (two_j - two_m) // 2
-    return (
-        math.sqrt(math.comb(two_j, kp))
-        * math.cos(0.5 * theta) ** kp
-        * math.sin(0.5 * theta) ** km
-    )
-
-
-def measurement_vector(n_copies: int, direction: Direction) -> PureState:
-    """Spin-coherent vector of a direction in the symmetric basis.
-
-    Component at magnetic index m (descending, m = n/2 - k) is
-    e^{-i psi m} d^{n/2}_{m, n/2}(theta); this equals the symmetric-basis
-    coordinates of bloch_state(direction)^{tensor n}.
-    """
-    if n_copies < 1:
-        raise ValueError("need at least one copy")
-    amps = np.empty(n_copies + 1, dtype=complex)
-    for k in range(n_copies + 1):
-        two_m = n_copies - 2 * k
-        amps[k] = np.exp(-0.5j * direction.psi_phase * two_m) * wigner_d_top(
-            n_copies, two_m, direction.theta
-        )
-    return PureState(amps / np.linalg.norm(amps))
+def bloch_state(direction: Direction) -> PureState:
+    """Qubit along the given Bloch direction, with the phase split of `_amplitudes`."""
+    return PureState(_amplitudes([direction])[0])
 
 
 def _check_effect_stack(n_copies: int, count: int) -> None:
@@ -124,52 +83,68 @@ def _check_effect_stack(n_copies: int, count: int) -> None:
     check_size_cap(count * (n_copies + 1))
 
 
-def _born_probabilities(n_copies: int, effects: np.ndarray, psi: np.ndarray) -> np.ndarray:
+def _coherent_projectors(n_copies: int, directions) -> tuple[np.ndarray, np.ndarray]:
+    """The directions' (R, 2) amplitudes and (R, n+1, n+1) projectors onto phi_r^{tensor n}."""
+    amps = _amplitudes(directions)
+    vectors = coherent_coordinates(amps, n_copies)
+    return amps, vectors[:, :, None] * vectors[:, None, :].conj()
+
+
+def _born_probabilities(povm: Povm, psi: np.ndarray) -> np.ndarray:
     """Born probabilities tr[E_r psi^{tensor n}], clipped at 0, one row per qubit.
 
-    `effects` is the (R, n+1, n+1) stack of effects and `psi` a (B, 2) array of
-    qubit amplitudes; the result has shape (B, R).
+    `psi` is a (B, 2) array of qubit amplitudes; the result has shape (B, R).
     """
     if psi.shape[1] != 2:
         raise ShapeError("input must be a qubit")
-    check_size_cap(n_copies + 1)
-    amp = coherent_coordinates(psi, n_copies)
-    probs = np.einsum("bi,rij,bj->br", amp.conj(), effects, amp).real
+    check_size_cap(povm.n + 1)
+    amp = coherent_coordinates(psi, povm.n)
+    probs = np.einsum("bi,rij,bj->br", amp.conj(), povm.effects, amp).real
     return np.clip(probs, 0.0, None)
+
+
+def _payoffs(povm: Povm, psi: np.ndarray) -> np.ndarray:
+    """sum_r tr[E_r psi^{tensor n}] |<psi|guess_r>|^2 for each row of the (B, 2) array psi."""
+    probs = _born_probabilities(povm, psi)
+    return np.sum(probs * np.abs(psi.conj() @ povm.guesses.T) ** 2, axis=1)
 
 
 @dataclass(frozen=True)
 class Povm:
     """Measure-and-resend strategy: effects on the symmetric subspace plus guesses.
 
-    Effects must be PSD within 1e-10 and sum to the identity within 1e-8
-    (Frobenius); `completeness_residual` records the actual defect.
+    Stored as two read-only stacks: `effects`, complex of shape (R, n+1, n+1),
+    and `guesses`, the (R, 2) complex amplitude rows of the guess qubits.  The
+    constructor takes any sequence of effect matrices and any sequence of
+    `PureState`s or amplitude rows.  Effects must be PSD within 1e-10 and sum
+    to the identity within 1e-8 (Frobenius); `completeness_residual` records
+    the actual defect.  Every guess row must have unit norm within 1e-12.
     """
 
     n: int
-    effects: tuple
-    guesses: tuple
+    effects: np.ndarray
+    guesses: np.ndarray
 
     def __post_init__(self):
         dim = self.n + 1
-        effects = []
-        for e in self.effects:
-            e = np.asarray(e, dtype=complex)
+        mats = [np.asarray(e, dtype=complex) for e in self.effects]
+        for e in mats:
             if e.shape != (dim, dim):
                 raise ShapeError(f"effect shape {e.shape} != ({dim}, {dim})")
-            if np.linalg.eigvalsh(e).min() < -1e-10:
-                raise ValueError("effect has an eigenvalue below -1e-10")
-            effects.append(_frozen(e))
-        if len(effects) != len(self.guesses):
+        rows = [np.asarray(getattr(g, "amplitudes", g), dtype=complex) for g in self.guesses]
+        if len(mats) != len(rows):
             raise ShapeError("one guess per effect required")
-        for g in self.guesses:
-            if g.dim != 2:
-                raise ShapeError("guesses must be qubits")
-        object.__setattr__(self, "effects", tuple(effects))
-        object.__setattr__(self, "guesses", tuple(self.guesses))
-        residual = float(
-            np.linalg.norm(sum(self.effects) - np.eye(dim), "fro")
-        )
+        if any(g.shape != (2,) for g in rows):
+            raise ShapeError("guesses must be qubits")
+        effects = np.array(mats, dtype=complex).reshape(len(mats), dim, dim)
+        if np.any(np.linalg.eigvalsh(effects) < -1e-10):
+            raise ValueError("effect has an eigenvalue below -1e-10")
+        guesses = _check_unit_rows(np.array(rows, dtype=complex).reshape(len(rows), 2))
+        effects.setflags(write=False)
+        guesses.setflags(write=False)
+        object.__setattr__(self, "effects", effects)
+        object.__setattr__(self, "guesses", guesses)
+        residual = float(np.linalg.norm(effects.sum(axis=0) - np.eye(dim), "fro"))
         object.__setattr__(self, "_residual", residual)
         if residual > 1e-8:
             raise IncompletePovm(
@@ -183,7 +158,7 @@ class Povm:
 
     def outcome_probabilities(self, psi: PureState) -> np.ndarray:
         """Born probabilities tr[E_r rho] for the n-copy input psi^{tensor n}."""
-        return _born_probabilities(self.n, np.stack(self.effects), psi.amplitudes[None])[0]
+        return _born_probabilities(self, psi.amplitudes[None])[0]
 
 
 def default_directions(n_copies: int) -> list[Direction]:
@@ -242,19 +217,18 @@ def build_povm(n_copies: int, directions, tol: float = 1e-8) -> Povm:
 
     Minimizes the Frobenius defect || sum_r c_r |Phi_r><Phi_r| - I || over
     c_r >= 0 (nonnegative least squares); raises IncompletePovm when the
-    residual exceeds `tol`.  Guesses are the directions themselves.  The size
-    cap counts the effect stack, one effect of side n+1 per direction, and is
-    checked before any effect is built.
+    residual exceeds `tol` or no direction is given.  Guesses are the
+    directions themselves.  The size cap counts the effect stack, one effect of
+    side n+1 per direction, and is checked before any effect is built.
     """
     directions = list(directions)
+    if not directions:
+        raise IncompletePovm("no directions to tile the identity with")
     _check_effect_stack(n_copies, len(directions))
-    vectors = [measurement_vector(n_copies, d).amplitudes for d in directions]
-    projectors = [np.outer(v, v.conj()) for v in vectors]
+    amps, projectors = _coherent_projectors(n_copies, directions)
     dim = n_copies + 1
-    design = np.empty((2 * dim * dim, len(projectors)))
-    for r, proj in enumerate(projectors):
-        design[: dim * dim, r] = proj.reshape(-1).real
-        design[dim * dim :, r] = proj.reshape(-1).imag
+    flat = projectors.reshape(len(directions), dim * dim)
+    design = np.concatenate([flat.real, flat.imag], axis=1).T
     target = np.concatenate([np.eye(dim).reshape(-1), np.zeros(dim * dim)])
     weights, residual = nnls(design, target)
     if residual > tol:
@@ -262,9 +236,7 @@ def build_povm(n_copies: int, directions, tol: float = 1e-8) -> Povm:
             f"completeness residual {residual:.3e} exceeds tol {tol:.0e}; "
             f"supply more than {len(directions)} directions"
         )
-    effects = [c * proj for c, proj in zip(weights, projectors)]
-    guesses = [bloch_state(d) for d in directions]
-    return Povm(n_copies, tuple(effects), tuple(guesses))
+    return Povm(n_copies, weights[:, None, None] * projectors, amps)
 
 
 def universal_povm(n_copies: int) -> Povm:
@@ -275,29 +247,19 @@ def universal_povm(n_copies: int) -> Povm:
     payoff against every pure state equals (n+1)/(n+2) up to rounding.
     """
     dirs, weights = design_directions(n_copies)
-    vectors = [measurement_vector(n_copies, d).amplitudes for d in dirs]
-    effects = [
-        (n_copies + 1) * w * np.outer(v, v.conj()) for w, v in zip(weights, vectors)
-    ]
-    guesses = [bloch_state(d) for d in dirs]
-    return Povm(n_copies, tuple(effects), tuple(guesses))
+    amps, projectors = _coherent_projectors(n_copies, dirs)
+    return Povm(n_copies, ((n_copies + 1) * weights)[:, None, None] * projectors, amps)
 
 
 def respond(povm: Povm, psi: PureState) -> DensityOperator:
     """The averaged state sent back: sum_r tr[E_r rho] |phi_r><phi_r|."""
     probs = povm.outcome_probabilities(psi)
-    sigma = np.zeros((2, 2), dtype=complex)
-    for p, guess in zip(probs, povm.guesses):
-        sigma += p * np.outer(guess.amplitudes, guess.amplitudes.conj())
-    return DensityOperator(sigma)
+    return DensityOperator(np.einsum("r,ra,rb->ab", probs, povm.guesses, povm.guesses.conj()))
 
 
 def pointwise_payoff(povm: Povm, psi: PureState) -> float:
     """Expected +-1 payoff of one fixed-frame round against psi."""
-    probs = povm.outcome_probabilities(psi)
-    return float(
-        sum(p * psi.overlap_probability(g) for p, g in zip(probs, povm.guesses))
-    )
+    return float(_payoffs(povm, psi.amplitudes[None])[0])
 
 
 def payoff_operator(povm: Povm) -> np.ndarray:
@@ -311,9 +273,7 @@ def payoff_operator(povm: Povm) -> np.ndarray:
     """
     _check_effect_stack(povm.n, len(povm.effects))
     check_size_cap(2 * (povm.n + 1))
-    effects = np.stack(povm.effects)
-    guesses = np.stack([g.amplitudes for g in povm.guesses])
-    total = np.einsum("rij,ra,rb->iajb", effects, guesses, guesses.conj())
+    total = np.einsum("rij,ra,rb->iajb", povm.effects, povm.guesses, povm.guesses.conj())
     dim = 2 * (povm.n + 1)
     return total.reshape(dim, dim)
 
@@ -348,7 +308,6 @@ def frame_averaged_payoff(povm: Povm, psi: PureState) -> float:
     """
     if psi.dim != 2:
         raise ShapeError("input must be a qubit")
-    k = povm.n + 1
     w = payoff_operator(povm)
     split = sym_split(2, povm.n, 1)
     proj = split @ split.T
@@ -358,4 +317,4 @@ def frame_averaged_payoff(povm: Povm, psi: PureState) -> float:
             "payoff operator leaks out of the symmetric subspace "
             f"(norm {off:.3e}); frame averaging needs aligned guesses"
         )
-    return float(np.trace(split.T @ w @ split).real) / dim_sym(2, k)
+    return mean_fidelity(povm)

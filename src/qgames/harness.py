@@ -50,11 +50,19 @@ from .cloning import (
     symmetric_noise_channel,
     value_formulas,
 )
-from .core import PureState, RandomStream, ShapeError, check_size_cap, haar_random_state
+from .core import (
+    PureState,
+    RandomStream,
+    ShapeError,
+    _check_unit_rows,
+    check_size_cap,
+    haar_random_state,
+)
 from .estimation import (
     Direction,
     Povm,
     _born_probabilities,
+    _payoffs,
     bloch_state,
     fibonacci_directions,
     mean_fidelity,
@@ -200,15 +208,9 @@ def discretize_estimation_game(n_copies: int, povms, states) -> MatrixGame:
     psi = _state_rows(states, 2)
     a = np.empty((len(povms), len(states)))
     for i, povm in enumerate(povms):
-        effects = np.stack(povm.effects)
-        guesses = np.stack([g.amplitudes for g in povm.guesses])
-        chunk = _chunk_length(len(effects))
+        chunk = _chunk_length(len(povm.effects))
         for start in range(0, len(psi), chunk):
-            rows = psi[start:start + chunk]
-            probs = _born_probabilities(n_copies, effects, rows)
-            a[i, start:start + chunk] = np.sum(
-                probs * np.abs(rows.conj() @ guesses.T) ** 2, axis=1
-            )
+            a[i, start:start + chunk] = _payoffs(povm, psi[start:start + chunk])
     return MatrixGame(a)
 
 
@@ -351,13 +353,10 @@ def povm_perturbations(povm: Povm, count: int, rng: RandomStream) -> list[Povm]:
     for i in range(count):
         stream = rng.substream(i)
         if i % 2 == 0:
-            guesses = tuple(
-                PureState(haar_random_unitary(2, stream.substream(r)) @ g.amplitudes)
-                for r, g in enumerate(povm.guesses)
-            )
+            guesses = [haar_random_unitary(2, stream.substream(r)) @ g
+                       for r, g in enumerate(povm.guesses)]
         else:
-            u = haar_random_unitary(2, stream)
-            guesses = tuple(PureState(u @ g.amplitudes) for g in povm.guesses)
+            guesses = povm.guesses @ haar_random_unitary(2, stream).T
         out.append(Povm(povm.n, povm.effects, guesses))
     return out
 
@@ -384,23 +383,17 @@ class MonteCarloRecord:
 
 def _unit_rows(vectors: np.ndarray) -> np.ndarray:
     """Rows normalised to unit length, with `PureState`'s 1e-12 norm check."""
-    vectors = vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
-    norms = np.linalg.norm(vectors, axis=1)
-    off = np.abs(norms - 1.0) > 1e-12
-    if np.any(off):
-        raise ValueError(f"state vector norm {norms[off][0]!r} is not 1 within 1e-12")
-    return vectors
+    return _check_unit_rows(vectors / np.linalg.norm(vectors, axis=1, keepdims=True))
 
 
-def _estimation_overlaps(n: int, effects: np.ndarray, guesses: np.ndarray, psi: np.ndarray,
-                         uniforms: np.ndarray) -> np.ndarray:
+def _estimation_overlaps(povm: Povm, psi: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """|<psi|guess>|^2 for the outcome each round's uniform picks from the Born rule."""
-    probs = _born_probabilities(n, effects, psi)
+    probs = _born_probabilities(povm, psi)
     draws = uniforms * probs.sum(axis=1)
     # the first outcome whose cumulative probability reaches the draw
     outcome = np.sum(np.cumsum(probs, axis=1) < draws[:, None], axis=1)
-    outcome = np.minimum(outcome, len(effects) - 1)
-    return np.abs(np.sum(psi.conj() * guesses[outcome], axis=1)) ** 2
+    outcome = np.minimum(outcome, len(povm.effects) - 1)
+    return np.abs(np.sum(psi.conj() * povm.guesses[outcome], axis=1)) ** 2
 
 
 def _check_strategy(spec: GameSpec, strategy) -> None:
@@ -462,9 +455,7 @@ def monte_carlo_play(spec: GameSpec, strategy, seed=None) -> MonteCarloRecord:
         raise ValueError("samples must be >= 1")
     _check_strategy(spec, strategy)
     if spec.kind == "estimation":
-        effects = np.stack(strategy.effects)
-        guesses = np.stack([g.amplitudes for g in strategy.guesses])
-        d, width = 2, max(len(effects), strategy.n + 1)
+        d, width = 2, max(len(strategy.effects), strategy.n + 1)
     else:
         d, width = strategy.d, _row_width(strategy)
     check_size_cap(width)
@@ -488,8 +479,7 @@ def monte_carlo_play(spec: GameSpec, strategy, seed=None) -> MonteCarloRecord:
         for start in range(0, rounds, chunk):
             rows = slice(start, min(start + chunk, rounds))
             if spec.kind == "estimation":
-                overlaps = _estimation_overlaps(strategy.n, effects, guesses, psi[rows],
-                                                middle[rows])
+                overlaps = _estimation_overlaps(strategy, psi[rows], middle[rows])
             elif spec.kind == "cloning":
                 overlaps = _global_overlaps(strategy, psi[rows])
             else:

@@ -147,13 +147,25 @@ def outcome_probabilities(povm: Povm, psi) -> np.ndarray:
     return np.clip(probs, 0.0, None)
 
 
+def pointwise_payoff(povm: Povm, psi) -> float:
+    """sum_r p_r |<psi|guess_r>|^2 with the dense Born probabilities, one outcome at a time."""
+    probs = outcome_probabilities(povm, psi)
+    return float(sum(p * abs(np.vdot(psi.amplitudes, g)) ** 2 for p, g in zip(probs, povm.guesses)))
+
+
+def respond(povm: Povm, psi) -> np.ndarray:
+    """sum_r p_r |guess_r><guess_r| with the dense Born probabilities."""
+    probs = outcome_probabilities(povm, psi)
+    return sum(p * np.outer(g, g.conj()) for p, g in zip(probs, povm.guesses))
+
+
 def payoff_operator(povm: Povm) -> np.ndarray:
     """sum_r (embedded E_r) tensor |phi_r><phi_r| on the (n+1)-copy space."""
     check_size_cap(2 ** (povm.n + 1))
     iso = SymBasis(2, povm.n).isometry
     total = np.zeros((2 ** (povm.n + 1),) * 2, dtype=complex)
     for e, g in zip(povm.effects, povm.guesses):
-        guess_proj = np.outer(g.amplitudes, g.amplitudes.conj())
+        guess_proj = np.outer(g, g.conj())
         total += np.kron(iso @ e @ iso.conj().T, guess_proj)
     return total
 

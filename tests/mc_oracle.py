@@ -42,7 +42,7 @@ def _estimation_round(povm: Povm, psi: PureState, uniform: float) -> float:
     draw = uniform * probs.sum()
     outcome = int(np.searchsorted(np.cumsum(probs), draw))
     outcome = min(outcome, len(probs) - 1)
-    return psi.overlap_probability(povm.guesses[outcome])
+    return float(abs(np.vdot(psi.amplitudes, povm.guesses[outcome])) ** 2)
 
 
 def global_round_fidelity(ch: Channel, psi: PureState) -> float:

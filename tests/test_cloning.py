@@ -335,6 +335,23 @@ class TestChannelFamilies:
             assert ch.completeness_defect() <= 1e-10
             assert haar_avg_global_fidelity(ch) <= 2.0 / 3.0 + 1e-9
 
+    def test_random_isometry_too_narrow_refused_before_drawing(self, monkeypatch):
+        # (2, 3, 1) with the default ancilla has a 4-row Ginibre side for 8 columns
+        stream = RandomStream(1)
+        draws = []
+
+        def spy(count):
+            draws.append(count)
+            return np.zeros(count, dtype=complex)
+
+        monkeypatch.setattr(stream, "complex_normals", spy)
+        with pytest.raises(InvalidArity):
+            random_isometry_channel(2, 3, 1, stream)
+        assert draws == []
+        ch = random_isometry_channel(2, 3, 1, RandomStream(1), ancilla_dim=8)
+        assert ch.kraus.shape == (8, 2, 4)
+        assert ch.completeness_defect() <= 1e-10
+
     def test_unitary_conjugation_stays_a_channel(self, rng):
         base = optimal_cloner(2, 1, 2)
         u = haar_random_unitary(4, rng)

@@ -37,6 +37,8 @@ from qgames.estimation import (
     frame_averaged_payoff,
     mean_fidelity,
     payoff_operator,
+    pointwise_payoff,
+    respond,
     universal_povm,
 )
 from qgames.cli import main
@@ -147,6 +149,9 @@ def test_estimation_evaluators_match_dense_oracle(n):
         for phi in inputs:
             got = povm.outcome_probabilities(phi)
             assert np.max(np.abs(got - dense_oracle.outcome_probabilities(povm, phi))) <= TOL
+            assert abs(pointwise_payoff(povm, phi) - dense_oracle.pointwise_payoff(povm, phi)) <= TOL
+            sigma = respond(povm, phi).matrix
+            assert np.max(np.abs(sigma - dense_oracle.respond(povm, phi))) <= TOL
         dense = dense_oracle.payoff_operator(povm)
         assert np.max(np.abs(lift @ payoff_operator(povm) @ lift.T - dense)) <= TOL
         assert abs(mean_fidelity(povm) - dense_oracle.mean_fidelity(povm)) <= TOL

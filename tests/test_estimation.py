@@ -25,13 +25,11 @@ from qgames.estimation import (
     fibonacci_directions,
     frame_averaged_payoff,
     mean_fidelity,
-    measurement_vector,
     pointwise_payoff,
     respond,
     universal_povm,
-    wigner_d_top,
 )
-from qgames.symmetric import dim_sym, sym_projector
+from qgames.symmetric import coherent_coordinates, dim_sym, sym_projector
 
 from dense_oracle import SymBasis
 
@@ -50,6 +48,44 @@ def rotation_matrix_oracle(two_j, theta):
             jp[row - 1, row] = math.sqrt(j * (j + 1) - m * (m + 1))
     jy = (jp - jp.T) / 2j
     return expm(-1j * theta * jy)
+
+
+def wigner_d_top(two_j: int, two_m: int, theta: float) -> float:
+    """Highest-weight column of the spin-j rotation about the y axis.
+
+    Indices are doubled to stay integral.  Returns
+    sqrt(binom(2j, j+m)) cos(theta/2)^{j+m} sin(theta/2)^{j-m}, the (m, j)
+    entry of expm(-i theta Jy) in the m-descending basis (checked against
+    `rotation_matrix_oracle` below).
+    """
+    if two_j < 0 or (two_j + two_m) % 2 != 0 or not -two_j <= two_m <= two_j:
+        raise IndexError(f"invalid doubled index two_m={two_m} for two_j={two_j}")
+    kp = (two_j + two_m) // 2
+    km = (two_j - two_m) // 2
+    return (
+        math.sqrt(math.comb(two_j, kp))
+        * math.cos(0.5 * theta) ** kp
+        * math.sin(0.5 * theta) ** km
+    )
+
+
+def measurement_vector(n_copies: int, direction: Direction) -> PureState:
+    """Spin-coherent vector of a direction in the symmetric basis, by spin-j rotation.
+
+    Component at magnetic index m (descending, m = n/2 - k) is
+    e^{-i psi m} d^{n/2}_{m, n/2}(theta): an oracle for the coherent
+    coordinates of bloch_state(direction)^{tensor n} that shares no code with
+    `coherent_coordinates`.
+    """
+    if n_copies < 1:
+        raise ValueError("need at least one copy")
+    amps = np.empty(n_copies + 1, dtype=complex)
+    for k in range(n_copies + 1):
+        two_m = n_copies - 2 * k
+        amps[k] = np.exp(-0.5j * direction.psi_phase * two_m) * wigner_d_top(
+            n_copies, two_m, direction.theta
+        )
+    return PureState(amps / np.linalg.norm(amps))
 
 
 class TestWignerDTop:
@@ -86,6 +122,8 @@ class TestWignerDTop:
 
 
 class TestMeasurementVector:
+    """The spin-j oracle above against `coherent_coordinates` at d = 2."""
+
     def test_north_pole_single_copy(self):
         vec = measurement_vector(1, Direction(0.0, 0.0))
         assert np.allclose(vec.amplitudes, [1.0, 0.0])
@@ -105,6 +143,18 @@ class TestMeasurementVector:
                 got = measurement_vector(n, direction).amplitudes
                 want = basis.compress(tensor_power(bloch_state(direction), n).amplitudes)
                 assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 12])
+    def test_coherent_coordinates_match_the_rotation(self, n, rng):
+        gen = rng.substream(30 + n).generator
+        dirs = [Direction(0.0, 0.0), Direction(math.pi, 0.0)] + [
+            Direction(float(gen.uniform(0.0, math.pi)), float(gen.uniform(0.0, 2.0 * math.pi)))
+            for _ in range(20)
+        ]
+        for direction in dirs:
+            got = coherent_coordinates(bloch_state(direction).amplitudes, n)
+            want = measurement_vector(n, direction).amplitudes
+            assert np.max(np.abs(got - want)) <= 1e-12
 
 
 class TestDirections:
@@ -157,14 +207,18 @@ class TestBuildPovm:
         with pytest.raises(IncompletePovm):
             build_povm(1, [Direction(0.0, 0.0)])
 
+    def test_no_directions_refused_before_the_solver(self):
+        with pytest.raises(IncompletePovm):
+            build_povm(2, [])
+
     def test_effect_stack_capped_before_it_is_built(self, monkeypatch):
         # 441 effects of side 21 stack 9261 rows, over the cap of 4096
         import qgames.estimation
 
         def no_vectors(*args):
-            raise AssertionError("built a measurement vector before the cap check")
+            raise AssertionError("built a coherent vector before the cap check")
 
-        monkeypatch.setattr(qgames.estimation, "measurement_vector", no_vectors)
+        monkeypatch.setattr(qgames.estimation, "coherent_coordinates", no_vectors)
         with pytest.raises(SizeCapExceeded):
             build_povm(20, default_directions(20))
         with pytest.raises(SizeCapExceeded):
@@ -209,6 +263,36 @@ class TestPovmType:
         with pytest.raises(ShapeError):
             Povm(1, povm.effects, (KET0,))
 
+    def test_rejects_wrong_effect_shape(self):
+        with pytest.raises(ShapeError):
+            Povm(1, (np.eye(3),), (KET0,))
+
+    def test_rejects_non_qubit_guess(self):
+        povm = build_povm(1, default_directions(1))
+        with pytest.raises(ShapeError):
+            Povm(1, povm.effects, (KET0, PureState.basis(3, 0)))
+
+    def test_rejects_non_unit_guess_row(self):
+        povm = build_povm(1, default_directions(1))
+        with pytest.raises(ValueError, match="norm"):
+            Povm(1, povm.effects, ([1.0, 0.0], [0.0, 1.0 + 1e-9]))
+
+    def test_stacks_are_read_only(self):
+        povm = build_povm(2, default_directions(2))
+        assert povm.effects.shape == (9, 3, 3) and povm.effects.dtype == complex
+        assert povm.guesses.shape == (9, 2) and povm.guesses.dtype == complex
+        for stack in (povm.effects, povm.guesses):
+            with pytest.raises(ValueError):
+                stack[0, 0] = 0.0
+
+    def test_states_and_amplitude_rows_build_the_same_povm(self):
+        povm = build_povm(1, default_directions(1))
+        from_rows = Povm(1, list(povm.effects), [[1.0, 0.0], [0.0, 1.0]])
+        from_states = Povm(1, povm.effects, (KET0, PureState.basis(2, 1)))
+        assert np.array_equal(from_rows.effects, from_states.effects)
+        assert np.array_equal(from_rows.guesses, from_states.guesses)
+        assert from_rows.completeness_residual == from_states.completeness_residual
+
 
 class TestRespond:
     def test_deterministic_outcome(self):
@@ -242,7 +326,7 @@ class TestRespond:
         gen = rng.substream(8).generator
         count = 200_000
         outcomes = gen.choice(len(probs), size=count, p=probs)
-        fids = np.array([psi.overlap_probability(g) for g in povm.guesses])
+        fids = np.abs(povm.guesses @ psi.amplitudes.conj()) ** 2
         sample = fids[outcomes]
         stderr = sample.std() / math.sqrt(count) + 1e-12
         assert abs(sample.mean() - exact) <= 3.0 * stderr
