@@ -122,18 +122,10 @@ class Channel:
             if k.shape != ops[0].shape:
                 raise ShapeError(f"Kraus operator shapes {ops[0].shape} and {k.shape} differ")
         stacked = np.stack(ops)
-        if not np.all(np.isfinite(stacked)):
-            raise ValueError("Kraus operators have non-finite entries")
+        _checked_defects(stacked, atol)
         stacked.setflags(write=False)
         self.kraus = stacked
         rows = stacked.shape[1]
-
-        defect = self.completeness_defect()
-        if defect > atol:
-            raise ValueError(
-                f"Kraus operators not trace preserving on Sym_in "
-                f"(defect {defect:.3e} > {atol:.0e})"
-            )
         _log.debug(
             "Channel d=%d n_in=%d n_out=%d: %d Kraus operators of shape %d x %d "
             "(%s output), Choi side %d (full in (x) out: %d)",
@@ -159,14 +151,11 @@ class Channel:
     def completeness_defect(self) -> float:
         """Operator norm of sum(K^dag K) - I on Sym_in.
 
-        The Kraus operators stacked vertically form one (K * rows, in) matrix
-        whose Gram matrix is sum(K^dag K); the defect is Hermitian, so its
-        norm is its largest eigenvalue modulus.
+        The batched kernel `_completeness_defects` on this channel's stack,
+        the same code that checks a whole chunk of the asymmetric-bound scan's
+        random channels at once.
         """
-        stacked = np.asarray(self.kraus)
-        rows = stacked.reshape(-1, stacked.shape[-1])
-        delta = rows.conj().T @ rows - np.eye(rows.shape[1])
-        return float(np.max(np.abs(np.linalg.eigvalsh(delta))))
+        return float(_completeness_defects(np.asarray(self.kraus)))
 
     def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
         """The channel applied to a d^n_in-dimensional operator, as a d^n_out one.
@@ -200,6 +189,39 @@ class Channel:
             f"Channel(d={self.d}, n_in={self.n_in}, n_out={self.n_out}, "
             f"kraus={len(self.kraus)}, output={'Sym_out' if self.sym_out else 'full'})"
         )
+
+
+def _completeness_defects(kraus: np.ndarray) -> np.ndarray:
+    """Operator norm of sum(K^dag K) - I on Sym_in for each Kraus stack.
+
+    `kraus` is a (..., K, rows, cols) array of Kraus stacks.  A channel's
+    Kraus operators stacked vertically form one (K * rows, cols) matrix whose
+    Gram matrix is sum(K^dag K); the defect is Hermitian, so its norm is its
+    largest eigenvalue modulus.  Leading axes are a batch of channels: one
+    product and one `eigvalsh` serve them all.
+    """
+    rows = kraus.reshape(*kraus.shape[:-3], -1, kraus.shape[-1])
+    delta = rows.conj().swapaxes(-1, -2) @ rows - np.eye(rows.shape[-1])
+    return np.abs(np.linalg.eigvalsh(delta)).max(axis=-1)
+
+
+def _checked_defects(kraus: np.ndarray, atol: float = COMPLETENESS_ATOL) -> np.ndarray:
+    """`_completeness_defects` of a (..., K, rows, cols) array, checked.
+
+    Raises ValueError if any entry is non-finite or any channel's defect
+    passes `atol`: the checks `Channel` makes on construction, run on every
+    channel of a batch at once.
+    """
+    if not np.all(np.isfinite(kraus)):
+        raise ValueError("Kraus operators have non-finite entries")
+    defects = _completeness_defects(kraus)
+    worst = float(defects.max())
+    if worst > atol:
+        raise ValueError(
+            f"Kraus operators not trace preserving on Sym_in "
+            f"(defect {worst:.3e} > {atol:.0e})"
+        )
+    return defects
 
 
 def _full_output(ch: Channel) -> np.ndarray:
@@ -291,12 +313,13 @@ def _phase_fixed_q(z: np.ndarray) -> np.ndarray:
     """Q of the reduced QR z = QR, its columns re-phased so that diag(R) > 0.
 
     Fixing the phases makes Q a function of z alone, so a Ginibre z gives
-    Haar-distributed orthonormal columns.
+    Haar-distributed orthonormal columns.  Leading axes of z are a batch: one
+    `np.linalg.qr` call factors every matrix of the stack.
     """
     q, r = np.linalg.qr(z)
-    phases = np.diag(r).copy()
+    phases = np.diagonal(r, axis1=-2, axis2=-1).copy()
     phases /= np.abs(phases)
-    return q * phases.conj()
+    return q * phases.conj()[..., None, :]
 
 
 def haar_random_unitary(dim: int, rng: RandomStream) -> np.ndarray:
@@ -307,6 +330,43 @@ def haar_random_unitary(dim: int, rng: RandomStream) -> np.ndarray:
     check_size_cap(dim)
     z = rng.complex_normals(dim * dim).reshape(dim, dim) / math.sqrt(2.0)
     return _phase_fixed_q(z)
+
+
+def _ginibre_side(d, n_in, n_out, ancilla_dim=None) -> int:
+    """Row count d**n_out * ancilla_dim of a random isometry's Ginibre block, checked.
+
+    ancilla_dim defaults to d**n_out.  Raises InvalidArity unless
+    ancilla_dim >= 1 and the side holds the d**n_in kept columns, and
+    SizeCapExceeded if the side passes the default size cap.
+    """
+    dim_in, dim_out = d**n_in, d**n_out
+    anc = dim_out if ancilla_dim is None else int(ancilla_dim)
+    if anc < 1:
+        raise InvalidArity(f"ancilla dimension must be >= 1, got {anc}")
+    if dim_out * anc < dim_in:
+        raise InvalidArity(f"Ginibre side {dim_out * anc} < {dim_in} kept columns; raise ancilla_dim")
+    return check_size_cap(dim_out * anc)
+
+
+def _random_isometry_kraus(d, n_in, n_out, streams, ancilla_dim=None) -> np.ndarray:
+    """Kraus stacks of one random isometry channel per stream.
+
+    The result has shape (N, anc, d**n_out, dim_sym(d, n_in)).  Each stream
+    draws its own (d**n_out * anc, d**n_in) Ginibre block, as
+    `random_isometry_channel` describes; the blocks are stacked and
+    orthonormalised by one batched phase-fixed QR, and one product by V_in
+    restricts every isometry to Sym_in.  Channel i depends on streams[i]
+    alone, not on how many channels share the stack.  The arity checks and
+    the size cap run before anything is drawn.
+    """
+    dim = _ginibre_side(d, n_in, n_out, ancilla_dim)
+    dim_in, dim_out = d**n_in, d**n_out
+    z = np.empty((len(streams), dim, dim_in), dtype=complex)
+    for block, stream in zip(z, streams):
+        block[...] = stream.complex_normals(dim * dim_in).reshape(dim, dim_in)
+    z /= math.sqrt(2.0)
+    iso = _phase_fixed_q(z).reshape(len(z), dim_out, dim // dim_out, dim_in)
+    return iso.transpose(0, 2, 1, 3) @ sym_isometry(d, n_in)
 
 
 def random_isometry_channel(d, n_in, n_out, rng: RandomStream, ancilla_dim=None) -> Channel:
@@ -321,25 +381,19 @@ def random_isometry_channel(d, n_in, n_out, rng: RandomStream, ancilla_dim=None)
     are kept, a (d**n_out * ancilla_dim, d**n_in) block of complex normals,
     and their reduced QR with the phase fix of `_phase_fixed_q` orthonormalises
     them.  Those columns are distributed as the leading columns of a Haar
-    unitary, so the isometry is Haar distributed.  The asymmetric-bound scan
-    takes one substream per channel; `mc-play` rounds draw by the same scheme
-    (`harness.monte_carlo_play`), while `harness.haar_states`,
-    `harness.cloner_perturbations` and `harness.povm_perturbations` keep one
-    substream per item.  The size cap counts the Ginibre side
-    d**n_out * ancilla_dim and is checked before anything is drawn, as are
-    ancilla_dim >= 1 and a Ginibre side of at least the d**n_in kept columns.
+    unitary, so the isometry is Haar distributed.  The Kraus stack comes from
+    the batched kernel `_random_isometry_kraus` at a batch of one.  The
+    asymmetric-bound scan runs the same kernel on whole chunks of channels,
+    still one substream per channel (`harness.asym_bound_scan`); `mc-play`
+    rounds draw by the same scheme (`harness.monte_carlo_play`), while
+    `harness.haar_states`, `harness.cloner_perturbations` and
+    `harness.povm_perturbations` keep one substream per item.  The size cap
+    counts the Ginibre side d**n_out * ancilla_dim and is checked before
+    anything is drawn, as are ancilla_dim >= 1 and a Ginibre side of at least
+    the d**n_in kept columns.
     """
-    dim_in, dim_out = d**n_in, d**n_out
-    anc = dim_out if ancilla_dim is None else int(ancilla_dim)
-    if anc < 1:
-        raise InvalidArity(f"ancilla dimension must be >= 1, got {anc}")
-    if dim_out * anc < dim_in:
-        raise InvalidArity(f"Ginibre side {dim_out * anc} < {dim_in} kept columns; raise ancilla_dim")
-    dim = check_size_cap(dim_out * anc)
-    z = rng.complex_normals(dim * dim_in).reshape(dim, dim_in) / math.sqrt(2.0)
-    iso = _phase_fixed_q(z).reshape(dim_out, anc, dim_in)
-    kraus = np.ascontiguousarray(iso.transpose(1, 0, 2)) @ sym_isometry(d, n_in)
-    return Channel(d, n_in, n_out, kraus)
+    kraus = _random_isometry_kraus(d, n_in, n_out, [rng], ancilla_dim)
+    return Channel(d, n_in, n_out, kraus[0])
 
 
 def _sym_rows(ch: Channel) -> np.ndarray:
@@ -353,18 +407,19 @@ def _sym_rows(ch: Channel) -> np.ndarray:
     return sym_isometry(ch.d, ch.n_out).T @ ch.kraus
 
 
-def _clone_split(ch: Channel, k: int, rows: np.ndarray) -> np.ndarray:
+def _clone_split(d: int, m: int, k: int, rows: np.ndarray) -> np.ndarray:
     """Output coordinates on the last axis of `rows`, split into (rest, clone k).
 
-    Returns shape (..., r, d) with the k-th output copy (1-based) last.  Sym_out
-    rows go through S = sym_split(d, n_out - 1, 1), which writes Sym_out inside
-    Sym_{n_out-1} (x) C^d: every clone of a symmetric output has the same
-    reduced state, so the last copy stands for clone k.  Full rows are
-    reshaped and clone k is moved last.
+    `rows` holds coordinates of an m-copy output of local dimension d: Sym_out
+    when the last axis has dim_sym(d, m) entries (as `Channel.sym_out`
+    reads), the full d^m space otherwise.  Returns shape (..., r, d) with the
+    k-th output copy (1-based) last.  Sym_out rows go through
+    S = sym_split(d, m - 1, 1), which writes Sym_out inside Sym_{m-1} (x) C^d:
+    every clone of a symmetric output has the same reduced state, so the last
+    copy stands for clone k.  Full rows are reshaped and clone k is moved last.
     """
-    d, m = ch.d, ch.n_out
     lead = rows.shape[:-1]
-    if ch.sym_out:
+    if rows.shape[-1] == dim_sym(d, m):
         return (rows @ sym_split(d, m - 1, 1).T).reshape(*lead, -1, d)
     split = rows.reshape(*lead, d ** (k - 1), d, d ** (m - k))
     return np.moveaxis(split, -2, -1).reshape(*lead, -1, d)
@@ -405,7 +460,7 @@ def _one_particle_overlaps(ch: Channel, psi: np.ndarray, clones: np.ndarray) -> 
         bra, kets = psi[rows].conj(), vin[rows]
         kept = np.zeros(len(bra))
         for k in ch.kraus:
-            branch = _clone_split(ch, c, kets @ k.T)
+            branch = _clone_split(ch.d, ch.n_out, c, kets @ k.T)
             kept += np.sum(np.abs(np.einsum("bjd,bd->bj", branch, bra)) ** 2, axis=1)
         fid[rows] = kept
     return fid
@@ -445,22 +500,36 @@ def haar_avg_global_fidelity(ch: Channel, size_cap=DEFAULT_SIZE_CAP) -> float:
     return float(val.real) / dim_sym(ch.d, ch.n_in + ch.n_out)
 
 
-def single_clone_haar_fidelity(ch: Channel, k: int, size_cap=DEFAULT_SIZE_CAP) -> float:
-    """Exact Haar average of <psi| tr_(not k)[ch(psi^{n_in})] |psi>.
+def _clone_fidelities(d, n_in, n_out, kraus: np.ndarray, k: int,
+                      size_cap=DEFAULT_SIZE_CAP) -> np.ndarray:
+    """Haar-average fidelity of clone k for each Kraus stack.
 
+    `kraus` is a (..., K, rows, dim_sym(d, n_in)) array of Kraus stacks.
     `_clone_split` writes each Kraus operator as (input c, rest j, clone a);
     the rows w[(K, j), (c, a)] span the reduced channel's Choi matrix on
     Sym_in (x) C^d, and the average is the (n_in + 1)-copy moment formula on
     it.  The size cap counts that reduced side, dim_sym(d, n_in) * d.
+    Leading axes are a batch of channels: one product and one contraction
+    serve them all.
+    """
+    side = check_size_cap(dim_sym(d, n_in) * d, size_cap)
+    branch = _clone_split(d, n_out, k, kraus.swapaxes(-1, -2))
+    w = branch.swapaxes(-3, -2).reshape(*kraus.shape[:-3], -1, side)
+    val = np.einsum("...ij,...ij->...", w.conj(), w @ _transposed_moment(d, n_in, 1))
+    return val.real / dim_sym(d, n_in + 1)
+
+
+def single_clone_haar_fidelity(ch: Channel, k: int, size_cap=DEFAULT_SIZE_CAP) -> float:
+    """Exact Haar average of <psi| tr_(not k)[ch(psi^{n_in})] |psi>.
+
+    The batched kernel `_clone_fidelities` on this channel's stack, the same
+    code that scores a whole chunk of the asymmetric-bound scan's random
+    channels at once.  The size cap counts the reduced Choi side,
+    dim_sym(d, n_in) * d.
     """
     if not 1 <= k <= ch.n_out:
         raise IndexError(f"clone index {k} not in 1..{ch.n_out}")
-    ds_in = dim_sym(ch.d, ch.n_in)
-    check_size_cap(ds_in * ch.d, size_cap)
-    branch = _clone_split(ch, k, ch.kraus.transpose(0, 2, 1))
-    w = branch.transpose(0, 2, 1, 3).reshape(-1, ds_in * ch.d)
-    val = np.vdot(w, w @ _transposed_moment(ch.d, ch.n_in, 1))
-    return float(val.real) / dim_sym(ch.d, ch.n_in + 1)
+    return float(_clone_fidelities(ch.d, ch.n_in, ch.n_out, ch.kraus, k, size_cap))
 
 
 @dataclass(frozen=True)

@@ -116,9 +116,10 @@ class Povm:
     Stored as two read-only stacks: `effects`, complex of shape (R, n+1, n+1),
     and `guesses`, the (R, 2) complex amplitude rows of the guess qubits.  The
     constructor takes any sequence of effect matrices and any sequence of
-    `PureState`s or amplitude rows.  Effects must be PSD within 1e-10 and sum
-    to the identity within 1e-8 (Frobenius); `completeness_residual` records
-    the actual defect.  Every guess row must have unit norm within 1e-12.
+    `PureState`s or amplitude rows.  Effects must be Hermitian within 1e-12
+    (largest entry of E - E^dag), PSD within 1e-10 and sum to the identity
+    within 1e-8 (Frobenius); `completeness_residual` records the actual
+    defect.  Every guess row must have unit norm within 1e-12.
     """
 
     n: int
@@ -137,6 +138,9 @@ class Povm:
         if any(g.shape != (2,) for g in rows):
             raise ShapeError("guesses must be qubits")
         effects = np.array(mats, dtype=complex).reshape(len(mats), dim, dim)
+        # eigvalsh reads one triangle only, so Hermiticity is checked first
+        if np.any(np.abs(effects - effects.conj().transpose(0, 2, 1)) > 1e-12):
+            raise ValueError("effect is not Hermitian within 1e-12")
         if np.any(np.linalg.eigvalsh(effects) < -1e-10):
             raise ValueError("effect has an eigenvalue below -1e-10")
         guesses = _check_unit_rows(np.array(rows, dtype=complex).reshape(len(rows), 2))

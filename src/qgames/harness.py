@@ -12,13 +12,15 @@ Rounds come in draw chunks of DRAW_ROUNDS: draw chunk c takes one substream of
 the seed, `substream(c)`, and draws whole arrays from it for all of its rounds,
 so round i depends on the seed and i alone.  Each random channel of the scan
 takes one substream per channel and draws only the Ginibre columns it keeps
-(`random_isometry_channel`).  The other random sets keep one substream per
-item: `haar_states` per state, `cloner_perturbations` and
-`povm_perturbations` per perturbation.  Rounds are evaluated in memory chunks
-with array operations: CHUNK_ROUNDS rounds, fewer for games whose rows are so
-wide that a chunk would pass CHUNK_BYTES.  Memory chunks subdivide a draw
-chunk and bound memory and nothing else, so a record depends on the seed and
-the round count, not on the memory chunk size.
+(`random_isometry_channel`); the scan orthonormalises, checks and scores its
+channels in memory chunks, so channel i, too, depends on the seed and i
+alone.  The other random sets keep one substream per item: `haar_states` per
+state, `cloner_perturbations` and `povm_perturbations` per perturbation.
+Rounds are evaluated in memory chunks with array operations: CHUNK_ROUNDS
+rounds, fewer for games whose rows are so wide that a chunk would pass
+CHUNK_BYTES.  Memory chunks subdivide a draw chunk and bound memory and
+nothing else, so a record depends on the seed and the round count, not on the
+memory chunk size.
 
 Analytic reports quote fidelities F; the protocol's literal stakes are +-1.
 A round passes with probability p = (1 + F)/2, so the mean +-1 payoff is
@@ -36,8 +38,12 @@ import numpy as np
 
 from .cloning import (
     Channel,
+    _checked_defects,
+    _clone_fidelities,
+    _ginibre_side,
     _global_overlaps,
     _one_particle_overlaps,
+    _random_isometry_kraus,
     haar_avg_global_fidelity,
     haar_random_unitary,
     conjugate_output,
@@ -45,8 +51,6 @@ from .cloning import (
     mixture_channel,
     optimal_cloner,
     product_embedding_channel,
-    random_isometry_channel,
-    single_clone_haar_fidelity,
     symmetric_noise_channel,
     value_formulas,
 )
@@ -515,11 +519,26 @@ class ScanReport:
         return self.max_sum_fidelity <= self.bound + self.tol
 
 
+def _scan_records(d, n_in, n_out, kraus, defects, kind, labels) -> list[ScanRecord]:
+    """One record per channel of a (N, K, rows, cols) Kraus stack with completeness `defects`.
+
+    Refuses the whole stack if any channel's defect passes 1e-8; otherwise
+    each clone k is scored for every channel by one batched contraction.
+    """
+    lossy = np.flatnonzero(np.asarray(defects) > 1e-8)
+    if lossy.size:
+        raise ValueError(f"channel {labels[lossy[0]]} is not trace preserving; refusing to scan")
+    fids = np.stack([_clone_fidelities(d, n_in, n_out, kraus, k)
+                     for k in range(1, n_out + 1)], axis=1)
+    return [ScanRecord(kind, label, tuple(row), float(sum(row)))
+            for label, row in zip(labels, fids.tolist())]
+
+
 def _scan_channel(ch: Channel, kind: str, label: str) -> ScanRecord:
-    if ch.completeness_defect() > 1e-8:
-        raise ValueError(f"channel {label} is not trace preserving; refusing to scan")
-    fids = tuple(single_clone_haar_fidelity(ch, k) for k in range(1, ch.n_out + 1))
-    return ScanRecord(kind, label, fids, float(sum(fids)))
+    kraus = np.asarray(ch.kraus)[None]
+    (record,) = _scan_records(ch.d, ch.n_in, ch.n_out, kraus, [ch.completeness_defect()],
+                              kind, [label])
+    return record
 
 
 def asymmetry_grid_channels(d: int, grid_points: int) -> list[tuple[float, Channel]]:
@@ -557,22 +576,39 @@ def asym_bound_scan(
     Scans Haar-random isometry channels plus (for 1 -> 2) the asymmetry grid
     and the optimal cloner itself, which attains the bound exactly.  The
     random channels' Ginibre side d^n_out * ancilla_dim is checked against the
-    size cap before the first channel is built.
+    size cap, with the arity checks of `random_isometry_channel`, before the
+    first channel is built.
+
+    The random channels are handled in chunks of at most CHUNK_ROUNDS, fewer
+    when a channel's Ginibre block is so wide that a chunk would pass
+    CHUNK_BYTES.  Each chunk is array work: `cloning._random_isometry_kraus`
+    draws every channel's block from its own substream, `root.substream(i)`
+    for channel i (seed scheme v2, unchanged), and orthonormalises the stacked
+    blocks by one batched QR; one batched check refuses non-finite entries
+    and completeness defects above `cloning.COMPLETENESS_ATOL`, as `Channel`
+    does, and the scan's own 1e-8; one batched contraction per clone scores
+    the chunk.  Records depend on the seed and the channel index alone, not
+    on the chunk length.  The optimal cloner and the grid go through the
+    same kernels one channel at a time.
     """
-    anc = d**n_out if ancilla_dim is None else int(ancilla_dim)
-    check_size_cap(d**n_out * anc)
+    dim = _ginibre_side(d, n_in, n_out, ancilla_dim)
     bound = value_formulas(d, n_in, n_out).asym_bound
     n_grid = grid_points if (n_in, n_out) == (1, 2) and grid_points > 0 else 0
+    chunk = _chunk_length(dim * d**n_in)
     _log.debug(
         "asym_bound_scan d=%d n_in=%d n_out=%d: %d random channels (%d Kraus operators), "
-        "%d grid channels, Choi side %d",
-        d, n_in, n_out, n_random, anc, n_grid, dim_sym(d, n_in) * d**n_out,
+        "%d grid channels, Choi side %d; %d chunks of <= %d channels",
+        d, n_in, n_out, n_random, dim // d**n_out, n_grid, dim_sym(d, n_in) * d**n_out,
+        -(-n_random // chunk), chunk,
     )
     root = RandomStream(seed)
     records = [_scan_channel(optimal_cloner(d, n_in, n_out), "optimal", "optimal-cloner")]
-    for i in range(n_random):
-        ch = random_isometry_channel(d, n_in, n_out, root.substream(i), ancilla_dim)
-        records.append(_scan_channel(ch, "random", f"random-{i}"))
+    for start in range(0, n_random, chunk):
+        index = range(start, min(start + chunk, n_random))
+        kraus = _random_isometry_kraus(d, n_in, n_out, [root.substream(i) for i in index],
+                                       ancilla_dim)
+        records += _scan_records(d, n_in, n_out, kraus, _checked_defects(kraus), "random",
+                                 [f"random-{i}" for i in index])
     if n_grid:
         for t, ch in asymmetry_grid_channels(d, n_grid):
             records.append(_scan_channel(ch, "grid", f"grid-t={t:.6f}"))

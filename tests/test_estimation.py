@@ -258,6 +258,26 @@ class TestPovmType:
         with pytest.raises(ValueError):
             Povm(1, (up, down), (KET0, KET0))
 
+    def test_rejects_non_hermitian_effect(self, monkeypatch):
+        # complete, and PSD on the lower triangles eigvalsh reads, so only the
+        # Hermiticity check, made before any eigvalsh, refuses it
+        upper = np.array([[1.0, 0.3], [0.0, 0.0]])
+        lower = np.array([[0.0, -0.3], [0.0, 1.0]])
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+        with pytest.raises(ValueError, match="Hermitian"):
+            Povm(1, (upper, lower), (KET0, PureState.basis(2, 1)))
+        assert calls == []
+
+    def test_hermiticity_tolerance_is_1e_12(self):
+        effects = np.array(build_povm(1, default_directions(1)).effects)
+        effects[0, 0, 1] += 0.5e-12j
+        Povm(1, effects, ([1.0, 0.0], [0.0, 1.0]))
+        effects[0, 0, 1] += 1e-12j
+        with pytest.raises(ValueError, match="Hermitian"):
+            Povm(1, effects, ([1.0, 0.0], [0.0, 1.0]))
+
     def test_rejects_guess_count_mismatch(self):
         povm = build_povm(1, default_directions(1))
         with pytest.raises(ShapeError):

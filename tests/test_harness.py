@@ -1,3 +1,4 @@
+import functools
 import logging
 import math
 import tracemalloc
@@ -651,3 +652,97 @@ class TestAsymBoundScan:
         with pytest.raises(InvalidArity):
             random_isometry_channel(2, 1, 2, RandomStream(1), ancilla_dim=ancilla_dim)
         assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# the batched scan against the per-channel route
+
+ORACLE_SEED = 27
+ORACLE_COUNT = 257
+
+
+@functools.lru_cache(maxsize=None)
+def _per_channel_records(d, n, m, ancilla_dim):
+    """Oracle: the scan's first ORACLE_COUNT random records, one channel at a time.
+
+    Channel i is `random_isometry_channel` on substream i of the seed, checked
+    with `completeness_defect` and scored with one `single_clone_haar_fidelity`
+    per clone: the per-channel route through the public API.
+    """
+    root = RandomStream(ORACLE_SEED)
+    records = []
+    for i in range(ORACLE_COUNT):
+        ch = random_isometry_channel(d, n, m, root.substream(i), ancilla_dim)
+        assert ch.completeness_defect() <= 1e-8
+        fids = tuple(single_clone_haar_fidelity(ch, k) for k in range(1, m + 1))
+        records.append((f"random-{i}", fids, sum(fids)))
+    return records
+
+
+class TestBatchedScan:
+    @pytest.mark.parametrize("chunk", [None, 7])
+    @pytest.mark.parametrize("ancilla_dim", [None, 1, 3])
+    @pytest.mark.parametrize("d, n, m", [(2, 1, 2), (3, 1, 2), (2, 1, 3), (2, 2, 3)])
+    def test_matches_the_per_channel_oracle(self, monkeypatch, d, n, m, ancilla_dim, chunk):
+        # chunk=None keeps CHUNK_BYTES (256 channels per chunk at these
+        # arities); 7 shows the records do not depend on the chunk length
+        if chunk is not None:
+            width = d**m * (d**m if ancilla_dim is None else ancilla_dim) * d**n
+            monkeypatch.setattr(qgames.harness, "CHUNK_BYTES", 16 * width * chunk)
+        want = _per_channel_records(d, n, m, ancilla_dim)
+        n_grid = 21 if (n, m) == (1, 2) else 0
+        for n_random in (1, 255, 256, 257):
+            report = asym_bound_scan(d, n, m, n_random, seed=ORACLE_SEED, ancilla_dim=ancilla_dim)
+            assert [r.kind for r in report.records] == (
+                ["optimal"] + ["random"] * n_random + ["grid"] * n_grid)
+            got = report.records[1:1 + n_random]
+            assert [r.label for r in got] == [label for label, _, _ in want[:n_random]]
+            worst = max(
+                abs(a - b)
+                for r, (_, fids, total) in zip(got, want)
+                for a, b in zip(r.fidelities + (r.sum_fidelity,), fids + (total,))
+            )
+            assert worst <= 1e-13
+
+    def test_memory_is_bounded_by_the_chunks(self):
+        # about 0.4 MiB one channel at a time; 22.6 MiB for one unchunked
+        # batch of all 1000 channels
+        tracemalloc.start()
+        try:
+            asym_bound_scan(3, 1, 2, 1000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in divide")
+    def test_non_finite_channel_refuses_the_scan(self, monkeypatch):
+        # channel 5 of the first chunk gets a NaN draw, which the QR's phase
+        # fix propagates with a warning; the other channels of its chunk are
+        # fine
+        real = RandomStream.complex_normals
+
+        def poisoned(self, count):
+            z = real(self, count)
+            if self.counter == 5:
+                z[3] = np.nan
+            return z
+
+        monkeypatch.setattr(RandomStream, "complex_normals", poisoned)
+        report = None
+        with pytest.raises(ValueError, match="non-finite"):
+            report = asym_bound_scan(2, 1, 2, 20, seed=3)
+        assert report is None
+
+    @pytest.mark.parametrize("n_random, chunk, tail", [
+        (1000, None, "; 4 chunks of <= 256 channels"),
+        (257, 100, "; 3 chunks of <= 100 channels"),
+        (0, None, "; 0 chunks of <= 256 channels"),
+    ])
+    def test_log_reports_the_chunks(self, monkeypatch, caplog, n_random, chunk, tail):
+        if chunk is not None:  # (2, 1, 2): 4 x 2 Ginibre entries per channel
+            monkeypatch.setattr(qgames.harness, "CHUNK_BYTES", 16 * 8 * chunk)
+        with caplog.at_level(logging.DEBUG, logger="qgames.harness"):
+            asym_bound_scan(2, 1, 2, n_random, grid_points=0, seed=2, ancilla_dim=1)
+        (record,) = [r for r in caplog.records if r.name == "qgames.harness"]
+        assert record.getMessage().endswith(tail)
