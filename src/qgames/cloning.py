@@ -357,13 +357,16 @@ def _random_isometry_kraus(d, n_in, n_out, streams, ancilla_dim=None) -> np.ndar
     orthonormalised by one batched phase-fixed QR, and one product by V_in
     restricts every isometry to Sym_in.  Channel i depends on streams[i]
     alone, not on how many channels share the stack.  The arity checks and
-    the size cap run before anything is drawn.
+    the size cap run before anything is drawn; a non-finite draw raises
+    ValueError before the QR.
     """
     dim = _ginibre_side(d, n_in, n_out, ancilla_dim)
     dim_in, dim_out = d**n_in, d**n_out
     z = np.empty((len(streams), dim, dim_in), dtype=complex)
     for block, stream in zip(z, streams):
         block[...] = stream.complex_normals(dim * dim_in).reshape(dim, dim_in)
+    if not np.all(np.isfinite(z)):
+        raise ValueError("Ginibre draws have non-finite entries")
     z /= math.sqrt(2.0)
     iso = _phase_fixed_q(z).reshape(len(z), dim_out, dim // dim_out, dim_in)
     return iso.transpose(0, 2, 1, 3) @ sym_isometry(d, n_in)

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import Generator, SeedSequence, default_rng
 
 #: Largest total dimension a single dense object may have.  Operations that
 #: would build anything bigger raise :class:`SizeCapExceeded` instead of
@@ -144,15 +145,13 @@ class RandomStream:
     def __init__(self, seed: int, counter: int = 0):
         self.seed = int(seed) & _MASK64
         self.counter = int(counter) & _MASK64
-        self._gen = np.random.default_rng(
-            np.random.SeedSequence(self.seed, spawn_key=(self.counter,))
-        )
+        self._gen = default_rng(SeedSequence(self.seed, spawn_key=(self.counter,)))
 
     def substream(self, counter: int) -> "RandomStream":
         return RandomStream(self.seed, counter)
 
     @property
-    def generator(self) -> np.random.Generator:
+    def generator(self) -> Generator:
         return self._gen
 
     def uniform(self) -> float:

@@ -6,7 +6,11 @@ projectors onto the coherent coordinates of each direction's qubit, the
 occupation coordinates of phi_r^{tensor n} that `coherent_coordinates` writes
 down, the same representation the cloning side uses; the weights must tile
 the identity of the symmetric subspace (completeness), which we solve for by
-nonnegative least squares over any supplied direction set.
+nonnegative least squares over any supplied direction set.  The NNLS engine
+is numpy only (`_nnls`): the unconstrained least-squares solution when it is
+already nonnegative, otherwise block principal pivoting with a Lawson-Hanson
+fallback; either way it returns the minimum residual, which decides
+IncompletePovm.
 
 Why completeness alone pins the mean fidelity at (n+1)/(n+2) for aligned
 guesses: each effect c_r |Phi_r><Phi_r| embeds into the full copy space as c_r
@@ -34,12 +38,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
+from numpy.polynomial.legendre import leggauss
 
 from .core import DensityOperator, PureState, ShapeError, _check_unit_rows, check_size_cap
 from .symmetric import coherent_coordinates, dim_sym, sym_split
 
 _log = logging.getLogger(__name__)
+
+#: Full block exchanges that may fail to lower the count of KKT violations
+#: before `_nnls` gives up block principal pivoting for Lawson-Hanson.
+NNLS_PATIENCE = 10
 
 
 class IncompletePovm(ValueError):
@@ -206,7 +214,7 @@ def design_directions(n_copies: int) -> tuple[list[Direction], np.ndarray]:
     q = k // 2 + 1  # Gauss-Legendre is exact through degree 2q - 1 >= k
     p = k + 1  # uniform azimuths kill e^{i j psi} for 0 < |j| <= k
     _check_effect_stack(n_copies, q * p)
-    nodes, gl_weights = np.polynomial.legendre.leggauss(q)
+    nodes, gl_weights = leggauss(q)
     dirs, weights = [], []
     for x, w in zip(nodes, gl_weights):
         theta = math.acos(max(-1.0, min(1.0, float(x))))
@@ -216,25 +224,138 @@ def design_directions(n_copies: int) -> tuple[list[Direction], np.ndarray]:
     return dirs, np.array(weights)
 
 
+def _completeness_system(projectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real system (design, target) with ||design @ c - target|| = ||sum_r c_r P_r - I||_F.
+
+    Each Hermitian P_r of side k becomes one column of k^2 real coordinates:
+    the k diagonal entries, then sqrt(2) times the real and the imaginary
+    parts of the entries above the diagonal, which keeps the Frobenius norm.
+    """
+    dim = projectors.shape[-1]
+    upper = np.triu_indices(dim, 1)
+    off = math.sqrt(2.0) * projectors[:, upper[0], upper[1]]
+    diag = np.diagonal(projectors, axis1=1, axis2=2).real
+    design = np.concatenate([diag, off.real, off.imag], axis=1).T
+    target = np.concatenate([np.ones(dim), np.zeros(dim * dim - dim)])
+    return np.ascontiguousarray(design), target
+
+
+def _passive_lstsq(a: np.ndarray, b: np.ndarray, passive: np.ndarray) -> np.ndarray:
+    """Least-squares x with x = 0 off the boolean mask `passive`.
+
+    A Householder QR solves it when the passive columns are at most as many
+    as the rows and well inside full rank; otherwise (more columns than
+    rows, or nearly dependent ones) the minimum-norm SVD solution of
+    `np.linalg.lstsq`.
+    """
+    x = np.zeros(a.shape[1])
+    if not passive.any():
+        return x
+    cols = a[:, passive]
+    if cols.shape[0] >= cols.shape[1]:
+        q, r = np.linalg.qr(cols)
+        diag = np.abs(np.diagonal(r))
+        if diag.min() > 1e-10 * diag.max():
+            x[passive] = np.linalg.solve(r, q.T @ b)
+            return x
+    x[passive] = np.linalg.lstsq(cols, b, rcond=None)[0]
+    return x
+
+
+def _lawson_hanson(a, b, passive, gtol):
+    """Lawson-Hanson active set from the columns `passive`; x or None at the cap.
+
+    The start shrinks `passive` until its least-squares solution is positive.
+    Each outer step frees the zero weight with the largest descent direction
+    a^T(b - a x) above gtol; an entering column whose weight comes out
+    nonpositive is set aside until the next accepted step.
+    """
+    while True:
+        x = _passive_lstsq(a, b, passive)
+        if np.all(x[passive] > 0.0):
+            break
+        passive &= x > 0.0
+    rejected = np.zeros_like(passive)
+    for _ in range(3 * a.shape[1]):
+        grad = a.T @ (b - a @ x)
+        grad[passive | rejected] = -np.inf
+        enter = int(np.argmax(grad))
+        if grad[enter] <= gtol:
+            return x
+        passive[enter] = True
+        z = _passive_lstsq(a, b, passive)
+        if z[enter] <= 0.0:
+            passive[enter], rejected[enter] = False, True
+            continue
+        rejected[:] = False
+        while np.any(z[passive] <= 0.0):
+            # step from x towards z until the first weight reaches zero
+            blocking = np.flatnonzero(passive & (z <= 0.0))
+            ratios = x[blocking] / (x[blocking] - z[blocking])
+            step = ratios.min()
+            x += step * (z - x)
+            x[blocking[ratios <= step]] = 0.0
+            passive &= x > 0.0
+            x[~passive] = 0.0
+            z = _passive_lstsq(a, b, passive)
+        x = z
+    return None
+
+
+def _nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """Nonnegative least squares: x >= 0 minimising ||a x - b||, and that residual.
+
+    An unconstrained least-squares solution that is already nonnegative is
+    optimal.  Otherwise block principal pivoting (Kim and Park, SIAM J. Sci.
+    Comput. 33, 3261 (2011)) starts from its positive entries: each step
+    solves least squares on the passive columns and swaps every column that
+    violates the KKT conditions (a negative passive weight, or a zero weight
+    whose gradient a^T(a x - b) is below -gtol).  When NNLS_PATIENCE swaps in
+    a row fail to lower the number of violations, Lawson-Hanson takes over
+    from the passive set.  gtol is ten rounding units of the gradient.
+    """
+    x = _passive_lstsq(a, b, np.ones(a.shape[1], dtype=bool))
+    if x.min() < 0.0:
+        gtol = 10.0 * np.finfo(float).eps * np.abs(a).sum(axis=0).max() * (1.0 + np.linalg.norm(b))
+        passive = x > 0.0
+        fewest, patience = a.shape[1] + 1, NNLS_PATIENCE
+        while True:
+            x = _passive_lstsq(a, b, passive)
+            grad = a.T @ (a @ x - b)
+            violated = np.where(passive, x < 0.0, grad < -gtol)
+            count = int(violated.sum())
+            if count == 0:
+                break
+            if count < fewest:
+                fewest, patience = count, NNLS_PATIENCE
+            elif patience == 0:
+                x = _lawson_hanson(a, b, passive, gtol)
+                if x is None:
+                    raise RuntimeError("NNLS reached its iteration cap")
+                break
+            else:
+                patience -= 1
+            passive ^= violated
+    x = np.clip(x, 0.0, None)
+    return x, float(np.linalg.norm(a @ x - b))
+
+
 def build_povm(n_copies: int, directions, tol: float = 1e-8) -> Povm:
     """Solve for nonnegative weights making the direction projectors complete.
 
     Minimizes the Frobenius defect || sum_r c_r |Phi_r><Phi_r| - I || over
-    c_r >= 0 (nonnegative least squares); raises IncompletePovm when the
-    residual exceeds `tol` or no direction is given.  Guesses are the
-    directions themselves.  The size cap counts the effect stack, one effect of
-    side n+1 per direction, and is checked before any effect is built.
+    c_r >= 0 with the numpy NNLS `_nnls`, which returns the minimum defect;
+    raises IncompletePovm when that residual exceeds `tol` or no direction
+    is given.  Guesses are the directions themselves.  The size cap counts
+    the effect stack, one effect of side n+1 per direction, and is checked
+    before any effect is built.
     """
     directions = list(directions)
     if not directions:
         raise IncompletePovm("no directions to tile the identity with")
     _check_effect_stack(n_copies, len(directions))
     amps, projectors = _coherent_projectors(n_copies, directions)
-    dim = n_copies + 1
-    flat = projectors.reshape(len(directions), dim * dim)
-    design = np.concatenate([flat.real, flat.imag], axis=1).T
-    target = np.concatenate([np.eye(dim).reshape(-1), np.zeros(dim * dim)])
-    weights, residual = nnls(design, target)
+    weights, residual = _nnls(*_completeness_system(projectors))
     if residual > tol:
         raise IncompletePovm(
             f"completeness residual {residual:.3e} exceeds tol {tol:.0e}; "

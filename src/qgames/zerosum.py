@@ -4,13 +4,15 @@ The row player maximizes entry A[i, j]; the column player receives the
 negation.  `solve` produces an (x, y, value) triple whose exploitability
 (best-response gap) is below the requested tolerance.
 
-There is one engine: the row player's linear program, solved by HiGHS, the
-LP solver that scipy ships (Huangfu and Hall, "Parallelizing the dual revised
-simplex method", Math. Prog. Comp. 2018).  The row strategy is the primal
-solution and the column strategy is read off the duals.  Floating-point LP
-solutions are only approximately optimal, so the exploitability of the
-returned pair, recomputed from the payoff matrix, is the acceptance test: a
-pair is returned only when that certificate is within tolerance.
+There is one engine: a dense-tableau primal simplex in numpy on the shifted
+game.  Adding s = 1 - min(A) to every payoff makes the matrix B = A + s
+positive, and the column player's program  max 1^T w  s.t.  B w <= 1,
+w >= 0  starts feasible at the slack basis, so no phase 1 is needed.  At the
+optimal basis w rescales to y and the slack reduced costs (the duals of
+B w <= 1) rescale to x; the value is 1 / sum(w) - s.  Floating-point pivots
+are only approximately optimal, so the exploitability of the returned pair,
+recomputed from the payoff matrix, is the acceptance test: a pair is returned
+only when that certificate is within tolerance.
 """
 
 from __future__ import annotations
@@ -18,7 +20,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+
+#: Pivot cap per game row: `solve` raises NonConvergence once an m-row game
+#: has taken PIVOTS_PER_ROW * m pivots without reaching an optimal basis.
+#: Random square games need 1-7 m pivots.
+PIVOTS_PER_ROW = 50
+#: Consecutive degenerate (zero-step) pivots after which the entering column
+#: switches from the most negative reduced cost to Bland's lowest eligible
+#: index, which cannot cycle; the first pivot that moves switches it back.
+STALLS_BEFORE_BLAND = 10
+#: Reduced costs above -_EPS count as optimal; pivot column entries must
+#: exceed _EPS; ratios within _EPS of the minimum tie.
+_EPS = 1e-12
 
 
 class NonConvergence(RuntimeError):
@@ -129,34 +142,76 @@ def _pair(game, x_probs, y_probs):
     return EquilibriumPair(x, y, value, gap)
 
 
+def _optimal_basis(b: np.ndarray) -> np.ndarray:
+    """Basic columns at the optimum of  max 1^T w  s.t.  b w <= 1, w >= 0.
+
+    b is a positive (m, n) matrix, so the slack basis is feasible and the
+    program is bounded.  Columns 0..n-1 are the w_j and n..n+m-1 the slacks.
+    The dense tableau carries the constraint rows and, last, the reduced
+    costs of  min -1^T w.  Entering column: the most negative reduced cost,
+    or Bland's lowest index after STALLS_BEFORE_BLAND degenerate pivots in a
+    row; leaving row: the minimum ratio, ties to the lowest basic index.
+    """
+    m, n = b.shape
+    tab = np.zeros((m + 1, n + m + 1))
+    tab[:m, :n] = b
+    tab[:m, n:n + m] = np.eye(m)
+    tab[:m, -1] = 1.0
+    tab[m, :n] = -1.0
+    cost, rhs = tab[m, :-1], tab[:m, -1]  # views, updated by every pivot
+    basis = np.arange(n, n + m)
+    stalls = 0
+    for _ in range(PIVOTS_PER_ROW * m):
+        if stalls < STALLS_BEFORE_BLAND:
+            enter = int(np.argmin(cost))
+            if cost[enter] >= -_EPS:
+                return basis
+        else:
+            eligible = np.flatnonzero(cost < -_EPS)
+            if eligible.size == 0:
+                return basis
+            enter = int(eligible[0])
+        col = tab[:m, enter]
+        ratios = np.full(m, np.inf)
+        np.divide(rhs, col, out=ratios, where=col > _EPS)
+        step = ratios.min()
+        ties = np.flatnonzero(ratios <= step + _EPS)
+        leave = int(ties[np.argmin(basis[ties])])
+        stalls = stalls + 1 if step <= _EPS else 0
+        pivot_row = tab[leave] / tab[leave, enter]
+        tab -= np.outer(tab[:, enter], pivot_row)
+        tab[leave] = pivot_row
+        basis[leave] = enter
+    raise NonConvergence(
+        f"simplex reached its cap of {PIVOTS_PER_ROW * m} pivots on a {m} x {n} game", np.inf
+    )
+
+
 def solve(game: MatrixGame, tol: float = 1e-9) -> EquilibriumPair:
     """Equilibrium pair whose exploitability is certified to be <= tol.
 
-    HiGHS solves the row player's program  max v  s.t.  A^T x >= v 1,
-    sum(x) = 1, x >= 0.  x comes from the primal solution and y from the
-    duals of the A^T x >= v 1 rows, both clipped at 0 and renormalised.  The
-    pair is returned only if its best-response gap, recomputed from the
-    payoffs, is <= tol; otherwise NonConvergence carries the gap.
+    The numpy simplex (`_optimal_basis`) finds an optimal basis of the
+    shifted column program  max 1^T w  s.t.  (A + s) w <= 1, w >= 0.  The
+    basic w and the slack reduced costs u are then recomputed from that
+    basis and the payoffs with two linear solves, clipped at 0 and
+    normalised: y = w / sum(w) and x = u / sum(u).  The pair is returned only
+    if its best-response gap, recomputed from the payoffs, is <= tol;
+    otherwise, or when the simplex hits its pivot cap, NonConvergence
+    carries the gap (inf at the cap).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     a = game.payoff
     m, n = a.shape
-    cost = np.zeros(m + 1)
-    cost[-1] = -1.0
-    res = linprog(
-        cost,
-        A_ub=np.hstack([-a.T, np.ones((n, 1))]),
-        b_ub=np.zeros(n),
-        A_eq=np.hstack([np.ones((1, m)), np.zeros((1, 1))]),
-        b_eq=[1.0],
-        bounds=[(0, None)] * m + [(None, None)],
-        method="highs",
-    )
-    if res.status != 0:
-        raise NonConvergence(f"HiGHS found no optimum: {res.message}", np.inf)
-    x = np.clip(res.x[:m], 0.0, None)
-    y = np.clip(-res.ineqlin.marginals, 0.0, None)
+    shifted = a - (a.min() - 1.0)
+    basis = _optimal_basis(shifted)
+    basic = np.hstack([shifted, np.eye(m)])[:, basis]
+    original = basis < n
+    w = np.zeros(n)
+    w[basis[original]] = np.linalg.solve(basic, np.ones(m))[original]
+    u = np.linalg.solve(basic.T, original.astype(float))
+    x = np.clip(u, 0.0, None)
+    y = np.clip(w, 0.0, None)
     eq = _pair(game, x / x.sum(), y / y.sum())
     if eq.exploitability > tol:
         raise NonConvergence(

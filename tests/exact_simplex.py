@@ -1,12 +1,15 @@
 """Exact rational simplex: the test oracle for `qgames.zerosum.solve`.
 
-Shares no code with the HiGHS engine.  Shift the payoffs so every entry is
->= 1; then the column player's program is  max sum(w)  s.t.  A'w <= 1,
-w >= 0, whose origin is feasible, so one Phase-2 simplex with Bland's rule
-finishes it.  The optimal w rescales to y, the slack reduced costs rescale to
-x, and value = 1/sum(w) shifted back.  Exact arithmetic makes the value exact
-up to the final float conversion.  Its cost grows steeply with size, so the
-tests use it on small games only.
+Shares no code with the numpy engine and is never imported by it.  Both
+solve the same shifted program, so the tests also compare `solve` with HiGHS
+on the row player's program, a different formulation.  Shift the payoffs so
+every entry is >= 1; then the column player's program is  max sum(w)  s.t.
+A'w <= 1, w >= 0, whose origin is feasible, so one Phase-2 simplex with
+Bland's rule from the first pivot finishes it, in rational arithmetic where
+the engine pivots in floats.  The optimal w rescales to y, the slack reduced
+costs rescale to x, and value = 1/sum(w) shifted back.  Exact arithmetic
+makes the value exact up to the final float conversion.  Its cost grows
+steeply with size, so the tests use it on small games only.
 """
 
 from fractions import Fraction

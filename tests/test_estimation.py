@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.linalg import expm
+from scipy.optimize import nnls as scipy_nnls
+
+import qgames.estimation
 
 from qgames.core import (
     PureState,
@@ -15,6 +18,10 @@ from qgames.core import (
     tensor_power,
 )
 from qgames.estimation import (
+    _coherent_projectors,
+    _completeness_system,
+    _lawson_hanson,
+    _nnls,
     Direction,
     IncompletePovm,
     Povm,
@@ -244,6 +251,107 @@ class TestBuildPovm:
                     assert np.linalg.eigvalsh(effect).min() >= -1e-10
                 count += 1
         assert count >= 100
+
+
+def completeness_system(n, directions):
+    return _completeness_system(_coherent_projectors(n, directions)[1])
+
+
+def assert_kkt(a, b, x):
+    """x >= 0, no descent direction a^T(b - a x) above 1e-10, complementarity."""
+    descent = a.T @ (b - a @ x)
+    assert x.min() >= 0.0
+    assert descent.max() <= 1e-10
+    assert np.abs(x * descent).max() <= 1e-10
+
+
+class TestNnls:
+    def test_system_norm_is_the_frobenius_defect(self, rng):
+        gen = rng.generator
+        _, projectors = _coherent_projectors(3, fibonacci_directions(20))
+        weights = gen.uniform(0.0, 0.5, size=20)
+        a, b = _completeness_system(projectors)
+        assert a.shape == (16, 20)
+        defect = np.einsum("r,rij->ij", weights, projectors) - np.eye(4)
+        assert np.linalg.norm(a @ weights - b) == pytest.approx(
+            np.linalg.norm(defect, "fro"), rel=1e-14)
+
+    @pytest.mark.parametrize("n", range(1, 16))
+    def test_default_directions_match_scipy(self, n):
+        a, b = completeness_system(n, default_directions(n))
+        x, residual = _nnls(a, b)
+        ref_x, ref_residual = scipy_nnls(a, b)
+        expect_pass = n not in (9, 14, 15)
+        assert (residual <= 1e-8) == (ref_residual <= 1e-8) == expect_pass
+        assert abs(residual - ref_residual) <= 1e-10
+        assert residual == np.linalg.norm(a @ x - b)
+        assert_kkt(a, b, x)
+
+    @pytest.mark.parametrize("n", [2, 3, 9])
+    def test_duplicated_directions(self, n):
+        # (n+1)^2 rows, 2 (n+1)^2 columns: every column has a twin
+        a, b = completeness_system(n, default_directions(n) * 2)
+        x, residual = _nnls(a, b)
+        assert abs(residual - scipy_nnls(a, b)[1]) <= 1e-10
+        assert_kkt(a, b, x)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_rank_deficient_frames(self, n, rng):
+        # more directions than the (n+1)^2 real coordinates of a Hermitian
+        # effect: the benchmark's frame-game sets (an antipodal pair plus the
+        # default frame) and random sets
+        gen = rng.substream(60 + n).generator
+        frames = [[Direction(0.0, 0.0), Direction(math.pi, 0.0)] + default_directions(n)]
+        frames += [[Direction(float(gen.uniform(0, math.pi)), float(gen.uniform(0, 2 * math.pi)))
+                    for _ in range(count)] for count in (2 * (n + 1) ** 2, 4 * (n + 1) ** 2)]
+        for dirs in frames:
+            a, b = completeness_system(n, dirs)
+            assert a.shape[1] > np.linalg.matrix_rank(a)
+            x, residual = _nnls(a, b)
+            assert abs(residual - scipy_nnls(a, b)[1]) <= 1e-10
+            assert_kkt(a, b, x)
+
+    def test_random_problems_match_scipy(self, rng):
+        gen = rng.generator
+        for rows, cols in [(30, 20), (20, 30), (12, 12), (40, 5)]:
+            for _ in range(5):
+                a = gen.standard_normal((rows, cols))
+                b = gen.standard_normal(rows)
+                x, residual = _nnls(a, b)
+                assert abs(residual - scipy_nnls(a, b)[1]) <= 1e-10
+                assert_kkt(a, b, x)
+
+    def test_lawson_hanson_fallback(self, monkeypatch):
+        # no patience: the first swap that does not lower the violation count
+        # hands over to Lawson-Hanson, which n = 15's swaps soon reach
+        a, b = completeness_system(15, default_directions(15))
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return _lawson_hanson(*args)
+
+        monkeypatch.setattr(qgames.estimation, "NNLS_PATIENCE", 0)
+        monkeypatch.setattr(qgames.estimation, "_lawson_hanson", spy)
+        x, residual = _nnls(a, b)
+        assert len(calls) == 1
+        assert abs(residual - scipy_nnls(a, b)[1]) <= 1e-10
+        assert_kkt(a, b, x)
+
+    def test_lawson_hanson_from_an_empty_passive_set(self, rng):
+        gen = rng.generator
+        problems = [completeness_system(9, default_directions(9))]
+        problems += [(gen.standard_normal((25, 15)), gen.standard_normal(25)) for _ in range(5)]
+        for a, b in problems:
+            x = _lawson_hanson(a, b, np.zeros(a.shape[1], dtype=bool), 1e-13)
+            assert abs(np.linalg.norm(a @ x - b) - scipy_nnls(a, b)[1]) <= 1e-10
+            assert_kkt(a, b, x)
+
+    @pytest.mark.parametrize("n, residual", [(9, "7.528e-05"), (14, "3.556e-07"),
+                                              (15, "5.272e-07")])
+    def test_incomplete_default_frames_report_the_minimum_residual(self, n, residual):
+        with pytest.raises(IncompletePovm, match=f"completeness residual {residual} "):
+            build_povm(n, default_directions(n))
 
 
 class TestPovmType:

@@ -715,10 +715,10 @@ class TestBatchedScan:
             tracemalloc.stop()
         assert peak <= 8 * 2**20
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in divide")
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_channel_refuses_the_scan(self, monkeypatch):
-        # channel 5 of the first chunk gets a NaN draw, which the QR's phase
-        # fix propagates with a warning; the other channels of its chunk are
+        # channel 5 of the first chunk gets a NaN draw, which is refused before
+        # the QR, so no warning escapes; the other channels of its chunk are
         # fine
         real = RandomStream.complex_normals
 

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
 
+import qgames.zerosum
+from qgames.estimation import build_povm, default_directions, universal_povm
+from qgames.harness import discretize_estimation_game, fibonacci_states
 from qgames.zerosum import (
     CovarianceViolation,
     EquilibriumPair,
@@ -96,6 +100,108 @@ class TestSolve:
             solve(PENNIES, tol=0.0)
         with pytest.raises(ValueError):
             MatrixGame(np.array([[np.inf, 1.0]]))
+
+
+def highs_value(a):
+    """Game value from HiGHS: max v  s.t.  A^T x >= v 1, sum(x) = 1, x >= 0."""
+    m, n = a.shape
+    cost = np.zeros(m + 1)
+    cost[-1] = -1.0
+    res = linprog(
+        cost,
+        A_ub=np.hstack([-a.T, np.ones((n, 1))]),
+        b_ub=np.zeros(n),
+        A_eq=np.hstack([np.ones((1, m)), np.zeros((1, 1))]),
+        b_eq=[1.0],
+        bounds=[(0, None)] * m + [(None, None)],
+        method="highs",
+    )
+    assert res.status == 0
+    return res.x[-1]
+
+
+def sandwich_game(n_copies, n_states):
+    """The `sandwich` estimation game: universal and default POVMs against Fibonacci states."""
+    povms = [universal_povm(n_copies), build_povm(n_copies, default_directions(n_copies))]
+    return discretize_estimation_game(n_copies, povms, fibonacci_states(n_states))
+
+
+class TestNumpySimplex:
+    @pytest.mark.parametrize("shape", [(2, 40), (40, 2), (5, 40), (40, 5), (12, 12), (15, 15)])
+    def test_value_matches_exact_simplex(self, shape):
+        gen = np.random.default_rng(shape[0] * 100 + shape[1])
+        for _ in range(3):
+            a = gen.standard_normal(shape)
+            eq = solve(MatrixGame(a))
+            assert eq.exploitability <= 1e-13
+            assert abs(eq.value - exact_simplex(a)[2]) <= 1e-12
+
+    def test_value_matches_highs_up_to_40x40(self):
+        gen = np.random.default_rng(40)
+        for _ in range(60):
+            m, n = gen.integers(1, 41, size=2)
+            a = gen.standard_normal((m, n))
+            eq = solve(MatrixGame(a))
+            assert eq.exploitability <= 1e-13
+            assert abs(eq.value - highs_value(a)) <= 1e-10
+
+    def test_constant_matrix(self):
+        eq = solve(MatrixGame(np.full((3, 4), 0.7)))
+        assert eq.value == pytest.approx(0.7, abs=1e-15)
+        assert eq.exploitability <= 1e-15
+
+    def test_duplicated_rows_and_columns(self):
+        gen = np.random.default_rng(9)
+        base = gen.standard_normal((4, 5))
+        a = base[[0, 1, 1, 2, 3, 3, 0]][:, [0, 0, 1, 2, 3, 4, 4, 2]]
+        eq = solve(MatrixGame(a))
+        assert eq.exploitability <= 1e-14
+        assert abs(eq.value - solve(MatrixGame(base)).value) <= 1e-13
+        assert abs(eq.value - exact_simplex(a)[2]) <= 1e-12
+
+    def test_rock_paper_scissors_is_exact(self):
+        eq = solve(rock_paper_scissors())
+        assert abs(eq.value) <= 1e-15
+        assert eq.exploitability <= 1e-15
+
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    def test_single_row_and_single_column_shapes(self, n):
+        row = np.random.default_rng(n).standard_normal((1, n))
+        eq = solve(MatrixGame(row))
+        assert eq.value == pytest.approx(row.min(), abs=1e-15)
+        assert eq.exploitability <= 1e-15
+        eq = solve(MatrixGame(row.T))
+        assert eq.value == pytest.approx(row.max(), abs=1e-15)
+        assert eq.exploitability <= 1e-15
+
+    @pytest.mark.parametrize("n_copies", [1, 2, 3])
+    def test_sandwich_shapes_up_to_2x256(self, n_copies):
+        for n_states in (4, 16, 64, 256):
+            game = sandwich_game(n_copies, n_states)
+            eq = solve(game)
+            assert game.shape == (2, n_states)
+            assert eq.exploitability <= 1e-14
+            assert abs(eq.value - highs_value(game.payoff)) <= 1e-12
+
+    def test_bland_rule_from_the_first_pivot(self, monkeypatch):
+        gen = np.random.default_rng(12)
+        games = [gen.standard_normal((9, 11)) for _ in range(5)]
+        games += [rock_paper_scissors().payoff, np.full((3, 3), -2.0)]
+        dantzig = [solve(MatrixGame(a)).value for a in games]
+        monkeypatch.setattr(qgames.zerosum, "STALLS_BEFORE_BLAND", 0)
+        for a, value in zip(games, dantzig):
+            eq = solve(MatrixGame(a))
+            assert eq.exploitability <= 1e-13
+            assert abs(eq.value - value) <= 1e-13
+
+    def test_pivot_cap_raises(self, monkeypatch):
+        # this 40 x 40 game takes 78 pivots, more than a cap of one per row
+        game = MatrixGame(np.random.default_rng(0).standard_normal((40, 40)))
+        assert solve(game).exploitability <= 1e-13
+        monkeypatch.setattr(qgames.zerosum, "PIVOTS_PER_ROW", 1)
+        with pytest.raises(NonConvergence, match="cap of 40 pivots") as info:
+            solve(game)
+        assert info.value.exploitability == np.inf
 
 
 class TestExploitability:
