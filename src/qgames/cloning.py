@@ -348,27 +348,30 @@ def _ginibre_side(d, n_in, n_out, ancilla_dim=None) -> int:
     return check_size_cap(dim_out * anc)
 
 
-def _random_isometry_kraus(d, n_in, n_out, streams, ancilla_dim=None) -> np.ndarray:
-    """Kraus stacks of one random isometry channel per stream.
+def _random_isometry_kraus(d, n_in, n_out, rng: RandomStream, count: int,
+                           ancilla_dim=None) -> np.ndarray:
+    """Kraus stacks of `count` consecutive random isometry channels drawn from `rng`.
 
-    The result has shape (N, anc, d**n_out, dim_sym(d, n_in)).  Each stream
-    draws its own (d**n_out * anc, d**n_in) Ginibre block, as
-    `random_isometry_channel` describes; the blocks are stacked and
+    The result has shape (count, anc, d**n_out, dim_sym(d, n_in)).  Channel i
+    is the (i+1)-th consecutive `random_isometry_channel` draw from `rng`: one
+    `standard_normal((count, 2, D, d**n_in))` call, D = d**n_out * anc, draws
+    every channel's real parts, then its imaginary parts, exactly as `count`
+    consecutive `complex_normals(D * d**n_in)` calls would.  The blocks are
     orthonormalised by one batched phase-fixed QR, and one product by V_in
-    restricts every isometry to Sym_in.  Channel i depends on streams[i]
-    alone, not on how many channels share the stack.  The arity checks and
-    the size cap run before anything is drawn; a non-finite draw raises
-    ValueError before the QR.
+    restricts every isometry to Sym_in.  The arity checks and the size cap
+    run before anything is drawn; a non-finite draw raises ValueError before
+    the QR.
     """
     dim = _ginibre_side(d, n_in, n_out, ancilla_dim)
     dim_in, dim_out = d**n_in, d**n_out
-    z = np.empty((len(streams), dim, dim_in), dtype=complex)
-    for block, stream in zip(z, streams):
-        block[...] = stream.complex_normals(dim * dim_in).reshape(dim, dim_in)
-    if not np.all(np.isfinite(z)):
+    parts = rng.generator.standard_normal((count, 2, dim, dim_in))
+    if not np.all(np.isfinite(parts)):
         raise ValueError("Ginibre draws have non-finite entries")
+    z = np.empty((count, dim, dim_in), dtype=complex)
+    z.real, z.imag = parts[:, 0], parts[:, 1]
+    del parts  # the QR's working memory need not sit beside the draws
     z /= math.sqrt(2.0)
-    iso = _phase_fixed_q(z).reshape(len(z), dim_out, dim // dim_out, dim_in)
+    iso = _phase_fixed_q(z).reshape(count, dim_out, dim // dim_out, dim_in)
     return iso.transpose(0, 2, 1, 3) @ sym_isometry(d, n_in)
 
 
@@ -380,22 +383,21 @@ def random_isometry_channel(d, n_in, n_out, rng: RandomStream, ancilla_dim=None)
     The channel has full output rows, and its Kraus operators are the
     isometry's blocks restricted to Sym_in (times V_in).
 
-    Seed scheme v2: the stream yields only the d**n_in Ginibre columns that
-    are kept, a (d**n_out * ancilla_dim, d**n_in) block of complex normals,
-    and their reduced QR with the phase fix of `_phase_fixed_q` orthonormalises
+    Each call draws only the d**n_in Ginibre columns that are kept, a
+    (d**n_out * ancilla_dim, d**n_in) block of complex normals as one
+    `rng.complex_normals` call would (real parts, then imaginary parts), and
+    their reduced QR with the phase fix of `_phase_fixed_q` orthonormalises
     them.  Those columns are distributed as the leading columns of a Haar
     unitary, so the isometry is Haar distributed.  The Kraus stack comes from
-    the batched kernel `_random_isometry_kraus` at a batch of one.  The
-    asymmetric-bound scan runs the same kernel on whole chunks of channels,
-    still one substream per channel (`harness.asym_bound_scan`); `mc-play`
-    rounds draw by the same scheme (`harness.monte_carlo_play`), while
-    `harness.haar_states`, `harness.cloner_perturbations` and
-    `harness.povm_perturbations` keep one substream per item.  The size cap
-    counts the Ginibre side d**n_out * ancilla_dim and is checked before
-    anything is drawn, as are ancilla_dim >= 1 and a Ginibre side of at least
-    the d**n_in kept columns.
+    the batched kernel `_random_isometry_kraus` at a batch of one.  Under seed
+    scheme v3 the asymmetric-bound scan runs the same kernel on whole memory
+    chunks of channels: its channel i is the (i mod DRAW_ROUNDS)-th
+    consecutive call on `RandomStream(seed).substream(i // DRAW_ROUNDS)`
+    (`harness.asym_bound_scan`).  The size cap counts the Ginibre side
+    d**n_out * ancilla_dim and is checked before anything is drawn, as are
+    ancilla_dim >= 1 and a Ginibre side of at least the d**n_in kept columns.
     """
-    kraus = _random_isometry_kraus(d, n_in, n_out, [rng], ancilla_dim)
+    kraus = _random_isometry_kraus(d, n_in, n_out, rng, 1, ancilla_dim)
     return Channel(d, n_in, n_out, kraus[0])
 
 
@@ -513,13 +515,15 @@ def _clone_fidelities(d, n_in, n_out, kraus: np.ndarray, k: int,
     Sym_in (x) C^d, and the average is the (n_in + 1)-copy moment formula on
     it.  The size cap counts that reduced side, dim_sym(d, n_in) * d.
     Leading axes are a batch of channels: one product and one contraction
-    serve them all.
+    serve them all.  The moment G is real, so Re tr(w^dag w G) is the dot
+    product of the float views of w and w G, and no conjugate is formed.
     """
     side = check_size_cap(dim_sym(d, n_in) * d, size_cap)
     branch = _clone_split(d, n_out, k, kraus.swapaxes(-1, -2))
-    w = branch.swapaxes(-3, -2).reshape(*kraus.shape[:-3], -1, side)
-    val = np.einsum("...ij,...ij->...", w.conj(), w @ _transposed_moment(d, n_in, 1))
-    return val.real / dim_sym(d, n_in + 1)
+    w = np.ascontiguousarray(branch.swapaxes(-3, -2).reshape(*kraus.shape[:-3], -1, side))
+    wg = w @ _transposed_moment(d, n_in, 1)
+    val = np.einsum("...ij,...ij->...", w.view(float), wg.view(float))
+    return val / dim_sym(d, n_in + 1)
 
 
 def single_clone_haar_fidelity(ch: Channel, k: int, size_cap=DEFAULT_SIZE_CAP) -> float:

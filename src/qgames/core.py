@@ -22,6 +22,7 @@ from numpy.random import Generator, SeedSequence, default_rng
 DEFAULT_SIZE_CAP = 4096
 
 _MASK64 = (1 << 64) - 1
+_MASK32 = (1 << 32) - 1
 
 
 class ShapeError(ValueError):
@@ -126,29 +127,40 @@ class DensityOperator:
 
 
 class RandomStream:
-    """Reproducible random source addressed by (seed, counter).
+    """Reproducible random source addressed by a seed and a path of counters.
 
-    Identical (seed, counter) pairs replay identical draw sequences.
-    Substreams with distinct counters are statistically independent by
-    construction (numpy seed-sequence spawn keys), so consumers can each take
-    their own counter without coordination.
+    `RandomStream(seed)` is the root of a seed and `RandomStream(seed, c)` its
+    substream c, the same stream as `RandomStream(seed).substream(c)`.  Every
+    `substream` call appends its counter to the path, so substreams of
+    substreams are streams of their own: `rng.substream(i).substream(j)` is
+    distinct from `rng.substream(j)` and from every other path.  Identical
+    (seed, path) pairs replay identical draw sequences, and distinct paths
+    are statistically independent by construction (numpy seed-sequence spawn
+    keys), so consumers can each take their own counter without
+    coordination.  The root and its substream 0 draw the same numbers, but
+    their substreams differ.  `parent` is the path a substream extends;
+    `substream` passes it, and a stream built without it is root-level.
 
-    Under seed scheme v2 a consumer takes one substream per block of work and
-    draws whole arrays from it: `mc-play` rounds one substream per draw chunk
-    of `harness.DRAW_ROUNDS` rounds, and the scan's random channels one per
-    channel, drawing only the Ginibre columns they keep
-    (`cloning.random_isometry_channel`).  `harness.haar_states`,
+    Under seed scheme v3 a consumer takes one substream per draw chunk of
+    `harness.DRAW_ROUNDS` items and draws the chunk's items from it in
+    order: `mc-play` rounds, the asymmetric-bound scan's random channels
+    (consecutive `cloning.random_isometry_channel` draws) and
+    `harness.haar_states` (consecutive `haar_random_state` draws).
     `harness.cloner_perturbations` and `harness.povm_perturbations` keep one
     substream per item.
     """
 
-    def __init__(self, seed: int, counter: int = 0):
+    def __init__(self, seed: int, counter: int = 0, *, parent: tuple | None = None):
         self.seed = int(seed) & _MASK64
         self.counter = int(counter) & _MASK64
-        self._gen = default_rng(SeedSequence(self.seed, spawn_key=(self.counter,)))
+        if parent is None:  # the root (counter 0) or one of its substreams
+            self.path = (self.counter,) if self.counter else ()
+        else:
+            self.path = tuple(parent) + (self.counter,)
+        self._gen = default_rng(SeedSequence(self.seed, spawn_key=_spawn_key(self.path)))
 
     def substream(self, counter: int) -> "RandomStream":
-        return RandomStream(self.seed, counter)
+        return RandomStream(self.seed, counter, parent=self.path)
 
     @property
     def generator(self) -> Generator:
@@ -161,7 +173,22 @@ class RandomStream:
         return self._gen.standard_normal(count) + 1j * self._gen.standard_normal(count)
 
     def __repr__(self):
-        return f"RandomStream(seed={self.seed}, counter={self.counter})"
+        return f"RandomStream(seed={self.seed}, path={self.path})"
+
+
+def _spawn_key(path: tuple) -> tuple:
+    """Seed-sequence spawn key of a stream path.
+
+    The root draws under key (0,) and substream c under (c,), as they always
+    have.  Longer paths spell every counter as two 32-bit words, low word
+    first: numpy writes a counter of 2**32 or more as several words, so
+    spelling the counters as themselves would give (0, 1) the key of
+    substream 2**32.  A path of two or more counters has four or more words
+    and a one-counter path at most two, so no two paths share a key.
+    """
+    if len(path) <= 1:
+        return path or (0,)
+    return tuple(word for c in path for word in (c & _MASK32, c >> 32))
 
 
 def haar_random_state(d: int, rng: RandomStream) -> PureState:

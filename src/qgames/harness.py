@@ -7,20 +7,20 @@ sets sandwiches the theoretical game value.  Monte Carlo play runs the actual
 referee protocol, and the brute-force scan checks the asymmetric-cloning
 fidelity-sum ceiling over random channels.
 
-Monte Carlo rounds and the scan's random channels draw by seed scheme v2.
-Rounds come in draw chunks of DRAW_ROUNDS: draw chunk c takes one substream of
-the seed, `substream(c)`, and draws whole arrays from it for all of its rounds,
-so round i depends on the seed and i alone.  Each random channel of the scan
-takes one substream per channel and draws only the Ginibre columns it keeps
-(`random_isometry_channel`); the scan orthonormalises, checks and scores its
-channels in memory chunks, so channel i, too, depends on the seed and i
-alone.  The other random sets keep one substream per item: `haar_states` per
-state, `cloner_perturbations` and `povm_perturbations` per perturbation.
-Rounds are evaluated in memory chunks with array operations: CHUNK_ROUNDS
-rounds, fewer for games whose rows are so wide that a chunk would pass
-CHUNK_BYTES.  Memory chunks subdivide a draw chunk and bound memory and
-nothing else, so a record depends on the seed and the round count, not on the
-memory chunk size.
+Monte Carlo rounds, the scan's random channels and `haar_states` draw by
+seed scheme v3.  Items come in draw chunks of DRAW_ROUNDS: draw chunk c takes
+one substream of the seed, `substream(c)`, and draws all of its items from
+it.  Monte Carlo rounds draw whole arrays per draw chunk; random channel i of
+the scan is the (i mod DRAW_ROUNDS)-th consecutive `random_isometry_channel`
+draw from its draw chunk's substream, and Haar state i the (i mod
+DRAW_ROUNDS)-th consecutive `haar_random_state` draw.  So round, channel or
+state i depends on the seed and i alone, and N items are a prefix of any
+longer run.  `cloner_perturbations` and `povm_perturbations` keep one
+substream per perturbation.  Rounds and channels are evaluated in memory
+chunks with array operations: CHUNK_ROUNDS items, fewer where the rows are so
+wide that a chunk would pass CHUNK_BYTES.  Memory chunks subdivide a draw
+chunk and bound memory and nothing else, so a record depends on the seed and
+the item count, not on the memory chunk size.
 
 Analytic reports quote fidelities F; the protocol's literal stakes are +-1.
 A round passes with probability p = (1 + F)/2, so the mean +-1 payoff is
@@ -77,13 +77,14 @@ from .zerosum import MatrixGame, solve
 
 GAME_KINDS = ("estimation", "cloning", "one_particle")
 
-#: Rounds per draw chunk of seed scheme v2: draw chunk c covers rounds
-#: c*DRAW_ROUNDS .. (c+1)*DRAW_ROUNDS - 1 and draws them all from substream c.
-#: Part of the determinism contract: changing it changes every record.
+#: Items per draw chunk of seed scheme v3: draw chunk c covers Monte Carlo
+#: rounds, random scan channels or Haar states c*DRAW_ROUNDS ..
+#: (c+1)*DRAW_ROUNDS - 1 and draws them all from substream c.  Part of the
+#: determinism contract: changing it changes every record.
 DRAW_ROUNDS = 256
-#: Monte Carlo rounds evaluated together with array operations.  Memory chunks
-#: subdivide a draw chunk and bound the working memory only, so records do not
-#: depend on the chunk length.
+#: Monte Carlo rounds or scan channels evaluated together with array
+#: operations.  Memory chunks subdivide a draw chunk and bound the working
+#: memory only, so records do not depend on the chunk length.
 CHUNK_ROUNDS = 256
 #: Bytes one chunk's widest per-round array may take: games whose rows are wide
 #: (many Sym_out coordinates or d^m amplitudes) run fewer than CHUNK_ROUNDS
@@ -153,7 +154,18 @@ def fibonacci_states(count: int) -> list[PureState]:
 
 
 def haar_states(d: int, count: int, rng: RandomStream) -> list[PureState]:
-    return [haar_random_state(d, rng.substream(i)) for i in range(count)]
+    """`count` Haar-random states by seed scheme v3.
+
+    State i is the (i mod DRAW_ROUNDS)-th consecutive `haar_random_state`
+    draw from `rng.substream(i // DRAW_ROUNDS)`, so the states of a smaller
+    count are a prefix of a larger one's.
+    """
+    states = []
+    for c in range(-(-count // DRAW_ROUNDS)):
+        stream = rng.substream(c)
+        states += [haar_random_state(d, stream)
+                   for _ in range(min(DRAW_ROUNDS, count - c * DRAW_ROUNDS))]
+    return states
 
 
 def nested_state_sets(states, sizes) -> list[list[PureState]]:
@@ -194,6 +206,15 @@ def _row_width(ch: Channel) -> int:
 def _chunk_length(width: int) -> int:
     """Rows per chunk: CHUNK_ROUNDS, fewer when width-wide rows would pass CHUNK_BYTES."""
     return max(1, min(CHUNK_ROUNDS, CHUNK_BYTES // (16 * width)))
+
+
+def _chunk_counts(total: int, chunk: int) -> tuple[int, int]:
+    """(draw chunks, memory chunks) for `total` items in memory chunks of `chunk`.
+
+    Memory chunks subdivide draw chunks of DRAW_ROUNDS and never straddle one.
+    """
+    full, rest = divmod(total, DRAW_ROUNDS)
+    return full + (rest > 0), full * -(-DRAW_ROUNDS // chunk) + -(-rest // chunk)
 
 
 def discretize_estimation_game(n_copies: int, povms, states) -> MatrixGame:
@@ -436,16 +457,16 @@ def _draw_chunk(kind: str, stream: RandomStream, d: int, n_out: int):
 def monte_carlo_play(spec: GameSpec, strategy, seed=None) -> MonteCarloRecord:
     """Play `spec.samples` protocol rounds against the SWAP-test referee.
 
-    Draws follow seed scheme v2, the scheme the scan's random channels also
-    use (`random_isometry_channel`).  Draw chunk c holds rounds
+    Draws follow seed scheme v2, which v3 leaves unchanged for rounds; under
+    v3 the scan's random channels and `haar_states` share its draw chunks
+    (module docstring).  Draw chunk c holds rounds
     c*DRAW_ROUNDS .. (c+1)*DRAW_ROUNDS - 1 and draws all of them, whole arrays
     at a time, from the one substream `RandomStream(seed).substream(c)`, in
     protocol order: the Haar states' complex normals, then the estimation
     outcomes' uniforms or the one-particle clone indices, then the referee's
     uniforms (`_draw_chunk`).  A final partial chunk uses its first rows only,
     so round i depends on (seed, i) alone and the record of N rounds is the
-    prefix of the record of any longer play.  `haar_states`,
-    `cloner_perturbations` and `povm_perturbations` keep one substream per item.
+    prefix of the record of any longer play.
 
     Each draw chunk is evaluated in memory chunks with array operations:
     CHUNK_ROUNDS rounds, or fewer where one round's widest row is so wide that
@@ -466,9 +487,7 @@ def monte_carlo_play(spec: GameSpec, strategy, seed=None) -> MonteCarloRecord:
     seed = spec.seed if seed is None else int(seed)
     root = RandomStream(seed)
     chunk = _chunk_length(width)
-    full, rest = divmod(spec.samples, DRAW_ROUNDS)
-    draw_chunks = full + (rest > 0)
-    memory_chunks = full * -(-DRAW_ROUNDS // chunk) + -(-rest // chunk)
+    draw_chunks, memory_chunks = _chunk_counts(spec.samples, chunk)
     _log.debug(
         "monte_carlo_play %s d=%d n=%d m=%d: %d rounds in %d chunks of %d; "
         "seed scheme v2, %d draw chunks of %d",
@@ -579,36 +598,44 @@ def asym_bound_scan(
     size cap, with the arity checks of `random_isometry_channel`, before the
     first channel is built.
 
-    The random channels are handled in chunks of at most CHUNK_ROUNDS, fewer
-    when a channel's Ginibre block is so wide that a chunk would pass
-    CHUNK_BYTES.  Each chunk is array work: `cloning._random_isometry_kraus`
-    draws every channel's block from its own substream, `root.substream(i)`
-    for channel i (seed scheme v2, unchanged), and orthonormalises the stacked
-    blocks by one batched QR; one batched check refuses non-finite entries
-    and completeness defects above `cloning.COMPLETENESS_ATOL`, as `Channel`
-    does, and the scan's own 1e-8; one batched contraction per clone scores
-    the chunk.  Records depend on the seed and the channel index alone, not
-    on the chunk length.  The optimal cloner and the grid go through the
-    same kernels one channel at a time.
+    Seed scheme v3: random channel i is the (i mod DRAW_ROUNDS)-th
+    consecutive `random_isometry_channel` draw from the one stream
+    `RandomStream(seed).substream(i // DRAW_ROUNDS)`.  The channels are
+    handled in memory chunks of at most CHUNK_ROUNDS, fewer when a channel's
+    Ginibre block is so wide that a chunk would pass CHUNK_BYTES; memory
+    chunks subdivide draw chunks and never straddle one.  Each memory chunk
+    is array work: `cloning._random_isometry_kraus` draws the chunk's
+    Ginibre blocks with one call on its draw chunk's generator and
+    orthonormalises them by one batched QR; one batched check refuses
+    non-finite entries and completeness defects above
+    `cloning.COMPLETENESS_ATOL`, as `Channel` does, and the scan's own 1e-8;
+    one batched contraction per clone scores the chunk.  Records depend on
+    the seed and the channel index alone, not on the chunk length, and N
+    random channels are a prefix of any larger scan's.  The optimal cloner
+    and the grid go through the same kernels one channel at a time.
     """
     dim = _ginibre_side(d, n_in, n_out, ancilla_dim)
     bound = value_formulas(d, n_in, n_out).asym_bound
     n_grid = grid_points if (n_in, n_out) == (1, 2) and grid_points > 0 else 0
     chunk = _chunk_length(dim * d**n_in)
+    draw_chunks, memory_chunks = _chunk_counts(n_random, chunk)
     _log.debug(
         "asym_bound_scan d=%d n_in=%d n_out=%d: %d random channels (%d Kraus operators), "
-        "%d grid channels, Choi side %d; %d chunks of <= %d channels",
+        "%d grid channels, Choi side %d; %d chunks of <= %d channels; "
+        "seed scheme v3, %d draw chunks of <= %d channels",
         d, n_in, n_out, n_random, dim // d**n_out, n_grid, dim_sym(d, n_in) * d**n_out,
-        -(-n_random // chunk), chunk,
+        memory_chunks, chunk, draw_chunks, DRAW_ROUNDS,
     )
     root = RandomStream(seed)
     records = [_scan_channel(optimal_cloner(d, n_in, n_out), "optimal", "optimal-cloner")]
-    for start in range(0, n_random, chunk):
-        index = range(start, min(start + chunk, n_random))
-        kraus = _random_isometry_kraus(d, n_in, n_out, [root.substream(i) for i in index],
-                                       ancilla_dim)
-        records += _scan_records(d, n_in, n_out, kraus, _checked_defects(kraus), "random",
-                                 [f"random-{i}" for i in index])
+    for c in range(draw_chunks):
+        stream = root.substream(c)
+        end = min((c + 1) * DRAW_ROUNDS, n_random)
+        for start in range(c * DRAW_ROUNDS, end, chunk):
+            index = range(start, min(start + chunk, end))
+            kraus = _random_isometry_kraus(d, n_in, n_out, stream, len(index), ancilla_dim)
+            records += _scan_records(d, n_in, n_out, kraus, _checked_defects(kraus), "random",
+                                     [f"random-{i}" for i in index])
     if n_grid:
         for t, ch in asymmetry_grid_channels(d, n_grid):
             records.append(_scan_channel(ch, "grid", f"grid-t={t:.6f}"))

@@ -193,11 +193,13 @@ def solve(game: MatrixGame, tol: float = 1e-9) -> EquilibriumPair:
     The numpy simplex (`_optimal_basis`) finds an optimal basis of the
     shifted column program  max 1^T w  s.t.  (A + s) w <= 1, w >= 0.  The
     basic w and the slack reduced costs u are then recomputed from that
-    basis and the payoffs with two linear solves, clipped at 0 and
-    normalised: y = w / sum(w) and x = u / sum(u).  The pair is returned only
-    if its best-response gap, recomputed from the payoffs, is <= tol;
-    otherwise, or when the simplex hits its pivot cap, NonConvergence
-    carries the gap (inf at the cap).
+    basis and the payoffs with two linear solves; u is set to exactly 0 on
+    every row whose slack is basic, as complementary slackness demands, so
+    rows that are not best replies carry no round-off weight.  Both are
+    clipped at 0 and normalised: y = w / sum(w) and x = u / sum(u).  The
+    pair is returned only if its best-response gap, recomputed from the
+    payoffs, is <= tol; otherwise, or when the simplex hits its pivot cap,
+    NonConvergence carries the gap (inf at the cap).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -210,6 +212,8 @@ def solve(game: MatrixGame, tol: float = 1e-9) -> EquilibriumPair:
     w = np.zeros(n)
     w[basis[original]] = np.linalg.solve(basic, np.ones(m))[original]
     u = np.linalg.solve(basic.T, original.astype(float))
+    # complementary slackness: a row whose slack is basic has dual exactly 0
+    u[basis[~original] - n] = 0.0
     x = np.clip(u, 0.0, None)
     y = np.clip(w, 0.0, None)
     eq = _pair(game, x / x.sum(), y / y.sum())

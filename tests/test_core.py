@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import SeedSequence, default_rng
 
 from qgames.core import (
     DensityOperator,
@@ -173,6 +174,43 @@ class TestHaarRandomState:
         haar_random_state(2, RandomStream(9).substream(1))
         again = haar_random_state(2, RandomStream(9).substream(3)).amplitudes
         assert np.array_equal(first, again)
+
+    def test_root_level_substreams_keep_their_draws(self):
+        # substream c of a root draws under numpy's spawn key (c,), as it
+        # always has, so the documents built on root-level substreams stay put
+        for c in (0, 1, 7, 2**32 + 3):
+            want = default_rng(SeedSequence(9, spawn_key=(c,))).standard_normal(4)
+            assert np.array_equal(RandomStream(9).substream(c).generator.standard_normal(4), want)
+            assert np.array_equal(RandomStream(9, c).generator.standard_normal(4), want)
+        want = default_rng(SeedSequence(9, spawn_key=(0,))).standard_normal(4)
+        assert np.array_equal(RandomStream(9).generator.standard_normal(4), want)
+
+    def test_nested_substreams_are_streams_of_their_own(self):
+        # substream(i).substream(j) used to collapse onto substream(j)
+        def draws(stream):
+            return tuple(stream.generator.standard_normal(4))
+
+        root = RandomStream(9)
+        paths = {
+            "root": root,
+            "(0,)": root.substream(0),
+            "(1,)": root.substream(1),
+            "(2,)": root.substream(2),
+            "(2**32,)": root.substream(2**32),
+            "(0, 1)": root.substream(0).substream(1),
+            "(1, 0)": root.substream(1).substream(0),
+            "(1, 2)": root.substream(1).substream(2),
+            "(2, 1)": root.substream(2).substream(1),
+            "(1, 2, 0)": root.substream(1).substream(2).substream(0),
+        }
+        seen = {name: draws(stream) for name, stream in paths.items()}
+        # the root and its substream 0 share draws, but not substreams
+        assert seen.pop("root") == seen["(0,)"]
+        assert len(set(seen.values())) == len(seen)
+        # a stream is its path: however it is reached, it replays the same draws
+        assert draws(RandomStream(9, 1).substream(2)) == seen["(1, 2)"]
+        assert draws(RandomStream(9).substream(1).substream(2)) == seen["(1, 2)"]
+        assert RandomStream(9).substream(1).substream(2).path == (1, 2)
 
     def test_empirical_moments_match_symmetric_projector(self):
         # Monte Carlo oracle for the exact moment identity, d=2, k <= 3

@@ -64,6 +64,44 @@ from mc_oracle import oracle_outcomes, oracle_record
 from test_dense_oracle import estimation_strategies
 
 
+def spy_normal_draws(monkeypatch, poison=None):
+    """Record every `standard_normal` size drawn through a stream's `generator`.
+
+    Returns a list of (stream path, size) pairs.  `poison(path, draws)` may
+    edit the draws of any call before they are returned.
+    """
+    calls = []
+    real = RandomStream.generator
+
+    class Spy:
+        def __init__(self, stream):
+            self._stream = stream
+            self._gen = real.fget(stream)
+
+        def standard_normal(self, size):
+            calls.append((self._stream.path, size))
+            draws = self._gen.standard_normal(size)
+            if poison is not None:
+                poison(self._stream.path, draws)
+            return draws
+
+        def __getattr__(self, name):
+            return getattr(self._gen, name)
+
+    monkeypatch.setattr(RandomStream, "generator", property(Spy))
+    return calls
+
+
+def refuse_draws(monkeypatch):
+    """Record, without drawing, every complex-normal draw or generator a stream is asked for."""
+    calls = []
+    monkeypatch.setattr(RandomStream, "complex_normals",
+                        lambda self, count: calls.append(count))
+    monkeypatch.setattr(RandomStream, "generator",
+                        property(lambda self: calls.append("generator")))
+    return calls
+
+
 class TestGameSpec:
     def test_estimation_requires_qubits(self):
         with pytest.raises(ValueError):
@@ -111,6 +149,27 @@ class TestStateSets:
         sets = nested_state_sets(fibonacci_states(16), (4, 8, 16))
         assert [len(s) for s in sets] == [4, 8, 16]
         assert sets[0] == sets[1][:4]
+
+    def test_haar_states_draw_by_seed_scheme_v3(self):
+        # state i is the (i mod 256)-th consecutive haar_random_state draw
+        # from substream i // 256, so 300 states are a prefix of 600
+        states = haar_states(3, 600, RandomStream(41))
+        for c, first in enumerate((0, 256, 512)):
+            stream = RandomStream(41).substream(c)
+            want = [haar_random_state(3, stream) for _ in range(min(256, 600 - first))]
+            got = states[first:first + 256]
+            assert all(np.array_equal(a.amplitudes, b.amplitudes) for a, b in zip(got, want))
+        prefix = haar_states(3, 300, RandomStream(41))
+        assert all(np.array_equal(a.amplitudes, b.amplitudes)
+                   for a, b in zip(prefix, states))
+        assert len(prefix) == 300
+
+    def test_haar_states_of_nested_substreams_differ(self):
+        # substream(1).substream(0) used to be substream(0) again, so these
+        # two sets were equal
+        a = haar_states(3, 4, RandomStream(9).substream(1))
+        b = haar_states(3, 4, RandomStream(9).substream(2))
+        assert not any(np.allclose(x.amplitudes, y.amplitudes) for x in a for y in b)
 
     def test_haar_sets_need_stream(self):
         with pytest.raises(ValueError):
@@ -293,6 +352,15 @@ class TestPerturbations:
         perts = povm_perturbations(povm, 60, rng.substream(2))
         report = perturb_best_response_check(povm, perts, tol=1e-9)
         assert report.passed
+
+    def test_povm_perturbation_kicks_differ(self):
+        # the per-guess kicks of perturbation i come from substreams of its
+        # own substream; they used to collapse onto the root's substreams,
+        # which gave every even perturbation the same guesses
+        perts = povm_perturbations(universal_povm(1), 6, RandomStream(13))
+        even = [p.guesses for p in perts[::2]]
+        assert not any(np.allclose(even[i], even[j])
+                       for i in range(len(even)) for j in range(i + 1, len(even)))
 
     def test_full_noise_output_scores_inverse_bose_dimension(self):
         ch = optimal_cloner(2, 1, 2)
@@ -609,9 +677,7 @@ class TestAsymBoundScan:
 
     def test_oversized_ginibre_draw_fails_before_drawing(self, monkeypatch):
         # d^m * ancilla = 128 * 128: 2^28 complex normals (4.3 GB) if drawn
-        calls = []
-        monkeypatch.setattr(RandomStream, "complex_normals",
-                            lambda self, count: calls.append(count))
+        calls = refuse_draws(monkeypatch)
         with pytest.raises(SizeCapExceeded):
             asym_bound_scan(2, 1, 7, n_random=1, seed=1)
         with pytest.raises(SizeCapExceeded):
@@ -625,30 +691,42 @@ class TestAsymBoundScan:
             haar_random_unitary(2**20, RandomStream(1))
         assert calls == []
 
+    @pytest.mark.parametrize("chunk, sizes", [
+        # the draw chunks of 256, 256 and 88 channels, whole or in memory
+        # chunks of at most 100 that never straddle a draw chunk
+        (None, [[256], [256], [88]]),
+        (100, [[100, 100, 56], [100, 100, 56], [88]]),
+    ])
     @pytest.mark.parametrize("d, n, m, ancilla_dim", [(2, 1, 2, None), (3, 1, 2, None),
                                                       (2, 2, 3, 3), (2, 1, 3, 1)])
-    def test_random_channels_draw_only_kept_columns(self, monkeypatch, d, n, m, ancilla_dim):
-        # seed scheme v2: D * d^n_in normals per channel, D = d^m * ancilla,
-        # not the D^2 of the whole Ginibre matrix
-        calls = []
-        real = RandomStream.complex_normals
+    def test_random_channels_draw_only_kept_columns(self, monkeypatch, d, n, m, ancilla_dim,
+                                                    chunk, sizes):
+        # seed scheme v3: one substream per draw chunk of 256 channels, and
+        # one draw of k * 2 * D * d^n_in normals per memory chunk of k
+        # channels, D = d^m * ancilla, not the D^2 of a whole Ginibre matrix
+        anc = d**m if ancilla_dim is None else ancilla_dim
+        side = d**m * anc
+        if chunk is not None:
+            monkeypatch.setattr(qgames.harness, "CHUNK_BYTES", 16 * side * d**n * chunk)
+        streams = []
+        real = RandomStream.__init__
 
-        def spy(self, count):
-            calls.append(count)
-            return real(self, count)
+        def count_streams(self, *args, **kwargs):
+            streams.append(args)
+            real(self, *args, **kwargs)
 
-        monkeypatch.setattr(RandomStream, "complex_normals", spy)
-        report = asym_bound_scan(d, n, m, n_random=3, grid_points=0, seed=4,
+        monkeypatch.setattr(RandomStream, "__init__", count_streams)
+        calls = spy_normal_draws(monkeypatch)
+        report = asym_bound_scan(d, n, m, n_random=600, grid_points=0, seed=4,
                                  ancilla_dim=ancilla_dim)
         assert report.passed
-        anc = d**m if ancilla_dim is None else ancilla_dim
-        assert calls == [d**m * anc * d**n] * 3
+        assert len(streams) == 1 + 3  # the root, then one substream per draw chunk
+        assert calls == [((c,), (k, 2, side, d**n))
+                         for c, ks in enumerate(sizes) for k in ks]
 
     @pytest.mark.parametrize("ancilla_dim", [-1, 0])
     def test_empty_ancilla_fails_before_drawing(self, monkeypatch, ancilla_dim):
-        calls = []
-        monkeypatch.setattr(RandomStream, "complex_normals",
-                            lambda self, count: calls.append(count))
+        calls = refuse_draws(monkeypatch)
         with pytest.raises(InvalidArity):
             random_isometry_channel(2, 1, 2, RandomStream(1), ancilla_dim=ancilla_dim)
         assert calls == []
@@ -659,20 +737,25 @@ class TestAsymBoundScan:
 
 ORACLE_SEED = 27
 ORACLE_COUNT = 257
+#: The draw-chunk length of seed scheme v3, written out rather than imported.
+ORACLE_DRAW_CHANNELS = 256
 
 
 @functools.lru_cache(maxsize=None)
 def _per_channel_records(d, n, m, ancilla_dim):
     """Oracle: the scan's first ORACLE_COUNT random records, one channel at a time.
 
-    Channel i is `random_isometry_channel` on substream i of the seed, checked
-    with `completeness_defect` and scored with one `single_clone_haar_fidelity`
-    per clone: the per-channel route through the public API.
+    Channel i is the (i mod 256)-th consecutive `random_isometry_channel` call
+    on substream i // 256 of the seed (seed scheme v3), checked with
+    `completeness_defect` and scored with one `single_clone_haar_fidelity` per
+    clone: the per-channel route through the public API.
     """
     root = RandomStream(ORACLE_SEED)
     records = []
     for i in range(ORACLE_COUNT):
-        ch = random_isometry_channel(d, n, m, root.substream(i), ancilla_dim)
+        if i % ORACLE_DRAW_CHANNELS == 0:
+            stream = root.substream(i // ORACLE_DRAW_CHANNELS)
+        ch = random_isometry_channel(d, n, m, stream, ancilla_dim)
         assert ch.completeness_defect() <= 1e-8
         fids = tuple(single_clone_haar_fidelity(ch, k) for k in range(1, m + 1))
         records.append((f"random-{i}", fids, sum(fids)))
@@ -720,24 +803,26 @@ class TestBatchedScan:
         # channel 5 of the first chunk gets a NaN draw, which is refused before
         # the QR, so no warning escapes; the other channels of its chunk are
         # fine
-        real = RandomStream.complex_normals
+        def poison(path, draws):
+            if path == (0,):
+                draws[5, 0, 1, 1] = np.nan
 
-        def poisoned(self, count):
-            z = real(self, count)
-            if self.counter == 5:
-                z[3] = np.nan
-            return z
-
-        monkeypatch.setattr(RandomStream, "complex_normals", poisoned)
+        calls = spy_normal_draws(monkeypatch, poison)
         report = None
         with pytest.raises(ValueError, match="non-finite"):
             report = asym_bound_scan(2, 1, 2, 20, seed=3)
         assert report is None
+        assert calls == [((0,), (20, 2, 16, 2))]
 
     @pytest.mark.parametrize("n_random, chunk, tail", [
-        (1000, None, "; 4 chunks of <= 256 channels"),
-        (257, 100, "; 3 chunks of <= 100 channels"),
-        (0, None, "; 0 chunks of <= 256 channels"),
+        (1000, None, "; 4 chunks of <= 256 channels; "
+                     "seed scheme v3, 4 draw chunks of <= 256 channels"),
+        # memory chunks of 100, 100 and 56 channels, then 1, never straddling
+        # a draw chunk
+        (257, 100, "; 4 chunks of <= 100 channels; "
+                   "seed scheme v3, 2 draw chunks of <= 256 channels"),
+        (0, None, "; 0 chunks of <= 256 channels; "
+                  "seed scheme v3, 0 draw chunks of <= 256 channels"),
     ])
     def test_log_reports_the_chunks(self, monkeypatch, caplog, n_random, chunk, tail):
         if chunk is not None:  # (2, 1, 2): 4 x 2 Ginibre entries per channel
