@@ -18,15 +18,13 @@ from .core import (
     SizeCapExceeded,
     haar_random_state,
     overlap,
-    partial_trace,
     tensor_power,
 )
-from .symmetric import coherent_coordinates, dim_sym, haar_moment, sym_isometry, sym_projector
+from .symmetric import coherent_coordinates, dim_sym, sym_isometry, sym_projector
 from .swap_test import draw_outcome, expected_payoff, pass_probability, sample_outcome
 from .cloning import (
     Channel,
     CloningValues,
-    NonSymmetricInput,
     global_fidelity,
     haar_avg_global_fidelity,
     optimal_cloner,
@@ -42,7 +40,6 @@ from .estimation import (
     default_directions,
     design_directions,
     mean_fidelity,
-    respond,
     universal_povm,
 )
 from .zerosum import (

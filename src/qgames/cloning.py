@@ -11,9 +11,9 @@ differ exactly when n_out >= 2 and d >= 2; where they are equal the two bases
 are the same.  Channels built for the symmetric games (the optimal cloner,
 symmetric noise) keep Sym_out rows; embeddings and random isometries need the
 full output.  V_in = sym_isometry(d, n_in) and V_out = sym_isometry(d, n_out)
-embed either side in the full registers: `Channel.apply_matrix` acts on full
-operators through them, and `mixture_channel` and `conjugate_output` lift a
-Sym_out side with V_out when it meets a full output.
+embed either side in the full registers: `mixture_channel` and
+`conjugate_output` lift a Sym_out side with V_out when it meets a full
+output.
 
 The star construction maps an n_in-copy input to the n_out-copy symmetric
 subspace (Werner, PRA 58, 1827 (1998)),
@@ -43,8 +43,8 @@ The average of <psi^{m}| ch(psi^{n}) |psi^{m}> over Haar psi is
 
 with J on Sym_in (x) Sym_out, where S = sym_split(d, n, m) maps Sym_{n+m}
 into Sym_n (x) Sym_m and PT_in transposes the input block: averaging
-psi^{tensor(n+m)} gives the symmetric projector over dim_sym (see
-symmetric.haar_moment), that projector is S S^T in occupation coordinates, and
+psi^{tensor(n+m)} gives the symmetric projector over dim_sym (`symmetric`
+module docstring), that projector is S S^T in occupation coordinates, and
 the input factors enter the trace transposed.  The one-clone average is the
 same formula with m = 1 on the clone's reduced Choi matrix.  No object of
 dimension d^(n+m) is built.
@@ -61,8 +61,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .core import (
-    DEFAULT_SIZE_CAP,
-    DensityOperator,
     InvalidArity,
     PureState,
     RandomStream,
@@ -72,15 +70,10 @@ from .core import (
 )
 from .symmetric import coherent_coordinates, dim_sym, sym_isometry, sym_split
 
+#: Largest completeness defect sum(K^dag K) - I a channel may have.
 COMPLETENESS_ATOL = 1e-10
-#: Largest Frobenius norm `apply_matrix` accepts outside Sym_in (x) Sym_in.
-SYMMETRIC_INPUT_ATOL = 1e-10
 
 _log = logging.getLogger(__name__)
-
-
-class NonSymmetricInput(ValueError):
-    """An operator handed to a channel has weight outside the symmetric input subspace."""
 
 
 class Channel:
@@ -92,17 +85,16 @@ class Channel:
     coordinates and rows = d^n_out the full output space (module docstring);
     `sym_out` reads which.  No other row count is accepted.  Construction
     verifies that every entry is finite and that sum(K^dag K) is the identity
-    on Sym_in within `atol`.  sum_K vec(K) vec(K)^dag is positive
+    on Sym_in within COMPLETENESS_ATOL.  sum_K vec(K) vec(K)^dag is positive
     semidefinite for every finite stack, so nothing else needs checking.
 
     `choi` is that sum on Sym_in (x) out, index (c, a) for input c and output
     a; its side is dim_sym(d, n_in) * rows.  It is built on first access and
     cached read-only; the evaluators never read it.  `dim_in` and `dim_out` are
-    the full register dimensions d^n_in and d^n_out, the spaces
-    `apply_matrix` acts on.
+    the full register dimensions d^n_in and d^n_out.
     """
 
-    def __init__(self, d, n_in, n_out, kraus, atol=COMPLETENESS_ATOL):
+    def __init__(self, d, n_in, n_out, kraus):
         self.d = int(d)
         self.n_in = int(n_in)
         self.n_out = int(n_out)
@@ -122,7 +114,7 @@ class Channel:
             if k.shape != ops[0].shape:
                 raise ShapeError(f"Kraus operator shapes {ops[0].shape} and {k.shape} differ")
         stacked = np.stack(ops)
-        _checked_defects(stacked, atol)
+        _checked_defects(stacked)
         stacked.setflags(write=False)
         self.kraus = stacked
         rows = stacked.shape[1]
@@ -157,33 +149,6 @@ class Channel:
         """
         return float(_completeness_defects(np.asarray(self.kraus)))
 
-    def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
-        """The channel applied to a d^n_in-dimensional operator, as a d^n_out one.
-
-        The operator is compressed to Sym_in with V_in and the output embedded
-        with V_out.  An operator whose part outside Sym_in (x) Sym_in has
-        Frobenius norm above SYMMETRIC_INPUT_ATOL raises NonSymmetricInput:
-        the channel is only defined on the symmetric subspace.
-        """
-        mat = np.asarray(mat, dtype=complex)
-        if mat.shape != (self.dim_in, self.dim_in):
-            raise ShapeError(f"input shape {mat.shape} != ({self.dim_in}, {self.dim_in})")
-        iso = sym_isometry(self.d, self.n_in)
-        sym = iso.T @ mat @ iso
-        leak = float(np.linalg.norm(mat - iso @ sym @ iso.T))
-        if leak > SYMMETRIC_INPUT_ATOL:
-            raise NonSymmetricInput(
-                f"input has norm {leak:.3e} outside the {self.n_in}-copy symmetric subspace "
-                f"(> {SYMMETRIC_INPUT_ATOL:.0e})"
-            )
-        out = np.zeros((self.dim_out, self.dim_out), dtype=complex)
-        for k in _full_output(self):
-            out += k @ sym @ k.conj().T
-        return out
-
-    def apply(self, rho: DensityOperator) -> DensityOperator:
-        return DensityOperator(self.apply_matrix(rho.matrix))
-
     def __repr__(self):
         return (
             f"Channel(d={self.d}, n_in={self.n_in}, n_out={self.n_out}, "
@@ -205,21 +170,21 @@ def _completeness_defects(kraus: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.eigvalsh(delta)).max(axis=-1)
 
 
-def _checked_defects(kraus: np.ndarray, atol: float = COMPLETENESS_ATOL) -> np.ndarray:
+def _checked_defects(kraus: np.ndarray) -> np.ndarray:
     """`_completeness_defects` of a (..., K, rows, cols) array, checked.
 
     Raises ValueError if any entry is non-finite or any channel's defect
-    passes `atol`: the checks `Channel` makes on construction, run on every
-    channel of a batch at once.
+    passes COMPLETENESS_ATOL: the checks `Channel` makes on construction, run
+    on every channel of a batch at once.
     """
     if not np.all(np.isfinite(kraus)):
         raise ValueError("Kraus operators have non-finite entries")
     defects = _completeness_defects(kraus)
     worst = float(defects.max())
-    if worst > atol:
+    if worst > COMPLETENESS_ATOL:
         raise ValueError(
             f"Kraus operators not trace preserving on Sym_in "
-            f"(defect {worst:.3e} > {atol:.0e})"
+            f"(defect {worst:.3e} > {COMPLETENESS_ATOL:.0e})"
         )
     return defects
 
@@ -231,7 +196,7 @@ def _full_output(ch: Channel) -> np.ndarray:
     return sym_isometry(ch.d, ch.n_out) @ ch.kraus
 
 
-def optimal_cloner(d, n_in, n_out, size_cap=DEFAULT_SIZE_CAP) -> Channel:
+def optimal_cloner(d, n_in, n_out) -> Channel:
     """The optimal universal n_in -> n_out cloner (see module docstring).
 
     Kraus operators are sqrt(dim ratio) * S^T (I (x) |e>) from Sym_in to
@@ -243,7 +208,7 @@ def optimal_cloner(d, n_in, n_out, size_cap=DEFAULT_SIZE_CAP) -> Channel:
     if not 1 <= n_in <= n_out:
         raise InvalidArity(f"need 1 <= n_in <= n_out, got ({n_in}, {n_out})")
     ds_in, ds_out = dim_sym(d, n_in), dim_sym(d, n_out)
-    check_size_cap(ds_in * ds_out, size_cap)
+    check_size_cap(ds_in * ds_out)
     split = sym_split(d, n_in, n_out - n_in)
     # K_e[b, c] = S[(c, e), b]
     kraus = split.reshape(ds_in, -1, ds_out).transpose(1, 2, 0)
@@ -492,12 +457,12 @@ def _transposed_moment(d: int, n_in: int, n_out: int) -> np.ndarray:
     return _frozen(g.transpose(2, 1, 0, 3).reshape(ds_in * ds_out, ds_in * ds_out))
 
 
-def haar_avg_global_fidelity(ch: Channel, size_cap=DEFAULT_SIZE_CAP) -> float:
+def haar_avg_global_fidelity(ch: Channel) -> float:
     """Exact Haar average of global_fidelity (module docstring).
 
     The size cap counts the moment side dim_sym(d, n_in) * dim_sym(d, n_out).
     """
-    check_size_cap(dim_sym(ch.d, ch.n_in) * dim_sym(ch.d, ch.n_out), size_cap)
+    check_size_cap(dim_sym(ch.d, ch.n_in) * dim_sym(ch.d, ch.n_out))
     # w[K, (c, a)] = K[a, c] on Sym_in (x) Sym_out
     kraus = _sym_rows(ch)
     w = kraus.transpose(0, 2, 1).reshape(len(kraus), -1)
@@ -505,8 +470,7 @@ def haar_avg_global_fidelity(ch: Channel, size_cap=DEFAULT_SIZE_CAP) -> float:
     return float(val.real) / dim_sym(ch.d, ch.n_in + ch.n_out)
 
 
-def _clone_fidelities(d, n_in, n_out, kraus: np.ndarray, k: int,
-                      size_cap=DEFAULT_SIZE_CAP) -> np.ndarray:
+def _clone_fidelities(d, n_in, n_out, kraus: np.ndarray, k: int) -> np.ndarray:
     """Haar-average fidelity of clone k for each Kraus stack.
 
     `kraus` is a (..., K, rows, dim_sym(d, n_in)) array of Kraus stacks.
@@ -518,7 +482,7 @@ def _clone_fidelities(d, n_in, n_out, kraus: np.ndarray, k: int,
     serve them all.  The moment G is real, so Re tr(w^dag w G) is the dot
     product of the float views of w and w G, and no conjugate is formed.
     """
-    side = check_size_cap(dim_sym(d, n_in) * d, size_cap)
+    side = check_size_cap(dim_sym(d, n_in) * d)
     branch = _clone_split(d, n_out, k, kraus.swapaxes(-1, -2))
     w = np.ascontiguousarray(branch.swapaxes(-3, -2).reshape(*kraus.shape[:-3], -1, side))
     wg = w @ _transposed_moment(d, n_in, 1)
@@ -526,7 +490,7 @@ def _clone_fidelities(d, n_in, n_out, kraus: np.ndarray, k: int,
     return val / dim_sym(d, n_in + 1)
 
 
-def single_clone_haar_fidelity(ch: Channel, k: int, size_cap=DEFAULT_SIZE_CAP) -> float:
+def single_clone_haar_fidelity(ch: Channel, k: int) -> float:
     """Exact Haar average of <psi| tr_(not k)[ch(psi^{n_in})] |psi>.
 
     The batched kernel `_clone_fidelities` on this channel's stack, the same
@@ -536,7 +500,7 @@ def single_clone_haar_fidelity(ch: Channel, k: int, size_cap=DEFAULT_SIZE_CAP) -
     """
     if not 1 <= k <= ch.n_out:
         raise IndexError(f"clone index {k} not in 1..{ch.n_out}")
-    return float(_clone_fidelities(ch.d, ch.n_in, ch.n_out, ch.kraus, k, size_cap))
+    return float(_clone_fidelities(ch.d, ch.n_in, ch.n_out, ch.kraus, k))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
 """Dense complex linear algebra for states and operators.
 
 Everything here is a plain numpy computation on explicit matrices: tensor
-powers, partial traces, overlaps, and Haar-random state sampling.  Values are
-immutable after construction and safe to share between threads; randomness is
-drawn from :class:`RandomStream` values that are split by counter, never
-shared mutably.
+powers, partial traces of matrices, overlaps, and Haar-random state sampling.
+Values are immutable after construction and safe to share between threads;
+randomness is drawn from :class:`RandomStream` values that are split by
+counter, never shared mutably.
 """
 
 from __future__ import annotations
@@ -17,8 +17,9 @@ from numpy.random import Generator, SeedSequence, default_rng
 
 #: Largest total dimension a single dense object may have.  Operations that
 #: would build anything bigger raise :class:`SizeCapExceeded` instead of
-#: allocating.  Desk-scale work (copy counts <= 6, local dimension <= 4) stays
-#: far below the cap.
+#: allocating.  This is the package's one cap: `check_size_cap` reads it on
+#: every call, so setting ``qgames.core.DEFAULT_SIZE_CAP`` moves every check.
+#: Desk-scale work (copy counts <= 6, local dimension <= 4) stays far below it.
 DEFAULT_SIZE_CAP = 4096
 
 _MASK64 = (1 << 64) - 1
@@ -37,9 +38,10 @@ class InvalidArity(ValueError):
     """Copy counts are out of range for the requested operation."""
 
 
-def check_size_cap(dim: int, size_cap: int = DEFAULT_SIZE_CAP) -> int:
-    if dim > size_cap:
-        raise SizeCapExceeded(f"total dimension {dim} exceeds size cap {size_cap}")
+def check_size_cap(dim: int) -> int:
+    """`dim` itself, once it is within DEFAULT_SIZE_CAP as read at this call."""
+    if dim > DEFAULT_SIZE_CAP:
+        raise SizeCapExceeded(f"total dimension {dim} exceeds size cap {DEFAULT_SIZE_CAP}")
     return dim
 
 
@@ -50,9 +52,9 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 
 def _check_unit_rows(rows: np.ndarray) -> np.ndarray:
-    """`rows` itself, once every row has unit norm within 1e-12 as `PureState` requires."""
+    """`rows` itself, once every row norm is within 1e-12 of 1 (NaN is not), as in `PureState`."""
     norms = np.linalg.norm(rows, axis=-1)
-    off = np.abs(norms - 1.0) > 1e-12
+    off = ~(np.abs(norms - 1.0) <= 1e-12)
     if np.any(off):
         raise ValueError(f"state vector norm {norms[off][0]!r} is not 1 within 1e-12")
     return rows
@@ -69,7 +71,7 @@ class PureState:
         if amp.size == 0:
             raise ShapeError("state vector must be nonempty")
         norm = np.linalg.norm(amp)
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:
             raise ValueError(f"state vector norm {norm!r} is not 1 within 1e-12")
         object.__setattr__(self, "amplitudes", _frozen(amp))
 
@@ -100,7 +102,7 @@ class PureState:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Hermitian, PSD, unit-trace matrix."""
+    """Hermitian, PSD, unit-trace matrix; a non-finite entry fails the Hermiticity check."""
 
     matrix: np.ndarray
 
@@ -108,12 +110,12 @@ class DensityOperator:
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ShapeError(f"density operator must be square, got shape {mat.shape}")
-        if np.max(np.abs(mat - mat.conj().T)) > 1e-12:
+        if not np.max(np.abs(mat - mat.conj().T)) <= 1e-12:
             raise ValueError("matrix is not Hermitian within 1e-12")
         tr = np.trace(mat).real
-        if abs(tr - 1.0) > 1e-12:
+        if not abs(tr - 1.0) <= 1e-12:
             raise ValueError(f"trace {tr!r} is not 1 within 1e-12")
-        if np.linalg.eigvalsh(mat).min() < -1e-10:
+        if not np.linalg.eigvalsh(mat).min() >= -1e-10:
             raise ValueError("matrix has an eigenvalue below -1e-10")
         object.__setattr__(self, "matrix", _frozen(mat))
 
@@ -203,11 +205,11 @@ def haar_random_state(d: int, rng: RandomStream) -> PureState:
     return PureState(z / np.linalg.norm(z))
 
 
-def tensor_power(state: PureState, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> PureState:
+def tensor_power(state: PureState, k: int) -> PureState:
     """k-fold Kronecker power of a pure state."""
     if k < 1:
         raise InvalidArity("tensor power requires k >= 1")
-    check_size_cap(state.dim**k, size_cap)
+    check_size_cap(state.dim**k)
     out = state.amplitudes
     for _ in range(k - 1):
         out = np.kron(out, state.amplitudes)
@@ -240,11 +242,6 @@ def partial_trace_matrix(mat: np.ndarray, factor_dims, keep) -> np.ndarray:
     dt = math.prod(dims[i] for i in traced)
     tensor = tensor.reshape(dk, dt, dk, dt)
     return np.einsum("ikjk->ij", tensor)
-
-
-def partial_trace(rho: DensityOperator, factor_dims, keep) -> DensityOperator:
-    """Reduced state of `rho` on the kept tensor factors."""
-    return DensityOperator(partial_trace_matrix(rho.matrix, factor_dims, keep))
 
 
 def overlap(rho: DensityOperator, sigma: DensityOperator) -> float:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .core import DensityOperator, PureState, ShapeError, _check_unit_rows, check_size_cap
+from .core import PureState, ShapeError, _check_unit_rows, check_size_cap
 from .symmetric import coherent_coordinates, dim_sym, sym_split
 
 _log = logging.getLogger(__name__)
@@ -127,7 +127,8 @@ class Povm:
     `PureState`s or amplitude rows.  Effects must be Hermitian within 1e-12
     (largest entry of E - E^dag), PSD within 1e-10 and sum to the identity
     within 1e-8 (Frobenius); `completeness_residual` records the actual
-    defect.  Every guess row must have unit norm within 1e-12.
+    defect.  Every guess row must have unit norm within 1e-12.  A NaN entry
+    fails these checks, and the Hermiticity check runs before `eigvalsh`.
     """
 
     n: int
@@ -147,9 +148,9 @@ class Povm:
             raise ShapeError("guesses must be qubits")
         effects = np.array(mats, dtype=complex).reshape(len(mats), dim, dim)
         # eigvalsh reads one triangle only, so Hermiticity is checked first
-        if np.any(np.abs(effects - effects.conj().transpose(0, 2, 1)) > 1e-12):
+        if not np.all(np.abs(effects - effects.conj().transpose(0, 2, 1)) <= 1e-12):
             raise ValueError("effect is not Hermitian within 1e-12")
-        if np.any(np.linalg.eigvalsh(effects) < -1e-10):
+        if not np.all(np.linalg.eigvalsh(effects) >= -1e-10):
             raise ValueError("effect has an eigenvalue below -1e-10")
         guesses = _check_unit_rows(np.array(rows, dtype=complex).reshape(len(rows), 2))
         effects.setflags(write=False)
@@ -158,7 +159,7 @@ class Povm:
         object.__setattr__(self, "guesses", guesses)
         residual = float(np.linalg.norm(effects.sum(axis=0) - np.eye(dim), "fro"))
         object.__setattr__(self, "_residual", residual)
-        if residual > 1e-8:
+        if not residual <= 1e-8:
             raise IncompletePovm(
                 f"effects sum to identity only within {residual:.3e} (> 1e-8); "
                 "add more directions"
@@ -376,12 +377,6 @@ def universal_povm(n_copies: int) -> Povm:
     return Povm(n_copies, ((n_copies + 1) * weights)[:, None, None] * projectors, amps)
 
 
-def respond(povm: Povm, psi: PureState) -> DensityOperator:
-    """The averaged state sent back: sum_r tr[E_r rho] |phi_r><phi_r|."""
-    probs = povm.outcome_probabilities(psi)
-    return DensityOperator(np.einsum("r,ra,rb->ab", probs, povm.guesses, povm.guesses.conj()))
-
-
 def pointwise_payoff(povm: Povm, psi: PureState) -> float:
     """Expected +-1 payoff of one fixed-frame round against psi."""
     return float(_payoffs(povm, psi.amplitudes[None])[0])
@@ -420,26 +415,3 @@ def mean_fidelity(povm: Povm) -> float:
     val = np.trace(split.T @ w @ split)
     return float(val.real) / dim_sym(2, k)
 
-
-def frame_averaged_payoff(povm: Povm, psi: PureState) -> float:
-    """Expected payoff against psi when the frame is re-drawn Haar each round.
-
-    Requires aligned guesses so the payoff operator W lives inside the
-    (n+1)-copy symmetric subspace, i.e. W = P W P for P = S S^T, the projector
-    onto Sym_{n+1} inside Sym_n (x) C^2; the uniform frame twirl then reduces W
-    to its overlap with the projector (the subspace is irreducible under
-    collective rotations), giving mean_fidelity times the symmetric overlap
-    of psi^{tensor (n+1)} - which is 1, since product states lie in Sym_{n+1}.
-    """
-    if psi.dim != 2:
-        raise ShapeError("input must be a qubit")
-    w = payoff_operator(povm)
-    split = sym_split(2, povm.n, 1)
-    proj = split @ split.T
-    off = np.linalg.norm(w - proj @ w @ proj, 2)
-    if off > 1e-8:
-        raise ValueError(
-            "payoff operator leaks out of the symmetric subspace "
-            f"(norm {off:.3e}); frame averaging needs aligned guesses"
-        )
-    return mean_fidelity(povm)

@@ -14,6 +14,13 @@ d^(n+m)-dimensional space.  Product states psi^{(x)n} lie in the symmetric
 subspace too, and `coherent_coordinates` writes them in the occupation basis
 directly from psi's d amplitudes.
 
+These subspaces make Haar averages exact finite sums.  The n-th moment of a
+Haar-random pure state, the average of (|psi><psi|)^{tensor n}, is
+sym_projector(d, n) / dim_sym(d, n): the average is invariant under every
+U^{tensor n}, is supported on the symmetric subspace, and that subspace
+carries an irreducible action, so the average is proportional to the
+projector, and unit trace fixes the constant.
+
 Column ordering is lexicographic over occupation vectors (n_0, ..., n_{d-1}),
 descending in n_0.  For d = 2 this makes column k the spin state with
 n - k excitations in level 0, i.e. magnetic quantum number m = n/2 - k in
@@ -28,7 +35,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .core import DEFAULT_SIZE_CAP, _frozen, check_size_cap
+from .core import _frozen, check_size_cap
 
 
 def dim_sym(d: int, n: int) -> int:
@@ -66,9 +73,9 @@ def _isometry(d: int, n: int) -> np.ndarray:
     return _frozen(iso)
 
 
-def sym_isometry(d: int, n: int, size_cap: int = DEFAULT_SIZE_CAP) -> np.ndarray:
+def sym_isometry(d: int, n: int) -> np.ndarray:
     """Isometry (d^n x dim_sym) whose columns are the occupation-number states."""
-    check_size_cap(d**n, size_cap)
+    check_size_cap(d**n)
     return _isometry(d, n)
 
 
@@ -78,9 +85,9 @@ def _projector(d: int, n: int) -> np.ndarray:
     return _frozen(iso @ iso.conj().T)
 
 
-def sym_projector(d: int, n: int, size_cap: int = DEFAULT_SIZE_CAP) -> np.ndarray:
+def sym_projector(d: int, n: int) -> np.ndarray:
     """Orthogonal projector onto the symmetric subspace of (C^d)^{tensor n}."""
-    check_size_cap(d**n, size_cap)
+    check_size_cap(d**n)
     return _projector(d, n)
 
 
@@ -148,15 +155,3 @@ def coherent_coordinates(amplitudes, n: int) -> np.ndarray:
         out *= amplitudes[..., i:i + 1] ** exponents[:, i]
     return out
 
-
-def haar_moment(d: int, n: int, size_cap: int = DEFAULT_SIZE_CAP) -> np.ndarray:
-    """Exact n-th moment of a Haar-random pure state.
-
-    The average of (|psi><psi|)^{tensor n} over Haar psi equals the symmetric
-    projector divided by its rank: the average is invariant under every
-    U^{tensor n}, is supported on the symmetric subspace, and that subspace
-    carries an irreducible action, so the average must be proportional to the
-    projector; unit trace fixes the constant.  This identity turns every Haar
-    average in the game modules into an exact finite computation.
-    """
-    return sym_projector(d, n, size_cap) / dim_sym(d, n)

@@ -72,7 +72,7 @@ class MatrixGame:
 
 @dataclass(frozen=True)
 class MixedStrategy:
-    """Probability vector over pure strategies."""
+    """Probability vector over pure strategies; NaN fails its checks."""
 
     probs: np.ndarray
 
@@ -80,9 +80,9 @@ class MixedStrategy:
         p = np.asarray(self.probs, dtype=float).reshape(-1)
         if p.size == 0:
             raise ValueError("strategy must be nonempty")
-        if p.min() < -1e-12:
-            raise ValueError(f"negative probability {p.min()!r}")
-        if abs(p.sum() - 1.0) > 1e-12:
+        if not p.min() >= -1e-12:
+            raise ValueError(f"negative or NaN probability {p.min()!r}")
+        if not abs(p.sum() - 1.0) <= 1e-12:
             raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
         p = np.clip(p, 0.0, None)
         p.setflags(write=False)

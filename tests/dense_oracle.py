@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qgames.cloning import Channel
-from qgames.core import DEFAULT_SIZE_CAP, ShapeError, check_size_cap, partial_trace_matrix, tensor_power
+from qgames.core import ShapeError, check_size_cap, partial_trace_matrix, tensor_power
 from qgames.estimation import Povm
 from qgames.symmetric import dim_sym, sym_isometry, sym_projector
 
@@ -112,30 +112,30 @@ def transposition_operator(d: int, n: int, i: int, j: int) -> np.ndarray:
     return op.reshape(d**n, d**n)
 
 
-def _input_transposed_projector(d, n_in, dim_out_block, n_total, size_cap):
-    proj = sym_projector(d, n_total, size_cap)
+def _input_transposed_projector(d, n_in, dim_out_block, n_total):
+    proj = sym_projector(d, n_total)
     dim_in = d**n_in
     g = proj.reshape(dim_in, dim_out_block, dim_in, dim_out_block)
     return g.transpose(2, 1, 0, 3).reshape(dim_in * dim_out_block, dim_in * dim_out_block)
 
 
-def haar_avg_global_fidelity(ch: Channel, size_cap=DEFAULT_SIZE_CAP) -> float:
+def haar_avg_global_fidelity(ch: Channel) -> float:
     """tr[J PT_in(P_sym^{(n+m)})] / dim_sym(d, n+m) on the full space."""
     n_total = ch.n_in + ch.n_out
-    check_size_cap(ch.d**n_total, size_cap)
-    g = _input_transposed_projector(ch.d, ch.n_in, ch.dim_out, n_total, size_cap)
+    check_size_cap(ch.d**n_total)
+    g = _input_transposed_projector(ch.d, ch.n_in, ch.dim_out, n_total)
     val = np.einsum("ij,ji->", full_choi(ch), g)
     return float(val.real) / dim_sym(ch.d, n_total)
 
 
-def single_clone_haar_fidelity(ch: Channel, k: int, size_cap=DEFAULT_SIZE_CAP) -> float:
+def single_clone_haar_fidelity(ch: Channel, k: int) -> float:
     """The (n_in + 1)-copy moment formula on the full reduced Choi matrix."""
     if not 1 <= k <= ch.n_out:
         raise IndexError(f"clone index {k} not in 1..{ch.n_out}")
     dims = [ch.dim_in] + [ch.d] * ch.n_out
     reduced = partial_trace_matrix(full_choi(ch), dims, keep=[0, k])
     n_total = ch.n_in + 1
-    g = _input_transposed_projector(ch.d, ch.n_in, ch.d, n_total, size_cap)
+    g = _input_transposed_projector(ch.d, ch.n_in, ch.d, n_total)
     val = np.einsum("ij,ji->", reduced, g)
     return float(val.real) / dim_sym(ch.d, n_total)
 

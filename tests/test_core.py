@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 from numpy.random import SeedSequence, default_rng
 
+import qgames.core
+from qgames.core import _check_unit_rows
+
 from qgames.core import (
     DensityOperator,
     InvalidArity,
@@ -13,11 +16,12 @@ from qgames.core import (
     SizeCapExceeded,
     haar_random_state,
     overlap,
-    partial_trace,
     partial_trace_matrix,
     tensor_power,
 )
-from qgames.symmetric import haar_moment
+from qgames.estimation import Povm
+from qgames.symmetric import dim_sym, sym_projector
+from qgames.zerosum import MixedStrategy
 
 from conftest import random_density
 
@@ -83,12 +87,13 @@ class TestTensorPower:
         out = tensor_power(PLUS, 2)
         assert np.allclose(out.amplitudes, 0.5)
 
-    def test_size_cap(self):
+    def test_size_cap(self, monkeypatch):
         with pytest.raises(SizeCapExceeded):
             tensor_power(KET0, 13)  # 2^13 > 4096
-        tensor_power(KET0, 3, size_cap=8)
+        monkeypatch.setattr(qgames.core, "DEFAULT_SIZE_CAP", 8)
+        tensor_power(KET0, 3)
         with pytest.raises(SizeCapExceeded):
-            tensor_power(KET0, 4, size_cap=8)
+            tensor_power(KET0, 4)
 
     def test_k_zero_rejected(self):
         with pytest.raises(InvalidArity):
@@ -100,31 +105,31 @@ class TestPartialTrace:
         rho = random_density(2, rng.substream(1))
         sigma = random_density(3, rng.substream(2))
         joint = DensityOperator(np.kron(rho.matrix, sigma.matrix))
-        reduced = partial_trace(joint, [2, 3], keep=[0])
+        reduced = DensityOperator(partial_trace_matrix(joint.matrix, [2, 3], keep=[0]))
         assert np.allclose(reduced.matrix, rho.matrix, atol=1e-12)
 
     def test_bell_state_maximally_mixed(self):
         bell = PureState(np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0))
-        reduced = partial_trace(bell.density(), [2, 2], keep=[0])
+        reduced = DensityOperator(partial_trace_matrix(bell.density().matrix, [2, 2], keep=[0]))
         assert np.allclose(reduced.matrix, np.eye(2) / 2.0, atol=1e-12)
 
     def test_trace_preserved(self, rng):
         rho = random_density(4, rng.substream(3))
-        reduced = partial_trace(rho, [2, 2], keep=[1])
+        reduced = DensityOperator(partial_trace_matrix(rho.matrix, [2, 2], keep=[1]))
         assert abs(np.trace(reduced.matrix) - 1.0) < 1e-12
 
     def test_sequential_reduction_reaches_total_trace(self, rng):
         rho = random_density(8, rng.substream(4))
-        step = partial_trace(rho, [2, 2, 2], keep=[0, 2])
-        step = partial_trace(step, [2, 2], keep=[0])
+        step = DensityOperator(partial_trace_matrix(rho.matrix, [2, 2, 2], keep=[0, 2]))
+        step = DensityOperator(partial_trace_matrix(step.matrix, [2, 2], keep=[0]))
         assert abs(np.trace(step.matrix).real - np.trace(rho.matrix).real) < 1e-12
 
     def test_dimension_mismatch(self, rng):
         rho = random_density(4, rng.substream(5))
         with pytest.raises(ShapeError):
-            partial_trace(rho, [2, 3], keep=[0])
+            DensityOperator(partial_trace_matrix(rho.matrix, [2, 3], keep=[0]))
         with pytest.raises(ShapeError):
-            partial_trace(rho, [2, 2], keep=[])
+            DensityOperator(partial_trace_matrix(rho.matrix, [2, 2], keep=[]))
 
 
 class TestOverlap:
@@ -228,7 +233,7 @@ class TestHaarRandomState:
                     powers = np.einsum("ni,nj->nij", powers, chunk).reshape(len(chunk), -1)
                 mean += np.einsum("ni,nj->ij", powers, powers.conj())
             mean /= count
-            gap = np.linalg.norm(mean - haar_moment(2, k), 2)
+            gap = np.linalg.norm(mean - sym_projector(2, k) / dim_sym(2, k), 2)
             assert gap <= 5e-3, f"k={k}: operator-norm gap {gap}"
 
 
@@ -237,3 +242,23 @@ def test_partial_trace_matrix_handles_non_density_input():
     out = partial_trace_matrix(mat, [2, 2], keep=[0])
     assert out.shape == (2, 2)
     assert out[0, 0] == mat[0, 0] + mat[1, 1]
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: PureState([NAN, 0.0]),
+    lambda: PureState.normalized([0.0, 0.0]),
+    lambda: DensityOperator(np.full((2, 2), NAN)),
+    lambda: MixedStrategy([NAN, 0.5]),
+    lambda: Povm(1, [[[NAN, 0.0], [0.0, 0.0]], np.diag([0.0, 1.0])], [[1.0, 0.0], [0.0, 1.0]]),
+    lambda: Povm(1, [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], [[1.0, 0.0], [NAN, 0.0]]),
+    lambda: _check_unit_rows(np.array([[1.0, 0.0], [NAN, 0.0]])),
+], ids=["pure-state", "normalized-zero", "density", "mixed-strategy", "povm-effect",
+        "povm-guess", "unit-rows"])
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_nan_fails_every_value_check(build):
+    # NaN compares false, so a check of the form `abs(x - 1) > tol` lets it through
+    with pytest.raises(ValueError):
+        build()

@@ -34,11 +34,9 @@ from qgames.core import PureState, RandomStream, haar_random_state
 from qgames.estimation import (
     build_povm,
     default_directions,
-    frame_averaged_payoff,
     mean_fidelity,
     payoff_operator,
     pointwise_payoff,
-    respond,
     universal_povm,
 )
 from qgames.cli import main
@@ -133,11 +131,12 @@ def test_completeness_defect_is_the_svd_norm(kind, d, n, m):
 
 
 def estimation_strategies(n):
+    """The two aligned POVMs, then two misaligned perturbations of each."""
     aligned = [universal_povm(n), build_povm(n, default_directions(n))]
     misaligned = []
     for i, povm in enumerate(aligned):
         misaligned += povm_perturbations(povm, 2, RandomStream(8000 + 10 * n + i))
-    return [(p, True) for p in aligned] + [(p, False) for p in misaligned]
+    return aligned + misaligned
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -145,23 +144,14 @@ def test_estimation_evaluators_match_dense_oracle(n):
     lift = np.kron(sym_isometry(2, n), np.eye(2))
     psi = haar_random_state(2, RandomStream(8100 + n))
     inputs = (psi, PureState.basis(2, 0), PureState.basis(2, 1))
-    for povm, aligned in estimation_strategies(n):
+    for povm in estimation_strategies(n):
         for phi in inputs:
             got = povm.outcome_probabilities(phi)
             assert np.max(np.abs(got - dense_oracle.outcome_probabilities(povm, phi))) <= TOL
             assert abs(pointwise_payoff(povm, phi) - dense_oracle.pointwise_payoff(povm, phi)) <= TOL
-            sigma = respond(povm, phi).matrix
-            assert np.max(np.abs(sigma - dense_oracle.respond(povm, phi))) <= TOL
         dense = dense_oracle.payoff_operator(povm)
         assert np.max(np.abs(lift @ payoff_operator(povm) @ lift.T - dense)) <= TOL
         assert abs(mean_fidelity(povm) - dense_oracle.mean_fidelity(povm)) <= TOL
-        if aligned:
-            got = frame_averaged_payoff(povm, psi)
-            assert abs(got - dense_oracle.frame_averaged_payoff(povm, psi)) <= TOL
-        else:
-            for evaluator in (frame_averaged_payoff, dense_oracle.frame_averaged_payoff):
-                with pytest.raises(ValueError, match="aligned"):
-                    evaluator(povm, psi)
 
 
 @pytest.mark.parametrize("ancilla_dim", [None, 2, 3])
@@ -247,7 +237,6 @@ def test_estimation_evaluators_stay_on_registers(copy_limit, n):
     povm = universal_povm(n)
     assert payoff_operator(povm).shape == (2 * (n + 1),) * 2
     mean_fidelity(povm)
-    frame_averaged_payoff(povm, haar_random_state(2, RandomStream(n)))
     povm.outcome_probabilities(haar_random_state(2, RandomStream(n)))
 
 

