@@ -9,7 +9,6 @@ and brute-force channel scans.
 """
 
 from .core import (
-    DEFAULT_SIZE_CAP,
     DensityOperator,
     InvalidArity,
     PureState,

@@ -410,30 +410,26 @@ def _global_overlaps(ch: Channel, psi: np.ndarray) -> np.ndarray:
     return fid
 
 
-def _one_particle_overlaps(ch: Channel, psi: np.ndarray, clones: np.ndarray) -> np.ndarray:
-    """<psi| rho_c |psi> for each row of amplitudes `psi` and its clone c in `clones`.
+def _one_particle_overlaps(ch: Channel, psi: np.ndarray) -> np.ndarray:
+    """Mean over the clones c of <psi| rho_c |psi>, for each row of amplitudes `psi`.
 
     Contracting clone c of each Kraus branch with psi* and summing the squared
     norms over the Kraus operators and the other clones gives the reduced
     state's overlap without forming it.  One Kraus operator at a time, so the
-    working arrays stay at one output row per state.  Rows are grouped by
-    clone, except that the clones of a Sym_out channel share one reduced
-    state, so one group serves them all.
+    working arrays stay at one output row per state.  The clones of a Sym_out
+    channel share one reduced state, so the last clone stands for them all; a
+    full-output channel scores each of its n_out clones.
     """
     vin = coherent_coordinates(psi, ch.n_in)
+    bra = psi.conj()
+    clones = [ch.n_out] if ch.sym_out else range(1, ch.n_out + 1)
     fid = np.zeros(len(psi))
-    if ch.sym_out:
-        groups = [(ch.n_out, slice(None))]
-    else:
-        groups = [(c, clones == c) for c in np.unique(clones)]
-    for c, rows in groups:
-        bra, kets = psi[rows].conj(), vin[rows]
-        kept = np.zeros(len(bra))
-        for k in ch.kraus:
-            branch = _clone_split(ch.d, ch.n_out, c, kets @ k.T)
-            kept += np.sum(np.abs(np.einsum("bjd,bd->bj", branch, bra)) ** 2, axis=1)
-        fid[rows] = kept
-    return fid
+    for k in ch.kraus:
+        rows = vin @ k.T
+        for c in clones:
+            branch = _clone_split(ch.d, ch.n_out, c, rows)
+            fid += np.sum(np.abs(np.einsum("bjd,bd->bj", branch, bra)) ** 2, axis=1)
+    return fid / len(clones)
 
 
 def global_fidelity(ch: Channel, psi: PureState) -> float:

@@ -81,8 +81,12 @@ class PureState:
 
     @classmethod
     def normalized(cls, amplitudes) -> "PureState":
+        """The state along `amplitudes`; a zero or non-finite norm is refused before dividing."""
         amp = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        return cls(amp / np.linalg.norm(amp))
+        norm = np.linalg.norm(amp)
+        if not 0.0 < norm < np.inf:
+            raise ValueError(f"cannot normalize a vector of norm {norm!r}")
+        return cls(amp / norm)
 
     @classmethod
     def basis(cls, dim: int, index: int) -> "PureState":
@@ -143,13 +147,13 @@ class RandomStream:
     their substreams differ.  `parent` is the path a substream extends;
     `substream` passes it, and a stream built without it is root-level.
 
-    Under seed scheme v3 a consumer takes one substream per draw chunk of
-    `harness.DRAW_ROUNDS` items and draws the chunk's items from it in
-    order: `mc-play` rounds, the asymmetric-bound scan's random channels
-    (consecutive `cloning.random_isometry_channel` draws) and
-    `harness.haar_states` (consecutive `haar_random_state` draws).
-    `harness.cloner_perturbations` and `harness.povm_perturbations` keep one
-    substream per item.
+    Under seed scheme v4 every consumer takes one substream per draw chunk
+    of `harness.DRAW_ROUNDS` items and draws the chunk's items from it in
+    order: `mc-play` rounds (each its Haar state and the referee's uniform),
+    the asymmetric-bound scan's random channels (consecutive
+    `cloning.random_isometry_channel` draws), `harness.haar_states`
+    (consecutive `haar_random_state` draws) and the perturbations of
+    `harness.cloner_perturbations` and `harness.povm_perturbations`.
     """
 
     def __init__(self, seed: int, counter: int = 0, *, parent: tuple | None = None):

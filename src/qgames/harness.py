@@ -7,20 +7,22 @@ sets sandwiches the theoretical game value.  Monte Carlo play runs the actual
 referee protocol, and the brute-force scan checks the asymmetric-cloning
 fidelity-sum ceiling over random channels.
 
-Monte Carlo rounds, the scan's random channels and `haar_states` draw by
-seed scheme v3.  Items come in draw chunks of DRAW_ROUNDS: draw chunk c takes
-one substream of the seed, `substream(c)`, and draws all of its items from
-it.  Monte Carlo rounds draw whole arrays per draw chunk; random channel i of
-the scan is the (i mod DRAW_ROUNDS)-th consecutive `random_isometry_channel`
-draw from its draw chunk's substream, and Haar state i the (i mod
-DRAW_ROUNDS)-th consecutive `haar_random_state` draw.  So round, channel or
-state i depends on the seed and i alone, and N items are a prefix of any
-longer run.  `cloner_perturbations` and `povm_perturbations` keep one
-substream per perturbation.  Rounds and channels are evaluated in memory
-chunks with array operations: CHUNK_ROUNDS items, fewer where the rows are so
-wide that a chunk would pass CHUNK_BYTES.  Memory chunks subdivide a draw
-chunk and bound memory and nothing else, so a record depends on the seed and
-the item count, not on the memory chunk size.
+Monte Carlo rounds, the scan's random channels, `haar_states` and the
+perturbations draw by seed scheme v4: item i belongs to draw chunk
+c = i // DRAW_ROUNDS, which draws all of its items from the one substream
+`substream(c)` of the seed.  Monte Carlo rounds draw whole arrays per draw
+chunk, each round only its Haar state and the referee's uniform; any other
+item is the (i mod DRAW_ROUNDS)-th consecutive draw from its substream.  So
+item i depends on the seed and i alone, and N items are a prefix of any
+longer run.  Items are evaluated in memory chunks of CHUNK_ROUNDS, fewer
+where the rows are so wide that a chunk would pass CHUNK_BYTES; memory chunks
+subdivide a draw chunk and bound memory only, so no record depends on them.
+
+A strategy's payoff on psi is the overlap with psi of the state it hands the
+SWAP-test referee.  `_state_payoffs` is that kernel, one per game kind: the
+discretized games tabulate it and Monte Carlo rounds feed it to the referee.
+Integrating out the estimation outcome and the referee's choice of clone
+leaves each round's pass probability (1 + F)/2 as it is.
 
 Analytic reports quote fidelities F; the protocol's literal stakes are +-1.
 A round passes with probability p = (1 + F)/2, so the mean +-1 payoff is
@@ -64,7 +66,6 @@ from .core import (
 )
 from .estimation import (
     Povm,
-    _born_probabilities,
     _payoffs,
     bloch_state,
     fibonacci_directions,
@@ -76,8 +77,8 @@ from .zerosum import MatrixGame, solve
 
 GAME_KINDS = ("estimation", "cloning", "one_particle")
 
-#: Items per draw chunk of seed scheme v3: draw chunk c covers Monte Carlo
-#: rounds, random scan channels or Haar states c*DRAW_ROUNDS ..
+#: Items per draw chunk of seed scheme v4: draw chunk c covers Monte Carlo
+#: rounds, random scan channels, Haar states or perturbations c*DRAW_ROUNDS ..
 #: (c+1)*DRAW_ROUNDS - 1 and draws them all from substream c.  Part of the
 #: determinism contract: changing it changes every record.
 DRAW_ROUNDS = 256
@@ -137,19 +138,22 @@ def fibonacci_states(count: int) -> list[PureState]:
     return [bloch_state(d) for d in fibonacci_directions(count)]
 
 
+def _item_streams(rng: RandomStream, count: int):
+    """(i, `rng.substream(i // DRAW_ROUNDS)`) for i < count, one stream per draw chunk."""
+    for c in range(-(-count // DRAW_ROUNDS)):
+        stream = rng.substream(c)
+        for i in range(c * DRAW_ROUNDS, min(count, (c + 1) * DRAW_ROUNDS)):
+            yield i, stream
+
+
 def haar_states(d: int, count: int, rng: RandomStream) -> list[PureState]:
-    """`count` Haar-random states by seed scheme v3.
+    """`count` Haar-random states by seed scheme v4.
 
     State i is the (i mod DRAW_ROUNDS)-th consecutive `haar_random_state`
     draw from `rng.substream(i // DRAW_ROUNDS)`, so the states of a smaller
     count are a prefix of a larger one's.
     """
-    states = []
-    for c in range(-(-count // DRAW_ROUNDS)):
-        stream = rng.substream(c)
-        states += [haar_random_state(d, stream)
-                   for _ in range(min(DRAW_ROUNDS, count - c * DRAW_ROUNDS))]
-    return states
+    return [haar_random_state(d, stream) for _, stream in _item_streams(rng, count)]
 
 
 def nested_state_sets(states, sizes) -> list[list[PureState]]:
@@ -182,11 +186,6 @@ def _state_rows(states, dim: int) -> np.ndarray:
     return np.stack([psi.amplitudes for psi in states])
 
 
-def _row_width(ch: Channel) -> int:
-    """Widest per-round row a channel's rounds build: its Kraus rows or columns."""
-    return max(ch.kraus.shape[1:])
-
-
 def _chunk_length(width: int) -> int:
     """Rows per chunk: CHUNK_ROUNDS, fewer when width-wide rows would pass CHUNK_BYTES."""
     return max(1, min(CHUNK_ROUNDS, CHUNK_BYTES // (16 * width)))
@@ -201,49 +200,70 @@ def _chunk_counts(total: int, chunk: int) -> tuple[int, int]:
     return full + (rest > 0), full * -(-DRAW_ROUNDS // chunk) + -(-rest // chunk)
 
 
-def discretize_estimation_game(n_copies: int, povms, states) -> MatrixGame:
-    """A[i, j] = mean payoff of povms[i] against states[j] (fixed frames).
+def _state_payoffs(kind: str, strategy, psi: np.ndarray) -> np.ndarray:
+    """Mean +-1 payoff of `strategy` against each row of amplitudes `psi`.
 
-    Each row is sum_r tr[E_r psi_j^{tensor n}] |<psi_j|guess_r>|^2 over all
-    columns at once, in chunks of columns as `monte_carlo_play` chunks rounds.
+    The overlap with psi of the state the strategy returns: the guess for
+    estimation (averaged over the Born-rule outcomes), the whole output for
+    cloning and one clone for one_particle (averaged over the clones).
     """
-    povms = list(povms)
-    states = list(states)
-    if not povms or not states:
-        raise ShapeError("need at least one strategy per player")
-    for povm in povms:
-        if povm.n != n_copies:
-            raise ShapeError(f"povm copy count {povm.n} != {n_copies}")
-    psi = _state_rows(states, 2)
-    a = np.empty((len(povms), len(states)))
-    for i, povm in enumerate(povms):
-        chunk = _chunk_length(len(povm.effects))
-        for start in range(0, len(psi), chunk):
-            a[i, start:start + chunk] = _payoffs(povm, psi[start:start + chunk])
-    return MatrixGame(a)
+    if kind == "estimation":
+        return _payoffs(strategy, psi)
+    if kind == "cloning":
+        return _global_overlaps(strategy, psi)
+    return _one_particle_overlaps(strategy, psi)
 
 
-def discretize_cloning_game(d, n_in, n_out, channels, states) -> MatrixGame:
-    """A[i, j] = global fidelity of channels[i] on states[j].
+def _checked_width(kind: str, d: int, n: int, m: int, strategy) -> int:
+    """The widest per-state row of `strategy`, once it is a strategy of this game.
+
+    Estimation takes a Povm on n copies, whose row is its outcome count or
+    its n + 1 coordinates; the cloning games take a Channel of arity
+    (d, n, m), whose row is its Kraus rows or columns.  The width is checked
+    against the size cap.
+    """
+    if kind == "estimation":
+        if not isinstance(strategy, Povm):
+            raise TypeError(f"estimation is played with a Povm, got {type(strategy).__name__}")
+        if strategy.n != n:
+            raise ShapeError(f"povm copy count {strategy.n} != {n}")
+        return check_size_cap(max(len(strategy.effects), n + 1))
+    if not isinstance(strategy, Channel):
+        raise TypeError(f"{kind} is played with a Channel, got {type(strategy).__name__}")
+    arity = (strategy.d, strategy.n_in, strategy.n_out)
+    if arity != (d, n, m):
+        raise ShapeError(f"channel arity {arity} != {(d, n, m)}")
+    return check_size_cap(max(strategy.kraus.shape[1:]))
+
+
+def _payoff_matrix(kind: str, d: int, n: int, m: int, strategies, states) -> MatrixGame:
+    """A[i, j] = `_state_payoffs` of strategies[i] on states[j].
 
     Each row is evaluated over all columns at once, in chunks of columns as
     `monte_carlo_play` chunks rounds.
     """
-    channels = list(channels)
+    strategies = list(strategies)
     states = list(states)
-    if not channels or not states:
+    if not strategies or not states:
         raise ShapeError("need at least one strategy per player")
-    for ch in channels:
-        if (ch.d, ch.n_in, ch.n_out) != (d, n_in, n_out):
-            raise ShapeError(f"channel arity {(ch.d, ch.n_in, ch.n_out)} != {(d, n_in, n_out)}")
-    width = check_size_cap(max(_row_width(ch) for ch in channels))
+    width = max(_checked_width(kind, d, n, m, s) for s in strategies)
     psi = _state_rows(states, d)
     chunk = _chunk_length(width)
-    a = np.empty((len(channels), len(states)))
-    for i, ch in enumerate(channels):
+    a = np.empty((len(strategies), len(states)))
+    for i, strategy in enumerate(strategies):
         for start in range(0, len(psi), chunk):
-            a[i, start:start + chunk] = _global_overlaps(ch, psi[start:start + chunk])
+            a[i, start:start + chunk] = _state_payoffs(kind, strategy, psi[start:start + chunk])
     return MatrixGame(a)
+
+
+def discretize_estimation_game(n_copies: int, povms, states) -> MatrixGame:
+    """A[i, j] = sum_r tr[E_r psi_j^{tensor n}] |<psi_j|guess_r>|^2 for E, guess of povms[i]."""
+    return _payoff_matrix("estimation", 2, n_copies, 1, povms, states)
+
+
+def discretize_cloning_game(d, n_in, n_out, channels, states) -> MatrixGame:
+    """A[i, j] = global fidelity of channels[i] on states[j]."""
+    return _payoff_matrix("cloning", d, n_in, n_out, channels, states)
 
 
 @dataclass(frozen=True)
@@ -342,11 +362,10 @@ def perturb_best_response_check(base, perturbations, tol: float = 1e-9) -> Pertu
 
 
 def cloner_perturbations(ch: Channel, count: int, rng: RandomStream) -> list[Channel]:
-    """Output-unitary kicks alternating with mixes toward symmetric noise."""
+    """Output-unitary kicks alternating with mixes toward symmetric noise, by seed scheme v4."""
     noise = symmetric_noise_channel(ch.d, ch.n_in, ch.n_out)
     out = []
-    for i in range(count):
-        stream = rng.substream(i)
+    for i, stream in _item_streams(rng, count):
         if i % 2 == 0:
             u = haar_random_unitary(ch.dim_out, stream)
             out.append(conjugate_output(ch, u))
@@ -357,13 +376,11 @@ def cloner_perturbations(ch: Channel, count: int, rng: RandomStream) -> list[Cha
 
 
 def povm_perturbations(povm: Povm, count: int, rng: RandomStream) -> list[Povm]:
-    """Misalign the guesses: per-guess unitary kicks and common rotations."""
+    """Misalign the guesses: per-guess unitary kicks and common rotations, by seed scheme v4."""
     out = []
-    for i in range(count):
-        stream = rng.substream(i)
+    for i, stream in _item_streams(rng, count):
         if i % 2 == 0:
-            guesses = [haar_random_unitary(2, stream.substream(r)) @ g
-                       for r, g in enumerate(povm.guesses)]
+            guesses = [haar_random_unitary(2, stream) @ g for g in povm.guesses]
         else:
             guesses = povm.guesses @ haar_random_unitary(2, stream).T
         out.append(Povm(povm.n, povm.effects, guesses))
@@ -375,7 +392,7 @@ def povm_perturbations(povm: Povm, count: int, rng: RandomStream) -> list[Povm]:
 
 @dataclass(frozen=True)
 class MonteCarloRecord:
-    """Empirical +-1 payoff of full protocol rounds.
+    """Empirical +-1 payoff of protocol rounds, each a Haar state and the referee's coin.
 
     The referee passes with probability (1 + F)/2, so mean_payoff = 2p - 1
     estimates the mean fidelity F itself; pass_rate is the raw pass frequency
@@ -390,107 +407,49 @@ class MonteCarloRecord:
     pass_rate: float
 
 
-def _unit_rows(vectors: np.ndarray) -> np.ndarray:
-    """Rows normalised to unit length, with `PureState`'s 1e-12 norm check."""
-    return _check_unit_rows(vectors / np.linalg.norm(vectors, axis=1, keepdims=True))
-
-
-def _estimation_overlaps(povm: Povm, psi: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """|<psi|guess>|^2 for the outcome each round's uniform picks from the Born rule."""
-    probs = _born_probabilities(povm, psi)
-    draws = uniforms * probs.sum(axis=1)
-    # the first outcome whose cumulative probability reaches the draw
-    outcome = np.sum(np.cumsum(probs, axis=1) < draws[:, None], axis=1)
-    outcome = np.minimum(outcome, len(povm.effects) - 1)
-    return np.abs(np.sum(psi.conj() * povm.guesses[outcome], axis=1)) ** 2
-
-
-def _check_strategy(spec: GameSpec, strategy) -> None:
-    """Refuse a strategy built for another game than `spec` describes."""
-    if spec.kind == "estimation":
-        if not isinstance(strategy, Povm):
-            raise TypeError(f"estimation is played with a Povm, got {type(strategy).__name__}")
-        if strategy.n != spec.n:
-            raise ShapeError(f"povm copy count {strategy.n} != spec n {spec.n}")
-    else:
-        if not isinstance(strategy, Channel):
-            raise TypeError(f"{spec.kind} is played with a Channel, got {type(strategy).__name__}")
-        arity = (strategy.d, strategy.n_in, strategy.n_out)
-        if arity != (spec.d, spec.n, spec.m):
-            raise ShapeError(f"channel arity {arity} != spec arity {(spec.d, spec.n, spec.m)}")
-
-
-def _draw_chunk(kind: str, stream: RandomStream, d: int, n_out: int):
-    """Seed scheme v2 draws of one draw chunk, every array DRAW_ROUNDS long.
-
-    In protocol order: the Haar states' complex normals as a (DRAW_ROUNDS, d)
-    array, then the estimation outcomes' uniforms or the one-particle clone
-    indices (None for the global cloning game), then the referee's uniforms.
-    """
-    gen = stream.generator
-    normals = stream.complex_normals(DRAW_ROUNDS * d).reshape(DRAW_ROUNDS, d)
-    if kind == "estimation":
-        middle = gen.random(DRAW_ROUNDS)
-    elif kind == "one_particle":
-        middle = gen.integers(1, n_out + 1, size=DRAW_ROUNDS)
-    else:
-        middle = None
-    return normals, middle, gen.random(DRAW_ROUNDS)
-
-
 def monte_carlo_play(spec: GameSpec, strategy) -> MonteCarloRecord:
     """Play `spec.samples` protocol rounds against the SWAP-test referee.
 
     The seed is `spec.seed`; `dataclasses.replace(spec, seed=s)` plays seed s.
-    Draws follow seed scheme v2, which v3 leaves unchanged for rounds; under
-    v3 the scan's random channels and `haar_states` share its draw chunks
-    (module docstring).  Draw chunk c holds rounds
-    c*DRAW_ROUNDS .. (c+1)*DRAW_ROUNDS - 1 and draws all of them, whole arrays
-    at a time, from the one substream `RandomStream(seed).substream(c)`, in
-    protocol order: the Haar states' complex normals, then the estimation
-    outcomes' uniforms or the one-particle clone indices, then the referee's
-    uniforms (`_draw_chunk`).  A final partial chunk uses its first rows only,
-    so round i depends on (seed, i) alone and the record of N rounds is the
-    prefix of the record of any longer play.
+    Draws follow seed scheme v4 (module docstring).  Draw chunk c holds rounds
+    c*DRAW_ROUNDS .. (c+1)*DRAW_ROUNDS - 1 and draws all of them from the one
+    substream `RandomStream(seed).substream(c)`: first
+    `complex_normals(DRAW_ROUNDS * d)`, the Haar states' amplitudes, then
+    `generator.random(DRAW_ROUNDS)`, the referee's uniforms.  A final partial
+    chunk uses its first rows only, so round i depends on (seed, i) alone and
+    the record of N rounds is the prefix of the record of any longer play.
+    Round i passes when its uniform falls below (1 + F)/2, F the
+    `_state_payoffs` of the strategy on its state.
 
     Each draw chunk is evaluated in memory chunks with array operations:
     CHUNK_ROUNDS rounds, or fewer where one round's widest row is so wide that
     a chunk's rows would pass CHUNK_BYTES.  Memory chunks subdivide a draw
     chunk and only bound the working memory, so the record depends on the seed
-    and not on the chunk length.  The size cap counts that widest row: the
-    Povm's outcome count or its n + 1 coordinates, or the channel's Kraus rows
-    or columns.
+    and not on the chunk length.  The size cap counts that widest row
+    (`_checked_width`), which is checked with the strategy before any draw.
     """
     if spec.samples < 1:
         raise ValueError("samples must be >= 1")
-    _check_strategy(spec, strategy)
-    if spec.kind == "estimation":
-        d, width = 2, max(len(strategy.effects), strategy.n + 1)
-    else:
-        d, width = strategy.d, _row_width(strategy)
-    check_size_cap(width)
+    width = _checked_width(spec.kind, spec.d, spec.n, spec.m, strategy)
     root = RandomStream(spec.seed)
     chunk = _chunk_length(width)
     draw_chunks, memory_chunks = _chunk_counts(spec.samples, chunk)
     _log.debug(
         "monte_carlo_play %s d=%d n=%d m=%d: %d rounds in %d chunks of %d; "
-        "seed scheme v2, %d draw chunks of %d",
+        "seed scheme v4, %d draw chunks of %d",
         spec.kind, spec.d, spec.n, spec.m, spec.samples, memory_chunks, chunk,
         draw_chunks, DRAW_ROUNDS,
     )
     total = 0
     for c in range(draw_chunks):
-        normals, middle, referee = _draw_chunk(spec.kind, root.substream(c), d, spec.m)
+        stream = root.substream(c)
         rounds = min(DRAW_ROUNDS, spec.samples - c * DRAW_ROUNDS)
-        psi = _unit_rows(normals[:rounds])
+        normals = stream.complex_normals(DRAW_ROUNDS * spec.d).reshape(DRAW_ROUNDS, spec.d)[:rounds]
+        referee = stream.generator.random(DRAW_ROUNDS)
+        psi = _check_unit_rows(normals / np.linalg.norm(normals, axis=1, keepdims=True))
         for start in range(0, rounds, chunk):
             rows = slice(start, min(start + chunk, rounds))
-            if spec.kind == "estimation":
-                overlaps = _estimation_overlaps(strategy, psi[rows], middle[rows])
-            elif spec.kind == "cloning":
-                overlaps = _global_overlaps(strategy, psi[rows])
-            else:
-                overlaps = _one_particle_overlaps(strategy, psi[rows], middle[rows])
+            overlaps = _state_payoffs(spec.kind, strategy, psi[rows])
             total += int(np.sum(referee_outcomes(overlaps, referee[rows])))
     mean = total / spec.samples
     # outcomes are +-1, so the sample variance is exactly 1 - mean^2
@@ -578,14 +537,13 @@ def asym_bound_scan(
     Scans Haar-random isometry channels plus (for 1 -> 2) the asymmetry grid
     and the optimal cloner itself, which attains the bound exactly.  The scan
     passes when no record's fidelity sum exceeds the bound by more than
-    SCAN_TOL.  The
-    random channels' Ginibre side d^n_out * ancilla_dim is checked against the
-    size cap, with the arity checks of `random_isometry_channel`, before the
-    first channel is built.
+    SCAN_TOL.  The random channels' Ginibre side d^n_out * ancilla_dim is
+    checked against the size cap, with the arity checks of
+    `random_isometry_channel`, before the first channel is built.
 
-    Seed scheme v3: random channel i is the (i mod DRAW_ROUNDS)-th
-    consecutive `random_isometry_channel` draw from the one stream
-    `RandomStream(seed).substream(i // DRAW_ROUNDS)`.  The channels are
+    Seed scheme v3, which v4 leaves as it is: random channel i is the
+    (i mod DRAW_ROUNDS)-th consecutive `random_isometry_channel` draw from
+    the one stream `RandomStream(seed).substream(i // DRAW_ROUNDS)`.  The channels are
     handled in memory chunks of at most CHUNK_ROUNDS, fewer when a channel's
     Ginibre block is so wide that a chunk would pass CHUNK_BYTES; memory
     chunks subdivide draw chunks and never straddle one.  Each memory chunk

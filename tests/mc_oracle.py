@@ -1,13 +1,14 @@
 """Round-by-round Monte Carlo play, the oracle for `harness.monte_carlo_play`.
 
-The draws follow seed scheme v2, replayed here with this module's own code:
+The draws follow seed scheme v4, replayed here with this module's own code:
 draw chunk c of ORACLE_DRAW_ROUNDS rounds takes the substream c of the seed
 and draws, in this order, the rounds' complex normals (all real parts, then
-all imaginary parts), the estimation uniforms or the one-particle clone
-indices, and the referee uniforms.  Each round then builds its Haar state,
-tensor powers and Kraus branches on its own, on the full d^n and d^m
-registers, exactly as the harness did before it batched rounds and compressed
-them; the batched code must return records equal to these.
+all imaginary parts) and the referee uniforms.  Each round then builds its
+Haar state, tensor powers and Kraus branches on its own, on the full d^n and
+d^m registers, and scores the state the strategy hands the referee: an
+estimation round averages |<psi|guess_r>|^2 over the Born-rule outcomes r, a
+one-particle round averages the fidelities of the clones.  The batched code
+must return records equal to these.
 """
 
 import math
@@ -20,7 +21,7 @@ from qgames.estimation import Povm
 from qgames.harness import MonteCarloRecord
 from qgames.symmetric import sym_isometry
 
-#: The draw-chunk length of seed scheme v2, written out rather than imported.
+#: The draw-chunk length of seed scheme v4, written out rather than imported.
 ORACLE_DRAW_ROUNDS = 256
 
 
@@ -37,12 +38,11 @@ def _referee(fidelity: float, uniform: float) -> int:
     return 1 if uniform < 0.5 * (1.0 + fidelity) else -1
 
 
-def _estimation_round(povm: Povm, psi: PureState, uniform: float) -> float:
+def estimation_round_fidelity(povm: Povm, psi: PureState) -> float:
+    """sum_r p_r |<psi|guess_r>|^2 over the Born probabilities p_r of psi^{n}."""
     probs = povm.outcome_probabilities(psi)
-    draw = uniform * probs.sum()
-    outcome = int(np.searchsorted(np.cumsum(probs), draw))
-    outcome = min(outcome, len(probs) - 1)
-    return float(abs(np.vdot(psi.amplitudes, povm.guesses[outcome])) ** 2)
+    return float(sum(p * abs(np.vdot(psi.amplitudes, g)) ** 2
+                     for p, g in zip(probs, povm.guesses)))
 
 
 def global_round_fidelity(ch: Channel, psi: PureState) -> float:
@@ -70,20 +70,17 @@ def _chunk_outcomes(kind: str, strategy, stream: RandomStream, rounds: int) -> l
     gen = stream.generator
     real = gen.standard_normal((b, d))
     normals = real + 1j * gen.standard_normal((b, d))
-    if kind == "estimation":
-        middle = gen.random(b)
-    elif kind == "one_particle":
-        middle = gen.integers(1, strategy.n_out + 1, size=b)
     referee = gen.random(b)
     outcomes = []
     for i in range(rounds):
         psi = PureState.normalized(normals[i])
         if kind == "estimation":
-            fidelity = _estimation_round(strategy, psi, float(middle[i]))
+            fidelity = estimation_round_fidelity(strategy, psi)
         elif kind == "cloning":
             fidelity = global_round_fidelity(strategy, psi)
         else:
-            fidelity = one_particle_round_fidelity(strategy, psi, int(middle[i]))
+            fidelity = np.mean([one_particle_round_fidelity(strategy, psi, c)
+                                for c in range(1, strategy.n_out + 1)])
         outcomes.append(_referee(fidelity, float(referee[i])))
     return outcomes
 

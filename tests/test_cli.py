@@ -241,12 +241,16 @@ class TestMcPlayCommand:
 
     @pytest.mark.parametrize(
         "game, mean_payoff",
-        [("estimation", 0.668), ("cloning", 0.626), ("one_particle", 0.84)],
+        [("estimation", 0.626), ("cloning", 0.626), ("one_particle", 0.832)],
     )
     def test_fixed_seed_draw_sequence_is_pinned(self, capsys, game, mean_payoff):
-        # pinned fixed-seed results (seed scheme v2, the universal POVM for
+        # pinned fixed-seed results (seed scheme v4, the universal POVM for
         # estimation): a change to the order or the number of draws per draw
-        # chunk moves them, and the determinism contract forbids that
+        # chunk moves them, and the determinism contract forbids that.  Under
+        # v4 every round draws only its state and the referee's uniform, and
+        # the universal POVM and the optimal cloner both score 2/3 on every
+        # state, so the estimation and cloning records coincide.  Seed scheme
+        # schemes v2 and v3 gave estimation 0.668 and one_particle 0.84.
         code, out = run_cli(
             ["mc-play", "--game", game, "--samples", "1000", "--seed", "21"], capsys
         )

@@ -95,6 +95,10 @@ class TestTensorPower:
         with pytest.raises(SizeCapExceeded):
             tensor_power(KET0, 4)
 
+    def test_cap_lives_on_core_only(self):
+        # a package-level copy is bound at import, so setting it moves no check
+        assert not hasattr(qgames, "DEFAULT_SIZE_CAP")
+
     def test_k_zero_rejected(self):
         with pytest.raises(InvalidArity):
             tensor_power(KET0, 0)
@@ -257,7 +261,7 @@ NAN = float("nan")
     lambda: _check_unit_rows(np.array([[1.0, 0.0], [NAN, 0.0]])),
 ], ids=["pure-state", "normalized-zero", "density", "mixed-strategy", "povm-effect",
         "povm-guess", "unit-rows"])
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_nan_fails_every_value_check(build):
     # NaN compares false, so a check of the form `abs(x - 1) > tol` lets it through
     with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qgames.core
 import qgames.harness
 
 from qgames.cloning import (
@@ -90,6 +91,31 @@ def spy_normal_draws(monkeypatch, poison=None):
         def __getattr__(self, name):
             return getattr(self._gen, name)
 
+    monkeypatch.setattr(RandomStream, "generator", property(Spy))
+    return calls
+
+
+def spy_stream_draws(monkeypatch):
+    """Record every draw a stream makes, as (method, stream path, arguments)."""
+    calls = []
+    real_normals, real_generator = RandomStream.complex_normals, RandomStream.generator
+
+    def complex_normals(self, count):
+        calls.append(("complex_normals", self.path, (count,)))
+        return real_normals(self, count)
+
+    class Spy:
+        def __init__(self, stream):
+            self._path, self._gen = stream.path, real_generator.fget(stream)
+
+        def __getattr__(self, name):
+            def draw(*args, **kwargs):
+                calls.append((name, self._path, args + tuple(kwargs.values())))
+                return getattr(self._gen, name)(*args, **kwargs)
+            return draw
+
+    monkeypatch.setattr(RandomStream, "complex_normals", complex_normals)
+    monkeypatch.setattr(RandomStream, "uniform", lambda self: float(self.generator.random()))
     monkeypatch.setattr(RandomStream, "generator", property(Spy))
     return calls
 
@@ -220,6 +246,16 @@ class TestDiscretizedGames:
     def test_empty_inputs_rejected(self):
         with pytest.raises(ShapeError):
             discretize_estimation_game(1, [], [PureState.basis(2, 0)])
+
+    def test_estimation_outcome_count_is_capped(self, monkeypatch):
+        # 15 outcomes per state row pass a cap of 10; the discretizer used to
+        # size its chunks by the outcome count without checking it
+        povm = universal_povm(3)
+        monkeypatch.setattr(qgames.core, "DEFAULT_SIZE_CAP", 10)
+        with pytest.raises(SizeCapExceeded):
+            discretize_estimation_game(3, [povm], fibonacci_states(4))
+        with pytest.raises(SizeCapExceeded):
+            monte_carlo_play(GameSpec("estimation", n=3, samples=10), povm)
 
     def test_strategy_arity_mismatch_rejected(self):
         with pytest.raises(ShapeError, match="copy count"):
@@ -356,13 +392,26 @@ class TestPerturbations:
         assert report.passed
 
     def test_povm_perturbation_kicks_differ(self):
-        # the per-guess kicks of perturbation i come from substreams of its
-        # own substream; they used to collapse onto the root's substreams,
-        # which gave every even perturbation the same guesses
+        # the per-guess kicks are consecutive draws from the draw chunk's
+        # substream; they once collapsed onto the root's substreams, which
+        # gave every even perturbation the same guesses
         perts = povm_perturbations(universal_povm(1), 6, RandomStream(13))
         even = [p.guesses for p in perts[::2]]
         assert not any(np.allclose(even[i], even[j])
                        for i in range(len(even)) for j in range(i + 1, len(even)))
+
+    def test_perturbations_follow_the_draw_chunks(self):
+        # seed scheme v4: perturbation i is the (i mod 256)-th consecutive
+        # draw from substream i // 256, so 258 perturbations start a second
+        # draw chunk and 10 are a prefix of them
+        povm = universal_povm(1)
+        perts = povm_perturbations(povm, 258, RandomStream(13))
+        stream = RandomStream(13).substream(1)
+        kicks = [haar_random_unitary(2, stream) @ g for g in povm.guesses]
+        assert np.array_equal(perts[256].guesses, kicks)
+        assert np.array_equal(perts[257].guesses, povm.guesses @ haar_random_unitary(2, stream).T)
+        prefix = povm_perturbations(povm, 10, RandomStream(13))
+        assert all(np.array_equal(a.guesses, b.guesses) for a, b in zip(prefix, perts))
 
     def test_full_noise_output_scores_inverse_bose_dimension(self):
         ch = optimal_cloner(2, 1, 2)
@@ -448,7 +497,7 @@ def _mc_game(kind, d, n, m, make, label="optimal"):
 
 # (kind, d, n, m, strategy factory) for the oracle comparisons; the optimal
 # cloner's clones are interchangeable, so the asymmetric channels are what
-# checks that each one-particle round scores the clone it drew
+# checks that each one-particle round scores the mean over all the clones
 MC_GAMES = [
     _mc_game("estimation", 2, 1, 1, lambda: build_povm(1, default_directions(1)), "default"),
     _mc_game("estimation", 2, 4, 4, lambda: build_povm(4, default_directions(4)), "default"),
@@ -527,7 +576,7 @@ class TestMonteCarloOracle:
         assert record.levelno == logging.DEBUG
         message = record.getMessage()
         assert "cloning d=3 n=2 m=3" in message
-        assert "600 rounds in 3 chunks of 256; seed scheme v2, 3 draw chunks of 256" in message
+        assert "600 rounds in 3 chunks of 256; seed scheme v4, 3 draw chunks of 256" in message
 
     @pytest.mark.parametrize("make, width", [(product_embedding_channel, 27),
                                              (optimal_cloner, 10)])
@@ -543,7 +592,7 @@ class TestMonteCarloOracle:
 
     @pytest.mark.parametrize("kind, d, n, m, make", MC_GAMES)
     def test_shorter_play_is_a_prefix(self, monkeypatch, kind, d, n, m, make):
-        # seed scheme v2: round i depends on (seed, i) alone, so 300 rounds
+        # seed scheme v4: round i depends on (seed, i) alone, so 300 rounds
         # replay the first 300 outcomes of 600; the spy keeps the harness's own
         # per-round outcomes, which the records only sum
         strategy = make()
@@ -562,6 +611,19 @@ class TestMonteCarloOracle:
             outcomes.append(np.concatenate(chunks))
         assert len(outcomes[0]) == 300 and len(outcomes[1]) == 600
         assert np.array_equal(outcomes[0], outcomes[1][:300])
+
+    @pytest.mark.parametrize("kind, d, n, m, make", MC_GAMES)
+    def test_rounds_draw_only_states_and_referee_uniforms(self, monkeypatch, kind, d, n, m,
+                                                           make):
+        # seed scheme v4: each draw chunk draws its rounds' Haar states, then
+        # the referee's uniforms, and nothing else; the estimation outcome and
+        # the referee's choice of clone are integrated out
+        strategy = make()
+        calls = spy_stream_draws(monkeypatch)
+        monte_carlo_play(GameSpec(kind, d=d, n=n, m=m, samples=600, seed=5), strategy)
+        assert calls == [call for c in range(3)
+                         for call in (("complex_normals", (c,), (256 * d,)),
+                                      ("random", (c,), (256,)))]
 
     @pytest.mark.parametrize("kind, d, n, m, make", MC_GAMES)
     def test_one_stream_per_draw_chunk(self, monkeypatch, kind, d, n, m, make):
