@@ -89,7 +89,7 @@ def _run_estimate(config):
     if config.universal:
         povm = universal_povm(config.n)
     else:
-        povm = build_povm(config.n, default_directions(config.n), tol=config.tol)
+        povm = build_povm(config.n, default_directions(config.n), tol=1e-8)
     doc = {
         "command": "estimate",
         "n": config.n,
@@ -97,14 +97,14 @@ def _run_estimate(config):
         "mean_fidelity": mean_fidelity(povm),
         "expected_value": (config.n + 1) / (config.n + 2),
         "completeness_residual": povm.completeness_residual,
-        "outcomes": len(povm.effects),
+        "outcomes": len(povm.vectors),
     }
     return doc, [doc], 0
 
 
 def _run_solve(config):
     game = rock_paper_scissors()
-    eq = solve(game, tol=config.tol)
+    eq = solve(game, tol=1e-9)
     doc = {
         "command": "solve",
         "game": "rock-paper-scissors",
@@ -136,7 +136,7 @@ def _run_sandwich(config):
             product_embedding_channel(config.d, config.n, config.m),
         ]
         sets = harness.default_state_sets(config.d, sizes, rng)
-    report = harness.sandwich_report(spec, player_i, sets, tol=config.tol)
+    report = harness.sandwich_report(spec, player_i, sets, tol=1e-9)
     doc = {
         "command": "sandwich",
         "game": config.game,
@@ -269,13 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="build an estimation POVM and its mean fidelity")
     p.add_argument("--n", type=int, default=1)
-    p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--universal", action="store_true",
                    help="use the exact-quadrature frame instead of the default directions")
     add_common(p)
 
     p = sub.add_parser("solve", help="solve the bundled rock-paper-scissors game")
-    p.add_argument("--tol", type=float, default=1e-9)
     add_common(p)
 
     p = sub.add_parser("sandwich", help="restricted-game refinement report")
@@ -284,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
     add_common(p)
 
     p = sub.add_parser("asym-bound", help="scan channels against the fidelity-sum bound")

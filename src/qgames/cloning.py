@@ -170,23 +170,21 @@ def _completeness_defects(kraus: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.eigvalsh(delta)).max(axis=-1)
 
 
-def _checked_defects(kraus: np.ndarray) -> np.ndarray:
-    """`_completeness_defects` of a (..., K, rows, cols) array, checked.
+def _checked_defects(kraus: np.ndarray) -> None:
+    """Check a (..., K, rows, cols) array of Kraus stacks.
 
-    Raises ValueError if any entry is non-finite or any channel's defect
-    passes COMPLETENESS_ATOL: the checks `Channel` makes on construction, run
-    on every channel of a batch at once.
+    Raises ValueError if any entry is non-finite or any channel's
+    `_completeness_defects` passes COMPLETENESS_ATOL: the checks `Channel`
+    makes on construction, run on every channel of a batch at once.
     """
     if not np.all(np.isfinite(kraus)):
         raise ValueError("Kraus operators have non-finite entries")
-    defects = _completeness_defects(kraus)
-    worst = float(defects.max())
+    worst = float(_completeness_defects(kraus).max())
     if worst > COMPLETENESS_ATOL:
         raise ValueError(
             f"Kraus operators not trace preserving on Sym_in "
             f"(defect {worst:.3e} > {COMPLETENESS_ATOL:.0e})"
         )
-    return defects
 
 
 def _full_output(ch: Channel) -> np.ndarray:

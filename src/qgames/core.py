@@ -147,12 +147,12 @@ class RandomStream:
     their substreams differ.  `parent` is the path a substream extends;
     `substream` passes it, and a stream built without it is root-level.
 
-    Under seed scheme v4 every consumer takes one substream per draw chunk
+    Under seed scheme v5 every consumer takes one substream per draw chunk c
     of `harness.DRAW_ROUNDS` items and draws the chunk's items from it in
-    order: `mc-play` rounds (each its Haar state and the referee's uniform),
-    the asymmetric-bound scan's random channels (consecutive
-    `cloning.random_isometry_channel` draws), `harness.haar_states`
-    (consecutive `haar_random_state` draws) and the perturbations of
+    order: `substream(k).substream(c)` for `mc-play` rounds of the k-th of
+    `harness.GAME_KINDS` (each its Haar state and the referee's uniform), and
+    `substream(c)` for the asymmetric-bound scan's random channels,
+    `harness.haar_states` and the perturbations of
     `harness.cloner_perturbations` and `harness.povm_perturbations`.
     """
 

@@ -1,16 +1,22 @@
 """Qubit state estimation: measure n copies, send back one guess qubit.
 
 Strategies are POVMs on the (n+1)-dimensional symmetric subspace of the copy
-register, each outcome paired with a guess state.  Effects are weighted
-projectors onto the coherent coordinates of each direction's qubit, the
-occupation coordinates of phi_r^{tensor n} that `coherent_coordinates` writes
-down, the same representation the cloning side uses; the weights must tile
-the identity of the symmetric subspace (completeness), which we solve for by
-nonnegative least squares over any supplied direction set.  The NNLS engine
-is numpy only (`_nnls`): the unconstrained least-squares solution when it is
-already nonnegative, otherwise block principal pivoting with a Lawson-Hanson
-fallback; either way it returns the minimum residual, which decides
-IncompletePovm.
+register, each outcome paired with a guess state.  A POVM is its stack of
+effect vectors v_r, outcome r having the rank-one effect |v_r><v_r|; the
+builders set v_r = sqrt(c_r) Phi_r, Phi_r the coherent coordinates of the
+direction's qubit (the occupation coordinates of phi_r^{tensor n}, as on the
+cloning side).  The weights c_r must tile the identity of the symmetric
+subspace (completeness), which we solve for by nonnegative least squares over
+any supplied direction set.  The NNLS engine is numpy only (`_nnls`): the
+unconstrained least-squares solution when it is already nonnegative,
+otherwise block principal pivoting with a Lawson-Hanson fallback; either way
+it returns the minimum residual, which decides IncompletePovm.
+
+Rank-one effects lose no strategy: an effect split along its eigenvectors
+into outcomes sqrt(l_k) e_k, each keeping its guess, has the same summed
+Born probabilities and guesses, so every payoff stays as it is.  The optimal
+covariant measurement is rank-one too (Massar and Popescu, PRL 74, 1259
+(1995)).  So effects are Hermitian and PSD by type; only completeness is checked.
 
 Why completeness alone pins the mean fidelity at (n+1)/(n+2) for aligned
 guesses: each effect c_r |Phi_r><Phi_r| embeds into the full copy space as c_r
@@ -87,28 +93,19 @@ def bloch_state(direction: Direction) -> PureState:
 
 
 def _check_effect_stack(n_copies: int, count: int) -> None:
-    """Refuse `count` effects on Sym_n: their stack has count * (n+1) rows of side n+1."""
+    """Refuse `count` effects on Sym_n: their vector stack has count * (n+1) entries."""
     check_size_cap(count * (n_copies + 1))
 
 
-def _coherent_projectors(n_copies: int, directions) -> tuple[np.ndarray, np.ndarray]:
-    """The directions' (R, 2) amplitudes and (R, n+1, n+1) projectors onto phi_r^{tensor n}."""
-    amps = _amplitudes(directions)
-    vectors = coherent_coordinates(amps, n_copies)
-    return amps, vectors[:, :, None] * vectors[:, None, :].conj()
-
-
 def _born_probabilities(povm: Povm, psi: np.ndarray) -> np.ndarray:
-    """Born probabilities tr[E_r psi^{tensor n}], clipped at 0, one row per qubit.
+    """Born probabilities |<v_r|psi^{tensor n}>|^2, one row per qubit.
 
     `psi` is a (B, 2) array of qubit amplitudes; the result has shape (B, R).
     """
     if psi.shape[1] != 2:
         raise ShapeError("input must be a qubit")
     check_size_cap(povm.n + 1)
-    amp = coherent_coordinates(psi, povm.n)
-    probs = np.einsum("bi,rij,bj->br", amp.conj(), povm.effects, amp).real
-    return np.clip(probs, 0.0, None)
+    return np.abs(coherent_coordinates(psi, povm.n) @ povm.vectors.conj().T) ** 2
 
 
 def _payoffs(povm: Povm, psi: np.ndarray) -> np.ndarray:
@@ -119,45 +116,40 @@ def _payoffs(povm: Povm, psi: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Povm:
-    """Measure-and-resend strategy: effects on the symmetric subspace plus guesses.
+    """Measure-and-resend strategy: rank-one effects on the symmetric subspace plus guesses.
 
-    Stored as two read-only stacks: `effects`, complex of shape (R, n+1, n+1),
-    and `guesses`, the (R, 2) complex amplitude rows of the guess qubits.  The
-    constructor takes any sequence of effect matrices and any sequence of
-    `PureState`s or amplitude rows.  Effects must be Hermitian within 1e-12
-    (largest entry of E - E^dag), PSD within 1e-10 and sum to the identity
-    within 1e-8 (Frobenius); `completeness_residual` records the actual
-    defect.  Every guess row must have unit norm within 1e-12.  A NaN entry
-    fails these checks, and the Hermiticity check runs before `eigvalsh`.
+    Stored as two read-only stacks: `vectors`, complex of shape (R, n+1), row
+    v_r the effect |v_r><v_r| in occupation coordinates, and `guesses`, the
+    (R, 2) amplitude rows of the guess qubits.  Any POVM splits into a rank-one
+    one with the same payoffs (module docstring), so the type loses no
+    strategy.  The constructor takes any (R, n+1) array and any sequence of
+    `PureState`s or amplitude rows.  Vectors must be finite and complete within
+    1e-8, the Frobenius norm of V^T conj(V) - I that `completeness_residual`
+    records; every guess row must have unit norm within 1e-12.
     """
 
     n: int
-    effects: np.ndarray
+    vectors: np.ndarray
     guesses: np.ndarray
 
     def __post_init__(self):
         dim = self.n + 1
-        mats = [np.asarray(e, dtype=complex) for e in self.effects]
-        for e in mats:
-            if e.shape != (dim, dim):
-                raise ShapeError(f"effect shape {e.shape} != ({dim}, {dim})")
+        vectors = np.array(self.vectors, dtype=complex)
+        if vectors.ndim != 2 or vectors.shape[1] != dim:
+            raise ShapeError(f"effect vector stack shape {vectors.shape} is not (R, {dim})")
         rows = [np.asarray(getattr(g, "amplitudes", g), dtype=complex) for g in self.guesses]
-        if len(mats) != len(rows):
+        if len(vectors) != len(rows):
             raise ShapeError("one guess per effect required")
         if any(g.shape != (2,) for g in rows):
             raise ShapeError("guesses must be qubits")
-        effects = np.array(mats, dtype=complex).reshape(len(mats), dim, dim)
-        # eigvalsh reads one triangle only, so Hermiticity is checked first
-        if not np.all(np.abs(effects - effects.conj().transpose(0, 2, 1)) <= 1e-12):
-            raise ValueError("effect is not Hermitian within 1e-12")
-        if not np.all(np.linalg.eigvalsh(effects) >= -1e-10):
-            raise ValueError("effect has an eigenvalue below -1e-10")
+        if not np.all(np.isfinite(vectors)):
+            raise ValueError("effect vectors have non-finite entries")
         guesses = _check_unit_rows(np.array(rows, dtype=complex).reshape(len(rows), 2))
-        effects.setflags(write=False)
+        vectors.setflags(write=False)
         guesses.setflags(write=False)
-        object.__setattr__(self, "effects", effects)
+        object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "guesses", guesses)
-        residual = float(np.linalg.norm(effects.sum(axis=0) - np.eye(dim), "fro"))
+        residual = float(np.linalg.norm(vectors.T @ vectors.conj() - np.eye(dim), "fro"))
         object.__setattr__(self, "_residual", residual)
         if not residual <= 1e-8:
             raise IncompletePovm(
@@ -225,14 +217,17 @@ def design_directions(n_copies: int) -> tuple[list[Direction], np.ndarray]:
     return dirs, np.array(weights)
 
 
-def _completeness_system(projectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _completeness_system(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Real system (design, target) with ||design @ c - target|| = ||sum_r c_r P_r - I||_F.
 
-    Each Hermitian P_r of side k becomes one column of k^2 real coordinates:
-    the k diagonal entries, then sqrt(2) times the real and the imaginary
-    parts of the entries above the diagonal, which keeps the Frobenius norm.
+    P_r = |v_r><v_r| for the rows v_r of `vectors`; this design matrix is the
+    one place the projectors are formed.  Each P_r of side k becomes one
+    column of k^2 real coordinates: the k diagonal entries, then sqrt(2)
+    times the real and the imaginary parts of the entries above the
+    diagonal, which keeps the Frobenius norm.
     """
-    dim = projectors.shape[-1]
+    dim = vectors.shape[-1]
+    projectors = vectors[:, :, None] * vectors[:, None, :].conj()
     upper = np.triu_indices(dim, 1)
     off = math.sqrt(2.0) * projectors[:, upper[0], upper[1]]
     diag = np.diagonal(projectors, axis1=1, axis2=2).real
@@ -347,22 +342,23 @@ def build_povm(n_copies: int, directions, tol: float = 1e-8) -> Povm:
     Minimizes the Frobenius defect || sum_r c_r |Phi_r><Phi_r| - I || over
     c_r >= 0 with the numpy NNLS `_nnls`, which returns the minimum defect;
     raises IncompletePovm when that residual exceeds `tol` or no direction
-    is given.  Guesses are the directions themselves.  The size cap counts
-    the effect stack, one effect of side n+1 per direction, and is checked
-    before any effect is built.
+    is given.  The effect vectors are sqrt(c_r) Phi_r and the guesses are the
+    directions themselves.  The size cap counts the effect stack, one vector
+    of length n+1 per direction, and is checked before any vector is built.
     """
     directions = list(directions)
     if not directions:
         raise IncompletePovm("no directions to tile the identity with")
     _check_effect_stack(n_copies, len(directions))
-    amps, projectors = _coherent_projectors(n_copies, directions)
-    weights, residual = _nnls(*_completeness_system(projectors))
+    amps = _amplitudes(directions)
+    vectors = coherent_coordinates(amps, n_copies)
+    weights, residual = _nnls(*_completeness_system(vectors))
     if residual > tol:
         raise IncompletePovm(
             f"completeness residual {residual:.3e} exceeds tol {tol:.0e}; "
             f"supply more than {len(directions)} directions"
         )
-    return Povm(n_copies, weights[:, None, None] * projectors, amps)
+    return Povm(n_copies, np.sqrt(weights)[:, None] * vectors, amps)
 
 
 def universal_povm(n_copies: int) -> Povm:
@@ -370,11 +366,13 @@ def universal_povm(n_copies: int) -> Povm:
 
     Built from `design_directions`: weights c_r = (n+1) w_r are exactly
     complete (trace out one copy of the degree-(n+1) identity), and the
-    payoff against every pure state equals (n+1)/(n+2) up to rounding.
+    payoff against every pure state equals (n+1)/(n+2) up to rounding.  The
+    effect vectors are sqrt(c_r) Phi_r.
     """
     dirs, weights = design_directions(n_copies)
-    amps, projectors = _coherent_projectors(n_copies, dirs)
-    return Povm(n_copies, ((n_copies + 1) * weights)[:, None, None] * projectors, amps)
+    amps = _amplitudes(dirs)
+    vectors = np.sqrt((n_copies + 1) * weights)[:, None] * coherent_coordinates(amps, n_copies)
+    return Povm(n_copies, vectors, amps)
 
 
 def pointwise_payoff(povm: Povm, psi: PureState) -> float:
@@ -386,16 +384,17 @@ def payoff_operator(povm: Povm) -> np.ndarray:
     """sum_r E_r tensor |phi_r><phi_r| on Sym_n (x) C^2, side 2(n+1).
 
     E_r acts on the n-copy symmetric subspace in occupation coordinates and the
-    guess qubit is the last factor.  Embedding the first factor with
-    sym_isometry(2, n) gives the operator on the full 2^(n+1)-dimensional
-    copy-and-guess space; the evaluators below never need that embedding.
-    The size cap counts the effect stack and the side 2(n+1).
+    guess qubit is the last factor.  With E_r = |v_r><v_r| the sum is the Gram
+    product x^T conj(x) of the rows x_r = v_r (x) guess_r.  Embedding the
+    first factor with sym_isometry(2, n) gives the operator on the full
+    2^(n+1)-dimensional copy-and-guess space; the evaluators below never need
+    that embedding.  The size cap counts the effect stack and the side 2(n+1).
     """
-    _check_effect_stack(povm.n, len(povm.effects))
+    count = len(povm.vectors)
+    _check_effect_stack(povm.n, count)
     check_size_cap(2 * (povm.n + 1))
-    total = np.einsum("rij,ra,rb->iajb", povm.effects, povm.guesses, povm.guesses.conj())
-    dim = 2 * (povm.n + 1)
-    return total.reshape(dim, dim)
+    rows = (povm.vectors[:, :, None] * povm.guesses[:, None, :]).reshape(count, -1)
+    return rows.T @ rows.conj()
 
 
 def mean_fidelity(povm: Povm) -> float:
@@ -410,8 +409,7 @@ def mean_fidelity(povm: Povm) -> float:
     _log.debug(
         "mean_fidelity n=%d: %d effects, payoff operator side %d on Sym_n (x) C^2 "
         "(full copy-and-guess space: %d)",
-        povm.n, len(povm.effects), w.shape[0], 2**k,
+        povm.n, len(povm.vectors), w.shape[0], 2**k,
     )
     val = np.trace(split.T @ w @ split)
     return float(val.real) / dim_sym(2, k)
-

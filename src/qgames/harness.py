@@ -8,15 +8,16 @@ referee protocol, and the brute-force scan checks the asymmetric-cloning
 fidelity-sum ceiling over random channels.
 
 Monte Carlo rounds, the scan's random channels, `haar_states` and the
-perturbations draw by seed scheme v4: item i belongs to draw chunk
-c = i // DRAW_ROUNDS, which draws all of its items from the one substream
-`substream(c)` of the seed.  Monte Carlo rounds draw whole arrays per draw
-chunk, each round only its Haar state and the referee's uniform; any other
-item is the (i mod DRAW_ROUNDS)-th consecutive draw from its substream.  So
-item i depends on the seed and i alone, and N items are a prefix of any
-longer run.  Items are evaluated in memory chunks of CHUNK_ROUNDS, fewer
-where the rows are so wide that a chunk would pass CHUNK_BYTES; memory chunks
-subdivide a draw chunk and bound memory only, so no record depends on them.
+perturbations draw by seed scheme v5: item i belongs to draw chunk
+c = i // DRAW_ROUNDS, which draws all of its items from one substream of the
+seed: `substream(k).substream(c)` for Monte Carlo rounds of the k-th of
+GAME_KINDS, which draw whole arrays per draw chunk, each round only its Haar
+state and the referee's uniform; `substream(c)` for the rest, item i being
+its (i mod DRAW_ROUNDS)-th consecutive draw.  So item i depends on the seed,
+the game kind and i alone, and N items are a prefix of any longer run.  Items
+are evaluated in memory chunks of a draw chunk, or fewer items where the rows
+would pass CHUNK_BYTES; memory chunks bound memory only, so no record
+depends on them.
 
 A strategy's payoff on psi is the overlap with psi of the state it hands the
 SWAP-test referee.  `_state_payoffs` is that kernel, one per game kind: the
@@ -77,18 +78,15 @@ from .zerosum import MatrixGame, solve
 
 GAME_KINDS = ("estimation", "cloning", "one_particle")
 
-#: Items per draw chunk of seed scheme v4: draw chunk c covers Monte Carlo
+#: Items per draw chunk of seed scheme v5: draw chunk c covers Monte Carlo
 #: rounds, random scan channels, Haar states or perturbations c*DRAW_ROUNDS ..
-#: (c+1)*DRAW_ROUNDS - 1 and draws them all from substream c.  Part of the
+#: (c+1)*DRAW_ROUNDS - 1 and draws them all from one substream.  Part of the
 #: determinism contract: changing it changes every record.
 DRAW_ROUNDS = 256
-#: Monte Carlo rounds or scan channels evaluated together with array
-#: operations.  Memory chunks subdivide a draw chunk and bound the working
-#: memory only, so records do not depend on the chunk length.
-CHUNK_ROUNDS = 256
-#: Bytes one chunk's widest per-round array may take: games whose rows are wide
-#: (many Sym_out coordinates or d^m amplitudes) run fewer than CHUNK_ROUNDS
-#: rounds per chunk.
+#: Bytes one memory chunk's widest per-item array may take: games whose rows
+#: are wide (many Sym_out coordinates or d^m amplitudes) evaluate fewer than
+#: DRAW_ROUNDS items per chunk.  Memory chunks subdivide a draw chunk and bound
+#: the working memory only, so records do not depend on the chunk length.
 CHUNK_BYTES = 2**22
 #: Slack `asym_bound_scan` allows above the fidelity-sum ceiling before a
 #: scan fails; `ScanReport.tol` reports it.
@@ -147,7 +145,7 @@ def _item_streams(rng: RandomStream, count: int):
 
 
 def haar_states(d: int, count: int, rng: RandomStream) -> list[PureState]:
-    """`count` Haar-random states by seed scheme v4.
+    """`count` Haar-random states by seed scheme v5 (as under v4).
 
     State i is the (i mod DRAW_ROUNDS)-th consecutive `haar_random_state`
     draw from `rng.substream(i // DRAW_ROUNDS)`, so the states of a smaller
@@ -187,8 +185,8 @@ def _state_rows(states, dim: int) -> np.ndarray:
 
 
 def _chunk_length(width: int) -> int:
-    """Rows per chunk: CHUNK_ROUNDS, fewer when width-wide rows would pass CHUNK_BYTES."""
-    return max(1, min(CHUNK_ROUNDS, CHUNK_BYTES // (16 * width)))
+    """Rows per chunk: DRAW_ROUNDS, fewer when width-wide rows would pass CHUNK_BYTES."""
+    return max(1, min(DRAW_ROUNDS, CHUNK_BYTES // (16 * width)))
 
 
 def _chunk_counts(total: int, chunk: int) -> tuple[int, int]:
@@ -227,7 +225,7 @@ def _checked_width(kind: str, d: int, n: int, m: int, strategy) -> int:
             raise TypeError(f"estimation is played with a Povm, got {type(strategy).__name__}")
         if strategy.n != n:
             raise ShapeError(f"povm copy count {strategy.n} != {n}")
-        return check_size_cap(max(len(strategy.effects), n + 1))
+        return check_size_cap(max(len(strategy.vectors), n + 1))
     if not isinstance(strategy, Channel):
         raise TypeError(f"{kind} is played with a Channel, got {type(strategy).__name__}")
     arity = (strategy.d, strategy.n_in, strategy.n_out)
@@ -257,7 +255,7 @@ def _payoff_matrix(kind: str, d: int, n: int, m: int, strategies, states) -> Mat
 
 
 def discretize_estimation_game(n_copies: int, povms, states) -> MatrixGame:
-    """A[i, j] = sum_r tr[E_r psi_j^{tensor n}] |<psi_j|guess_r>|^2 for E, guess of povms[i]."""
+    """A[i, j] = sum_r |<v_r|psi_j^{tensor n}>|^2 |<psi_j|guess_r>|^2 for v, guess of povms[i]."""
     return _payoff_matrix("estimation", 2, n_copies, 1, povms, states)
 
 
@@ -362,7 +360,7 @@ def perturb_best_response_check(base, perturbations, tol: float = 1e-9) -> Pertu
 
 
 def cloner_perturbations(ch: Channel, count: int, rng: RandomStream) -> list[Channel]:
-    """Output-unitary kicks alternating with mixes toward symmetric noise, by seed scheme v4."""
+    """Output-unitary kicks alternating with mixes toward symmetric noise, by seed scheme v5."""
     noise = symmetric_noise_channel(ch.d, ch.n_in, ch.n_out)
     out = []
     for i, stream in _item_streams(rng, count):
@@ -376,14 +374,14 @@ def cloner_perturbations(ch: Channel, count: int, rng: RandomStream) -> list[Cha
 
 
 def povm_perturbations(povm: Povm, count: int, rng: RandomStream) -> list[Povm]:
-    """Misalign the guesses: per-guess unitary kicks and common rotations, by seed scheme v4."""
+    """Misalign the guesses: per-guess unitary kicks and common rotations, by seed scheme v5."""
     out = []
     for i, stream in _item_streams(rng, count):
         if i % 2 == 0:
             guesses = [haar_random_unitary(2, stream) @ g for g in povm.guesses]
         else:
             guesses = povm.guesses @ haar_random_unitary(2, stream).T
-        out.append(Povm(povm.n, povm.effects, guesses))
+        out.append(Povm(povm.n, povm.vectors, guesses))
     return out
 
 
@@ -411,38 +409,39 @@ def monte_carlo_play(spec: GameSpec, strategy) -> MonteCarloRecord:
     """Play `spec.samples` protocol rounds against the SWAP-test referee.
 
     The seed is `spec.seed`; `dataclasses.replace(spec, seed=s)` plays seed s.
-    Draws follow seed scheme v4 (module docstring).  Draw chunk c holds rounds
+    Draws follow seed scheme v5 (module docstring).  Draw chunk c holds rounds
     c*DRAW_ROUNDS .. (c+1)*DRAW_ROUNDS - 1 and draws all of them from the one
-    substream `RandomStream(seed).substream(c)`: first
-    `complex_normals(DRAW_ROUNDS * d)`, the Haar states' amplitudes, then
-    `generator.random(DRAW_ROUNDS)`, the referee's uniforms.  A final partial
-    chunk uses its first rows only, so round i depends on (seed, i) alone and
-    the record of N rounds is the prefix of the record of any longer play.
-    Round i passes when its uniform falls below (1 + F)/2, F the
-    `_state_payoffs` of the strategy on its state.
+    substream `RandomStream(seed).substream(k).substream(c)`, k the index of
+    `spec.kind` in GAME_KINDS: first `complex_normals(DRAW_ROUNDS * d)`, the
+    Haar states' amplitudes, then `generator.random(DRAW_ROUNDS)`, the
+    referee's uniforms.  A final partial chunk uses its first rows only, so
+    round i depends on (seed, kind, i) alone and the record of N rounds is the
+    prefix of the record of any longer play.  Round i passes when its uniform
+    falls below (1 + F)/2, F the `_state_payoffs` of the strategy on its
+    state.
 
-    Each draw chunk is evaluated in memory chunks with array operations:
-    CHUNK_ROUNDS rounds, or fewer where one round's widest row is so wide that
-    a chunk's rows would pass CHUNK_BYTES.  Memory chunks subdivide a draw
-    chunk and only bound the working memory, so the record depends on the seed
-    and not on the chunk length.  The size cap counts that widest row
+    Each draw chunk is evaluated in memory chunks with array operations: the
+    whole draw chunk, or fewer rounds where one round's widest row is so wide
+    that a chunk's rows would pass CHUNK_BYTES.  Memory chunks subdivide a
+    draw chunk and only bound the working memory, so the record depends on
+    the seed and not on the chunk length.  The size cap counts that widest row
     (`_checked_width`), which is checked with the strategy before any draw.
     """
     if spec.samples < 1:
         raise ValueError("samples must be >= 1")
     width = _checked_width(spec.kind, spec.d, spec.n, spec.m, strategy)
-    root = RandomStream(spec.seed)
+    kind = GAME_KINDS.index(spec.kind)
     chunk = _chunk_length(width)
     draw_chunks, memory_chunks = _chunk_counts(spec.samples, chunk)
     _log.debug(
         "monte_carlo_play %s d=%d n=%d m=%d: %d rounds in %d chunks of %d; "
-        "seed scheme v4, %d draw chunks of %d",
+        "seed scheme v5, %d draw chunks of %d",
         spec.kind, spec.d, spec.n, spec.m, spec.samples, memory_chunks, chunk,
         draw_chunks, DRAW_ROUNDS,
     )
     total = 0
     for c in range(draw_chunks):
-        stream = root.substream(c)
+        stream = RandomStream(spec.seed, c, parent=(kind,))  # substream(kind).substream(c)
         rounds = min(DRAW_ROUNDS, spec.samples - c * DRAW_ROUNDS)
         normals = stream.complex_normals(DRAW_ROUNDS * spec.d).reshape(DRAW_ROUNDS, spec.d)[:rounds]
         referee = stream.generator.random(DRAW_ROUNDS)
@@ -481,15 +480,11 @@ class ScanReport:
         return self.max_sum_fidelity <= self.bound + self.tol
 
 
-def _scan_records(d, n_in, n_out, kraus, defects, kind, labels) -> list[ScanRecord]:
-    """One record per channel of a (N, K, rows, cols) Kraus stack with completeness `defects`.
+def _scan_records(d, n_in, n_out, kraus, kind, labels) -> list[ScanRecord]:
+    """One record per channel of a (N, K, rows, cols) stack of checked Kraus operators.
 
-    Refuses the whole stack if any channel's defect passes 1e-8; otherwise
-    each clone k is scored for every channel by one batched contraction.
+    Each clone k is scored for every channel by one batched contraction.
     """
-    lossy = np.flatnonzero(np.asarray(defects) > 1e-8)
-    if lossy.size:
-        raise ValueError(f"channel {labels[lossy[0]]} is not trace preserving; refusing to scan")
     fids = np.stack([_clone_fidelities(d, n_in, n_out, kraus, k)
                      for k in range(1, n_out + 1)], axis=1)
     return [ScanRecord(kind, label, tuple(row), float(sum(row)))
@@ -497,9 +492,7 @@ def _scan_records(d, n_in, n_out, kraus, defects, kind, labels) -> list[ScanReco
 
 
 def _scan_channel(ch: Channel, kind: str, label: str) -> ScanRecord:
-    kraus = np.asarray(ch.kraus)[None]
-    (record,) = _scan_records(ch.d, ch.n_in, ch.n_out, kraus, [ch.completeness_defect()],
-                              kind, [label])
+    (record,) = _scan_records(ch.d, ch.n_in, ch.n_out, np.asarray(ch.kraus)[None], kind, [label])
     return record
 
 
@@ -541,18 +534,18 @@ def asym_bound_scan(
     checked against the size cap, with the arity checks of
     `random_isometry_channel`, before the first channel is built.
 
-    Seed scheme v3, which v4 leaves as it is: random channel i is the
+    Seed scheme v3, which v4 and v5 leave as it is: random channel i is the
     (i mod DRAW_ROUNDS)-th consecutive `random_isometry_channel` draw from
-    the one stream `RandomStream(seed).substream(i // DRAW_ROUNDS)`.  The channels are
-    handled in memory chunks of at most CHUNK_ROUNDS, fewer when a channel's
-    Ginibre block is so wide that a chunk would pass CHUNK_BYTES; memory
-    chunks subdivide draw chunks and never straddle one.  Each memory chunk
-    is array work: `cloning._random_isometry_kraus` draws the chunk's
+    the one stream `RandomStream(seed).substream(i // DRAW_ROUNDS)`.  The
+    channels are handled in memory chunks of at most DRAW_ROUNDS, fewer when
+    a channel's Ginibre block is so wide that a chunk would pass CHUNK_BYTES;
+    memory chunks subdivide draw chunks and never straddle one.  Each memory
+    chunk is array work: `cloning._random_isometry_kraus` draws the chunk's
     Ginibre blocks with one call on its draw chunk's generator and
-    orthonormalises them by one batched QR; one batched check refuses
-    non-finite entries and completeness defects above
-    `cloning.COMPLETENESS_ATOL`, as `Channel` does, and the scan's own 1e-8;
-    one batched contraction per clone scores the chunk.  Records depend on
+    orthonormalises them by one batched QR; one batched check
+    (`cloning._checked_defects`) refuses non-finite entries and completeness
+    defects above `cloning.COMPLETENESS_ATOL`, as `Channel` does; one batched
+    contraction per clone scores the chunk.  Records depend on
     the seed and the channel index alone, not on the chunk length, and N
     random channels are a prefix of any larger scan's.  The optimal cloner
     and the grid go through the same kernels one channel at a time.
@@ -577,7 +570,8 @@ def asym_bound_scan(
         for start in range(c * DRAW_ROUNDS, end, chunk):
             index = range(start, min(start + chunk, end))
             kraus = _random_isometry_kraus(d, n_in, n_out, stream, len(index), ancilla_dim)
-            records += _scan_records(d, n_in, n_out, kraus, _checked_defects(kraus), "random",
+            _checked_defects(kraus)
+            records += _scan_records(d, n_in, n_out, kraus, "random",
                                      [f"random-{i}" for i in index])
     if n_grid:
         for t, ch in asymmetry_grid_channels(d, n_grid):

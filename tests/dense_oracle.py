@@ -11,6 +11,10 @@ projector.  They share no code with the compressed evaluators beyond
 `SymBasis` is the occupation basis as an explicit isometry, for compressing
 full-space vectors the long way.
 
+The estimation evaluators read a POVM as explicit effect matrices
+(`EffectStack`): a `Povm`'s rank-one effects |v_r><v_r| are built from its
+vectors by `effect_stack`, and an `EffectStack` may hold effects of any rank.
+
 `random_isometry_kraus` is the long way to a random isometry channel: the
 same Ginibre columns, orthonormalised by Gram-Schmidt instead of QR.
 """
@@ -140,27 +144,46 @@ def single_clone_haar_fidelity(ch: Channel, k: int) -> float:
     return float(val.real) / dim_sym(ch.d, n_total)
 
 
-def outcome_probabilities(povm: Povm, psi) -> np.ndarray:
+@dataclass(frozen=True)
+class EffectStack:
+    """A POVM as explicit (R, n+1, n+1) effect matrices of any rank, one guess row each."""
+
+    n: int
+    effects: np.ndarray
+    guesses: np.ndarray
+
+
+def effect_stack(povm) -> EffectStack:
+    """The effects E_r = |v_r><v_r| of a `Povm`; an `EffectStack` is returned as it is."""
+    if isinstance(povm, EffectStack):
+        return povm
+    v = np.asarray(povm.vectors)
+    return EffectStack(povm.n, v[:, :, None] * v[:, None, :].conj(), np.asarray(povm.guesses))
+
+
+def outcome_probabilities(povm: Povm | EffectStack, psi) -> np.ndarray:
     """Born probabilities from the compressed full-space vector psi^{tensor n}."""
+    povm = effect_stack(povm)
     amp = SymBasis(2, povm.n).compress(tensor_power(psi, povm.n).amplitudes)
     probs = np.array([np.vdot(amp, e @ amp).real for e in povm.effects])
     return np.clip(probs, 0.0, None)
 
 
-def pointwise_payoff(povm: Povm, psi) -> float:
+def pointwise_payoff(povm: Povm | EffectStack, psi) -> float:
     """sum_r p_r |<psi|guess_r>|^2 with the dense Born probabilities, one outcome at a time."""
     probs = outcome_probabilities(povm, psi)
     return float(sum(p * abs(np.vdot(psi.amplitudes, g)) ** 2 for p, g in zip(probs, povm.guesses)))
 
 
-def respond(povm: Povm, psi) -> np.ndarray:
+def respond(povm: Povm | EffectStack, psi) -> np.ndarray:
     """sum_r p_r |guess_r><guess_r| with the dense Born probabilities."""
     probs = outcome_probabilities(povm, psi)
     return sum(p * np.outer(g, g.conj()) for p, g in zip(probs, povm.guesses))
 
 
-def payoff_operator(povm: Povm) -> np.ndarray:
+def payoff_operator(povm: Povm | EffectStack) -> np.ndarray:
     """sum_r (embedded E_r) tensor |phi_r><phi_r| on the (n+1)-copy space."""
+    povm = effect_stack(povm)
     check_size_cap(2 ** (povm.n + 1))
     iso = SymBasis(2, povm.n).isometry
     total = np.zeros((2 ** (povm.n + 1),) * 2, dtype=complex)
@@ -170,7 +193,7 @@ def payoff_operator(povm: Povm) -> np.ndarray:
     return total
 
 
-def mean_fidelity(povm: Povm) -> float:
+def mean_fidelity(povm: Povm | EffectStack) -> float:
     """tr[W P_sym] / dim_sym over n+1 copies, W on the full space."""
     k = povm.n + 1
     check_size_cap(2**k)
@@ -179,7 +202,7 @@ def mean_fidelity(povm: Povm) -> float:
     return float(val.real) / dim_sym(2, k)
 
 
-def frame_averaged_payoff(povm: Povm, psi) -> float:
+def frame_averaged_payoff(povm: Povm | EffectStack, psi) -> float:
     """mean_fidelity times <psi^{n+1}| P_sym |psi^{n+1}>, after the leak check."""
     k = povm.n + 1
     check_size_cap(2**k)

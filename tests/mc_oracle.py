@@ -1,9 +1,10 @@
 """Round-by-round Monte Carlo play, the oracle for `harness.monte_carlo_play`.
 
-The draws follow seed scheme v4, replayed here with this module's own code:
-draw chunk c of ORACLE_DRAW_ROUNDS rounds takes the substream c of the seed
-and draws, in this order, the rounds' complex normals (all real parts, then
-all imaginary parts) and the referee uniforms.  Each round then builds its
+The draws follow seed scheme v5, replayed here with this module's own code:
+draw chunk c of ORACLE_DRAW_ROUNDS rounds of a game whose kind has index k in
+ORACLE_KINDS takes the substream c of the seed's substream k and draws, in
+this order, the rounds' complex normals (all real parts, then all imaginary
+parts) and the referee uniforms.  Each round then builds its
 Haar state, tensor powers and Kraus branches on its own, on the full d^n and
 d^m registers, and scores the state the strategy hands the referee: an
 estimation round averages |<psi|guess_r>|^2 over the Born-rule outcomes r, a
@@ -21,8 +22,13 @@ from qgames.estimation import Povm
 from qgames.harness import MonteCarloRecord
 from qgames.symmetric import sym_isometry
 
-#: The draw-chunk length of seed scheme v4, written out rather than imported.
+import dense_oracle
+
+#: The draw-chunk length of seed scheme v5, written out rather than imported.
 ORACLE_DRAW_ROUNDS = 256
+#: The game kinds in the order of their seed scheme v5 substreams, written out
+#: rather than imported.
+ORACLE_KINDS = ("estimation", "cloning", "one_particle")
 
 
 def full_kraus(ch: Channel) -> np.ndarray:
@@ -39,8 +45,8 @@ def _referee(fidelity: float, uniform: float) -> int:
 
 
 def estimation_round_fidelity(povm: Povm, psi: PureState) -> float:
-    """sum_r p_r |<psi|guess_r>|^2 over the Born probabilities p_r of psi^{n}."""
-    probs = povm.outcome_probabilities(psi)
+    """sum_r p_r |<psi|guess_r>|^2 over the dense oracle's Born probabilities p_r of psi^{n}."""
+    probs = dense_oracle.outcome_probabilities(povm, psi)
     return float(sum(p * abs(np.vdot(psi.amplitudes, g)) ** 2
                      for p, g in zip(probs, povm.guesses)))
 
@@ -87,7 +93,7 @@ def _chunk_outcomes(kind: str, strategy, stream: RandomStream, rounds: int) -> l
 
 def oracle_outcomes(kind: str, strategy, samples: int, seed: int) -> list[int]:
     """The +-1 outcomes of rounds 0 .. samples-1, one substream per draw chunk."""
-    root = RandomStream(seed)
+    root = RandomStream(seed).substream(ORACLE_KINDS.index(kind))
     outcomes = []
     for c in range(-(-samples // ORACLE_DRAW_ROUNDS)):
         rounds = min(ORACLE_DRAW_ROUNDS, samples - c * ORACLE_DRAW_ROUNDS)

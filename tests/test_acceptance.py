@@ -357,7 +357,7 @@ def test_criterion_11_structural_property_suites():
     checked = 0
     for n in (1, 2, 3, 4, 5):
         for povm in (build_povm(n, default_directions(n)), universal_povm(n)):
-            for effect in povm.effects:
+            for effect in dense_oracle.effect_stack(povm).effects:
                 assert np.linalg.eigvalsh(effect).min() >= -1e-10
                 checked += 1
     assert checked >= 100

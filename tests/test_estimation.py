@@ -19,7 +19,7 @@ from qgames.core import (
     tensor_power,
 )
 from qgames.estimation import (
-    _coherent_projectors,
+    _amplitudes,
     _completeness_system,
     _lawson_hanson,
     _nnls,
@@ -198,8 +198,9 @@ class TestBuildPovm:
     def test_antipodal_pair_is_projective(self):
         povm = build_povm(1, default_directions(1))
         assert povm.completeness_residual <= 1e-12
-        assert np.allclose(povm.effects[0], [[1.0, 0.0], [0.0, 0.0]], atol=1e-12)
-        assert np.allclose(povm.effects[1], [[0.0, 0.0], [0.0, 1.0]], atol=1e-12)
+        effects = dense_oracle.effect_stack(povm).effects
+        assert np.allclose(effects[0], [[1.0, 0.0], [0.0, 0.0]], atol=1e-12)
+        assert np.allclose(effects[1], [[0.0, 0.0], [0.0, 1.0]], atol=1e-12)
 
     def test_default_nine_directions_two_copies(self):
         povm = build_povm(2, default_directions(2))
@@ -247,14 +248,18 @@ class TestBuildPovm:
                     povm = build_povm(n, dirs, tol=1e-6)
                 except IncompletePovm:
                     continue
-                for effect in povm.effects:
+                for effect in dense_oracle.effect_stack(povm).effects:
                     assert np.linalg.eigvalsh(effect).min() >= -1e-10
                 count += 1
         assert count >= 100
 
 
+def coherent_vectors(n, directions):
+    return coherent_coordinates(_amplitudes(directions), n)
+
+
 def completeness_system(n, directions):
-    return _completeness_system(_coherent_projectors(n, directions)[1])
+    return _completeness_system(coherent_vectors(n, directions))
 
 
 def assert_kkt(a, b, x):
@@ -268,9 +273,10 @@ def assert_kkt(a, b, x):
 class TestNnls:
     def test_system_norm_is_the_frobenius_defect(self, rng):
         gen = rng.generator
-        _, projectors = _coherent_projectors(3, fibonacci_directions(20))
+        vectors = coherent_vectors(3, fibonacci_directions(20))
+        projectors = vectors[:, :, None] * vectors[:, None, :].conj()
         weights = gen.uniform(0.0, 0.5, size=20)
-        a, b = _completeness_system(projectors)
+        a, b = _completeness_system(vectors)
         assert a.shape == (16, 20)
         defect = np.einsum("r,rij->ij", weights, projectors) - np.eye(4)
         assert np.linalg.norm(a @ weights - b) == pytest.approx(
@@ -356,70 +362,78 @@ class TestNnls:
 
 class TestPovmType:
     def test_rejects_incomplete(self):
-        proj = np.array([[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(IncompletePovm):
-            Povm(1, (proj,), (KET0,))
+            Povm(1, ([1.0, 0.0],), (KET0,))
 
-    def test_rejects_negative_effect(self):
-        up = np.array([[1.5, 0.0], [0.0, 0.0]])
-        down = np.array([[-0.5, 0.0], [0.0, 1.0]])
-        with pytest.raises(ValueError):
-            Povm(1, (up, down), (KET0, KET0))
-
-    def test_rejects_non_hermitian_effect(self, monkeypatch):
-        # complete, and PSD on the lower triangles eigvalsh reads, so only the
-        # Hermiticity check, made before any eigvalsh, refuses it
-        upper = np.array([[1.0, 0.3], [0.0, 0.0]])
-        lower = np.array([[0.0, -0.3], [0.0, 1.0]])
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
-        with pytest.raises(ValueError, match="Hermitian"):
-            Povm(1, (upper, lower), (KET0, PureState.basis(2, 1)))
-        assert calls == []
-
-    def test_hermiticity_tolerance_is_1e_12(self):
-        effects = np.array(build_povm(1, default_directions(1)).effects)
-        effects[0, 0, 1] += 0.5e-12j
-        Povm(1, effects, ([1.0, 0.0], [0.0, 1.0]))
-        effects[0, 0, 1] += 1e-12j
-        with pytest.raises(ValueError, match="Hermitian"):
-            Povm(1, effects, ([1.0, 0.0], [0.0, 1.0]))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_vector(self, bad):
+        # refused before the completeness product, where inf would warn
+        with pytest.raises(ValueError, match="non-finite"):
+            Povm(1, ([bad, 0.0], [0.0, 1.0]), (KET0, PureState.basis(2, 1)))
 
     def test_rejects_guess_count_mismatch(self):
         povm = build_povm(1, default_directions(1))
         with pytest.raises(ShapeError):
-            Povm(1, povm.effects, (KET0,))
+            Povm(1, povm.vectors, (KET0,))
 
     def test_rejects_wrong_effect_shape(self):
         with pytest.raises(ShapeError):
-            Povm(1, (np.eye(3),), (KET0,))
+            Povm(1, ([1.0, 0.0, 0.0],), (KET0,))
 
     def test_rejects_non_qubit_guess(self):
         povm = build_povm(1, default_directions(1))
         with pytest.raises(ShapeError):
-            Povm(1, povm.effects, (KET0, PureState.basis(3, 0)))
+            Povm(1, povm.vectors, (KET0, PureState.basis(3, 0)))
 
     def test_rejects_non_unit_guess_row(self):
         povm = build_povm(1, default_directions(1))
         with pytest.raises(ValueError, match="norm"):
-            Povm(1, povm.effects, ([1.0, 0.0], [0.0, 1.0 + 1e-9]))
+            Povm(1, povm.vectors, ([1.0, 0.0], [0.0, 1.0 + 1e-9]))
 
     def test_stacks_are_read_only(self):
         povm = build_povm(2, default_directions(2))
-        assert povm.effects.shape == (9, 3, 3) and povm.effects.dtype == complex
+        assert povm.vectors.shape == (9, 3) and povm.vectors.dtype == complex
         assert povm.guesses.shape == (9, 2) and povm.guesses.dtype == complex
-        for stack in (povm.effects, povm.guesses):
+        for stack in (povm.vectors, povm.guesses):
             with pytest.raises(ValueError):
                 stack[0, 0] = 0.0
 
     def test_states_and_amplitude_rows_build_the_same_povm(self):
         povm = build_povm(1, default_directions(1))
-        from_rows = Povm(1, list(povm.effects), [[1.0, 0.0], [0.0, 1.0]])
-        from_states = Povm(1, povm.effects, (KET0, PureState.basis(2, 1)))
-        assert np.array_equal(from_rows.effects, from_states.effects)
+        from_rows = Povm(1, list(povm.vectors), [[1.0, 0.0], [0.0, 1.0]])
+        from_states = Povm(1, povm.vectors, (KET0, PureState.basis(2, 1)))
+        assert np.array_equal(from_rows.vectors, from_states.vectors)
         assert np.array_equal(from_rows.guesses, from_states.guesses)
         assert from_rows.completeness_residual == from_states.completeness_residual
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_rank_one_split_loses_no_strategy(self, n, rng):
+        # a rank-2 effect E_0 and its complement I - E_0, each split along its
+        # eigenvectors with its guess kept, score as the unsplit POVM on every
+        # state (dense oracle) and on the Haar average
+        gen = rng.substream(900 + n).generator
+        dim = n + 1
+        u = np.linalg.qr(gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim)))[0]
+        spectrum = np.zeros(dim)
+        spectrum[:2] = gen.uniform(0.2, 0.8, size=2)
+        first = (u * spectrum) @ u.conj().T
+        assert np.linalg.matrix_rank(first) == 2
+        guesses = [haar_random_state(2, rng.substream(910 + i)).amplitudes for i in range(2)]
+        unsplit = dense_oracle.EffectStack(n, np.array([first, np.eye(dim) - first]),
+                                           np.array(guesses))
+        vectors, split_guesses = [], []
+        for effect, guess in zip(unsplit.effects, guesses):
+            values, basis = np.linalg.eigh(effect)
+            for value, column in zip(values, basis.T):
+                if value > 1e-12:
+                    vectors.append(math.sqrt(value) * column)
+                    split_guesses.append(guess)
+        split = Povm(n, vectors, split_guesses)
+        for i in range(20):
+            psi = haar_random_state(2, rng.substream(950 + i))
+            assert abs(dense_oracle.pointwise_payoff(split, psi)
+                       - dense_oracle.pointwise_payoff(unsplit, psi)) <= 1e-12
+        assert abs(mean_fidelity(split) - dense_oracle.mean_fidelity(unsplit)) <= 1e-12
 
 
 class TestRespond:
@@ -481,17 +495,17 @@ class TestMeanFidelity:
         (record,) = [r for r in caplog.records if r.name == "qgames.estimation"]
         assert record.levelno == logging.DEBUG
         message = record.getMessage()
-        assert f"{len(povm.effects)} effects" in message
+        assert f"{len(povm.vectors)} effects" in message
         assert "side 10" in message and "space: 32" in message
 
     def test_flipped_guesses_score_one_third(self):
         povm = build_povm(1, default_directions(1))
-        flipped = Povm(1, povm.effects, tuple(reversed(povm.guesses)))
+        flipped = Povm(1, povm.vectors, tuple(reversed(povm.guesses)))
         assert abs(mean_fidelity(flipped) - 1.0 / 3.0) <= 1e-10
 
     def test_flipped_guesses_monte_carlo_oracle(self):
         povm = build_povm(1, default_directions(1))
-        flipped = Povm(1, povm.effects, tuple(reversed(povm.guesses)))
+        flipped = Povm(1, povm.vectors, tuple(reversed(povm.guesses)))
         stream = RandomStream(404)
         count = 20_000
         vals = np.array(
@@ -546,6 +560,6 @@ class TestUniversalPovm:
 
     def test_frame_averaging_requires_aligned_guesses(self):
         povm = build_povm(1, default_directions(1))
-        flipped = Povm(1, povm.effects, tuple(reversed(povm.guesses)))
+        flipped = Povm(1, povm.vectors, tuple(reversed(povm.guesses)))
         with pytest.raises(ValueError, match="aligned"):
             dense_oracle.frame_averaged_payoff(flipped, KET0)

