@@ -5,12 +5,18 @@ explicit --seed (there is no implicit entropy anywhere), so identical
 invocations produce byte-identical output documents.  Floats are rendered with
 12 significant digits.  Exit codes: 0 success, 1 a checked assertion failed
 (e.g. a bound violation) or an inner error was surfaced, 2 usage error.
+
+The argument parser is built on the first `parse_args` (or `main`) call and
+shared by every later call in the process, so a script or test that calls
+`main` many times pays for the argparse tree once.  Nothing builds it at
+import time.  Callers must not mutate the shared parser.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -250,7 +256,15 @@ _RUNNERS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `qgames` argument parser, built on first use and then shared.
+
+    Every call returns the same parser object for the life of the process.
+    Parsing leaves it unchanged (each parse fills a fresh Namespace), but
+    callers must not mutate it: an added argument or changed default would
+    reach every later `parse_args` and `main` call.
+    """
     parser = argparse.ArgumentParser(
         prog="qgames",
         description="Quantum estimation/cloning game laboratory",

@@ -320,10 +320,10 @@ def _random_isometry_kraus(d, n_in, n_out, rng: RandomStream, count: int,
     `standard_normal((count, 2, D, d**n_in))` call, D = d**n_out * anc, draws
     every channel's real parts, then its imaginary parts, exactly as `count`
     consecutive `complex_normals(D * d**n_in)` calls would.  The blocks are
-    orthonormalised by one batched phase-fixed QR, and one product by V_in
-    restricts every isometry to Sym_in.  The arity checks and the size cap
-    run before anything is drawn; a non-finite draw raises ValueError before
-    the QR.
+    orthonormalised by one batched phase-fixed QR, and one 2-D product by V_in
+    restricts every isometry to Sym_in; the stack is a transposed view of that
+    product.  The arity checks and the size cap run before anything is drawn;
+    a non-finite draw raises ValueError before the QR.
     """
     dim = _ginibre_side(d, n_in, n_out, ancilla_dim)
     dim_in, dim_out = d**n_in, d**n_out
@@ -334,8 +334,8 @@ def _random_isometry_kraus(d, n_in, n_out, rng: RandomStream, count: int,
     z.real, z.imag = parts[:, 0], parts[:, 1]
     del parts  # the QR's working memory need not sit beside the draws
     z /= math.sqrt(2.0)
-    iso = _phase_fixed_q(z).reshape(count, dim_out, dim // dim_out, dim_in)
-    return iso.transpose(0, 2, 1, 3) @ sym_isometry(d, n_in)
+    restricted = _phase_fixed_q(z).reshape(-1, dim_in) @ sym_isometry(d, n_in)
+    return restricted.reshape(count, dim_out, dim // dim_out, -1).transpose(0, 2, 1, 3)
 
 
 def random_isometry_channel(d, n_in, n_out, rng: RandomStream, ancilla_dim=None) -> Channel:

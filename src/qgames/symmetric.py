@@ -103,12 +103,15 @@ def _multinomial(occ) -> int:
 def _split(d: int, n: int, m: int) -> np.ndarray:
     occ_n, occ_m = occupations(d, n), occupations(d, m)
     col_of = {occ: i for i, occ in enumerate(occupations(d, n + m))}
+    mult_n = [_multinomial(a) for a in occ_n]
+    mult_m = [_multinomial(b) for b in occ_m]
+    mult_c = [_multinomial(c) for c in col_of]
     split = np.zeros((len(occ_n) * len(occ_m), len(col_of)))
     for i, a in enumerate(occ_n):
         for j, b in enumerate(occ_m):
-            c = tuple(x + y for x, y in zip(a, b))
-            ratio = _multinomial(a) * _multinomial(b) / _multinomial(c)
-            split[i * len(occ_m) + j, col_of[c]] = math.sqrt(ratio)
+            col = col_of[tuple(x + y for x, y in zip(a, b))]
+            ratio = mult_n[i] * mult_m[j] / mult_c[col]
+            split[i * len(occ_m) + j, col] = math.sqrt(ratio)
     return _frozen(split)
 
 

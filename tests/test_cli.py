@@ -1,11 +1,18 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 import qgames.harness
-from qgames.cli import main, parse_args
+from qgames.cli import build_parser, main, parse_args
 from qgames.core import RandomStream
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(args, capsys):
@@ -304,3 +311,113 @@ class TestOutputDiscipline:
         assert code == 0
         assert json.loads(path.read_text())["command"] == "estimate"
         assert capsys.readouterr().out == ""
+
+
+def run_fresh(args):
+    """Run `python <args>` in a new interpreter with src/ on the path: (exit code, stdout)."""
+    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True)
+    return out.returncode, out.stdout
+
+
+class TestSharedParser:
+    def test_second_main_builds_no_parser(self, monkeypatch, capsys):
+        assert main(["solve"]) == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert main(["solve"]) == 0
+        assert built == []
+        # the counter does see a build
+        build_parser.cache_clear()
+        assert main(["solve"]) == 0
+        assert built
+
+    def test_import_builds_no_parser(self):
+        code = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting_init(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting_init\n"
+            "import qgames, qgames.cli\n"
+            "print(len(built))\n"
+        )
+        assert run_fresh(["-c", code]) == (0, "0\n")
+
+    def test_flag_does_not_leak_into_the_next_parse(self):
+        assert parse_args(["estimate", "--universal", "--n", "2"]).universal is True
+        assert parse_args(["estimate", "--n", "2"]).universal is False
+
+    def test_values_do_not_leak_into_the_next_parse(self):
+        config = parse_args(["clone", "--d", "3", "--n", "1", "--m", "2"])
+        assert (config.d, config.n, config.m) == (3, 1, 2)
+        config = parse_args(["clone"])
+        assert (config.d, config.n, config.m) == (2, 1, 2)
+
+    @pytest.mark.parametrize("rejected", [
+        ["clone", "--m", "1", "--n", "2"],
+        ["clone", "--frobnicate", "3"],
+        ["mc-play", "--game", "cloning"],
+    ])
+    def test_rejected_parse_leaves_the_next_one_normal(self, rejected, capsys):
+        with pytest.raises(SystemExit) as info:
+            parse_args(rejected)
+        assert info.value.code == 2
+        config = parse_args(["mc-play", "--game", "one_particle", "--n", "2", "--m", "3",
+                             "--seed", "5"])
+        assert vars(config) == {
+            "command": "mc-play", "game": "one_particle", "d": 2, "n": 2, "m": 3,
+            "samples": 100000, "seed": 5, "out": None, "format": "json",
+        }
+
+    @pytest.mark.parametrize("args", [["--help"], ["clone", "--help"]])
+    def test_help_is_the_same_on_every_call(self, args, capsys):
+        build_parser.cache_clear()
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as info:
+                parse_args(args)
+            assert info.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+        assert texts[0].startswith("usage: qgames")
+
+
+#: One run of every command, and the expected estimate --n 9 failure between them.
+REPEATED_RUNS = [
+    ["clone", "--d", "3", "--n", "1", "--m", "2"],
+    ["estimate", "--universal", "--n", "3"],
+    ["solve", "--format", "csv"],
+    ["sandwich", "--game", "estimation", "--n", "1", "--seed", "3"],
+    ["estimate", "--n", "9"],
+    ["asym-bound", "--samples", "20", "--seed", "3"],
+    ["mc-play", "--game", "cloning", "--samples", "500", "--seed", "3"],
+]
+
+
+@pytest.fixture(scope="module")
+def fresh_runs():
+    return {tuple(args): run_fresh(["-m", "qgames.cli", *args]) for args in REPEATED_RUNS}
+
+
+class TestRepeatedRuns:
+    @pytest.mark.parametrize("order", [REPEATED_RUNS, REPEATED_RUNS[::-1]],
+                             ids=["forward", "reverse"])
+    def test_every_run_matches_a_fresh_process(self, order, fresh_runs, capsys):
+        # two passes over every command in one process: whatever the shared
+        # parser or the package caches carry over, each document must be
+        # byte-identical to a new interpreter's
+        assert fresh_runs[("estimate", "--n", "9")][0] == 1
+        for _ in range(2):
+            for args in order:
+                code = main(list(args))
+                assert (code, capsys.readouterr().out) == fresh_runs[tuple(args)], args
