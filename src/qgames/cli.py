@@ -71,9 +71,8 @@ def _run_clone(config):
     values = value_formulas(config.d, config.n, config.m)
     cloner = optimal_cloner(config.d, config.n, config.m)
     measured_global = haar_avg_global_fidelity(cloner)
-    measured_single = [
-        single_clone_haar_fidelity(cloner, k) for k in range(1, config.m + 1)
-    ]
+    # the optimal cloner's output is symmetric: every clone has one reduced state
+    measured_single = [single_clone_haar_fidelity(cloner, 1)] * config.m
     doc = {
         "command": "clone",
         "d": config.d,

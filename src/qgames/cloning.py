@@ -31,11 +31,15 @@ no channel beats that on Haar average.
 
 The evaluators read only the Kraus stack.  The Choi matrix
 J = sum_K w_K w_K^dag, w_K = vec(K^T) on Sym_in (x) out, is built only when
-`Channel.choi` is read; tr[J G] is summed as sum_K w_K^dag G w_K.  Two helpers
-alone read how the output rows are coordinatised.  `_sym_rows` gives every
-Kraus operator Sym_out rows (V_out^T K for full rows); a global fidelity reads
-nothing else, since psi^{(x)n_out} lies in Sym_out.  `_clone_split` splits an
-output row into (rest, clone k) for the one-particle test.
+`Channel.choi` is read.  Every payoff is a quadratic form in the rows w of
+a factor w^T conj(w) of J with its output projected onto Sym_out, or of one
+clone's reduced Choi matrix on Sym_in (x) C^d.  `_choi_rows` alone builds
+those rows and is the one place that reads how the output rows are
+coordinatised.  A product state scores
+sum_rows |w . (coh_in(psi) (x) conj(out(psi)))|^2 (`_state_fidelities`), with
+out(psi) the Sym_out coordinates of psi^{(x)n_out} or psi itself for one
+clone; the Haar average is Re tr(w G w^dag) over a moment G
+(`_haar_fidelities`).
 
 The average of <psi^{m}| ch(psi^{n}) |psi^{m}> over Haar psi is
 
@@ -139,15 +143,6 @@ class Channel:
     def sym_out(self) -> bool:
         """Whether the Kraus rows are Sym_out occupation coordinates."""
         return self.kraus.shape[1] == dim_sym(self.d, self.n_out)
-
-    def completeness_defect(self) -> float:
-        """Operator norm of sum(K^dag K) - I on Sym_in.
-
-        The batched kernel `_completeness_defects` on this channel's stack,
-        the same code that checks a whole chunk of the asymmetric-bound scan's
-        random channels at once.
-        """
-        return float(_completeness_defects(np.asarray(self.kraus)))
 
     def __repr__(self):
         return (
@@ -364,77 +359,97 @@ def random_isometry_channel(d, n_in, n_out, rng: RandomStream, ancilla_dim=None)
     return Channel(d, n_in, n_out, kraus[0])
 
 
-def _sym_rows(ch: Channel) -> np.ndarray:
-    """The Kraus stack with rows on Sym_out: V_out^T K for full rows.
+def _choi_rows(d, n_in, n_out, kraus: np.ndarray, clone) -> np.ndarray:
+    """Rows w[..., (K, j), (c, a)] whose w^T conj(w) is a (reduced) Choi matrix J.
 
-    Every global fidelity pairs the output with psi^{(x)n_out}, which lies in
-    Sym_out, so the projection V_out V_out^T drops nothing it reads.
+    `kraus` is a (..., K, rows, dim_sym(d, n_in)) array of Kraus stacks, c
+    indexes the input and a the output the rows pair with:
+
+    - clone = 0: the whole output, projected onto Sym_out (V_out^T K for
+      full rows), where psi^{(x)n_out} lies; j takes one value.
+    - clone = k in 1..n_out: clone k's reduced channel on Sym_in (x) C^d,
+      each output row split into (rest j, clone a).  Sym_out rows go through
+      S = sym_split(d, n_out - 1, 1), which writes Sym_out inside
+      Sym_{n_out-1} (x) C^d: every clone of a symmetric output has the same
+      reduced channel, so the last copy stands for clone k.
+    - clone = None: a clone picked uniformly at random, whose reduced channel
+      is the mean of the n_out clones': the rows of clone n_out for Sym_out
+      rows.  For full rows, whose clones differ, the rows are
+      sqrt(lambda_r) u_r^T over the eigenpairs of that mean's Choi matrix,
+      dim_sym(d, n_in) * d of them.
+
+    This is the one place that reads whether Kraus rows are Sym_out (a
+    dim_sym(d, n_out) row count) or full.  One clone's rows hold at most d
+    times the entries of the Kraus stack.  Leading axes are a batch of
+    channels.
     """
-    if ch.sym_out:
-        return ch.kraus
-    return sym_isometry(ch.d, ch.n_out).T @ ch.kraus
+    sym = kraus.shape[-2] == dim_sym(d, n_out)
+    if clone is None and not sym:
+        # one clone's rows at a time: the mean reduced Choi matrix and its
+        # eigen-factor have side dim_sym(d, n_in) * d, however many Kraus
+        # operators and clones there are
+        clones = (_choi_rows(d, n_in, n_out, kraus, k) for k in range(1, n_out + 1))
+        choi = sum(w.swapaxes(-1, -2) @ w.conj() for w in clones) / n_out
+        lam, vec = np.linalg.eigh(choi)
+        return np.sqrt(np.clip(lam, 0.0, None))[..., None] * vec.swapaxes(-1, -2)
+    out = kraus.swapaxes(-1, -2)  # (..., K, c, a)
+    if clone == 0:
+        w = (out if sym else out @ sym_isometry(d, n_out))[..., None, :, :]
+    elif sym:
+        split = (out @ sym_split(d, n_out - 1, 1).T).reshape(*out.shape[:-1], -1, d)
+        w = split.swapaxes(-3, -2)
+    else:
+        # (..., K, (a_<k, a_k, a_>k), c) -> (..., K, a_<k, a_>k, c, a_k)
+        split = kraus.reshape(*kraus.shape[:-2], d ** (clone - 1), d, d ** (n_out - clone), -1)
+        w = np.moveaxis(split, (-1, -3), (-2, -1))
+    # (..., K, j..., c, a) -> (..., (K, j), (c, a))
+    return np.ascontiguousarray(w.reshape(*kraus.shape[:-3], -1, w.shape[-2] * w.shape[-1]))
 
 
-def _clone_split(d: int, m: int, k: int, rows: np.ndarray) -> np.ndarray:
-    """Output coordinates on the last axis of `rows`, split into (rest, clone k).
+def _state_fidelities(n_in: int, copies: int, rows: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """sum over rows of |w . (coh_in(psi) (x) conj(coh_copies(psi)))|^2 per row of `psi`.
 
-    `rows` holds coordinates of an m-copy output of local dimension d: Sym_out
-    when the last axis has dim_sym(d, m) entries (as `Channel.sym_out`
-    reads), the full d^m space otherwise.  Returns shape (..., r, d) with the
-    k-th output copy (1-based) last.  Sym_out rows go through
-    S = sym_split(d, m - 1, 1), which writes Sym_out inside Sym_{m-1} (x) C^d:
-    every clone of a symmetric output has the same reduced state, so the last
-    copy stands for clone k.  Full rows are reshaped and clone k is moved last.
+    `rows` come from `_choi_rows`, `psi` is a (B, d) array of amplitudes and
+    `copies` is the number of output copies the rows pair with: n_out for the
+    whole output, 1 for a clone.  Each term is |<psi^{copies}| K_j
+    |psi^{n_in}>|^2, so the sum is the output's overlap with psi^{copies}.  One
+    product serves every Kraus operator; its (B, rows) result is as wide as
+    the rows are many.
     """
-    lead = rows.shape[:-1]
-    if rows.shape[-1] == dim_sym(d, m):
-        return (rows @ sym_split(d, m - 1, 1).T).reshape(*lead, -1, d)
-    split = rows.reshape(*lead, d ** (k - 1), d, d ** (m - k))
-    return np.moveaxis(split, -2, -1).reshape(*lead, -1, d)
+    vin = coherent_coordinates(psi, n_in)
+    bra = coherent_coordinates(psi, copies).conj()
+    x = (vin[:, :, None] * bra[:, None, :]).reshape(len(psi), -1)
+    y = x @ rows.T
+    return np.einsum("bi,bi->b", y.view(float), y.view(float))
 
 
-def _global_overlaps(ch: Channel, psi: np.ndarray) -> np.ndarray:
-    """sum_K |<psi^{(x)n_out}| K |psi^{(x)n_in}>|^2 for each row of amplitudes `psi`.
+def _haar_fidelities(d, n_in, n_out, kraus: np.ndarray, clone: int) -> np.ndarray:
+    """Haar average of the output's fidelity for each Kraus stack (module docstring).
 
-    Contracting <psi^{(x)n_out}| with one Kraus operator at a time keeps the
-    working arrays at one output row per state, however many Kraus operators
-    the channel has.
+    `kraus` is a (..., K, rows, dim_sym(d, n_in)) array of Kraus stacks and
+    `clone` picks the output as `_choi_rows` does: 0 for the whole output,
+    k for clone k.  The average is Re tr(w G w^dag) / dim_sym(d, n_in + p),
+    G = `_transposed_moment(d, n_in, p)`, p = n_out for the whole output and
+    1 for a clone.  The size cap counts the side of G, dim_sym(d, n_in) *
+    dim_sym(d, p), before any rows are built.  Leading axes are a batch of
+    channels: one product and one contraction serve them all.  G is real, so
+    Re tr(w G w^dag) is the dot product of the float views of w and w G, and
+    no conjugate is formed.
     """
-    vin = coherent_coordinates(psi, ch.n_in)
-    bra = coherent_coordinates(psi, ch.n_out).conj()
-    fid = np.zeros(len(psi))
-    for k in _sym_rows(ch):
-        fid += np.abs(np.sum((bra @ k) * vin, axis=1)) ** 2
-    return fid
-
-
-def _one_particle_overlaps(ch: Channel, psi: np.ndarray) -> np.ndarray:
-    """Mean over the clones c of <psi| rho_c |psi>, for each row of amplitudes `psi`.
-
-    Contracting clone c of each Kraus branch with psi* and summing the squared
-    norms over the Kraus operators and the other clones gives the reduced
-    state's overlap without forming it.  One Kraus operator at a time, so the
-    working arrays stay at one output row per state.  The clones of a Sym_out
-    channel share one reduced state, so the last clone stands for them all; a
-    full-output channel scores each of its n_out clones.
-    """
-    vin = coherent_coordinates(psi, ch.n_in)
-    bra = psi.conj()
-    clones = [ch.n_out] if ch.sym_out else range(1, ch.n_out + 1)
-    fid = np.zeros(len(psi))
-    for k in ch.kraus:
-        rows = vin @ k.T
-        for c in clones:
-            branch = _clone_split(ch.d, ch.n_out, c, rows)
-            fid += np.sum(np.abs(np.einsum("bjd,bd->bj", branch, bra)) ** 2, axis=1)
-    return fid / len(clones)
+    copies = n_out if clone == 0 else 1
+    check_size_cap(dim_sym(d, n_in) * dim_sym(d, copies))
+    w = _choi_rows(d, n_in, n_out, kraus, clone)
+    wg = w @ _transposed_moment(d, n_in, copies)
+    val = np.einsum("...ij,...ij->...", w.view(float), wg.view(float))
+    return val / dim_sym(d, n_in + copies)
 
 
 def global_fidelity(ch: Channel, psi: PureState) -> float:
     """<psi^{n_out}| ch(psi^{n_in}) |psi^{n_out}>."""
     if psi.dim != ch.d:
         raise ShapeError(f"state dimension {psi.dim} != local dimension {ch.d}")
-    return float(_global_overlaps(ch, psi.amplitudes[None])[0])
+    rows = _choi_rows(ch.d, ch.n_in, ch.n_out, ch.kraus, 0)
+    return float(_state_fidelities(ch.n_in, ch.n_out, rows, psi.amplitudes[None])[0])
 
 
 @lru_cache(maxsize=None)
@@ -456,45 +471,20 @@ def haar_avg_global_fidelity(ch: Channel) -> float:
 
     The size cap counts the moment side dim_sym(d, n_in) * dim_sym(d, n_out).
     """
-    check_size_cap(dim_sym(ch.d, ch.n_in) * dim_sym(ch.d, ch.n_out))
-    # w[K, (c, a)] = K[a, c] on Sym_in (x) Sym_out
-    kraus = _sym_rows(ch)
-    w = kraus.transpose(0, 2, 1).reshape(len(kraus), -1)
-    val = np.vdot(w, w @ _transposed_moment(ch.d, ch.n_in, ch.n_out))
-    return float(val.real) / dim_sym(ch.d, ch.n_in + ch.n_out)
-
-
-def _clone_fidelities(d, n_in, n_out, kraus: np.ndarray, k: int) -> np.ndarray:
-    """Haar-average fidelity of clone k for each Kraus stack.
-
-    `kraus` is a (..., K, rows, dim_sym(d, n_in)) array of Kraus stacks.
-    `_clone_split` writes each Kraus operator as (input c, rest j, clone a);
-    the rows w[(K, j), (c, a)] span the reduced channel's Choi matrix on
-    Sym_in (x) C^d, and the average is the (n_in + 1)-copy moment formula on
-    it.  The size cap counts that reduced side, dim_sym(d, n_in) * d.
-    Leading axes are a batch of channels: one product and one contraction
-    serve them all.  The moment G is real, so Re tr(w^dag w G) is the dot
-    product of the float views of w and w G, and no conjugate is formed.
-    """
-    side = check_size_cap(dim_sym(d, n_in) * d)
-    branch = _clone_split(d, n_out, k, kraus.swapaxes(-1, -2))
-    w = np.ascontiguousarray(branch.swapaxes(-3, -2).reshape(*kraus.shape[:-3], -1, side))
-    wg = w @ _transposed_moment(d, n_in, 1)
-    val = np.einsum("...ij,...ij->...", w.view(float), wg.view(float))
-    return val / dim_sym(d, n_in + 1)
+    return float(_haar_fidelities(ch.d, ch.n_in, ch.n_out, ch.kraus, 0))
 
 
 def single_clone_haar_fidelity(ch: Channel, k: int) -> float:
     """Exact Haar average of <psi| tr_(not k)[ch(psi^{n_in})] |psi>.
 
-    The batched kernel `_clone_fidelities` on this channel's stack, the same
+    The batched kernel `_haar_fidelities` on this channel's stack, the same
     code that scores a whole chunk of the asymmetric-bound scan's random
     channels at once.  The size cap counts the reduced Choi side,
     dim_sym(d, n_in) * d.
     """
     if not 1 <= k <= ch.n_out:
         raise IndexError(f"clone index {k} not in 1..{ch.n_out}")
-    return float(_clone_fidelities(ch.d, ch.n_in, ch.n_out, ch.kraus, k))
+    return float(_haar_fidelities(ch.d, ch.n_in, ch.n_out, ch.kraus, k))
 
 
 @dataclass(frozen=True)

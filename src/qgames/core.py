@@ -97,12 +97,6 @@ class PureState:
     def density(self) -> "DensityOperator":
         return DensityOperator(np.outer(self.amplitudes, self.amplitudes.conj()))
 
-    def overlap_probability(self, other: "PureState") -> float:
-        """|<self|other>|^2."""
-        if self.dim != other.dim:
-            raise ShapeError("states have different dimensions")
-        return float(abs(np.vdot(self.amplitudes, other.amplitudes)) ** 2)
-
 
 @dataclass(frozen=True)
 class DensityOperator:
@@ -126,10 +120,6 @@ class DensityOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    @classmethod
-    def maximally_mixed(cls, dim: int) -> "DensityOperator":
-        return cls(np.eye(dim, dtype=complex) / dim)
 
 
 class RandomStream:

@@ -20,10 +20,14 @@ would pass CHUNK_BYTES; memory chunks bound memory only, so no record
 depends on them.
 
 A strategy's payoff on psi is the overlap with psi of the state it hands the
-SWAP-test referee.  `_state_payoffs` is that kernel, one per game kind: the
-discretized games tabulate it and Monte Carlo rounds feed it to the referee.
-Integrating out the estimation outcome and the referee's choice of clone
-leaves each round's pass probability (1 + F)/2 as it is.
+SWAP-test referee.  `_checked_payoffs` makes that function once per call,
+for every game kind: the discretized games tabulate it and Monte Carlo rounds
+feed it to the referee.  For the cloning games it is one product of the
+channel's Choi rows (`cloning._choi_rows`, built once per call) with each
+memory chunk's states, the whole output for cloning and the clone-averaged
+reduced channel for one_particle.  Integrating out the estimation outcome and
+the referee's choice of clone leaves each round's pass probability
+(1 + F)/2 as it is.
 
 Analytic reports quote fidelities F; the protocol's literal stakes are +-1.
 A round passes with probability p = (1 + F)/2, so the mean +-1 payoff is
@@ -42,11 +46,11 @@ import numpy as np
 from .cloning import (
     Channel,
     _checked_defects,
-    _clone_fidelities,
+    _choi_rows,
     _ginibre_side,
-    _global_overlaps,
-    _one_particle_overlaps,
+    _haar_fidelities,
     _random_isometry_kraus,
+    _state_fidelities,
     haar_avg_global_fidelity,
     haar_random_unitary,
     conjugate_output,
@@ -198,44 +202,41 @@ def _chunk_counts(total: int, chunk: int) -> tuple[int, int]:
     return full + (rest > 0), full * -(-DRAW_ROUNDS // chunk) + -(-rest // chunk)
 
 
-def _state_payoffs(kind: str, strategy, psi: np.ndarray) -> np.ndarray:
-    """Mean +-1 payoff of `strategy` against each row of amplitudes `psi`.
+def _checked_payoffs(kind: str, d: int, n: int, m: int, strategy):
+    """(payoffs, width) of `strategy`, once it is a strategy of this game.
 
-    The overlap with psi of the state the strategy returns: the guess for
-    estimation (averaged over the Born-rule outcomes), the whole output for
-    cloning and one clone for one_particle (averaged over the clones).
-    """
-    if kind == "estimation":
-        return _payoffs(strategy, psi)
-    if kind == "cloning":
-        return _global_overlaps(strategy, psi)
-    return _one_particle_overlaps(strategy, psi)
-
-
-def _checked_width(kind: str, d: int, n: int, m: int, strategy) -> int:
-    """The widest per-state row of `strategy`, once it is a strategy of this game.
-
-    Estimation takes a Povm on n copies, whose row is its outcome count or
-    its n + 1 coordinates; the cloning games take a Channel of arity
-    (d, n, m), whose row is its Kraus rows or columns.  The width is checked
-    against the size cap.
+    `payoffs` maps a (B, d) array of amplitudes to the mean +-1 payoff of
+    each row: the overlap with psi of the state the strategy returns, the
+    guess for estimation (averaged over the Born-rule outcomes), the whole
+    output for cloning and a clone picked uniformly at random for
+    one_particle.  Estimation takes a Povm on n copies; the cloning games
+    take a Channel of arity (d, n, m), whose Choi rows (`cloning._choi_rows`)
+    are built here, once.  `width` is the widest per-state array `payoffs`
+    makes: the outcome count or the n + 1 coordinates of a Povm, the row
+    count or the row length of a Channel's Choi rows.  Before anything is
+    built the size cap counts the Povm's width, or the Channel's Kraus rows
+    or columns, whichever is more.
     """
     if kind == "estimation":
         if not isinstance(strategy, Povm):
             raise TypeError(f"estimation is played with a Povm, got {type(strategy).__name__}")
         if strategy.n != n:
             raise ShapeError(f"povm copy count {strategy.n} != {n}")
-        return check_size_cap(max(len(strategy.vectors), n + 1))
+        width = check_size_cap(max(len(strategy.vectors), n + 1))
+        return (lambda psi: _payoffs(strategy, psi)), width
     if not isinstance(strategy, Channel):
         raise TypeError(f"{kind} is played with a Channel, got {type(strategy).__name__}")
     arity = (strategy.d, strategy.n_in, strategy.n_out)
     if arity != (d, n, m):
         raise ShapeError(f"channel arity {arity} != {(d, n, m)}")
-    return check_size_cap(max(strategy.kraus.shape[1:]))
+    check_size_cap(max(strategy.kraus.shape[1:]))
+    clone, copies = (0, m) if kind == "cloning" else (None, 1)
+    rows = _choi_rows(d, n, m, strategy.kraus, clone)
+    return (lambda psi: _state_fidelities(n, copies, rows, psi)), max(rows.shape)
 
 
 def _payoff_matrix(kind: str, d: int, n: int, m: int, strategies, states) -> MatrixGame:
-    """A[i, j] = `_state_payoffs` of strategies[i] on states[j].
+    """A[i, j] = `_checked_payoffs` of strategies[i] on states[j].
 
     Each row is evaluated over all columns at once, in chunks of columns as
     `monte_carlo_play` chunks rounds.
@@ -244,13 +245,13 @@ def _payoff_matrix(kind: str, d: int, n: int, m: int, strategies, states) -> Mat
     states = list(states)
     if not strategies or not states:
         raise ShapeError("need at least one strategy per player")
-    width = max(_checked_width(kind, d, n, m, s) for s in strategies)
+    kernels = [_checked_payoffs(kind, d, n, m, s) for s in strategies]
     psi = _state_rows(states, d)
-    chunk = _chunk_length(width)
+    chunk = _chunk_length(max(width for _, width in kernels))
     a = np.empty((len(strategies), len(states)))
-    for i, strategy in enumerate(strategies):
+    for i, (payoffs, _) in enumerate(kernels):
         for start in range(0, len(psi), chunk):
-            a[i, start:start + chunk] = _state_payoffs(kind, strategy, psi[start:start + chunk])
+            a[i, start:start + chunk] = payoffs(psi[start:start + chunk])
     return MatrixGame(a)
 
 
@@ -417,19 +418,19 @@ def monte_carlo_play(spec: GameSpec, strategy) -> MonteCarloRecord:
     referee's uniforms.  A final partial chunk uses its first rows only, so
     round i depends on (seed, kind, i) alone and the record of N rounds is the
     prefix of the record of any longer play.  Round i passes when its uniform
-    falls below (1 + F)/2, F the `_state_payoffs` of the strategy on its
+    falls below (1 + F)/2, F the `_checked_payoffs` of the strategy on its
     state.
 
     Each draw chunk is evaluated in memory chunks with array operations: the
     whole draw chunk, or fewer rounds where one round's widest row is so wide
     that a chunk's rows would pass CHUNK_BYTES.  Memory chunks subdivide a
     draw chunk and only bound the working memory, so the record depends on
-    the seed and not on the chunk length.  The size cap counts that widest row
-    (`_checked_width`), which is checked with the strategy before any draw.
+    the seed and not on the chunk length.  The strategy and its size cap are
+    checked, and its rows built, once and before any draw (`_checked_payoffs`).
     """
     if spec.samples < 1:
         raise ValueError("samples must be >= 1")
-    width = _checked_width(spec.kind, spec.d, spec.n, spec.m, strategy)
+    payoffs, width = _checked_payoffs(spec.kind, spec.d, spec.n, spec.m, strategy)
     kind = GAME_KINDS.index(spec.kind)
     chunk = _chunk_length(width)
     draw_chunks, memory_chunks = _chunk_counts(spec.samples, chunk)
@@ -448,7 +449,7 @@ def monte_carlo_play(spec: GameSpec, strategy) -> MonteCarloRecord:
         psi = _check_unit_rows(normals / np.linalg.norm(normals, axis=1, keepdims=True))
         for start in range(0, rounds, chunk):
             rows = slice(start, min(start + chunk, rounds))
-            overlaps = _state_payoffs(spec.kind, strategy, psi[rows])
+            overlaps = payoffs(psi[rows])
             total += int(np.sum(referee_outcomes(overlaps, referee[rows])))
     mean = total / spec.samples
     # outcomes are +-1, so the sample variance is exactly 1 - mean^2
@@ -485,7 +486,7 @@ def _scan_records(d, n_in, n_out, kraus, kind, labels) -> list[ScanRecord]:
 
     Each clone k is scored for every channel by one batched contraction.
     """
-    fids = np.stack([_clone_fidelities(d, n_in, n_out, kraus, k)
+    fids = np.stack([_haar_fidelities(d, n_in, n_out, kraus, k)
                      for k in range(1, n_out + 1)], axis=1)
     return [ScanRecord(kind, label, tuple(row), float(sum(row)))
             for label, row in zip(labels, fids.tolist())]

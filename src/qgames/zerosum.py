@@ -89,17 +89,8 @@ class MixedStrategy:
         object.__setattr__(self, "probs", p)
 
     @classmethod
-    def pure(cls, size: int, index: int) -> "MixedStrategy":
-        p = np.zeros(size)
-        p[index] = 1.0
-        return cls(p)
-
-    @classmethod
     def uniform(cls, size: int) -> "MixedStrategy":
         return cls(np.full(size, 1.0 / size))
-
-    def total_variation(self, other: "MixedStrategy") -> float:
-        return 0.5 * float(np.abs(self.probs - other.probs).sum())
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import pytest
 
 from qgames.core import DensityOperator, PureState, RandomStream, haar_random_state
 from qgames.estimation import Direction, bloch_state
+from qgames.zerosum import MixedStrategy
 
 
 @pytest.fixture
@@ -23,6 +24,11 @@ def random_density(d, stream, rank=None):
         psi = haar_random_state(d, stream).amplitudes
         mat += w * np.outer(psi, psi.conj())
     return DensityOperator(mat)
+
+
+def total_variation(x: MixedStrategy, y: MixedStrategy) -> float:
+    """Half the l1 distance between two mixed strategies' probability vectors."""
+    return 0.5 * float(np.abs(x.probs - y.probs).sum())
 
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0

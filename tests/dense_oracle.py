@@ -15,6 +15,9 @@ The estimation evaluators read a POVM as explicit effect matrices
 (`EffectStack`): a `Povm`'s rank-one effects |v_r><v_r| are built from its
 vectors by `effect_stack`, and an `EffectStack` may hold effects of any rank.
 
+`completeness_defect` is the long way to `cloning._completeness_defects`: the
+2-norm of the defect matrix instead of its eigenvalues.
+
 `random_isometry_kraus` is the long way to a random isometry channel: the
 same Ginibre columns, orthonormalised by Gram-Schmidt instead of QR.
 """
@@ -70,6 +73,12 @@ def full_choi(ch: Channel) -> np.ndarray:
         w = k.T.reshape(-1)  # w[(i, a)] = K[a, i]: Choi lives on in (x) out
         choi += np.outer(w, w.conj())
     return choi
+
+
+def completeness_defect(ch: Channel) -> float:
+    """Operator norm of sum(K^dag K) - I on Sym_in, from the stacked Kraus rows' Gram matrix."""
+    rows = np.reshape(ch.kraus, (-1, ch.kraus.shape[-1]))
+    return float(np.linalg.norm(rows.conj().T @ rows - np.eye(rows.shape[1]), 2))
 
 
 def random_isometry_kraus(d, n_in, n_out, rng, ancilla_dim=None) -> list[np.ndarray]:

@@ -49,7 +49,7 @@ from qgames.zerosum import (
 )
 
 import dense_oracle
-from conftest import random_density
+from conftest import random_density, total_variation
 
 CLONER_TUPLES = [(2, 1, 2), (2, 1, 3), (2, 2, 3), (3, 1, 2), (4, 1, 2)]
 
@@ -176,8 +176,8 @@ def test_criterion_07_zero_sum_solver():
     eq = solve(rock_paper_scissors(), tol=1e-6)
     assert abs(eq.value) <= 1e-6
     uniform = MixedStrategy.uniform(3)
-    assert eq.x.total_variation(uniform) <= 1e-3
-    assert eq.y.total_variation(uniform) <= 1e-3
+    assert total_variation(eq.x, uniform) <= 1e-3
+    assert total_variation(eq.y, uniform) <= 1e-3
     gen = np.random.default_rng(700)
     worst_slack = 0.0
     for _ in range(100):

@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
+import qgames.cli
 import qgames.harness
 from qgames.cli import build_parser, main, parse_args
+from qgames.cloning import optimal_cloner, single_clone_haar_fidelity
 from qgames.core import RandomStream
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -81,6 +83,26 @@ class TestCloneCommand:
         lines = out.strip().splitlines()
         assert len(lines) == 2
         assert lines[0].startswith("command,d,n,m,global_value")
+
+    @pytest.mark.parametrize("d, n, m", [(2, 4, 6), (3, 3, 4), (4, 2, 3)])
+    def test_scores_one_clone(self, monkeypatch, capsys, d, n, m):
+        # every clone of the optimal cloner has one reduced state, so the
+        # command evaluates clone 1 once and repeats it; scoring each clone on
+        # its own gives the same bits
+        cloner = optimal_cloner(d, n, m)
+        per_clone = [single_clone_haar_fidelity(cloner, k) for k in range(1, m + 1)]
+        assert per_clone == [per_clone[0]] * m
+        calls = []
+
+        def spy(ch, k):
+            calls.append(k)
+            return single_clone_haar_fidelity(ch, k)
+
+        monkeypatch.setattr(qgames.cli, "single_clone_haar_fidelity", spy)
+        code, out = run_cli(["clone", "--d", str(d), "--n", str(n), "--m", str(m)], capsys)
+        assert code == 0 and calls == [1]
+        want = [float(f"{v:.12g}") for v in per_clone]
+        assert json.loads(out)["measured_single_fidelities"] == want
 
     def test_inner_error_surfaces_as_document(self, capsys):
         # Choi side dim_sym(3, 10) * dim_sym(3, 12) = 6006 exceeds the cap

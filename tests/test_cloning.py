@@ -11,6 +11,9 @@ import qgames.core
 from qgames.cli import main
 from qgames.cloning import (
     Channel,
+    _choi_rows,
+    _completeness_defects,
+    _state_fidelities,
     conjugate_output,
     global_fidelity,
     haar_avg_global_fidelity,
@@ -35,8 +38,10 @@ from qgames.core import (
     partial_trace_matrix,
     tensor_power,
 )
+from qgames.estimation import bloch_state, design_directions
 from qgames.symmetric import dim_sym
 
+import dense_oracle
 from dense_oracle import apply_matrix_via_choi
 
 KET0 = PureState.basis(2, 0)
@@ -89,7 +94,7 @@ class TestOptimalClonerConstruction:
         def refuse(*args):
             raise AssertionError("built an operator past the cap")
 
-        for name in ("sym_split", "_transposed_moment", "_clone_split"):
+        for name in ("sym_split", "_transposed_moment", "_choi_rows"):
             monkeypatch.setattr(qgames.cloning, name, refuse)
         with pytest.raises(SizeCapExceeded, match="total dimension 6 exceeds size cap 3"):
             optimal_cloner(2, 1, 2)
@@ -200,7 +205,7 @@ class TestChannelMechanics:
             ch.kraus[0][0, 0] = 1.0
         total = sum(k.conj().T @ k for k in ch.kraus)
         want = np.linalg.norm(total - np.eye(total.shape[0]), 2)
-        assert abs(ch.completeness_defect() - want) <= 1e-14
+        assert abs(float(_completeness_defects(np.asarray(ch.kraus))) - want) <= 1e-14
 
     def test_construction_logs_dimensions(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="qgames"):
@@ -309,6 +314,45 @@ class TestSingleCloneFidelity:
         assert abs(vals.mean() - 5.0 / 6.0) <= 3.0 * stderr
 
 
+def qubit_channels(n, m):
+    """The optimal cloner, both embeddings, a random isometry and a mixture, qubit arity (n, m)."""
+    cloner = optimal_cloner(2, n, m)
+    product = product_embedding_channel(2, n, m)
+    return {
+        "optimal": cloner,
+        "product": product,
+        "mirror": mirror_embedding_channel(2, n, m),
+        "random": random_isometry_channel(2, n, m, RandomStream(6100 + 10 * n + m), ancilla_dim=3),
+        "mixture": mixture_channel(cloner, product, 0.3),
+    }
+
+
+class TestEvaluatorsAgree:
+    # A channel's fidelity on psi is a degree-(n + m) polynomial in the Bloch
+    # vector of psi and one clone's a degree-(n + 1) one, so the weighted
+    # points of design_directions(n + m - 1) integrate both exactly: the
+    # per-state evaluator's design mean is the Haar evaluator's value, and
+    # the two share no moment matrix.
+    @pytest.mark.parametrize("n, m", [(1, 2), (1, 3), (2, 3)])
+    def test_haar_value_is_the_design_mean_of_per_state_values(self, n, m):
+        dirs, weights = design_directions(n + m - 1)
+        psi = np.stack([bloch_state(u).amplitudes for u in dirs])
+        for label, ch in qubit_channels(n, m).items():
+            rows = _choi_rows(2, n, m, ch.kraus, 0)
+            mean = weights @ _state_fidelities(n, m, rows, psi)
+            assert abs(mean - haar_avg_global_fidelity(ch)) <= 1e-13, label
+            clones = []
+            for k in range(1, m + 1):
+                rows = _choi_rows(2, n, m, ch.kraus, k)
+                mean = weights @ _state_fidelities(n, 1, rows, psi)
+                clones.append(single_clone_haar_fidelity(ch, k))
+                assert abs(mean - clones[-1]) <= 1e-13, (label, k)
+            # a clone picked uniformly at random
+            rows = _choi_rows(2, n, m, ch.kraus, None)
+            mean = weights @ _state_fidelities(n, 1, rows, psi)
+            assert abs(mean - np.mean(clones)) <= 1e-13, label
+
+
 class TestValueFormulas:
     def test_one_to_two_qubit(self):
         v = value_formulas(2, 1, 2)
@@ -335,7 +379,7 @@ class TestChannelFamilies:
     def test_random_isometry_channels_are_channels(self, rng):
         for i in range(25):
             ch = random_isometry_channel(2, 1, 2, rng.substream(i))
-            assert ch.completeness_defect() <= 1e-10
+            assert dense_oracle.completeness_defect(ch) <= 1e-10
             assert haar_avg_global_fidelity(ch) <= 2.0 / 3.0 + 1e-9
 
     def test_random_isometry_too_narrow_refused_before_drawing(self, monkeypatch):
@@ -353,13 +397,13 @@ class TestChannelFamilies:
         assert draws == []
         ch = random_isometry_channel(2, 3, 1, RandomStream(1), ancilla_dim=8)
         assert ch.kraus.shape == (8, 2, 4)
-        assert ch.completeness_defect() <= 1e-10
+        assert dense_oracle.completeness_defect(ch) <= 1e-10
 
     def test_unitary_conjugation_stays_a_channel(self, rng):
         base = optimal_cloner(2, 1, 2)
         u = haar_random_unitary(4, rng)
         ch = conjugate_output(base, u)
-        assert ch.completeness_defect() <= 1e-10
+        assert dense_oracle.completeness_defect(ch) <= 1e-10
 
     def test_mixture_interpolates_fidelity(self):
         a = product_embedding_channel(2, 1, 2)

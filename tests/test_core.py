@@ -144,7 +144,7 @@ class TestOverlap:
         assert overlap(KET0.density(), KET1.density()) == pytest.approx(0.0)
 
     def test_mixed_vs_pure(self):
-        mixed = DensityOperator.maximally_mixed(2)
+        mixed = DensityOperator(np.eye(2) / 2)
         assert overlap(mixed, PLUS.density()) == pytest.approx(0.5)
 
     def test_symmetric(self, rng):
@@ -155,7 +155,7 @@ class TestOverlap:
 
     def test_mismatch(self):
         with pytest.raises(ShapeError):
-            overlap(KET0.density(), DensityOperator.maximally_mixed(3))
+            overlap(KET0.density(), DensityOperator(np.eye(3) / 3))
 
 
 class TestHaarRandomState:

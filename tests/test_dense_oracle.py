@@ -16,8 +16,9 @@ import qgames.cloning
 import qgames.estimation
 import qgames.harness
 from qgames.cloning import (
-    _global_overlaps,
-    _one_particle_overlaps,
+    _choi_rows,
+    _completeness_defects,
+    _state_fidelities,
     conjugate_output,
     global_fidelity,
     haar_avg_global_fidelity,
@@ -79,6 +80,12 @@ def test_channel_evaluators_match_dense_oracle(kind, d, n, m):
         assert abs(got - dense_oracle.single_clone_haar_fidelity(ch, k)) <= TOL
 
 
+def state_payoffs(kind, ch, psi):
+    """The Monte Carlo kernel's per-state payoffs of `ch` on each row of amplitudes `psi`."""
+    payoffs, _ = qgames.harness._checked_payoffs(kind, ch.d, ch.n_in, ch.n_out, ch)
+    return payoffs(psi)
+
+
 FULL_OUTPUT_CASES = [(2, 1, 2), (2, 1, 3), (2, 2, 4), (3, 1, 2), (3, 1, 3)]
 
 
@@ -115,19 +122,38 @@ def test_full_output_evaluators_match_the_oracles(d, n, m):
             assert abs(got - dense_oracle.single_clone_haar_fidelity(ch, k)) <= TOL, label
         want = np.array([mc_oracle.global_round_fidelity(ch, s) for s in states])
         assert np.max(np.abs([global_fidelity(ch, s) for s in states] - want)) <= TOL, label
-        assert np.max(np.abs(_global_overlaps(ch, psi) - want)) <= TOL, label
+        assert np.max(np.abs(state_payoffs("cloning", ch, psi) - want)) <= TOL, label
         want = [np.mean([mc_oracle.one_particle_round_fidelity(ch, s, c) for c in range(1, m + 1)])
                 for s in states]
-        assert np.max(np.abs(_one_particle_overlaps(ch, psi) - want)) <= TOL, label
+        assert np.max(np.abs(state_payoffs("one_particle", ch, psi) - want)) <= TOL, label
+
+
+@pytest.mark.parametrize("d, n, m", FULL_OUTPUT_CASES)
+def test_sym_out_per_state_evaluators_match_the_oracles(d, n, m):
+    # Sym_out rows take the other branch of the row builder: the whole output
+    # as it is, each clone through sym_split(d, m - 1, 1)
+    states = [haar_random_state(d, RandomStream(9200 + 10 * d + m, i)) for i in range(12)]
+    psi = np.stack([s.amplitudes for s in states])
+    channels = {"optimal": optimal_cloner(d, n, m), "noise": symmetric_noise_channel(d, n, m)}
+    for label, ch in channels.items():
+        assert ch.sym_out, label
+        want = np.array([mc_oracle.global_round_fidelity(ch, s) for s in states])
+        assert np.max(np.abs(state_payoffs("cloning", ch, psi) - want)) <= TOL, label
+        clones = []
+        for k in range(1, m + 1):
+            clones.append([mc_oracle.one_particle_round_fidelity(ch, s, k) for s in states])
+            rows = _choi_rows(d, n, m, ch.kraus, k)
+            assert np.max(np.abs(_state_fidelities(n, 1, rows, psi) - clones[-1])) <= TOL, label
+        want = np.mean(clones, axis=0)
+        assert np.max(np.abs(state_payoffs("one_particle", ch, psi) - want)) <= TOL, label
 
 
 @pytest.mark.parametrize("kind", CHANNEL_KINDS)
 @pytest.mark.parametrize("d, n, m", ORACLE_CASES)
 def test_completeness_defect_is_the_svd_norm(kind, d, n, m):
     ch = make_channel(kind, d, n, m)
-    rows = np.reshape(ch.kraus, (-1, ch.kraus.shape[-1]))
-    want = np.linalg.norm(rows.conj().T @ rows - np.eye(rows.shape[1]), 2)
-    assert abs(ch.completeness_defect() - want) <= 1e-14
+    got = float(_completeness_defects(np.asarray(ch.kraus)))
+    assert abs(got - dense_oracle.completeness_defect(ch)) <= 1e-14
 
 
 def estimation_strategies(n):

@@ -44,7 +44,7 @@ from qgames.estimation import (
     universal_povm,
 )
 from qgames.harness import (
-    _checked_width,
+    _checked_payoffs,
     GAME_KINDS,
     GameSpec,
     asym_bound_scan,
@@ -164,7 +164,7 @@ class TestStateSets:
         states = icosahedral_states()
         assert len(states) == 12
         overlaps = [
-            states[i].overlap_probability(states[j])
+            abs(np.vdot(states[i].amplitudes, states[j].amplitudes)) ** 2
             for i in range(12)
             for j in range(i + 1, 12)
         ]
@@ -174,7 +174,7 @@ class TestStateSets:
         # average of |<a|b>|^4 over a projective 2-design equals 1/3
         states = icosahedral_states()
         probe = PureState(np.array([0.8, 0.6j]))
-        mean = np.mean([probe.overlap_probability(s) ** 2 for s in states])
+        mean = np.mean([abs(np.vdot(probe.amplitudes, s.amplitudes)) ** 4 for s in states])
         assert mean == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_nested_sets_are_prefixes(self):
@@ -296,7 +296,7 @@ class TestDiscretizedGames:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_estimation_matrix_matches_pointwise_payoff(self, monkeypatch, n, chunk_rounds):
         povms = estimation_strategies(n)
-        width = max(_checked_width("estimation", 2, n, 1, povm) for povm in povms)
+        width = max(_checked_payoffs("estimation", 2, n, 1, povm)[1] for povm in povms)
         monkeypatch.setattr(qgames.harness, "CHUNK_BYTES", 16 * width * chunk_rounds)
         states = fibonacci_states(12) + [haar_random_state(2, RandomStream(8300 + i))
                                          for i in range(8)]
@@ -313,7 +313,7 @@ class TestDiscretizedGames:
             random_isometry_channel(d, n, m, RandomStream(8400, d * n * m)),
             random_isometry_channel(d, n, m, RandomStream(8401, d * n * m), ancilla_dim=2),
         ]
-        width = max(_checked_width("cloning", d, n, m, ch) for ch in channels)
+        width = max(_checked_payoffs("cloning", d, n, m, ch)[1] for ch in channels)
         monkeypatch.setattr(qgames.harness, "CHUNK_BYTES", 16 * width * chunk_rounds)
         states = [haar_random_state(d, RandomStream(8500 + i)) for i in range(20)]
         game = discretize_cloning_game(d, n, m, channels, states)
@@ -539,8 +539,9 @@ class TestMonteCarloOracle:
                 kind, outcomes[:samples], seed
             )
 
-    # CHUNK_BYTES = 1000 gives 15 rounds per chunk at d^m = 4, 7 at 8 and 2 at 27;
-    # 16 bytes per row entry times 1 or 7 rows give chunks of 1 and 7 rounds
+    # CHUNK_BYTES = 1000 gives chunks of 1 to 31 rounds across these games (one
+    # round at the 60- and 36-entry widths of (3,2,3) and (3,1,3)); 16 bytes
+    # per row entry times 1 or 7 rows give chunks of 1 and 7 rounds
     @pytest.mark.parametrize("rounds, value", [(1, None), (7, None), (None, 1000)])
     @pytest.mark.parametrize("kind, d, n, m, make", MC_GAMES)
     def test_records_do_not_depend_on_chunk_size(self, monkeypatch, kind, d, n, m, make,
@@ -549,7 +550,7 @@ class TestMonteCarloOracle:
         specs = [GameSpec(kind, d=d, n=n, m=m, samples=s, seed=21) for s in (1, 20, 257)]
         expected = [monte_carlo_play(spec, strategy) for spec in specs]
         if rounds is not None:
-            value = 16 * _checked_width(kind, d, n, m, strategy) * rounds
+            value = 16 * _checked_payoffs(kind, d, n, m, strategy)[1] * rounds
         monkeypatch.setattr(qgames.harness, "CHUNK_BYTES", value)
         assert [monte_carlo_play(spec, strategy) for spec in specs] == expected
 
@@ -586,14 +587,21 @@ class TestMonteCarloOracle:
         assert "cloning d=3 n=2 m=3" in message
         assert "600 rounds in 3 chunks of 256; seed scheme v5, 3 draw chunks of 256" in message
 
-    @pytest.mark.parametrize("make, width", [(product_embedding_channel, 27),
-                                             (optimal_cloner, 10)])
-    def test_wide_outputs_shorten_chunks(self, monkeypatch, caplog, make, width):
-        # 27 full output amplitudes or 10 Sym_out coordinates per round;
-        # CHUNK_BYTES fits 100 rounds of them.  Memory chunks subdivide the
-        # draw chunks of 256, 256 and 88 rounds: 3 + 3 + 1 of them.
+    @pytest.mark.parametrize("kind, make, width", [
+        ("cloning", product_embedding_channel, 60),
+        ("cloning", optimal_cloner, 60),
+        ("one_particle", product_embedding_channel, 18),
+        ("one_particle", optimal_cloner, 18),
+    ])
+    def test_wide_outputs_shorten_chunks(self, monkeypatch, caplog, kind, make, width):
+        # A round's widest array is its Choi-row product: 6 Sym_in x 10 Sym_out
+        # entries per row for the whole output, 6 Sym_in x 3 clone entries
+        # per row for a clone picked at random (18 rows of them, for Sym_out
+        # and full outputs alike).  CHUNK_BYTES fits 100 rounds of them.
+        # Memory chunks subdivide the draw chunks of 256, 256 and 88 rounds:
+        # 3 + 3 + 1 of them.
         monkeypatch.setattr(qgames.harness, "CHUNK_BYTES", 16 * width * 100)
-        spec = GameSpec("cloning", d=3, n=2, m=3, samples=600, seed=1)
+        spec = GameSpec(kind, d=3, n=2, m=3, samples=600, seed=1)
         with caplog.at_level(logging.DEBUG, logger="qgames.harness"):
             monte_carlo_play(spec, make(3, 2, 3))
         assert "600 rounds in 7 chunks of 100" in caplog.records[-1].getMessage()
@@ -714,7 +722,7 @@ class TestAsymBoundScan:
     def test_random_isometry_channels_respect_the_ceiling(self, d, a, b, seed):
         n, m = min(a, b), max(a, b)
         ch = random_isometry_channel(d, n, m, RandomStream(seed))
-        assert ch.completeness_defect() <= 1e-10
+        assert dense_oracle.completeness_defect(ch) <= 1e-10
         fids = [single_clone_haar_fidelity(ch, k) for k in range(1, m + 1)]
         assert sum(fids) <= value_formulas(d, n, m).asym_bound + 1e-9
 
@@ -739,7 +747,7 @@ class TestAsymBoundScan:
         else:
             ch = conjugate_output(optimal_cloner(d, n, m), haar_random_unitary(d**m, rng))
         values = value_formulas(d, n, m)
-        assert ch.completeness_defect() <= 1e-10
+        assert dense_oracle.completeness_defect(ch) <= 1e-10
         assert haar_avg_global_fidelity(ch) <= values.global_value + 1e-12
         fids = [single_clone_haar_fidelity(ch, k) for k in range(1, m + 1)]
         assert sum(fids) <= values.asym_bound + 1e-9
@@ -816,8 +824,9 @@ def _per_channel_records(d, n, m, ancilla_dim):
 
     Channel i is the (i mod 256)-th consecutive `random_isometry_channel` call
     on substream i // 256 of the seed (seed scheme v3), checked with
-    `completeness_defect` and scored with one `single_clone_haar_fidelity` per
-    clone: the per-channel route through the public API.
+    `dense_oracle.completeness_defect` and scored with one
+    `single_clone_haar_fidelity` per clone: the per-channel route through the
+    public API.
     """
     root = RandomStream(ORACLE_SEED)
     records = []
@@ -825,7 +834,7 @@ def _per_channel_records(d, n, m, ancilla_dim):
         if i % ORACLE_DRAW_CHANNELS == 0:
             stream = root.substream(i // ORACLE_DRAW_CHANNELS)
         ch = random_isometry_channel(d, n, m, stream, ancilla_dim)
-        assert ch.completeness_defect() <= 1e-8
+        assert dense_oracle.completeness_defect(ch) <= 1e-8
         fids = tuple(single_clone_haar_fidelity(ch, k) for k in range(1, m + 1))
         records.append((f"random-{i}", fids, sum(fids)))
     return records

@@ -82,41 +82,62 @@ CLAIM_HELPERS = {
     "harness.povm_perturbations": "the POVM perturbations of that check",
 }
 
+#: Public methods that only tests call, kept on their classes for now.
+TEST_CONVENIENCES = {
+    "core.PureState.basis": "basis-state fixtures in six test modules; a two-line constructor",
+    "core.PureState.density": "the referee tests' DensityOperator inputs; goes with the dense "
+                              "DensityOperator path when that leaves the package",
+    "core.PureState.normalized": "normalises the Monte Carlo oracle's draws and refuses a zero or "
+                                 "non-finite norm before dividing (test_core pins the refusal)",
+}
 
-def _names_read(node: ast.AST) -> set[str]:
-    """Names and attribute names that the code under `node` reads."""
-    names = set()
+
+def _names_read(node: ast.AST) -> tuple[set[str], set[str]]:
+    """(names and attribute names, attribute names alone) that the code under `node` reads."""
+    names, attributes = set(), set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             names.add(sub.id)
         elif isinstance(sub, ast.Attribute):
-            names.add(sub.attr)
-    return names
+            attributes.add(sub.attr)
+    return names | attributes, attributes
 
 
 def unread_entry_points(modules: dict[str, ast.Module], hooked_text: str) -> list[str]:
-    """Public top-level functions and classes that no other code reads.
+    """Public top-level functions and classes, and their public methods, that no other code reads.
 
     A definition in `modules` (module name -> tree, without the package
-    `__init__`) passes if another top-level statement of any module reads its
-    name, or if the name appears in `hooked_text`.  The rest are returned as
-    "module.name".
+    `__init__`) passes if code outside it reads its name, or if the name
+    appears in `hooked_text`.  Code outside a top-level definition is every
+    other top-level statement of any module and the statements in other
+    classes' bodies; code outside a method (a property too) also takes in the
+    other statements of its own class, and reads a method only as an
+    attribute, so a local variable of the same name does not count.  The rest
+    are returned as "module.name" or "module.Class.name".
     """
-    defined, reads = [], []
+    defined, units = [], []
     for module, tree in modules.items():
         for node in tree.body:
+            units.append(node)
+            body = node.body if isinstance(node, ast.ClassDef) else []
+            units += body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                defined.append((module, node.name, node))
-            reads.append((node, _names_read(node)))
-    return [f"{module}.{name}" for module, name, own in defined
-            if not any(name in names for node, names in reads if node is not own)
+                defined.append((f"{module}.{node.name}", node.name, {node, *body}, False))
+            for sub in body:
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                    defined.append((f"{module}.{node.name}.{sub.name}", sub.name, {node, sub}, True))
+    reads = [(unit, _names_read(unit)) for unit in units]
+    # a method is read as an attribute only: index 1 of `_names_read`
+    return [label for label, name, own, is_method in defined
+            if not any(name in names[is_method] for unit, names in reads if unit not in own)
             and re.search(rf"\b{name}\b", hooked_text) is None]
 
 
 def test_no_test_only_entry_points():
     modules = {p.stem: ast.parse(p.read_text()) for p in MODULES}
     hooked = "\n".join(p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py")))
-    assert sorted(unread_entry_points(modules, hooked)) == sorted(CLAIM_HELPERS)
+    assert sorted(unread_entry_points(modules, hooked)) == sorted({**CLAIM_HELPERS,
+                                                                    **TEST_CONVENIENCES})
 
 
 def test_scan_finds_a_test_only_function():
@@ -126,3 +147,19 @@ def test_scan_finds_a_test_only_function():
         "b": ast.parse("from .a import used\n\nVALUE = used()\n"),
     }
     assert unread_entry_points(modules, "tracer targets: Hooked") == ["a.only_tests"]
+
+
+def test_scan_finds_a_test_only_method():
+    modules = {
+        "a": ast.parse("class Box:\n"
+                       "    def __init__(self):\n        self.size = self.width()\n\n"
+                       "    def width(self):\n        return 1\n\n"
+                       "    @property\n    def size_read(self):\n        return self.size\n\n"
+                       "    @classmethod\n    def only_tests(cls):\n"
+                       "        return cls.only_tests()\n\n"
+                       "    def shadowed(self):\n        pass\n\n"
+                       "    def hooked(self):\n        pass\n"),
+        "b": ast.parse("from .a import Box\n\nshadowed = 2\nVALUE = Box().size_read + shadowed\n"),
+    }
+    assert unread_entry_points(modules, "tracer targets: Box.hooked") == [
+        "a.Box.only_tests", "a.Box.shadowed"]

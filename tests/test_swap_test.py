@@ -50,7 +50,7 @@ class TestPassProbability:
 
     def test_mixed_vs_pure(self):
         assert pass_probability(
-            DensityOperator.maximally_mixed(2), KET0.density()
+            DensityOperator(np.eye(2) / 2), KET0.density()
         ) == pytest.approx(0.75)
 
 
@@ -132,4 +132,4 @@ class TestSampleOutcome:
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            sample_outcome(KET0.density(), DensityOperator.maximally_mixed(4), RandomStream(1))
+            sample_outcome(KET0.density(), DensityOperator(np.eye(4) / 4), RandomStream(1))

@@ -23,6 +23,7 @@ from qgames.zerosum import (
     symmetrize,
 )
 
+from conftest import total_variation
 from exact_simplex import exact_simplex
 
 PENNIES = MatrixGame(np.array([[1.0, -1.0], [-1.0, 1.0]]))
@@ -33,8 +34,8 @@ class TestSolve:
         eq = solve(rock_paper_scissors(), tol=1e-6)
         assert abs(eq.value) <= 1e-6
         uniform = MixedStrategy.uniform(3)
-        assert eq.x.total_variation(uniform) <= 1e-3
-        assert eq.y.total_variation(uniform) <= 1e-3
+        assert total_variation(eq.x, uniform) <= 1e-3
+        assert total_variation(eq.y, uniform) <= 1e-3
         assert eq.exploitability <= 1e-12
 
     def test_matching_pennies(self):
@@ -213,7 +214,7 @@ class TestExploitability:
 
     def test_pure_vs_pure_rps(self):
         # rock vs rock: best response paper earns 1, rock's worst column is -1
-        x = MixedStrategy.pure(3, 0)
+        x = MixedStrategy([1.0, 0.0, 0.0])
         assert exploitability(rock_paper_scissors(), x, x) == pytest.approx(2.0)
 
     @given(
@@ -232,7 +233,7 @@ class TestExploitability:
 
 class TestBestResponse:
     def test_paper_beats_rock(self):
-        reply = best_response(rock_paper_scissors(), MixedStrategy.pure(3, 0), "I")
+        reply = best_response(rock_paper_scissors(), MixedStrategy([1.0, 0.0, 0.0]), "I")
         assert reply == 1
 
     def test_uniform_ties_break_low(self):
@@ -348,4 +349,4 @@ class TestStrategyTypes:
     def test_total_variation(self):
         a = MixedStrategy(np.array([1.0, 0.0]))
         b = MixedStrategy(np.array([0.0, 1.0]))
-        assert a.total_variation(b) == 1.0
+        assert total_variation(a, b) == 1.0
