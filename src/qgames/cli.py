@@ -337,6 +337,8 @@ def parse_args(argv) -> argparse.Namespace:
         parser.error("--n must be >= 1")
     if config.command in ("asym-bound", "mc-play") and config.samples < 1:
         parser.error("--samples must be >= 1")
+    if config.command == "asym-bound" and config.grid < 0:
+        parser.error(f"--grid must be >= 0, got {config.grid}")
     return config
 
 

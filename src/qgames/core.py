@@ -166,7 +166,15 @@ class RandomStream:
         return float(self._gen.random())
 
     def complex_normals(self, count: int) -> np.ndarray:
-        return self._gen.standard_normal(count) + 1j * self._gen.standard_normal(count)
+        """`count` complex normals: `count` real parts drawn first, then `count` imaginary parts.
+
+        One `standard_normal(2 * count)` draw, the same numbers as two
+        consecutive `standard_normal(count)` calls.
+        """
+        parts = self._gen.standard_normal(2 * count)
+        out = np.empty(count, dtype=complex)
+        out.real, out.imag = parts[:count], parts[count:]
+        return out
 
     def __repr__(self):
         return f"RandomStream(seed={self.seed}, path={self.path})"

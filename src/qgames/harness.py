@@ -15,9 +15,11 @@ GAME_KINDS, which draw whole arrays per draw chunk, each round only its Haar
 state and the referee's uniform; `substream(c)` for the rest, item i being
 its (i mod DRAW_ROUNDS)-th consecutive draw.  So item i depends on the seed,
 the game kind and i alone, and N items are a prefix of any longer run.  Items
-are evaluated in memory chunks of a draw chunk, or fewer items where the rows
-would pass CHUNK_BYTES; memory chunks bound memory only, so no record
-depends on them.
+are evaluated in memory chunks, which bound memory only, so no record depends
+on them.  Monte Carlo rounds are scored MEMORY_ROUNDS at a time, a memory
+chunk spanning several draw chunks; the other consumers take at most one draw
+chunk per memory chunk.  Either way a memory chunk holds fewer items where
+its rows would pass CHUNK_BYTES.
 
 A strategy's payoff on psi is the overlap with psi of the state it hands the
 SWAP-test referee.  `_checked_payoffs` makes that function once per call,
@@ -65,6 +67,7 @@ from .core import (
     PureState,
     RandomStream,
     ShapeError,
+    SizeCapExceeded,
     _check_unit_rows,
     check_size_cap,
     haar_random_state,
@@ -88,10 +91,17 @@ GAME_KINDS = ("estimation", "cloning", "one_particle")
 #: determinism contract: changing it changes every record.
 DRAW_ROUNDS = 256
 #: Bytes one memory chunk's widest per-item array may take: games whose rows
-#: are wide (many Sym_out coordinates or d^m amplitudes) evaluate fewer than
-#: DRAW_ROUNDS items per chunk.  Memory chunks subdivide a draw chunk and bound
-#: the working memory only, so records do not depend on the chunk length.
+#: are wide (many Sym_out coordinates or d^m amplitudes) evaluate fewer items
+#: per chunk.  Memory chunks bound the working memory only, so records do not
+#: depend on the chunk length.
 CHUNK_BYTES = 2**22
+#: Rounds per memory chunk of Monte Carlo play, fewer where the rows would
+#: pass CHUNK_BYTES: four draw chunks, so that each batched call is long
+#: enough to hide its fixed cost and short enough to stay in cache.
+MEMORY_ROUNDS = 4 * DRAW_ROUNDS
+#: Most rounds times `_checked_payoffs` width one Monte Carlo play may score;
+#: a longer play is refused before its first draw.
+ROUND_BUDGET = 2**30
 #: Slack `asym_bound_scan` allows above the fidelity-sum ceiling before a
 #: scan fails; `ScanReport.tol` reports it.
 SCAN_TOL = 1e-9
@@ -188,9 +198,9 @@ def _state_rows(states, dim: int) -> np.ndarray:
     return np.stack([psi.amplitudes for psi in states])
 
 
-def _chunk_length(width: int) -> int:
-    """Rows per chunk: DRAW_ROUNDS, fewer when width-wide rows would pass CHUNK_BYTES."""
-    return max(1, min(DRAW_ROUNDS, CHUNK_BYTES // (16 * width)))
+def _chunk_length(width: int, most: int = DRAW_ROUNDS) -> int:
+    """Rows per chunk: `most`, fewer when width-wide rows would pass CHUNK_BYTES."""
+    return max(1, min(most, CHUNK_BYTES // (16 * width)))
 
 
 def _chunk_counts(total: int, chunk: int) -> tuple[int, int]:
@@ -238,8 +248,8 @@ def _checked_payoffs(kind: str, d: int, n: int, m: int, strategy):
 def _payoff_matrix(kind: str, d: int, n: int, m: int, strategies, states) -> MatrixGame:
     """A[i, j] = `_checked_payoffs` of strategies[i] on states[j].
 
-    Each row is evaluated over all columns at once, in chunks of columns as
-    `monte_carlo_play` chunks rounds.
+    Each row is evaluated over all columns at once, in chunks of at most
+    DRAW_ROUNDS columns, fewer where the rows would pass CHUNK_BYTES.
     """
     strategies = list(strategies)
     states = list(states)
@@ -406,6 +416,34 @@ class MonteCarloRecord:
     pass_rate: float
 
 
+def _round_draws(spec: GameSpec, chunk: int):
+    """(normals, uniforms) of each memory chunk of `chunk` rounds of `spec`, in order.
+
+    Draw chunk c takes `complex_normals(DRAW_ROUNDS * d)` and then
+    `generator.random(DRAW_ROUNDS)` from `substream(k).substream(c)` of the
+    seed, k the index of `spec.kind` in GAME_KINDS, and a final partial
+    chunk keeps its first rows only (seed scheme v5).  A draw chunk is drawn
+    when the first memory chunk that needs it comes up, and only its rounds
+    not yet dealt are held over, so memory does not grow with the round count.
+    """
+    kind = GAME_KINDS.index(spec.kind)
+    held = []  # the drawn rounds not yet dealt, as one (normals, uniforms) pair
+    drawn = 0
+    for start in range(0, spec.samples, chunk):
+        end = min(start + chunk, spec.samples)
+        parts = held
+        while drawn < end:
+            stream = RandomStream(spec.seed, drawn // DRAW_ROUNDS, parent=(kind,))
+            rounds = min(DRAW_ROUNDS, spec.samples - drawn)
+            normals = stream.complex_normals(DRAW_ROUNDS * spec.d).reshape(DRAW_ROUNDS, spec.d)
+            parts.append((normals[:rounds], stream.generator.random(DRAW_ROUNDS)[:rounds]))
+            drawn += rounds
+        normals, uniforms = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+        take = end - start
+        held = [(normals[take:], uniforms[take:])] if take < len(uniforms) else []
+        yield normals[:take], uniforms[:take]
+
+
 def monte_carlo_play(spec: GameSpec, strategy) -> MonteCarloRecord:
     """Play `spec.samples` protocol rounds against the SWAP-test referee.
 
@@ -421,36 +459,36 @@ def monte_carlo_play(spec: GameSpec, strategy) -> MonteCarloRecord:
     falls below (1 + F)/2, F the `_checked_payoffs` of the strategy on its
     state.
 
-    Each draw chunk is evaluated in memory chunks with array operations: the
-    whole draw chunk, or fewer rounds where one round's widest row is so wide
-    that a chunk's rows would pass CHUNK_BYTES.  Memory chunks subdivide a
-    draw chunk and only bound the working memory, so the record depends on
-    the seed and not on the chunk length.  The strategy and its size cap are
-    checked, and its rows built, once and before any draw (`_checked_payoffs`).
+    Scoring is decoupled from drawing: rounds are scored in memory chunks of
+    MEMORY_ROUNDS, or fewer where one round's widest row is so wide that a
+    chunk's rows would pass CHUNK_BYTES.  A memory chunk may span several draw
+    chunks or part of one; each is normalised and checked, scored and
+    refereed once, with array operations.  Only the draw chunks the current
+    memory chunk needs are drawn, so the working memory does not grow with
+    the round count, and the record depends on the seed and not on the chunk
+    length.  The strategy and its size cap are checked, and its rows built,
+    once and before any draw (`_checked_payoffs`); so is the round budget: a
+    play whose rounds times that width pass ROUND_BUDGET raises
+    SizeCapExceeded.
     """
     if spec.samples < 1:
         raise ValueError("samples must be >= 1")
     payoffs, width = _checked_payoffs(spec.kind, spec.d, spec.n, spec.m, strategy)
-    kind = GAME_KINDS.index(spec.kind)
-    chunk = _chunk_length(width)
-    draw_chunks, memory_chunks = _chunk_counts(spec.samples, chunk)
+    if spec.samples * width > ROUND_BUDGET:
+        raise SizeCapExceeded(
+            f"{spec.samples} rounds of width {width} exceed the round budget {ROUND_BUDGET}"
+        )
+    chunk = _chunk_length(width, MEMORY_ROUNDS)
     _log.debug(
-        "monte_carlo_play %s d=%d n=%d m=%d: %d rounds in %d chunks of %d; "
+        "monte_carlo_play %s d=%d n=%d m=%d: %d rounds in %d memory chunks of %d; "
         "seed scheme v5, %d draw chunks of %d",
-        spec.kind, spec.d, spec.n, spec.m, spec.samples, memory_chunks, chunk,
-        draw_chunks, DRAW_ROUNDS,
+        spec.kind, spec.d, spec.n, spec.m, spec.samples, -(-spec.samples // chunk), chunk,
+        -(-spec.samples // DRAW_ROUNDS), DRAW_ROUNDS,
     )
     total = 0
-    for c in range(draw_chunks):
-        stream = RandomStream(spec.seed, c, parent=(kind,))  # substream(kind).substream(c)
-        rounds = min(DRAW_ROUNDS, spec.samples - c * DRAW_ROUNDS)
-        normals = stream.complex_normals(DRAW_ROUNDS * spec.d).reshape(DRAW_ROUNDS, spec.d)[:rounds]
-        referee = stream.generator.random(DRAW_ROUNDS)
+    for normals, uniforms in _round_draws(spec, chunk):
         psi = _check_unit_rows(normals / np.linalg.norm(normals, axis=1, keepdims=True))
-        for start in range(0, rounds, chunk):
-            rows = slice(start, min(start + chunk, rounds))
-            overlaps = payoffs(psi[rows])
-            total += int(np.sum(referee_outcomes(overlaps, referee[rows])))
+        total += int(np.sum(referee_outcomes(payoffs(psi), uniforms)))
     mean = total / spec.samples
     # outcomes are +-1, so the sample variance is exactly 1 - mean^2
     stderr = math.sqrt(max(0.0, 1.0 - mean * mean) / spec.samples)

@@ -226,6 +226,23 @@ class TestAsymBoundCommand:
         assert json.loads(out)["error"]["type"] == "SizeCapExceeded"
         assert calls == []
 
+    @pytest.mark.parametrize("grid", ["-1", "-2"])
+    def test_negative_grid_exits_2(self, grid, capsys):
+        # a negative grid used to scan no grid and echo itself into the document
+        with pytest.raises(SystemExit) as info:
+            parse_args(["asym-bound", "--grid", grid, "--seed", "1"])
+        assert info.value.code == 2
+        assert "--grid must be >= 0" in capsys.readouterr().err
+
+    def test_empty_grid_is_accepted(self, capsys):
+        code, out = run_cli(
+            ["asym-bound", "--samples", "3", "--grid", "0", "--seed", "9"], capsys
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["grid"] == 0
+        assert [r["kind"] for r in doc["records"]] == ["optimal"] + ["random"] * 3
+
     def test_random_channels_are_pinned(self, capsys):
         # pinned fixed-seed results (seed scheme v3): the random channels are
         # consecutive draws of the Ginibre columns they keep from substream 0
@@ -285,6 +302,24 @@ class TestMcPlayCommand:
         assert code == 0
         assert json.loads(out)["mean_payoff"] == mean_payoff
 
+    @pytest.mark.parametrize("seed, mean_payoffs", [
+        (1, (0.8323, 0.6643, 0.6119, 0.8301, 0.667)),
+        (2, (0.8309, 0.6594, 0.605, 0.8316, 0.6698)),
+    ])
+    def test_benchmark_games_are_pinned_at_20000_rounds(self, capsys, seed, mean_payoffs):
+        # pinned fixed-seed results (seed scheme v5) of the five games of the
+        # benchmark's mc-rounds workload, rendered to 12 digits: how the
+        # rounds are scored in memory chunks must not move an outcome
+        games = [("estimation", 2, 4, 4), ("cloning", 2, 1, 2), ("cloning", 3, 2, 3),
+                 ("one_particle", 2, 1, 2), ("one_particle", 3, 1, 3)]
+        for (game, d, n, m), mean_payoff in zip(games, mean_payoffs):
+            code, out = run_cli(
+                ["mc-play", "--game", game, "--d", str(d), "--n", str(n), "--m", str(m),
+                 "--samples", "20000", "--seed", str(seed)], capsys
+            )
+            assert code == 0
+            assert json.loads(out)["mean_payoff"] == mean_payoff, game
+
     @pytest.mark.parametrize("first, second", [
         (["estimation", "--n", "4", "--m", "4"], ["one_particle", "--n", "1", "--m", "2"]),
         (["estimation", "--n", "1", "--m", "1"], ["cloning", "--n", "1", "--m", "2"]),
@@ -313,6 +348,22 @@ class TestMcPlayCommand:
         doc = json.loads(out)
         assert doc["exact_value"] == pytest.approx(10.0 / 11.0, abs=1e-12)
         assert abs(doc["z_score"]) <= 3.0
+
+    def test_round_budget_fails_fast(self, capsys, monkeypatch):
+        # a billion rounds used to run for about a quarter of an hour
+        calls = []
+        monkeypatch.setattr(RandomStream, "complex_normals",
+                            lambda self, count: calls.append(count))
+        monkeypatch.setattr(RandomStream, "generator",
+                            property(lambda self: calls.append("generator")))
+        code, out = run_cli(
+            ["mc-play", "--game", "cloning", "--samples", "1000000000", "--seed", "1"], capsys
+        )
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["type"] == "SizeCapExceeded"
+        assert "round budget" in error["message"]
+        assert calls == []
 
     def test_estimation_rejects_non_qubit(self):
         with pytest.raises(SystemExit) as info:

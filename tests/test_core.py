@@ -221,6 +221,23 @@ class TestHaarRandomState:
         assert draws(RandomStream(9).substream(1).substream(2)) == seen["(1, 2)"]
         assert RandomStream(9).substream(1).substream(2).path == (1, 2)
 
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 255, 512, 769])
+    def test_complex_normals_are_two_consecutive_real_draws(self, count):
+        # one 2 * count draw replays the real parts and then the imaginary
+        # parts of two count draws, bit for bit, and leaves the stream where
+        # they leave it
+        for stream, twin in [(RandomStream(5), RandomStream(5)),
+                             (RandomStream(9, 3), RandomStream(9, 3)),
+                             (RandomStream(9).substream(2).substream(7),
+                              RandomStream(9).substream(2).substream(7))]:
+            for _ in range(2):
+                got = stream.complex_normals(count)
+                real = twin.generator.standard_normal(count)
+                want = real + 1j * twin.generator.standard_normal(count)
+                assert got.dtype == complex and got.shape == (count,)
+                assert np.array_equal(got.view(float), want.view(float))
+            assert stream.uniform() == twin.uniform()
+
     def test_empirical_moments_match_symmetric_projector(self):
         # Monte Carlo oracle for the exact moment identity, d=2, k <= 3
         stream = RandomStream(2024)

@@ -484,6 +484,27 @@ class TestMonteCarlo:
         with pytest.raises(TypeError, match="Channel"):
             monte_carlo_play(GameSpec("cloning", d=2, n=1, m=2, samples=10), universal_povm(1))
 
+    @pytest.mark.parametrize("kind, d, n, m, make", [
+        ("estimation", 2, 4, 4, lambda: universal_povm(4)),
+        ("cloning", 2, 1, 2, lambda: optimal_cloner(2, 1, 2)),
+        ("one_particle", 3, 1, 3, lambda: optimal_cloner(3, 1, 3)),
+    ])
+    def test_round_budget_is_checked_before_any_draw(self, monkeypatch, kind, d, n, m, make):
+        strategy = make()
+        width = _checked_payoffs(kind, d, n, m, strategy)[1]
+        calls = refuse_draws(monkeypatch)
+        for samples in (10**9, qgames.harness.ROUND_BUDGET // width + 1):
+            with pytest.raises(SizeCapExceeded, match="round budget"):
+                monte_carlo_play(GameSpec(kind, d=d, n=n, m=m, samples=samples), strategy)
+        assert calls == []
+        # a play of exactly the budget is allowed
+        monkeypatch.undo()
+        monkeypatch.setattr(qgames.harness, "ROUND_BUDGET", 300 * width)
+        spec = GameSpec(kind, d=d, n=n, m=m, samples=300, seed=2)
+        assert monte_carlo_play(spec, strategy).samples == 300
+        with pytest.raises(SizeCapExceeded, match="round budget"):
+            monte_carlo_play(dataclasses.replace(spec, samples=301), strategy)
+
     def test_calibration_across_seeds(self):
         # z <= 3 should hold in at least 99% of repetitions; with these fixed
         # seeds the outcome is deterministic and was verified to hold
@@ -541,16 +562,24 @@ class TestMonteCarloOracle:
 
     # CHUNK_BYTES = 1000 gives chunks of 1 to 31 rounds across these games (one
     # round at the 60- and 36-entry widths of (3,2,3) and (3,1,3)); 16 bytes
-    # per row entry times 1 or 7 rows give chunks of 1 and 7 rounds
-    @pytest.mark.parametrize("rounds, value", [(1, None), (7, None), (None, 1000)])
+    # per row entry times 1, 7, 300 or 1024 rows give chunks of that many
+    # rounds, and 3001 rounds with MEMORY_ROUNDS raised to match score the
+    # longest play in one chunk.  Chunks shorter than a draw chunk split it,
+    # longer ones span several and cut across their edges.
+    @pytest.mark.parametrize("rounds, value", [
+        (1, None), (7, None), (None, 1000), (300, None), (1024, None), (3001, None),
+    ])
     @pytest.mark.parametrize("kind, d, n, m, make", MC_GAMES)
     def test_records_do_not_depend_on_chunk_size(self, monkeypatch, kind, d, n, m, make,
                                                  rounds, value):
         strategy = make()
-        specs = [GameSpec(kind, d=d, n=n, m=m, samples=s, seed=21) for s in (1, 20, 257)]
+        specs = [GameSpec(kind, d=d, n=n, m=m, samples=s, seed=21)
+                 for s in (1, 20, 257, 1000, 3001)]
         expected = [monte_carlo_play(spec, strategy) for spec in specs]
         if rounds is not None:
             value = 16 * _checked_payoffs(kind, d, n, m, strategy)[1] * rounds
+            monkeypatch.setattr(qgames.harness, "MEMORY_ROUNDS",
+                                max(rounds, qgames.harness.MEMORY_ROUNDS))
         monkeypatch.setattr(qgames.harness, "CHUNK_BYTES", value)
         assert [monte_carlo_play(spec, strategy) for spec in specs] == expected
 
@@ -559,14 +588,17 @@ class TestMonteCarloOracle:
     # of tensor powers.  The (2, 1, 7) product embedding has 64 Kraus
     # operators and 128-dimensional full outputs, so a chunk holding every
     # Kraus branch of its 256 rounds at once would take 32 MB for that array
-    # alone.
-    @pytest.mark.parametrize("kind, d, n, m, samples, make", [
-        ("cloning", 3, 2, 3, 20_000, optimal_cloner),
-        ("one_particle", 3, 1, 3, 20_000, optimal_cloner),
-        ("cloning", 2, 1, 7, 512, product_embedding_channel),
-        ("one_particle", 2, 1, 7, 512, product_embedding_channel),
+    # alone.  200 000 rounds of (2, 1, 2) cloning peak near 0.5 MiB, but a
+    # play that kept every draw would hold 6.4 MB of complex normals and
+    # 1.6 MB of uniforms.
+    @pytest.mark.parametrize("kind, d, n, m, samples, make, mib", [
+        ("cloning", 3, 2, 3, 20_000, optimal_cloner, 16),
+        ("one_particle", 3, 1, 3, 20_000, optimal_cloner, 16),
+        ("cloning", 2, 1, 7, 512, product_embedding_channel, 16),
+        ("one_particle", 2, 1, 7, 512, product_embedding_channel, 16),
+        ("cloning", 2, 1, 2, 200_000, optimal_cloner, 4),
     ])
-    def test_memory_stays_bounded(self, kind, d, n, m, samples, make):
+    def test_memory_stays_bounded(self, kind, d, n, m, samples, make, mib):
         strategy = make(d, n, m)
         spec = GameSpec(kind, d=d, n=n, m=m, samples=samples, seed=3)
         tracemalloc.start()
@@ -575,17 +607,22 @@ class TestMonteCarloOracle:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * 2**20
+        assert peak <= mib * 2**20
 
-    def test_logs_one_record_per_call(self, caplog):
-        spec = GameSpec("cloning", d=3, n=2, m=3, samples=600, seed=1)
+    # memory chunks of MEMORY_ROUNDS = 1024 span draw chunks of 256
+    @pytest.mark.parametrize("samples, tail", [
+        (600, "600 rounds in 1 memory chunks of 1024; seed scheme v5, 3 draw chunks of 256"),
+        (3001, "3001 rounds in 3 memory chunks of 1024; seed scheme v5, 12 draw chunks of 256"),
+    ])
+    def test_logs_one_record_per_call(self, caplog, samples, tail):
+        spec = GameSpec("cloning", d=3, n=2, m=3, samples=samples, seed=1)
         with caplog.at_level(logging.DEBUG, logger="qgames"):
             monte_carlo_play(spec, optimal_cloner(3, 2, 3))
         (record,) = [r for r in caplog.records if r.name == "qgames.harness"]
         assert record.levelno == logging.DEBUG
         message = record.getMessage()
         assert "cloning d=3 n=2 m=3" in message
-        assert "600 rounds in 3 chunks of 256; seed scheme v5, 3 draw chunks of 256" in message
+        assert message.endswith(tail)
 
     @pytest.mark.parametrize("kind, make, width", [
         ("cloning", product_embedding_channel, 60),
@@ -593,18 +630,21 @@ class TestMonteCarloOracle:
         ("one_particle", product_embedding_channel, 18),
         ("one_particle", optimal_cloner, 18),
     ])
-    def test_wide_outputs_shorten_chunks(self, monkeypatch, caplog, kind, make, width):
+    @pytest.mark.parametrize("rounds, chunks", [(100, 6), (300, 2)])
+    def test_wide_outputs_shorten_chunks(self, monkeypatch, caplog, kind, make, width,
+                                         rounds, chunks):
         # A round's widest array is its Choi-row product: 6 Sym_in x 10 Sym_out
         # entries per row for the whole output, 6 Sym_in x 3 clone entries
         # per row for a clone picked at random (18 rows of them, for Sym_out
-        # and full outputs alike).  CHUNK_BYTES fits 100 rounds of them.
-        # Memory chunks subdivide the draw chunks of 256, 256 and 88 rounds:
-        # 3 + 3 + 1 of them.
-        monkeypatch.setattr(qgames.harness, "CHUNK_BYTES", 16 * width * 100)
+        # and full outputs alike).  CHUNK_BYTES fits 100 or 300 rounds of
+        # them, fewer than MEMORY_ROUNDS.  Memory chunks cut across the draw
+        # chunks of 256, 256 and 88 rounds.
+        monkeypatch.setattr(qgames.harness, "CHUNK_BYTES", 16 * width * rounds)
         spec = GameSpec(kind, d=3, n=2, m=3, samples=600, seed=1)
         with caplog.at_level(logging.DEBUG, logger="qgames.harness"):
             monte_carlo_play(spec, make(3, 2, 3))
-        assert "600 rounds in 7 chunks of 100" in caplog.records[-1].getMessage()
+        message = caplog.records[-1].getMessage()
+        assert f"600 rounds in {chunks} memory chunks of {rounds};" in message
 
     @pytest.mark.parametrize("kind, d, n, m, make", MC_GAMES)
     def test_shorter_play_is_a_prefix(self, monkeypatch, kind, d, n, m, make):

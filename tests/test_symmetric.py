@@ -132,3 +132,32 @@ def test_coherent_coordinates_compress_the_tensor_power(d, n):
         want = basis.compress(tensor_power(psi, n).amplitudes)
         assert np.max(np.abs(row - want)) <= 1e-12
         assert np.max(np.abs(coherent_coordinates(psi.amplitudes, n) - row)) == 0.0
+
+
+def _integer_power_coordinates(amplitudes, n):
+    """sqrt(multinom(k)) prod_i psi_i^{k_i} from numpy's complex integer powers, level by level."""
+    occs = np.array(occupations(amplitudes.shape[-1], n)).reshape(-1, amplitudes.shape[-1])
+    roots = np.array([math.sqrt(math.factorial(n) / math.prod(map(math.factorial, occ)))
+                      for occ in occs])
+    out = roots * amplitudes[..., :1] ** occs[:, 0]
+    for i in range(1, occs.shape[1]):
+        out *= amplitudes[..., i:i + 1] ** occs[:, i]
+    return out
+
+
+@pytest.mark.parametrize("d, top", [(1, 12), (2, 30), (3, 12), (4, 8), (5, 5)])
+def test_coherent_coordinates_keep_the_integer_power_bits(d, top):
+    # the power table multiplies earlier entries as numpy's integer-power loop
+    # does, so the coordinates match that loop bit for bit, zero amplitudes
+    # and real ones included, and come out C-contiguous as it does
+    stream = RandomStream(79)
+    psi = stream.complex_normals(40 * d).reshape(2, 20, d)
+    psi[0, 0, 0] = 0.0
+    psi[0, 1] = psi[0, 1].real
+    psi[1, 0, -1] = -0.0 + 0.5j
+    for n in range(top + 1):
+        got = coherent_coordinates(psi, n)
+        want = _integer_power_coordinates(psi, n)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, want), n
