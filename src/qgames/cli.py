@@ -141,7 +141,7 @@ def _run_sandwich(config):
             product_embedding_channel(config.d, config.n, config.m),
         ]
         sets = harness.default_state_sets(config.d, sizes, rng)
-    report = harness.sandwich_report(spec, player_i, sets, tol=1e-9)
+    report = harness.sandwich_report(spec, player_i, sets)
     doc = {
         "command": "sandwich",
         "game": config.game,

@@ -16,10 +16,10 @@ state and the referee's uniform; `substream(c)` for the rest, item i being
 its (i mod DRAW_ROUNDS)-th consecutive draw.  So item i depends on the seed,
 the game kind and i alone, and N items are a prefix of any longer run.  Items
 are evaluated in memory chunks, which bound memory only, so no record depends
-on them.  Monte Carlo rounds are scored MEMORY_ROUNDS at a time, a memory
-chunk spanning several draw chunks; the other consumers take at most one draw
-chunk per memory chunk.  Either way a memory chunk holds fewer items where
-its rows would pass CHUNK_BYTES.
+on them.  Monte Carlo rounds are drawn in blocks of whole draw chunks and
+scored in slices of at most MEMORY_ROUNDS rounds; the other consumers take at
+most one draw chunk per memory chunk.  Either way a slice or memory chunk
+holds fewer items where its rows would pass CHUNK_BYTES.
 
 A strategy's payoff on psi is the overlap with psi of the state it hands the
 SWAP-test referee.  `_checked_payoffs` makes that function once per call,
@@ -95,16 +95,16 @@ DRAW_ROUNDS = 256
 #: per chunk.  Memory chunks bound the working memory only, so records do not
 #: depend on the chunk length.
 CHUNK_BYTES = 2**22
-#: Rounds per memory chunk of Monte Carlo play, fewer where the rows would
-#: pass CHUNK_BYTES: four draw chunks, so that each batched call is long
-#: enough to hide its fixed cost and short enough to stay in cache.
+#: Rounds per slice of Monte Carlo play, fewer where the rows would pass
+#: CHUNK_BYTES: four draw chunks, so that each batched call is long enough to
+#: hide its fixed cost and short enough to stay in cache.
 MEMORY_ROUNDS = 4 * DRAW_ROUNDS
 #: Most rounds times `_checked_payoffs` width one Monte Carlo play may score;
 #: a longer play is refused before its first draw.
 ROUND_BUDGET = 2**30
-#: Slack `asym_bound_scan` allows above the fidelity-sum ceiling before a
-#: scan fails; `ScanReport.tol` reports it.
-SCAN_TOL = 1e-9
+#: Slack of the sandwich, perturbation and scan checks, and the exploitability
+#: the sandwich's `solve` calls certify; each report carries it as `.tol`.
+REPORT_TOL = 1e-9
 
 _log = logging.getLogger(__name__)
 
@@ -299,7 +299,7 @@ class SandwichReport:
         return self.lower_bound_ok and self.monotone_ok and self.converged
 
 
-def sandwich_report(spec: GameSpec, player_i, player_ii_sets, tol: float = 1e-9) -> SandwichReport:
+def sandwich_report(spec: GameSpec, player_i, player_ii_sets) -> SandwichReport:
     """Solve the restricted game at each refinement level and check the sandwich.
 
     `player_ii_sets` must be nested (each level a superset of the previous);
@@ -316,16 +316,16 @@ def sandwich_report(spec: GameSpec, player_i, player_ii_sets, tol: float = 1e-9)
             game = discretize_cloning_game(spec.d, spec.n, spec.m, player_i, states)
         else:
             raise ValueError("sandwich_report supports estimation and cloning games")
-        eq = solve(game, tol=min(tol, 1e-9))
+        eq = solve(game, tol=REPORT_TOL)
         levels.append(SandwichLevel(len(states), eq.value, eq.exploitability))
     theory = spec.theoretical_value()
-    lower = all(lv.value >= theory - tol for lv in levels)
+    lower = all(lv.value >= theory - REPORT_TOL for lv in levels)
     monotone = all(
-        levels[i + 1].value <= levels[i].value + tol for i in range(len(levels) - 1)
+        levels[i + 1].value <= levels[i].value + REPORT_TOL for i in range(len(levels) - 1)
     )
-    converged = abs(levels[-1].value - theory) <= tol
+    converged = abs(levels[-1].value - theory) <= REPORT_TOL
     return SandwichReport(
-        spec.kind, theory, tuple(levels), lower, monotone, converged, tol
+        spec.kind, theory, tuple(levels), lower, monotone, converged, REPORT_TOL
     )
 
 
@@ -353,7 +353,7 @@ def _haar_value(strategy) -> float:
     raise TypeError(f"unsupported strategy type {type(strategy).__name__}")
 
 
-def perturb_best_response_check(base, perturbations, tol: float = 1e-9) -> PerturbationReport:
+def perturb_best_response_check(base, perturbations) -> PerturbationReport:
     """No perturbation's Haar-averaged payoff may beat the base strategy's."""
     base_value = _haar_value(base)
     max_value = -np.inf
@@ -362,12 +362,12 @@ def perturb_best_response_check(base, perturbations, tol: float = 1e-9) -> Pertu
     for strategy in perturbations:
         value = _haar_value(strategy)
         max_value = max(max_value, value)
-        if value > base_value + tol:
+        if value > base_value + REPORT_TOL:
             violations += 1
         count += 1
     if count == 0:
         raise ValueError("no perturbations supplied")
-    return PerturbationReport(base_value, count, float(max_value), violations, tol)
+    return PerturbationReport(base_value, count, float(max_value), violations, REPORT_TOL)
 
 
 def cloner_perturbations(ch: Channel, count: int, rng: RandomStream) -> list[Channel]:
@@ -416,57 +416,38 @@ class MonteCarloRecord:
     pass_rate: float
 
 
-def _round_draws(spec: GameSpec, chunk: int):
-    """(normals, uniforms) of each memory chunk of `chunk` rounds of `spec`, in order.
+def _draw_chunk(spec: GameSpec, c: int):
+    """(normals, uniforms) of the rounds of draw chunk c of `spec`, by seed scheme v5.
 
-    Draw chunk c takes `complex_normals(DRAW_ROUNDS * d)` and then
-    `generator.random(DRAW_ROUNDS)` from `substream(k).substream(c)` of the
-    seed, k the index of `spec.kind` in GAME_KINDS, and a final partial
-    chunk keeps its first rows only (seed scheme v5).  A draw chunk is drawn
-    when the first memory chunk that needs it comes up, and only its rounds
-    not yet dealt are held over, so memory does not grow with the round count.
+    `complex_normals(DRAW_ROUNDS * d)` and then `generator.random(DRAW_ROUNDS)`
+    from `substream(k).substream(c)` of the seed, k the index of `spec.kind`
+    in GAME_KINDS; a final partial chunk keeps its first rows only.
     """
-    kind = GAME_KINDS.index(spec.kind)
-    held = []  # the drawn rounds not yet dealt, as one (normals, uniforms) pair
-    drawn = 0
-    for start in range(0, spec.samples, chunk):
-        end = min(start + chunk, spec.samples)
-        parts = held
-        while drawn < end:
-            stream = RandomStream(spec.seed, drawn // DRAW_ROUNDS, parent=(kind,))
-            rounds = min(DRAW_ROUNDS, spec.samples - drawn)
-            normals = stream.complex_normals(DRAW_ROUNDS * spec.d).reshape(DRAW_ROUNDS, spec.d)
-            parts.append((normals[:rounds], stream.generator.random(DRAW_ROUNDS)[:rounds]))
-            drawn += rounds
-        normals, uniforms = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
-        take = end - start
-        held = [(normals[take:], uniforms[take:])] if take < len(uniforms) else []
-        yield normals[:take], uniforms[:take]
+    stream = RandomStream(spec.seed, c, parent=(GAME_KINDS.index(spec.kind),))
+    rounds = min(DRAW_ROUNDS, spec.samples - c * DRAW_ROUNDS)
+    normals = stream.complex_normals(DRAW_ROUNDS * spec.d).reshape(DRAW_ROUNDS, spec.d)
+    return normals[:rounds], stream.generator.random(DRAW_ROUNDS)[:rounds]
 
 
 def monte_carlo_play(spec: GameSpec, strategy) -> MonteCarloRecord:
     """Play `spec.samples` protocol rounds against the SWAP-test referee.
 
     The seed is `spec.seed`; `dataclasses.replace(spec, seed=s)` plays seed s.
-    Draws follow seed scheme v5 (module docstring).  Draw chunk c holds rounds
-    c*DRAW_ROUNDS .. (c+1)*DRAW_ROUNDS - 1 and draws all of them from the one
-    substream `RandomStream(seed).substream(k).substream(c)`, k the index of
-    `spec.kind` in GAME_KINDS: first `complex_normals(DRAW_ROUNDS * d)`, the
-    Haar states' amplitudes, then `generator.random(DRAW_ROUNDS)`, the
-    referee's uniforms.  A final partial chunk uses its first rows only, so
-    round i depends on (seed, kind, i) alone and the record of N rounds is the
-    prefix of the record of any longer play.  Round i passes when its uniform
-    falls below (1 + F)/2, F the `_checked_payoffs` of the strategy on its
-    state.
+    Draws follow seed scheme v5 (module docstring): round i is row
+    i mod DRAW_ROUNDS of draw chunk i // DRAW_ROUNDS (`_draw_chunk`), its
+    Haar state's amplitudes and the referee's uniform, so it depends on
+    (seed, kind, i) alone and the record of N rounds is the prefix of the
+    record of any longer play.  Round i passes when its uniform falls below
+    (1 + F)/2, F the `_checked_payoffs` of the strategy on its state.
 
-    Scoring is decoupled from drawing: rounds are scored in memory chunks of
-    MEMORY_ROUNDS, or fewer where one round's widest row is so wide that a
-    chunk's rows would pass CHUNK_BYTES.  A memory chunk may span several draw
-    chunks or part of one; each is normalised and checked, scored and
-    refereed once, with array operations.  Only the draw chunks the current
-    memory chunk needs are drawn, so the working memory does not grow with
-    the round count, and the record depends on the seed and not on the chunk
-    length.  The strategy and its size cap are checked, and its rows built,
+    Rounds are scored in slices of MEMORY_ROUNDS, or fewer where one round's
+    widest row is so wide that a slice's rows would pass CHUNK_BYTES.  They
+    are drawn in blocks of (slice length) // DRAW_ROUNDS whole draw chunks,
+    at least one; each block is normalised and checked once, then scored and
+    refereed slice by slice with array operations.  A block holds only its
+    rounds' d amplitudes and uniforms, so the working memory does not grow
+    with the round count, and the record depends on the seed and not on the
+    slice length.  The strategy and its size cap are checked, and its rows built,
     once and before any draw (`_checked_payoffs`); so is the round budget: a
     play whose rounds times that width pass ROUND_BUDGET raises
     SizeCapExceeded.
@@ -479,16 +460,24 @@ def monte_carlo_play(spec: GameSpec, strategy) -> MonteCarloRecord:
             f"{spec.samples} rounds of width {width} exceed the round budget {ROUND_BUDGET}"
         )
     chunk = _chunk_length(width, MEMORY_ROUNDS)
+    per_block = max(1, chunk // DRAW_ROUNDS)
+    draws = -(-spec.samples // DRAW_ROUNDS)
+    full, rest = divmod(spec.samples, per_block * DRAW_ROUNDS)
     _log.debug(
-        "monte_carlo_play %s d=%d n=%d m=%d: %d rounds in %d memory chunks of %d; "
-        "seed scheme v5, %d draw chunks of %d",
-        spec.kind, spec.d, spec.n, spec.m, spec.samples, -(-spec.samples // chunk), chunk,
-        -(-spec.samples // DRAW_ROUNDS), DRAW_ROUNDS,
+        "monte_carlo_play %s d=%d n=%d m=%d: %d rounds in %d slices of <= %d, "
+        "%d blocks of <= %d draw chunks; seed scheme v5, %d draw chunks of %d",
+        spec.kind, spec.d, spec.n, spec.m, spec.samples,
+        full * -(-per_block * DRAW_ROUNDS // chunk) + -(-rest // chunk), chunk,
+        full + (rest > 0), per_block, draws, DRAW_ROUNDS,
     )
     total = 0
-    for normals, uniforms in _round_draws(spec, chunk):
+    for first in range(0, draws, per_block):
+        parts = [_draw_chunk(spec, c) for c in range(first, min(first + per_block, draws))]
+        normals, uniforms = map(np.concatenate, zip(*parts))
         psi = _check_unit_rows(normals / np.linalg.norm(normals, axis=1, keepdims=True))
-        total += int(np.sum(referee_outcomes(payoffs(psi), uniforms)))
+        for start in range(0, len(psi), chunk):
+            stop = start + chunk
+            total += int(np.sum(referee_outcomes(payoffs(psi[start:stop]), uniforms[start:stop])))
     mean = total / spec.samples
     # outcomes are +-1, so the sample variance is exactly 1 - mean^2
     stderr = math.sqrt(max(0.0, 1.0 - mean * mean) / spec.samples)
@@ -569,7 +558,7 @@ def asym_bound_scan(
     Scans Haar-random isometry channels plus (for 1 -> 2) the asymmetry grid
     and the optimal cloner itself, which attains the bound exactly.  The scan
     passes when no record's fidelity sum exceeds the bound by more than
-    SCAN_TOL.  The random channels' Ginibre side d^n_out * ancilla_dim is
+    REPORT_TOL.  The random channels' Ginibre side d^n_out * ancilla_dim is
     checked against the size cap, with the arity checks of
     `random_isometry_channel`, before the first channel is built.
 
@@ -616,4 +605,4 @@ def asym_bound_scan(
         for t, ch in asymmetry_grid_channels(d, n_grid):
             records.append(_scan_channel(ch, "grid", f"grid-t={t:.6f}"))
     best = max(records, key=lambda r: r.sum_fidelity)
-    return ScanReport(best.sum_fidelity, bound, best.label, tuple(records), SCAN_TOL)
+    return ScanReport(best.sum_fidelity, bound, best.label, tuple(records), REPORT_TOL)

@@ -140,20 +140,6 @@ def _coherent_factors(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(exponents), _frozen(roots)
 
 
-def _unfused_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    """out = a * b for complex numbers stored as (..., 2) arrays of real and imaginary parts.
-
-    Every real product and sum is rounded on its own.  numpy's vector loop
-    for complex multiplication may fuse a product into a sum (one rounding
-    instead of two); its loop for complex integer powers does not, and this
-    product rounds as that loop does.
-    """
-    p = a * b  # ar br, ai bi
-    q = a * b[..., ::-1]  # ar bi, ai br
-    np.subtract(p[..., 0], p[..., 1], out=out[..., 0])
-    np.add(q[..., 0], q[..., 1], out=out[..., 1])
-
-
 def coherent_coordinates(amplitudes, n: int) -> np.ndarray:
     """Occupation coordinates of psi^{(x)n}, for psi given by its amplitudes.
 
@@ -166,24 +152,19 @@ def coherent_coordinates(amplitudes, n: int) -> np.ndarray:
     renormalised: the coordinates have norm |psi|^n.
 
     The powers come from a table of psi_i^k for k = 0 .. n, gathered by the
-    exponent columns.  Entry k is the product of two earlier entries as in
-    binary exponentiation, psi^k = psi^(k - 2^j) psi^(2^j) for the largest
-    2^j < k, so one `_unfused_product` call per doubling of k fills the
-    table.  For k < 100 the table then holds the same bits as `psi ** k`,
-    and the coordinates the same bits as from integer powers.  Every step is
-    elementwise, so a state alone gives the same bits as inside a batch.
+    exponent columns.  Entries 0 and 1 are filled directly and entries 2 .. n
+    by one `np.power` call with integer exponents, so the table holds the
+    bits of `psi ** k`: numpy's repeated-multiplication loop for k < 100 and
+    `cpow` from k = 100 on.  Every step is elementwise, so a state alone gives
+    the same bits as inside a batch.
     """
     amplitudes = np.asarray(amplitudes)
     exponents, roots = _coherent_factors(amplitudes.shape[-1], n)
     table = np.empty((n + 1,) + amplitudes.shape, dtype=complex)  # table[k] = psi^k
     table[0] = 1
     table[1:2] = amplitudes
-    parts = table.view(float).reshape(table.shape + (2,))
-    top = 1
-    while top < n:  # entries top+1 .. 2 top are entries 1 .. top times entry top
-        stop = min(2 * top, n)
-        _unfused_product(parts[1:stop - top + 1], parts[top], out=parts[top + 1:stop + 1])
-        top *= 2
+    np.power(amplitudes, np.arange(2, n + 1).reshape((-1,) + (1,) * amplitudes.ndim),
+             out=table[2:])
     out = roots.reshape((-1,) + (1,) * (amplitudes.ndim - 1)) * table[exponents[:, 0], ..., 0]
     for i in range(1, exponents.shape[1]):
         out *= table[exponents[:, i], ..., i]

@@ -320,6 +320,23 @@ class TestMcPlayCommand:
             assert code == 0
             assert json.loads(out)["mean_payoff"] == mean_payoff, game
 
+    @pytest.mark.parametrize("n, m, seed, mean_payoff", [
+        (1, 100, 1, 0.0203265578141),
+        (1, 100, 2, 0.0056647784072),
+        (2, 120, 1, 0.0263245584805),
+        (2, 120, 2, 0.00899700099967),
+    ])
+    def test_cloning_at_a_hundred_copies_is_pinned(self, capsys, n, m, seed, mean_payoff):
+        # global cloning rows pair with psi^{(x)m}, so these plays take
+        # coherent coordinates at m >= 100 copies, where numpy's integer-power
+        # loop hands over to cpow
+        code, out = run_cli(
+            ["mc-play", "--game", "cloning", "--d", "2", "--n", str(n), "--m", str(m),
+             "--samples", "3001", "--seed", str(seed)], capsys
+        )
+        assert code == 0
+        assert json.loads(out)["mean_payoff"] == mean_payoff
+
     @pytest.mark.parametrize("first, second", [
         (["estimation", "--n", "4", "--m", "4"], ["one_particle", "--n", "1", "--m", "2"]),
         (["estimation", "--n", "1", "--m", "1"], ["cloning", "--n", "1", "--m", "2"]),

@@ -326,7 +326,7 @@ class TestSandwich:
         spec = GameSpec("estimation", n=1, seed=1)
         player_i = [universal_povm(1), build_povm(1, default_directions(1))]
         sets = default_state_sets(2, (4, 8, 16))
-        report = sandwich_report(spec, player_i, sets, tol=1e-9)
+        report = sandwich_report(spec, player_i, sets)
         assert report.lower_bound_ok and report.monotone_ok and report.converged
         assert report.levels[-1].value == pytest.approx(2.0 / 3.0, abs=1e-9)
 
@@ -352,9 +352,7 @@ class TestSandwich:
 
     def test_estimation_single_optimal_povm_against_icosahedron(self):
         spec = GameSpec("estimation", n=1, seed=1)
-        report = sandwich_report(
-            spec, [universal_povm(1)], [icosahedral_states()], tol=1e-9
-        )
+        report = sandwich_report(spec, [universal_povm(1)], [icosahedral_states()])
         assert report.levels[0].value >= 2.0 / 3.0 - 1e-9
         assert abs(report.levels[0].value - 2.0 / 3.0) <= 1e-9
 
@@ -371,7 +369,7 @@ class TestSandwich:
         spec = GameSpec("estimation", n=1, seed=1)
         player_i = [build_povm(1, default_directions(1))]
         polar = fibonacci_states(16)  # first entries cluster near the pole
-        report = sandwich_report(spec, player_i, nested_state_sets(polar, (2, 4, 16)), tol=1e-9)
+        report = sandwich_report(spec, player_i, nested_state_sets(polar, (2, 4, 16)))
         values = [lv.value for lv in report.levels]
         assert values[0] > values[-1]
         assert report.monotone_ok
@@ -380,21 +378,21 @@ class TestSandwich:
 class TestPerturbations:
     def test_base_against_itself_is_equality(self):
         ch = optimal_cloner(2, 1, 2)
-        report = perturb_best_response_check(ch, [ch], tol=1e-9)
+        report = perturb_best_response_check(ch, [ch])
         assert report.passed
         assert report.max_value == pytest.approx(report.base_value)
 
     def test_cloner_perturbations_never_win(self, rng):
         ch = optimal_cloner(2, 1, 2)
         perts = cloner_perturbations(ch, 60, rng.substream(1))
-        report = perturb_best_response_check(ch, perts, tol=1e-9)
+        report = perturb_best_response_check(ch, perts)
         assert report.passed
         assert report.n_perturbations == 60
 
     def test_povm_perturbations_never_win(self, rng):
         povm = universal_povm(1)
         perts = povm_perturbations(povm, 60, rng.substream(2))
-        report = perturb_best_response_check(povm, perts, tol=1e-9)
+        report = perturb_best_response_check(povm, perts)
         assert report.passed
 
     def test_povm_perturbation_kicks_differ(self):
@@ -422,7 +420,7 @@ class TestPerturbations:
     def test_full_noise_output_scores_inverse_bose_dimension(self):
         ch = optimal_cloner(2, 1, 2)
         noise = symmetric_noise_channel(2, 1, 2)
-        report = perturb_best_response_check(ch, [noise], tol=1e-9)
+        report = perturb_best_response_check(ch, [noise])
         assert report.passed
         assert report.max_value == pytest.approx(1.0 / 3.0, abs=1e-12)
 
@@ -609,10 +607,13 @@ class TestMonteCarloOracle:
             tracemalloc.stop()
         assert peak <= mib * 2**20
 
-    # memory chunks of MEMORY_ROUNDS = 1024 span draw chunks of 256
+    # blocks of MEMORY_ROUNDS // 256 = 4 draw chunks of 256, each scored in one
+    # slice of at most MEMORY_ROUNDS = 1024 rounds
     @pytest.mark.parametrize("samples, tail", [
-        (600, "600 rounds in 1 memory chunks of 1024; seed scheme v5, 3 draw chunks of 256"),
-        (3001, "3001 rounds in 3 memory chunks of 1024; seed scheme v5, 12 draw chunks of 256"),
+        (600, "600 rounds in 1 slices of <= 1024, 1 blocks of <= 4 draw chunks; "
+              "seed scheme v5, 3 draw chunks of 256"),
+        (3001, "3001 rounds in 3 slices of <= 1024, 3 blocks of <= 4 draw chunks; "
+               "seed scheme v5, 12 draw chunks of 256"),
     ])
     def test_logs_one_record_per_call(self, caplog, samples, tail):
         spec = GameSpec("cloning", d=3, n=2, m=3, samples=samples, seed=1)
@@ -630,21 +631,23 @@ class TestMonteCarloOracle:
         ("one_particle", product_embedding_channel, 18),
         ("one_particle", optimal_cloner, 18),
     ])
-    @pytest.mark.parametrize("rounds, chunks", [(100, 6), (300, 2)])
+    @pytest.mark.parametrize("rounds, slices", [(100, 7), (300, 3)])
     def test_wide_outputs_shorten_chunks(self, monkeypatch, caplog, kind, make, width,
-                                         rounds, chunks):
+                                         rounds, slices):
         # A round's widest array is its Choi-row product: 6 Sym_in x 10 Sym_out
         # entries per row for the whole output, 6 Sym_in x 3 clone entries
         # per row for a clone picked at random (18 rows of them, for Sym_out
         # and full outputs alike).  CHUNK_BYTES fits 100 or 300 rounds of
-        # them, fewer than MEMORY_ROUNDS.  Memory chunks cut across the draw
-        # chunks of 256, 256 and 88 rounds.
+        # them, fewer than MEMORY_ROUNDS, so each block is one draw chunk of
+        # 256, 256 and 88 rounds, scored in slices of 100, 100 and 56 rounds
+        # (3 + 3 + 1) or in one slice each.
         monkeypatch.setattr(qgames.harness, "CHUNK_BYTES", 16 * width * rounds)
         spec = GameSpec(kind, d=3, n=2, m=3, samples=600, seed=1)
         with caplog.at_level(logging.DEBUG, logger="qgames.harness"):
             monte_carlo_play(spec, make(3, 2, 3))
         message = caplog.records[-1].getMessage()
-        assert f"600 rounds in {chunks} memory chunks of {rounds};" in message
+        assert f"600 rounds in {slices} slices of <= {rounds}, 3 blocks of <= 1 draw chunks;" \
+            in message
 
     @pytest.mark.parametrize("kind, d, n, m, make", MC_GAMES)
     def test_shorter_play_is_a_prefix(self, monkeypatch, kind, d, n, m, make):

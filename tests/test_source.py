@@ -163,3 +163,48 @@ def test_scan_finds_a_test_only_method():
     }
     assert unread_entry_points(modules, "tracer targets: Box.hooked") == [
         "a.Box.only_tests", "a.Box.shadowed"]
+
+
+def unread_private_names(modules: dict[str, ast.Module]) -> list[str]:
+    """Private top-level functions, classes and constants that no other code reads.
+
+    `modules` maps module names to trees, the package `__init__` included.  A
+    top-level definition or assignment of a name that starts with one
+    underscore (dunders aside) passes if any other top-level statement of any
+    module reads the name, bare or as an attribute; an import alone is not a
+    read, and neither is the definition's own body.  The rest are returned as
+    "module.name".
+    """
+    defined, units = [], []
+    for module, tree in modules.items():
+        for node in tree.body:
+            units.append(node)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined += [(f"{module}.{name}", name, node) for name in names
+                        if name.startswith("_") and not name.endswith("__")]
+    reads = [(unit, _names_read(unit)[0]) for unit in units]
+    return [label for label, name, own in defined
+            if not any(name in names for unit, names in reads if unit is not own)]
+
+
+def test_no_unread_private_names():
+    modules = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert unread_private_names(modules) == []
+
+
+def test_scan_finds_an_unread_private_name():
+    modules = {
+        "a": ast.parse("_LIMIT = 3\n_UNREAD: int = 4\n__all__ = ['run']\n\n\n"
+                       "def _helper(n):\n    return _helper(n - 1) if n else _LIMIT\n\n\n"
+                       "def _orphan(n):\n    return _orphan(n)\n\n\n"
+                       "class _Box:\n    pass\n\n\n"
+                       "def run():\n    return _helper(2)\n"),
+        "b": ast.parse("from . import a\nfrom .a import _orphan\n\nBOX = a._Box()\n"),
+    }
+    assert unread_private_names(modules) == ["a._UNREAD", "a._orphan"]

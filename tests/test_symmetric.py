@@ -145,19 +145,35 @@ def _integer_power_coordinates(amplitudes, n):
     return out
 
 
-@pytest.mark.parametrize("d, top", [(1, 12), (2, 30), (3, 12), (4, 8), (5, 5)])
-def test_coherent_coordinates_keep_the_integer_power_bits(d, top):
-    # the power table multiplies earlier entries as numpy's integer-power loop
-    # does, so the coordinates match that loop bit for bit, zero amplitudes
-    # and real ones included, and come out C-contiguous as it does
-    stream = RandomStream(79)
-    psi = stream.complex_normals(40 * d).reshape(2, 20, d)
+def _awkward_amplitudes(d):
+    """Two batches of 20 states at dimension d, with zero, real and -0 amplitudes among them."""
+    psi = RandomStream(79).complex_normals(40 * d).reshape(2, 20, d)
     psi[0, 0, 0] = 0.0
     psi[0, 1] = psi[0, 1].real
     psi[1, 0, -1] = -0.0 + 0.5j
+    return psi
+
+
+@pytest.mark.parametrize("d, top", [(1, 12), (2, 99), (3, 12), (4, 8), (5, 5)])
+def test_coherent_coordinates_keep_the_integer_power_bits(d, top):
+    # the power table takes its entries from numpy's own integer-power loop,
+    # which multiplies repeatedly up to exponent 99, so the coordinates match
+    # `**` bit for bit, zero amplitudes and real ones included, and come out
+    # C-contiguous as it does
+    psi = _awkward_amplitudes(d)
     for n in range(top + 1):
         got = coherent_coordinates(psi, n)
         want = _integer_power_coordinates(psi, n)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.flags.c_contiguous
         assert np.array_equal(got, want), n
+
+
+@pytest.mark.parametrize("n", [100, 128, 300])
+def test_coherent_coordinates_past_the_integer_power_loop(n):
+    # from exponent 100 numpy's power hands over to cpow, whose rounding the
+    # per-level `**` formula need not share bit for bit
+    psi = _awkward_amplitudes(2)
+    got = coherent_coordinates(psi, n)
+    want = _integer_power_coordinates(psi, n)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
