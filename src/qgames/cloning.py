@@ -212,6 +212,7 @@ def _padding_kraus(d, n_in, n_out, input_first) -> np.ndarray:
     """Full-output Kraus stack of rho -> rho (x) (I/d)^{(n_out - n_in)}, or its mirror."""
     if not 1 <= n_in <= n_out:
         raise InvalidArity(f"need 1 <= n_in <= n_out, got ({n_in}, {n_out})")
+    check_size_cap(d**n_out)
     dim_in, pad = d**n_in, d ** (n_out - n_in)
     # K_i maps basis state x to x (x) e_i (input first) or e_i (x) x, over sqrt(pad)
     if input_first:
@@ -226,18 +227,15 @@ def product_embedding_channel(d, n_in, n_out) -> Channel:
     return Channel(d, n_in, n_out, _padding_kraus(d, n_in, n_out, input_first=True))
 
 
-def mirror_embedding_channel(d, n_in, n_out) -> Channel:
-    """rho -> (I/d)^{(n_out - n_in)} tensor rho: noise first, input last."""
-    return Channel(d, n_in, n_out, _padding_kraus(d, n_in, n_out, input_first=False))
-
-
 def symmetric_noise_channel(d, n_in, n_out) -> Channel:
     """rho -> tr(rho) * P_sym / dim_sym: maximally mixed on the output Bose space.
 
     One Kraus operator |c><b| / sqrt(dim_sym(d, n_out)) per pair of Sym_out
-    state c and Sym_in state b.
+    state c and Sym_in state b.  The size cap counts the Choi side
+    dim_sym(d, n_in) * dim_sym(d, n_out) before anything is built.
     """
     ds_in, ds_out = dim_sym(d, n_in), dim_sym(d, n_out)
+    check_size_cap(ds_in * ds_out)
     kraus = np.eye(ds_out * ds_in).reshape(-1, ds_out, ds_in) / math.sqrt(ds_out)
     return Channel(d, n_in, n_out, kraus)
 

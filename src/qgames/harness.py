@@ -49,17 +49,17 @@ from .cloning import (
     Channel,
     _checked_defects,
     _choi_rows,
+    _full_output,
     _ginibre_side,
     _haar_fidelities,
+    _padding_kraus,
     _random_isometry_kraus,
     _state_fidelities,
     haar_avg_global_fidelity,
     haar_random_unitary,
     conjugate_output,
-    mirror_embedding_channel,
     mixture_channel,
     optimal_cloner,
-    product_embedding_channel,
     symmetric_noise_channel,
     value_formulas,
 )
@@ -508,40 +508,25 @@ class ScanReport:
         return self.max_sum_fidelity <= self.bound + self.tol
 
 
-def _scan_records(d, n_in, n_out, kraus, kind, labels) -> list[ScanRecord]:
-    """One record per channel of a (N, K, rows, cols) stack of checked Kraus operators.
-
-    Each clone k is scored for every channel by one batched contraction.
-    """
-    fids = np.stack([_haar_fidelities(d, n_in, n_out, kraus, k)
+def _scan_fidelities(d, n_in, n_out, kraus) -> np.ndarray:
+    """(N, n_out) Haar fidelities of clones 1..n_out for a (N, K, rows, cols) Kraus stack."""
+    return np.stack([_haar_fidelities(d, n_in, n_out, kraus, k)
                      for k in range(1, n_out + 1)], axis=1)
-    return [ScanRecord(kind, label, tuple(row), float(sum(row)))
-            for label, row in zip(labels, fids.tolist())]
 
 
-def _scan_channel(ch: Channel, kind: str, label: str) -> ScanRecord:
-    (record,) = _scan_records(ch.d, ch.n_in, ch.n_out, np.asarray(ch.kraus)[None], kind, [label])
-    return record
+def _asymmetry_grid_kraus(best: Channel, t: np.ndarray) -> np.ndarray:
+    """(len(t), 2d, d^2, d) Kraus stacks of the asymmetry grid at path parameters t.
 
-
-def asymmetry_grid_channels(d: int, grid_points: int) -> list[tuple[float, Channel]]:
-    """Path from (input, noise) through the optimal 1->2 cloner to (noise, input).
-
-    Two convex legs: t in [0, 1/2] mixes the keep-the-first embedding into the
-    optimal cloner, t in [1/2, 1] mixes the optimal cloner into the mirrored
-    embedding.  Every point is a valid channel and t = 1/2 is exactly optimal.
+    The path runs from (input, noise) through the optimal 1->2 cloner `best`
+    to (noise, input): t in [0, 1/2] mixes the keep-the-first embedding into
+    `best`, t in [1/2, 1] mixes `best` into the mirrored embedding, each as
+    `mixture_channel` mixes full-output stacks.  t = 1/2 is exactly optimal.
     """
-    first = product_embedding_channel(d, 1, 2)
-    mirror = mirror_embedding_channel(d, 1, 2)
-    best = optimal_cloner(d, 1, 2)
-    out = []
-    for t in np.linspace(0.0, 1.0, grid_points):
-        t = float(t)
-        if t <= 0.5:
-            out.append((t, mixture_channel(first, best, 2.0 * t)))
-        else:
-            out.append((t, mixture_channel(best, mirror, 2.0 * (t - 0.5))))
-    return out
+    ends = np.stack([_padding_kraus(best.d, 1, 2, True), _full_output(best),
+                     _padding_kraus(best.d, 1, 2, False)])
+    leg = (t > 0.5).astype(int)
+    w = (2.0 * (t - 0.5 * leg))[:, None, None, None]
+    return np.concatenate([np.sqrt(1.0 - w) * ends[leg], np.sqrt(w) * ends[leg + 1]], axis=1)
 
 
 def asym_bound_scan(
@@ -575,8 +560,9 @@ def asym_bound_scan(
     defects above `cloning.COMPLETENESS_ATOL`, as `Channel` does; one batched
     contraction per clone scores the chunk.  Records depend on
     the seed and the channel index alone, not on the chunk length, and N
-    random channels are a prefix of any larger scan's.  The optimal cloner
-    and the grid go through the same kernels one channel at a time.
+    random channels are a prefix of any larger scan's.  The optimal cloner,
+    the one `Channel` built, is scored as a stack of one, and the grid
+    (`_asymmetry_grid_kraus`) is built, checked and scored in memory chunks.
     """
     dim = _ginibre_side(d, n_in, n_out, ancilla_dim)
     bound = value_formulas(d, n_in, n_out).asym_bound
@@ -590,19 +576,31 @@ def asym_bound_scan(
         d, n_in, n_out, n_random, dim // d**n_out, n_grid, dim_sym(d, n_in) * d**n_out,
         memory_chunks, chunk, draw_chunks, DRAW_ROUNDS,
     )
-    root = RandomStream(seed)
-    records = [_scan_channel(optimal_cloner(d, n_in, n_out), "optimal", "optimal-cloner")]
-    for c in range(draw_chunks):
-        stream = root.substream(c)
-        end = min((c + 1) * DRAW_ROUNDS, n_random)
-        for start in range(c * DRAW_ROUNDS, end, chunk):
-            index = range(start, min(start + chunk, end))
-            kraus = _random_isometry_kraus(d, n_in, n_out, stream, len(index), ancilla_dim)
+
+    def blocks():
+        # (kind, labels, checked (N, K, rows, cols) Kraus stack)
+        best = optimal_cloner(d, n_in, n_out)
+        yield "optimal", ["optimal-cloner"], best.kraus[None]
+        root = RandomStream(seed)
+        for c in range(draw_chunks):
+            stream = root.substream(c)
+            end = min((c + 1) * DRAW_ROUNDS, n_random)
+            for start in range(c * DRAW_ROUNDS, end, chunk):
+                index = range(start, min(start + chunk, end))
+                kraus = _random_isometry_kraus(d, n_in, n_out, stream, len(index), ancilla_dim)
+                _checked_defects(kraus)
+                yield "random", [f"random-{i}" for i in index], kraus
+        t = np.linspace(0.0, 1.0, n_grid)
+        step = _chunk_length(2 * d**4)  # 2d Kraus operators of d^2 x d per grid channel
+        for start in range(0, n_grid, step):
+            kraus = _asymmetry_grid_kraus(best, t[start:start + step])
             _checked_defects(kraus)
-            records += _scan_records(d, n_in, n_out, kraus, "random",
-                                     [f"random-{i}" for i in index])
-    if n_grid:
-        for t, ch in asymmetry_grid_channels(d, n_grid):
-            records.append(_scan_channel(ch, "grid", f"grid-t={t:.6f}"))
+            yield "grid", [f"grid-t={x:.6f}" for x in t[start:start + step]], kraus
+
+    records = [
+        ScanRecord(kind, label, tuple(row), float(sum(row)))
+        for kind, labels, kraus in blocks()
+        for label, row in zip(labels, _scan_fidelities(d, n_in, n_out, kraus).tolist())
+    ]
     best = max(records, key=lambda r: r.sum_fidelity)
     return ScanReport(best.sum_fidelity, bound, best.label, tuple(records), REPORT_TOL)

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qgames.cloning import Channel, _padding_kraus
 from qgames.core import DensityOperator, PureState, RandomStream, haar_random_state
 from qgames.estimation import Direction, bloch_state
 from qgames.zerosum import MixedStrategy
@@ -11,6 +13,21 @@ from qgames.zerosum import MixedStrategy
 @pytest.fixture
 def rng():
     return RandomStream(20240901)
+
+
+def peak_bytes(fn) -> int:
+    """Peak bytes `tracemalloc` traces while `fn()` runs; an exception propagates."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def mirror_embedding_channel(d, n_in, n_out) -> Channel:
+    """rho -> (I/d)^{(n_out - n_in)} tensor rho: noise first, input last."""
+    return Channel(d, n_in, n_out, _padding_kraus(d, n_in, n_out, input_first=False))
 
 
 def random_density(d, stream, rank=None):

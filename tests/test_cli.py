@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -13,6 +12,8 @@ import qgames.harness
 from qgames.cli import build_parser, main, parse_args
 from qgames.cloning import optimal_cloner, single_clone_haar_fidelity
 from qgames.core import RandomStream
+
+from conftest import peak_bytes
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -131,12 +132,9 @@ class TestEstimateCommand:
         # n = 40 has 882 effects of side 41 (49 MB built by the time the old
         # caps ran); n = 200 has 20 402 effects of side 201 (13.2 GB).  The
         # effect stack's rows exceed the cap, which refuses before any effect.
-        tracemalloc.start()
-        try:
-            code, out = run_cli(["estimate", "--universal", "--n", str(n)], capsys)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        codes = []
+        peak = peak_bytes(lambda: codes.append(main(["estimate", "--universal", "--n", str(n)])))
+        code, out = codes[0], capsys.readouterr().out
         assert code == 1
         assert json.loads(out)["error"]["type"] == "SizeCapExceeded"
         assert peak <= 2**20
@@ -199,6 +197,17 @@ class TestSandwichCommand:
         assert code == 0
         lines = out.strip().splitlines()
         assert len(lines) == 4  # header + three levels
+
+    def test_oversized_embedding_is_a_size_cap_error(self, capsys):
+        # player I's product embedding has 2^100 output rows; the cap refuses
+        # it before numpy is asked for an identity of that side
+        code, out = run_cli(
+            ["sandwich", "--game", "cloning", "--d", "2", "--n", "1", "--m", "100",
+             "--seed", "1"],
+            capsys,
+        )
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "SizeCapExceeded"
 
 
 class TestAsymBoundCommand:

@@ -18,7 +18,6 @@ from qgames.cloning import (
     global_fidelity,
     haar_avg_global_fidelity,
     haar_random_unitary,
-    mirror_embedding_channel,
     mixture_channel,
     optimal_cloner,
     product_embedding_channel,
@@ -42,6 +41,7 @@ from qgames.estimation import bloch_state, design_directions
 from qgames.symmetric import dim_sym
 
 import dense_oracle
+from conftest import mirror_embedding_channel, peak_bytes
 from dense_oracle import apply_matrix_via_choi
 
 KET0 = PureState.basis(2, 0)
@@ -416,3 +416,18 @@ class TestChannelFamilies:
         ch = mirror_embedding_channel(2, 1, 2)
         assert single_clone_haar_fidelity(ch, 1) == pytest.approx(0.5, abs=1e-12)
         assert single_clone_haar_fidelity(ch, 2) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("make, d, n, m", [
+        # the embeddings' 2^13 output rows: an 8192-side identity and its
+        # Kraus stacks, a 3.5 GiB peak, used to be built before any check
+        (product_embedding_channel, 2, 1, 13),
+        (mirror_embedding_channel, 2, 1, 13),
+        # Choi side dim_sym(3, 1) * dim_sym(3, 60) = 3 * 1891 = 5673
+        (symmetric_noise_channel, 3, 1, 60),
+    ])
+    def test_oversized_family_refused_before_building(self, make, d, n, m):
+        def refuse():
+            with pytest.raises(SizeCapExceeded):
+                make(d, n, m)
+
+        assert peak_bytes(refuse) <= 2**20

@@ -5,7 +5,6 @@ d^(n+m)-sized Choi matrix, projector or payoff operator.
 """
 
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +22,6 @@ from qgames.cloning import (
     global_fidelity,
     haar_avg_global_fidelity,
     haar_random_unitary,
-    mirror_embedding_channel,
     mixture_channel,
     optimal_cloner,
     product_embedding_channel,
@@ -43,6 +41,7 @@ from qgames.estimation import (
 from qgames.cli import main
 from qgames.harness import povm_perturbations
 from qgames.symmetric import dim_sym, sym_isometry, sym_split
+from conftest import mirror_embedding_channel, peak_bytes
 from test_cloning import CLONER_CASES
 
 TOL = 1e-12
@@ -268,13 +267,11 @@ def test_estimation_evaluators_stay_on_registers(copy_limit, n):
 
 def test_largest_capped_arities_stay_small():
     # a dense Choi matrix or (n+m)-copy projector here would take 134-268 MB
-    tracemalloc.start()
-    try:
+    def evaluate():
         ch = optimal_cloner(2, 5, 7)
         haar_avg_global_fidelity(ch)
         single_clone_haar_fidelity(ch, 1)
         mean_fidelity(universal_povm(11))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+
+    peak = peak_bytes(evaluate)
     assert peak <= 32 * 2**20

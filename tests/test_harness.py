@@ -2,7 +2,6 @@ import dataclasses
 import functools
 import logging
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,13 +11,13 @@ import qgames.core
 import qgames.harness
 
 from qgames.cloning import (
+    Channel,
     _checked_defects,
     _random_isometry_kraus,
     conjugate_output,
     global_fidelity,
     haar_avg_global_fidelity,
     haar_random_unitary,
-    mirror_embedding_channel,
     mixture_channel,
     optimal_cloner,
     product_embedding_channel,
@@ -44,11 +43,11 @@ from qgames.estimation import (
     universal_povm,
 )
 from qgames.harness import (
+    _asymmetry_grid_kraus,
     _checked_payoffs,
     GAME_KINDS,
     GameSpec,
     asym_bound_scan,
-    asymmetry_grid_channels,
     cloner_perturbations,
     default_state_sets,
     discretize_cloning_game,
@@ -65,7 +64,7 @@ from qgames.swap_test import expected_payoff
 from qgames.zerosum import solve
 
 import dense_oracle
-from conftest import icosahedral_states
+from conftest import icosahedral_states, mirror_embedding_channel, peak_bytes
 from exact_simplex import exact_simplex
 from mc_oracle import oracle_outcomes, oracle_record
 from test_dense_oracle import estimation_strategies
@@ -282,12 +281,7 @@ class TestDiscretizedGames:
         # 10 Sym_out coordinates would not exercise.
         ch = product_embedding_channel(2, 1, 9)
         states = haar_states(2, 2000, RandomStream(8600))
-        tracemalloc.start()
-        try:
-            discretize_cloning_game(2, 1, 9, [ch], states)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = peak_bytes(lambda: discretize_cloning_game(2, 1, 9, [ch], states))
         assert peak <= 8 * 2**20
 
     # the matrices are evaluated a chunk of columns at a time; 3-column chunks
@@ -599,12 +593,7 @@ class TestMonteCarloOracle:
     def test_memory_stays_bounded(self, kind, d, n, m, samples, make, mib):
         strategy = make(d, n, m)
         spec = GameSpec(kind, d=d, n=n, m=m, samples=samples, seed=3)
-        tracemalloc.start()
-        try:
-            monte_carlo_play(spec, strategy)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = peak_bytes(lambda: monte_carlo_play(spec, strategy))
         assert peak <= mib * 2**20
 
     # blocks of MEMORY_ROUNDS // 256 = 4 draw chunks of 256, each scored in one
@@ -706,12 +695,13 @@ class TestMonteCarloOracle:
 
 class TestAsymBoundScan:
     def test_grid_passes_through_optimal(self):
-        channels = asymmetry_grid_channels(2, 21)
+        # each grid stack scored as its own Channel, through the public API
+        t = np.linspace(0.0, 1.0, 21)
+        stacks = _asymmetry_grid_kraus(optimal_cloner(2, 1, 2), t)
         sums = {}
-        for t, ch in channels:
-            from qgames.cloning import single_clone_haar_fidelity
-
-            sums[t] = sum(single_clone_haar_fidelity(ch, k) for k in (1, 2))
+        for x, kraus in zip(t.tolist(), stacks):
+            ch = Channel(2, 1, 2, kraus)
+            sums[x] = sum(single_clone_haar_fidelity(ch, k) for k in (1, 2))
         assert sums[0.0] == pytest.approx(1.5, abs=1e-12)
         assert sums[1.0] == pytest.approx(1.5, abs=1e-12)
         assert sums[0.5] == pytest.approx(5.0 / 3.0, abs=1e-12)
@@ -738,6 +728,45 @@ class TestAsymBoundScan:
         kraus[2] *= 0.7
         with pytest.raises(ValueError, match="trace preserving"):
             _checked_defects(kraus)
+
+    def test_one_scoring_path(self, monkeypatch):
+        # the optimal cloner is the one Channel built; the random channels
+        # (memory chunks of 256, 256 and 88) and the 21 grid channels (one
+        # memory chunk) are checked as whole Kraus stacks
+        built, checked = [], []
+        real_init, real_check = Channel.__init__, qgames.harness._checked_defects
+
+        def spy_init(self, d, n_in, n_out, kraus):
+            built.append((d, n_in, n_out))
+            real_init(self, d, n_in, n_out, kraus)
+
+        def spy_check(kraus):
+            checked.append(kraus.shape)
+            real_check(kraus)
+
+        monkeypatch.setattr(Channel, "__init__", spy_init)
+        monkeypatch.setattr(qgames.harness, "_checked_defects", spy_check)
+        report = asym_bound_scan(2, 1, 2, 600, 21, seed=9)
+        assert report.passed
+        assert built == [(2, 1, 2)]
+        assert checked == [(256, 4, 4, 2), (256, 4, 4, 2), (88, 4, 4, 2), (21, 4, 4, 2)]
+
+    # 12-digit values taken before the grid and the optimal cloner were
+    # scored as Kraus stacks; the grid is scanned for 1 -> 2 only
+    @pytest.mark.parametrize("d, n, m, pins", [
+        (2, 1, 2, {"optimal-cloner": "1.666666666667", "random-0": "1.078356781930",
+                   "random-599": "1.024974732080", "grid-t=0.250000": "1.583333333333",
+                   "grid-t=0.750000": "1.583333333333"}),
+        (3, 1, 2, {"optimal-cloner": "1.500000000000", "random-0": "0.704282238518",
+                   "random-599": "0.682043526764", "grid-t=0.250000": "1.416666666667",
+                   "grid-t=0.750000": "1.416666666667"}),
+        (2, 1, 3, {"optimal-cloner": "2.333333333333", "random-0": "1.464286916430",
+                   "random-599": "1.479057403092"}),
+    ])
+    def test_records_are_pinned(self, d, n, m, pins):
+        report = asym_bound_scan(d, n, m, 600, 21, seed=5)
+        got = {r.label: f"{r.sum_fidelity:.12f}" for r in report.records}
+        assert {label: got[label] for label in pins} == pins
 
     def test_deterministic_given_seed(self):
         a = asym_bound_scan(2, 1, 2, n_random=5, grid_points=5, seed=11)
@@ -889,7 +918,9 @@ class TestBatchedScan:
     @pytest.mark.parametrize("d, n, m", [(2, 1, 2), (3, 1, 2), (2, 1, 3), (2, 2, 3)])
     def test_matches_the_per_channel_oracle(self, monkeypatch, d, n, m, ancilla_dim, chunk):
         # chunk=None keeps CHUNK_BYTES (256 channels per chunk at these
-        # arities); 7 shows the records do not depend on the chunk length
+        # arities); 7 shows the records do not depend on the chunk length,
+        # and splits the 21 grid channels into memory chunks of 1 to 10
+        grid = asym_bound_scan(d, n, m, 0, seed=ORACLE_SEED).records[1:]
         if chunk is not None:
             width = d**m * (d**m if ancilla_dim is None else ancilla_dim) * d**n
             monkeypatch.setattr(qgames.harness, "CHUNK_BYTES", 16 * width * chunk)
@@ -899,6 +930,7 @@ class TestBatchedScan:
             report = asym_bound_scan(d, n, m, n_random, seed=ORACLE_SEED, ancilla_dim=ancilla_dim)
             assert [r.kind for r in report.records] == (
                 ["optimal"] + ["random"] * n_random + ["grid"] * n_grid)
+            assert report.records[1 + n_random:] == grid
             got = report.records[1:1 + n_random]
             assert [r.label for r in got] == [label for label, _, _ in want[:n_random]]
             worst = max(
@@ -911,12 +943,7 @@ class TestBatchedScan:
     def test_memory_is_bounded_by_the_chunks(self):
         # about 0.4 MiB one channel at a time; 22.6 MiB for one unchunked
         # batch of all 1000 channels
-        tracemalloc.start()
-        try:
-            asym_bound_scan(3, 1, 2, 1000, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = peak_bytes(lambda: asym_bound_scan(3, 1, 2, 1000, seed=1))
         assert peak <= 8 * 2**20
 
     def test_non_finite_channel_refuses_the_scan(self, monkeypatch):
