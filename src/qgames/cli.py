@@ -6,6 +6,14 @@ invocations produce byte-identical output documents.  Floats are rendered with
 12 significant digits.  Exit codes: 0 success, 1 a checked assertion failed
 (e.g. a bound violation) or an inner error was surfaced, 2 usage error.
 
+A JSON document is written by `_json_text`, one recursive function that
+writes the indent-2 text and rounds each float on the way.  Its text is that
+of `json.dumps(doc, indent=2)` on the rounded document; the standard library
+runs its pure-Python encoder whenever an indent is set, and the direct writer
+takes about half that time.  A CSV document has one row per record, and the
+runners that return many rows return them as generators, built only for
+--format csv.
+
 The argument parser is built on the first `parse_args` (or `main`) call and
 shared by every later call in the process, so a script or test that calls
 `main` many times pays for the argparse tree once.  Nothing builds it at
@@ -18,8 +26,9 @@ import argparse
 import csv
 import functools
 import io
-import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import harness
 from .cloning import optimal_cloner, product_embedding_channel, single_clone_haar_fidelity, value_formulas, haar_avg_global_fidelity
@@ -28,18 +37,43 @@ from .estimation import build_povm, default_directions, mean_fidelity, universal
 from .zerosum import NonConvergence, rock_paper_scissors, solve
 
 
-def _round_floats(obj):
-    if isinstance(obj, float):
-        return float(f"{obj:.12g}")
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
+def _json_text(value, indent: str = "") -> str:
+    """`value` as indent-2 JSON text, floats rounded to 12 significant digits.
+
+    The text is what `json.dumps(value, indent=2)` writes once every float
+    is replaced by float(f"{x:.12g}"): ASCII only, NaN and the infinities as
+    JavaScript names, tuples as lists.  Dict keys must be strings.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(float(f"{value:.12g}"))
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = sep.join([f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
+                          for k, v in value.items()])
+        return f"{{\n{inner}{items}\n{indent}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = sep.join([_json_text(v, inner) for v in value])
+        return f"[\n{inner}{items}\n{indent}]"
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _render_json(doc) -> str:
-    return json.dumps(_round_floats(doc), indent=2) + "\n"
+    return _json_text(doc) + "\n"
 
 
 def _flatten(value):
@@ -49,11 +83,14 @@ def _flatten(value):
 
 
 def _render_csv(rows) -> str:
+    """CSV text of an iterable of row dicts, the header read from the first."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    header = list(rows[0].keys())
+    rows = iter(rows)
+    first = next(rows)
+    header = list(first)
     writer.writerow(header)
-    for row in rows:
+    for row in (first, *rows):
         writer.writerow([_flatten(row[k]) for k in header])
     return buf.getvalue()
 
@@ -159,7 +196,7 @@ def _run_sandwich(config):
         "converged": report.converged,
         "passed": report.passed,
     }
-    rows = [
+    rows = (
         {
             "command": "sandwich",
             "game": config.game,
@@ -173,7 +210,7 @@ def _run_sandwich(config):
             "theoretical_value": report.theoretical_value,
         }
         for lv in report.levels
-    ]
+    )
     return doc, rows, 0 if report.passed else 1
 
 
@@ -199,7 +236,7 @@ def _run_asym_bound(config):
             for r in report.records
         ],
     }
-    rows = [
+    rows = (
         {
             "command": "asym-bound",
             "d": config.d,
@@ -212,7 +249,7 @@ def _run_asym_bound(config):
             "bound": report.bound,
         }
         for r in report.records
-    ]
+    )
     return doc, rows, 0 if report.passed else 1
 
 

@@ -85,7 +85,8 @@ class Channel:
 
     `kraus` is the read-only (K, rows, dim_sym(d, n_in)) stack of Kraus
     operators on Sym_in occupation coordinates, and the only stored form of
-    the channel.  rows = dim_sym(d, n_out) means Sym_out occupation
+    the channel.  It is given as one such array, converted to complex once
+    and stored as a C-contiguous copy, or as a sequence of operators.  rows = dim_sym(d, n_out) means Sym_out occupation
     coordinates and rows = d^n_out the full output space (module docstring);
     `sym_out` reads which.  No other row count is accepted.  Construction
     verifies that every entry is finite and that sum(K^dag K) is the identity
@@ -104,21 +105,30 @@ class Channel:
         self.n_out = int(n_out)
         self.dim_in = self.d**self.n_in
         self.dim_out = self.d**self.n_out
-        ops = [np.asarray(k, dtype=complex) for k in kraus]
-        if not ops:
-            raise ShapeError("channel needs at least one Kraus operator")
         cols = dim_sym(self.d, self.n_in)
         allowed = ((dim_sym(self.d, self.n_out), cols), (self.dim_out, cols))
-        for k in ops:
-            if k.shape not in allowed:
+
+        def check_shape(shape):
+            if shape not in allowed:
                 raise ShapeError(
-                    f"Kraus operator shape {k.shape} is neither {allowed[0]} (Sym_out rows) "
+                    f"Kraus operator shape {shape} is neither {allowed[0]} (Sym_out rows) "
                     f"nor {allowed[1]} (full output rows)"
                 )
-            if k.shape != ops[0].shape:
-                raise ShapeError(f"Kraus operator shapes {ops[0].shape} and {k.shape} differ")
-        stacked = np.stack(ops)
+
+        if not isinstance(kraus, np.ndarray):
+            kraus = [np.asarray(k) for k in kraus]
+            for k in kraus:
+                check_shape(k.shape)
+                if k.shape != kraus[0].shape:
+                    raise ShapeError(f"Kraus operator shapes {kraus[0].shape} and {k.shape} differ")
+        stacked = np.asarray(kraus, dtype=complex)
+        if not len(stacked):
+            raise ShapeError("channel needs at least one Kraus operator")
+        check_shape(stacked.shape[1:])
         _checked_defects(stacked)
+        # a C-contiguous copy, made after the check so that the check's
+        # working memory and the copy never coexist
+        stacked = np.array(stacked, order="C")
         stacked.setflags(write=False)
         self.kraus = stacked
         rows = stacked.shape[1]
@@ -151,18 +161,24 @@ class Channel:
         )
 
 
+def _defect_matrices(kraus: np.ndarray) -> np.ndarray:
+    """sum(K^dag K) - I on Sym_in for each Kraus stack of a (..., K, rows, cols) array.
+
+    A channel's Kraus operators stacked vertically form one (K * rows, cols)
+    matrix whose Gram matrix is sum(K^dag K).  Leading axes are a batch of
+    channels: one product serves them all.
+    """
+    rows = kraus.reshape(*kraus.shape[:-3], -1, kraus.shape[-1])
+    return rows.conj().swapaxes(-1, -2) @ rows - np.eye(rows.shape[-1])
+
+
 def _completeness_defects(kraus: np.ndarray) -> np.ndarray:
     """Operator norm of sum(K^dag K) - I on Sym_in for each Kraus stack.
 
-    `kraus` is a (..., K, rows, cols) array of Kraus stacks.  A channel's
-    Kraus operators stacked vertically form one (K * rows, cols) matrix whose
-    Gram matrix is sum(K^dag K); the defect is Hermitian, so its norm is its
-    largest eigenvalue modulus.  Leading axes are a batch of channels: one
-    product and one `eigvalsh` serve them all.
+    The defect is Hermitian, so its norm is its largest eigenvalue modulus;
+    one `eigvalsh` serves a whole batch of `_defect_matrices`.
     """
-    rows = kraus.reshape(*kraus.shape[:-3], -1, kraus.shape[-1])
-    delta = rows.conj().swapaxes(-1, -2) @ rows - np.eye(rows.shape[-1])
-    return np.abs(np.linalg.eigvalsh(delta)).max(axis=-1)
+    return np.abs(np.linalg.eigvalsh(_defect_matrices(kraus))).max(axis=-1)
 
 
 def _checked_defects(kraus: np.ndarray) -> None:
@@ -170,10 +186,18 @@ def _checked_defects(kraus: np.ndarray) -> None:
 
     Raises ValueError if any entry is non-finite or any channel's
     `_completeness_defects` passes COMPLETENESS_ATOL: the checks `Channel`
-    makes on construction, run on every channel of a batch at once.
+    makes on construction, run on every channel of a batch at once.  The
+    Frobenius norm of a matrix bounds its operator norm from above, so a
+    batch whose largest Frobenius norm of sum(K^dag K) - I is within
+    COMPLETENESS_ATOL passes without an eigensolve.  Only a batch above it
+    pays for `_completeness_defects`, which then decides and names the
+    worst defect.  Non-finite entries are refused before any product.
     """
     if not np.all(np.isfinite(kraus)):
         raise ValueError("Kraus operators have non-finite entries")
+    parts = _defect_matrices(kraus).view(float)
+    if math.sqrt(np.einsum("...ij,...ij->...", parts, parts).max()) <= COMPLETENESS_ATOL:
+        return
     worst = float(_completeness_defects(kraus).max())
     if worst > COMPLETENESS_ATOL:
         raise ValueError(
@@ -235,8 +259,9 @@ def symmetric_noise_channel(d, n_in, n_out) -> Channel:
     dim_sym(d, n_in) * dim_sym(d, n_out) before anything is built.
     """
     ds_in, ds_out = dim_sym(d, n_in), dim_sym(d, n_out)
-    check_size_cap(ds_in * ds_out)
-    kraus = np.eye(ds_out * ds_in).reshape(-1, ds_out, ds_in) / math.sqrt(ds_out)
+    side = check_size_cap(ds_in * ds_out)
+    kraus = np.zeros((side, ds_out, ds_in), dtype=complex)
+    np.fill_diagonal(kraus.reshape(side, side), 1.0 / math.sqrt(ds_out))
     return Channel(d, n_in, n_out, kraus)
 
 
@@ -314,8 +339,10 @@ def _random_isometry_kraus(d, n_in, n_out, rng: RandomStream, count: int,
     every channel's real parts, then its imaginary parts, exactly as `count`
     consecutive `complex_normals(D * d**n_in)` calls would.  The blocks are
     orthonormalised by one batched phase-fixed QR, and one 2-D product by V_in
-    restricts every isometry to Sym_in; the stack is a transposed view of that
-    product.  The arity checks and the size cap run before anything is drawn;
+    restricts every isometry to Sym_in; the stack is a C-contiguous copy of
+    that product with its output and ancilla axes swapped, so that the
+    completeness check and the scoring reshape it without further copies.
+    The arity checks and the size cap run before anything is drawn;
     a non-finite draw raises ValueError before the QR.
     """
     dim = _ginibre_side(d, n_in, n_out, ancilla_dim)
@@ -328,7 +355,8 @@ def _random_isometry_kraus(d, n_in, n_out, rng: RandomStream, count: int,
     del parts  # the QR's working memory need not sit beside the draws
     z /= math.sqrt(2.0)
     restricted = _phase_fixed_q(z).reshape(-1, dim_in) @ sym_isometry(d, n_in)
-    return restricted.reshape(count, dim_out, dim // dim_out, -1).transpose(0, 2, 1, 3)
+    stack = restricted.reshape(count, dim_out, dim // dim_out, -1).transpose(0, 2, 1, 3)
+    return np.ascontiguousarray(stack)
 
 
 def random_isometry_channel(d, n_in, n_out, rng: RandomStream, ancilla_dim=None) -> Channel:
@@ -430,14 +458,14 @@ def _haar_fidelities(d, n_in, n_out, kraus: np.ndarray, clone: int) -> np.ndarra
     G = `_transposed_moment(d, n_in, p)`, p = n_out for the whole output and
     1 for a clone.  The size cap counts the side of G, dim_sym(d, n_in) *
     dim_sym(d, p), before any rows are built.  Leading axes are a batch of
-    channels: one product and one contraction serve them all.  G is real, so
-    Re tr(w G w^dag) is the dot product of the float views of w and w G, and
-    no conjugate is formed.
+    channels: the rows of the whole batch meet G in one 2-D product, and one
+    contraction serves them all.  G is real, so Re tr(w G w^dag) is the dot
+    product of the float views of w and w G, and no conjugate is formed.
     """
     copies = n_out if clone == 0 else 1
     check_size_cap(dim_sym(d, n_in) * dim_sym(d, copies))
     w = _choi_rows(d, n_in, n_out, kraus, clone)
-    wg = w @ _transposed_moment(d, n_in, copies)
+    wg = (w.reshape(-1, w.shape[-1]) @ _transposed_moment(d, n_in, copies)).reshape(w.shape)
     val = np.einsum("...ij,...ij->...", w.view(float), wg.view(float))
     return val / dim_sym(d, n_in + copies)
 

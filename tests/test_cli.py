@@ -1,11 +1,16 @@
 import argparse
+import hashlib
+import inspect
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import qgames.cli
 import qgames.harness
@@ -14,6 +19,7 @@ from qgames.cloning import optimal_cloner, single_clone_haar_fidelity
 from qgames.core import RandomStream
 
 from conftest import peak_bytes
+from render_oracle import render_csv, render_json
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -271,6 +277,24 @@ class TestAsymBoundCommand:
         ]
 
 
+    @pytest.mark.parametrize("args, digest", [
+        (["--d", "2", "--n", "1", "--m", "2"],
+         "07019336b91bc85f1cb9956fc00fcc039275caeed770a8b7d250dbde46cc26ae"),
+        (["--d", "3", "--n", "1", "--m", "2"],
+         "830e6ddd46a40e509d1e3fc275c4635689b0cb8c47b854a3cac1d2d8b561e024"),
+        (["--d", "2", "--n", "1", "--m", "3"],
+         "a68e347c18f2753514cefe30db003a7931c3e37b6b728d72a628f2e570b0ab93"),
+        (["--d", "2", "--n", "1", "--m", "2", "--format", "csv"],
+         "1872d75d6fa5bf41a125f3527f3446461f1d1c2e86da70e4543b3d2929250339"),
+    ])
+    def test_whole_documents_are_pinned(self, capsys, args, digest):
+        # SHA-256 of whole 1000-channel documents, so that a flip in the 12th
+        # digit of any record fails
+        code, out = run_cli(["asym-bound", *args, "--samples", "1000", "--seed", "5"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestMcPlayCommand:
     def test_cloning_document(self, capsys):
         code, out = run_cli(
@@ -410,6 +434,111 @@ class TestOutputDiscipline:
         assert code == 0
         assert json.loads(path.read_text())["command"] == "estimate"
         assert capsys.readouterr().out == ""
+
+
+#: Strings a JSON writer must escape: quotes, backslashes, control
+#: characters, non-ASCII letters, an astral-plane character and a lone surrogate.
+AWKWARD_STRINGS = ["", "plain", 'say "hi"', "back\\slash", "\n\t\r\x00\x1f\x7f", "é",
+                   "雪", "\U0001f600", "\ud800"]
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 5e-324,
+                  1.7976931348623157e308, 2.0 / 3.0, np.float64(1.0 / 3.0), np.float64(-0.0),
+                  np.float64(math.nan), np.float64(-math.inf)]
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-(2**70), 2**70),
+    st.floats(), st.floats().map(np.float64), st.sampled_from(SPECIAL_FLOATS),
+    st.text(), st.sampled_from(AWKWARD_STRINGS),
+)
+KEYS = st.one_of(st.text(max_size=8), st.sampled_from(AWKWARD_STRINGS))
+DOCUMENTS = st.recursive(
+    SCALARS,
+    lambda kids: st.one_of(st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+                           st.dictionaries(KEYS, kids, max_size=4)),
+    max_leaves=25,
+)
+
+#: Every command, small, with the error document of a refused arity.
+EVERY_COMMAND = [
+    ["clone", "--d", "3", "--n", "1", "--m", "2"],
+    ["estimate", "--n", "2"],
+    ["estimate", "--universal", "--n", "3"],
+    ["solve"],
+    ["sandwich", "--game", "estimation", "--n", "1", "--seed", "3"],
+    ["sandwich", "--game", "cloning", "--d", "3", "--seed", "3"],
+    ["sandwich", "--game", "cloning", "--d", "2", "--n", "1", "--m", "100", "--seed", "3"],
+    ["asym-bound", "--samples", "40", "--seed", "3"],
+    ["asym-bound", "--d", "3", "--n", "1", "--m", "3", "--samples", "10", "--seed", "3"],
+    ["mc-play", "--game", "estimation", "--samples", "300", "--seed", "3"],
+    ["mc-play", "--game", "cloning", "--samples", "300", "--seed", "3"],
+    ["mc-play", "--game", "one_particle", "--d", "3", "--samples", "300", "--seed", "3"],
+]
+
+
+class TestDocumentWriter:
+    @settings(deadline=None, derandomize=True)
+    @given(DOCUMENTS)
+    @example({})
+    @example([])
+    @example({"a": [], "b": {}, "c": (), "d": [[], {}]})
+    @example(SPECIAL_FLOATS)
+    @example({s: s for s in AWKWARD_STRINGS})
+    def test_json_text_is_the_standard_librarys(self, doc):
+        assert qgames.cli._render_json(doc) == render_json(doc)
+
+    @pytest.mark.parametrize("doc", [np.int64(3), {"a": object()}, [{1, 2}], np.bool_(True)])
+    def test_unsupported_values_raise_type_error(self, doc):
+        with pytest.raises(TypeError):
+            render_json(doc)
+        with pytest.raises(TypeError):
+            qgames.cli._render_json(doc)
+
+    def test_keys_must_be_strings(self):
+        with pytest.raises(TypeError):
+            qgames.cli._render_json({1: 2})
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("args", EVERY_COMMAND, ids=lambda args: "-".join(args[:3]))
+    def test_every_command_matches_the_oracle(self, monkeypatch, capsys, args, fmt):
+        rendered = []
+        if fmt == "json":
+            real = qgames.cli._render_json
+
+            def spy(doc):
+                rendered.append((real(doc), render_json(doc)))
+                return rendered[-1][0]
+
+            monkeypatch.setattr(qgames.cli, "_render_json", spy)
+        else:
+            real = qgames.cli._render_csv
+
+            def spy(rows):
+                rows = list(rows)
+                rendered.append((real(rows), render_csv(rows)))
+                return rendered[-1][0]
+
+            monkeypatch.setattr(qgames.cli, "_render_csv", spy)
+        code, out = run_cli([*args, "--format", fmt], capsys)
+        assert code in (0, 1)
+        ((text, oracle),) = rendered
+        assert text == oracle == out
+
+    @pytest.mark.parametrize("args", [
+        ["asym-bound", "--samples", "5", "--seed", "1"],
+        ["sandwich", "--game", "estimation", "--n", "1", "--seed", "1"],
+    ])
+    def test_json_documents_leave_the_csv_rows_unbuilt(self, monkeypatch, capsys, args):
+        returned = []
+        runner = qgames.cli._RUNNERS[args[0]]
+
+        def spy(config):
+            returned.append(runner(config))
+            return returned[-1]
+
+        monkeypatch.setitem(qgames.cli._RUNNERS, args[0], spy)
+        assert run_cli(args, capsys)[0] == 0
+        ((_, rows, _),) = returned
+        assert inspect.getgeneratorstate(rows) == inspect.GEN_CREATED
+        # the same generator yields the rows --format csv writes
+        assert run_cli([*args, "--format", "csv"], capsys)[1] == render_csv(rows)
 
 
 def run_fresh(args):

@@ -10,7 +10,9 @@ import qgames.cloning
 import qgames.core
 from qgames.cli import main
 from qgames.cloning import (
+    COMPLETENESS_ATOL,
     Channel,
+    _checked_defects,
     _choi_rows,
     _completeness_defects,
     _state_fidelities,
@@ -143,19 +145,25 @@ class TestChannelMechanics:
             Channel(2, 1, 1, kraus)
         assert calls == []
 
-    def test_construction_leaves_the_choi_matrix_unbuilt(self, monkeypatch, tmp_path):
-        # the only eigensolve is the 31 x 31 completeness defect: the Choi
-        # matrix (side 961) is neither built nor diagonalised
-        shapes = []
+    @staticmethod
+    def spied_eigensolves(monkeypatch):
+        """Shapes of the matrices `np.linalg.eigvalsh` is called on from now on."""
+        calls = []
         eigvalsh = np.linalg.eigvalsh
 
         def spy(a, *args, **kwargs):
-            shapes.append(np.shape(a))
+            calls.append(np.shape(a))
             return eigvalsh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        return calls
+
+    def test_construction_leaves_the_choi_matrix_unbuilt(self, monkeypatch, tmp_path):
+        # no eigensolve is wider than the 31 x 31 completeness defect: the
+        # Choi matrix (side 961) is neither built nor diagonalised
+        shapes = self.spied_eigensolves(monkeypatch)
         ch = optimal_cloner(2, 30, 30)
-        assert shapes == [(31, 31)]
+        assert all(shape[-1] <= 31 for shape in shapes)
         assert "choi" not in vars(ch)
         built = []
 
@@ -168,6 +176,70 @@ class TestChannelMechanics:
         assert main(argv) == 0
         assert len(built) == 1 and "choi" not in vars(built[0])
         assert ch.choi.shape == (961, 961) and "choi" in vars(ch)
+
+    def test_complete_batch_passes_without_an_eigensolve(self, monkeypatch, rng):
+        kraus = np.stack([random_isometry_channel(2, 1, 2, rng.substream(i)).kraus
+                          for i in range(5)])
+        calls = self.spied_eigensolves(monkeypatch)
+        _checked_defects(kraus)
+        assert calls == []
+
+    def test_frobenius_excess_falls_back_to_the_operator_norm(self, monkeypatch):
+        # defect diag(0.8e-10, 0.8e-10): operator norm 0.8e-10 is within the
+        # tolerance, the Frobenius norm 1.13e-10 is not, so the eigensolve decides
+        kraus = math.sqrt(1.0 + 0.8e-10) * np.eye(2)[None]
+        defect = np.linalg.norm(np.eye(2) * 0.8e-10)
+        assert defect > COMPLETENESS_ATOL >= float(_completeness_defects(kraus.astype(complex)))
+        calls = self.spied_eigensolves(monkeypatch)
+        ch = Channel(2, 1, 1, kraus)
+        assert calls == [(2, 2)]
+        assert np.allclose(ch.kraus, kraus)
+
+    def test_defect_above_the_tolerance_is_refused_by_name(self, monkeypatch):
+        kraus = math.sqrt(1.0 + 1.2e-10) * np.eye(2)[None]
+        calls = self.spied_eigensolves(monkeypatch)
+        with pytest.raises(ValueError, match=r"^Kraus operators not trace preserving on Sym_in "
+                                             r"\(defect 1\.200e-10 > 1e-10\)$"):
+            Channel(2, 1, 1, kraus)
+        assert calls == [(2, 2)]
+        # in a batch, the message names the worst channel's defect
+        batch = np.stack([np.eye(2)[None], kraus, math.sqrt(1.0 + 3e-10) * np.eye(2)[None]])
+        with pytest.raises(ValueError, match=r"\(defect 3\.000e-10 > 1e-10\)$"):
+            _checked_defects(batch.astype(complex))
+
+    def test_non_finite_batch_refused_before_any_eigensolve(self, monkeypatch):
+        batch = np.stack([np.eye(2, dtype=complex)[None]] * 3)
+        batch[1, 0, 1, 1] = np.nan
+        calls = self.spied_eigensolves(monkeypatch)
+        with pytest.raises(ValueError, match="non-finite"):
+            _checked_defects(batch)
+        assert calls == []
+
+    def test_stack_is_converted_once_into_a_private_copy(self):
+        kraus = optimal_cloner(2, 1, 3).kraus.copy()
+        ch = Channel(2, 1, 3, kraus)
+        assert ch.kraus.flags.c_contiguous and not ch.kraus.flags.writeable
+        assert not np.shares_memory(ch.kraus, kraus) and kraus.flags.writeable
+        kraus[0, 0, 0] = 7.0
+        assert np.array_equal(ch.kraus, optimal_cloner(2, 1, 3).kraus)
+        # a transposed view is stored C-contiguous; lists of operators still work
+        view = np.ascontiguousarray(kraus.transpose(0, 2, 1)).transpose(0, 2, 1)
+        view[0, 0, 0] = ch.kraus[0, 0, 0]
+        assert Channel(2, 1, 3, view).kraus.flags.c_contiguous
+        assert np.array_equal(Channel(2, 1, 3, list(view)).kraus, ch.kraus)
+
+    @pytest.mark.parametrize("kraus, message", [
+        ([], "needs at least one Kraus operator"),
+        (np.zeros((0, 3, 2)), "needs at least one Kraus operator"),
+        (np.zeros((1, 5, 2)), r"shape \(5, 2\) is neither \(3, 2\) .* nor \(4, 2\)"),
+        ([np.zeros((5, 2)), np.zeros((3, 2))], r"shape \(5, 2\) is neither"),
+        ([np.zeros((3, 2)), np.zeros((4, 2))], r"shapes \(3, 2\) and \(4, 2\) differ"),
+        (np.zeros((2, 3)), r"shape \(3,\) is neither"),
+        (np.zeros((1, 1, 3, 2)), r"shape \(1, 3, 2\) is neither"),
+    ])
+    def test_shape_messages(self, kraus, message):
+        with pytest.raises(ShapeError, match=message):
+            Channel(2, 1, 2, kraus)
 
     def test_rejects_wrong_shapes(self):
         with pytest.raises(ShapeError):
@@ -431,3 +503,12 @@ class TestChannelFamilies:
                 make(d, n, m)
 
         assert peak_bytes(refuse) <= 2**20
+
+    def test_noise_channel_peak_is_about_twice_its_stack(self):
+        # (3, 1, 20): 693 Kraus operators of 231 x 3, a 7.7 MB complex stack.
+        # The stack is written once, as complex, and `Channel` copies it
+        # once, after the completeness check
+        stack = 693 * 231 * 3 * 16
+        ch = []
+        assert peak_bytes(lambda: ch.append(symmetric_noise_channel(3, 1, 20))) <= 2.2 * stack
+        assert ch[0].kraus.nbytes == stack
