@@ -59,7 +59,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -531,11 +530,13 @@ class CloningValues:
 
 
 def value_formulas(d, n_in, n_out) -> CloningValues:
-    """Exact rational game values rendered to floats."""
+    """Exact rational game values rendered to floats.
+
+    Python's int true division rounds the exact ratio correctly, so each
+    value is the float nearest the rational, as `fractions.Fraction` gives.
+    """
     if not 1 <= n_in <= n_out:
         raise InvalidArity(f"need 1 <= n_in <= n_out, got ({n_in}, {n_out})")
-    gv = Fraction(dim_sym(d, n_in), dim_sym(d, n_out))
     numer = n_in * (d + n_out) + n_out - n_in
-    sv = Fraction(numer, (d + n_in) * n_out)
-    ab = Fraction(numer, d + n_in)
-    return CloningValues(float(gv), float(sv), float(ab))
+    return CloningValues(dim_sym(d, n_in) / dim_sym(d, n_out),
+                         numer / ((d + n_in) * n_out), numer / (d + n_in))

@@ -7,19 +7,18 @@ sets sandwiches the theoretical game value.  Monte Carlo play runs the actual
 referee protocol, and the brute-force scan checks the asymmetric-cloning
 fidelity-sum ceiling over random channels.
 
-Monte Carlo rounds, the scan's random channels, `haar_states` and the
-perturbations draw by seed scheme v5: item i belongs to draw chunk
-c = i // DRAW_ROUNDS, which draws all of its items from one substream of the
-seed: `substream(k).substream(c)` for Monte Carlo rounds of the k-th of
-GAME_KINDS, which draw whole arrays per draw chunk, each round only its Haar
-state and the referee's uniform; `substream(c)` for the rest, item i being
-its (i mod DRAW_ROUNDS)-th consecutive draw.  So item i depends on the seed,
-the game kind and i alone, and N items are a prefix of any longer run.  Items
-are evaluated in memory chunks, which bound memory only, so no record depends
-on them.  Monte Carlo rounds are drawn in blocks of whole draw chunks and
-scored in slices of at most MEMORY_ROUNDS rounds; the other consumers take at
-most one draw chunk per memory chunk.  Either way a slice or memory chunk
-holds fewer items where its rows would pass CHUNK_BYTES.
+The scan's random channels, `haar_states` and the perturbations draw by
+seed scheme v5 (as under v3 and v4): item i belongs to draw chunk
+c = i // DRAW_ROUNDS and is the (i mod DRAW_ROUNDS)-th consecutive draw from
+the seed's `substream(c)`.  Monte Carlo rounds draw by seed scheme v6: a play
+of the k-th of GAME_KINDS opens two streams, `substream(k).substream(0)` for
+the Haar states and `substream(k).substream(1)` for the referee's uniforms,
+and reads round after round from each in order.  Either way item i depends on
+the seed, the game kind and i alone, and N items are a prefix of any longer
+run.  Items are evaluated in memory chunks, which bound memory only, so no
+record depends on them: Monte Carlo rounds in slices of at most
+MEMORY_ROUNDS rounds, the other consumers in memory chunks of at most one
+draw chunk, each holding fewer items where its rows would pass CHUNK_BYTES.
 
 A strategy's payoff on psi is the overlap with psi of the state it hands the
 SWAP-test referee.  `_checked_payoffs` makes that function once per call,
@@ -85,10 +84,11 @@ from .zerosum import MatrixGame, solve
 
 GAME_KINDS = ("estimation", "cloning", "one_particle")
 
-#: Items per draw chunk of seed scheme v5: draw chunk c covers Monte Carlo
-#: rounds, random scan channels, Haar states or perturbations c*DRAW_ROUNDS ..
-#: (c+1)*DRAW_ROUNDS - 1 and draws them all from one substream.  Part of the
-#: determinism contract: changing it changes every record.
+#: Items per draw chunk of seed scheme v5: draw chunk c covers random scan
+#: channels, Haar states or perturbations c*DRAW_ROUNDS .. (c+1)*DRAW_ROUNDS - 1
+#: and draws them all from one substream.  Monte Carlo rounds (seed scheme v6)
+#: have no draw chunks.  Part of the determinism contract: changing it changes
+#: every record of those consumers.
 DRAW_ROUNDS = 256
 #: Bytes one memory chunk's widest per-item array may take: games whose rows
 #: are wide (many Sym_out coordinates or d^m amplitudes) evaluate fewer items
@@ -96,9 +96,10 @@ DRAW_ROUNDS = 256
 #: depend on the chunk length.
 CHUNK_BYTES = 2**22
 #: Rounds per slice of Monte Carlo play, fewer where the rows would pass
-#: CHUNK_BYTES: four draw chunks, so that each batched call is long enough to
-#: hide its fixed cost and short enough to stay in cache.
-MEMORY_ROUNDS = 4 * DRAW_ROUNDS
+#: CHUNK_BYTES: long enough for each batched call to hide its fixed cost and
+#: short enough to stay in cache.  Seed scheme v6 draws each slice's rounds in
+#: order from the play's two streams, so records do not depend on it.
+MEMORY_ROUNDS = 1024
 #: Most rounds times `_checked_payoffs` width one Monte Carlo play may score;
 #: a longer play is refused before its first draw.
 ROUND_BUDGET = 2**30
@@ -416,38 +417,26 @@ class MonteCarloRecord:
     pass_rate: float
 
 
-def _draw_chunk(spec: GameSpec, c: int):
-    """(normals, uniforms) of the rounds of draw chunk c of `spec`, by seed scheme v5.
-
-    `complex_normals(DRAW_ROUNDS * d)` and then `generator.random(DRAW_ROUNDS)`
-    from `substream(k).substream(c)` of the seed, k the index of `spec.kind`
-    in GAME_KINDS; a final partial chunk keeps its first rows only.
-    """
-    stream = RandomStream(spec.seed, c, parent=(GAME_KINDS.index(spec.kind),))
-    rounds = min(DRAW_ROUNDS, spec.samples - c * DRAW_ROUNDS)
-    normals = stream.complex_normals(DRAW_ROUNDS * spec.d).reshape(DRAW_ROUNDS, spec.d)
-    return normals[:rounds], stream.generator.random(DRAW_ROUNDS)[:rounds]
-
-
 def monte_carlo_play(spec: GameSpec, strategy) -> MonteCarloRecord:
     """Play `spec.samples` protocol rounds against the SWAP-test referee.
 
     The seed is `spec.seed`; `dataclasses.replace(spec, seed=s)` plays seed s.
-    Draws follow seed scheme v5 (module docstring): round i is row
-    i mod DRAW_ROUNDS of draw chunk i // DRAW_ROUNDS (`_draw_chunk`), its
-    Haar state's amplitudes and the referee's uniform, so it depends on
-    (seed, kind, i) alone and the record of N rounds is the prefix of the
-    record of any longer play.  Round i passes when its uniform falls below
-    (1 + F)/2, F the `_checked_payoffs` of the strategy on its state.
+    Draws follow seed scheme v6 (module docstring): with k the index of
+    `spec.kind` in GAME_KINDS, round i's Haar state normalises the i-th d
+    complex normals of the path (k, 0), each drawn by `standard_normal` as a
+    (real, imaginary) pair, and the referee's uniform is the i-th `random`
+    draw of the path (k, 1).  Consecutive draws of a numpy generator compose
+    bit for bit, so round i depends on (seed, kind, i) alone and the record
+    of N rounds is the prefix of the record of any longer play.  Round i
+    passes when its uniform falls below (1 + F)/2, F the `_checked_payoffs`
+    of the strategy on its state.
 
-    Rounds are scored in slices of MEMORY_ROUNDS, or fewer where one round's
-    widest row is so wide that a slice's rows would pass CHUNK_BYTES.  They
-    are drawn in blocks of (slice length) // DRAW_ROUNDS whole draw chunks,
-    at least one; each block is normalised and checked once, then scored and
-    refereed slice by slice with array operations.  A block holds only its
-    rounds' d amplitudes and uniforms, so the working memory does not grow
-    with the round count, and the record depends on the seed and not on the
-    slice length.  The strategy and its size cap are checked, and its rows built,
+    Rounds are drawn, normalised, checked, scored and refereed in slices of
+    MEMORY_ROUNDS, or fewer where one round's widest row is so wide that a
+    slice's rows would pass CHUNK_BYTES.  A slice holds only its rounds'
+    amplitudes and uniforms, so the working memory does not grow with the
+    round count, and the record depends on the seed and not on the slice
+    length.  The strategy and its size cap are checked, and its rows built,
     once and before any draw (`_checked_payoffs`); so is the round budget: a
     play whose rounds times that width pass ROUND_BUDGET raises
     SizeCapExceeded.
@@ -460,24 +449,20 @@ def monte_carlo_play(spec: GameSpec, strategy) -> MonteCarloRecord:
             f"{spec.samples} rounds of width {width} exceed the round budget {ROUND_BUDGET}"
         )
     chunk = _chunk_length(width, MEMORY_ROUNDS)
-    per_block = max(1, chunk // DRAW_ROUNDS)
-    draws = -(-spec.samples // DRAW_ROUNDS)
-    full, rest = divmod(spec.samples, per_block * DRAW_ROUNDS)
     _log.debug(
-        "monte_carlo_play %s d=%d n=%d m=%d: %d rounds in %d slices of <= %d, "
-        "%d blocks of <= %d draw chunks; seed scheme v5, %d draw chunks of %d",
-        spec.kind, spec.d, spec.n, spec.m, spec.samples,
-        full * -(-per_block * DRAW_ROUNDS // chunk) + -(-rest // chunk), chunk,
-        full + (rest > 0), per_block, draws, DRAW_ROUNDS,
+        "monte_carlo_play %s d=%d n=%d m=%d: %d rounds in %d slices of <= %d; "
+        "seed scheme v6, one state and one coin stream",
+        spec.kind, spec.d, spec.n, spec.m, spec.samples, -(-spec.samples // chunk), chunk,
     )
+    game = (GAME_KINDS.index(spec.kind),)
+    states = RandomStream(spec.seed, 0, parent=game).generator
+    coins = RandomStream(spec.seed, 1, parent=game).generator
     total = 0
-    for first in range(0, draws, per_block):
-        parts = [_draw_chunk(spec, c) for c in range(first, min(first + per_block, draws))]
-        normals, uniforms = map(np.concatenate, zip(*parts))
+    for start in range(0, spec.samples, chunk):
+        rounds = min(chunk, spec.samples - start)
+        normals = states.standard_normal((rounds, spec.d, 2)).view(complex).reshape(rounds, -1)
         psi = _check_unit_rows(normals / np.linalg.norm(normals, axis=1, keepdims=True))
-        for start in range(0, len(psi), chunk):
-            stop = start + chunk
-            total += int(np.sum(referee_outcomes(payoffs(psi[start:stop]), uniforms[start:stop])))
+        total += int(np.sum(referee_outcomes(payoffs(psi), coins.random(rounds))))
     mean = total / spec.samples
     # outcomes are +-1, so the sample variance is exactly 1 - mean^2
     stderr = math.sqrt(max(0.0, 1.0 - mean * mean) / spec.samples)
@@ -547,7 +532,7 @@ def asym_bound_scan(
     checked against the size cap, with the arity checks of
     `random_isometry_channel`, before the first channel is built.
 
-    Seed scheme v3, which v4 and v5 leave as it is: random channel i is the
+    Seed scheme v3, which v4, v5 and v6 leave as it is: random channel i is the
     (i mod DRAW_ROUNDS)-th consecutive `random_isometry_channel` draw from
     the one stream `RandomStream(seed).substream(i // DRAW_ROUNDS)`.  The
     channels are handled in memory chunks of at most DRAW_ROUNDS, fewer when

@@ -152,19 +152,20 @@ def coherent_coordinates(amplitudes, n: int) -> np.ndarray:
     renormalised: the coordinates have norm |psi|^n.
 
     The powers come from a table of psi_i^k for k = 0 .. n, gathered by the
-    exponent columns.  Entries 0 and 1 are filled directly and entries 2 .. n
-    by one `np.power` call with integer exponents, so the table holds the
-    bits of `psi ** k`: numpy's repeated-multiplication loop for k < 100 and
-    `cpow` from k = 100 on.  Every step is elementwise, so a state alone gives
-    the same bits as inside a batch.
+    exponent columns.  Entries 0 and 1 are filled directly and entries 2 .. n,
+    if any, by one `np.power` call with integer exponents, so the table holds
+    the bits of `psi ** k`: numpy's repeated-multiplication loop for k < 100
+    and `cpow` from k = 100 on.  Every step is elementwise, so a state alone
+    gives the same bits as inside a batch.
     """
     amplitudes = np.asarray(amplitudes)
     exponents, roots = _coherent_factors(amplitudes.shape[-1], n)
     table = np.empty((n + 1,) + amplitudes.shape, dtype=complex)  # table[k] = psi^k
     table[0] = 1
     table[1:2] = amplitudes
-    np.power(amplitudes, np.arange(2, n + 1).reshape((-1,) + (1,) * amplitudes.ndim),
-             out=table[2:])
+    if n >= 2:
+        np.power(amplitudes, np.arange(2, n + 1).reshape((-1,) + (1,) * amplitudes.ndim),
+                 out=table[2:])
     out = roots.reshape((-1,) + (1,) * (amplitudes.ndim - 1)) * table[exponents[:, 0], ..., 0]
     for i in range(1, exponents.shape[1]):
         out *= table[exponents[:, i], ..., i]

@@ -1,10 +1,11 @@
 """Round-by-round Monte Carlo play, the oracle for `harness.monte_carlo_play`.
 
-The draws follow seed scheme v5, replayed here with this module's own code:
-draw chunk c of ORACLE_DRAW_ROUNDS rounds of a game whose kind has index k in
-ORACLE_KINDS takes the substream c of the seed's substream k and draws, in
-this order, the rounds' complex normals (all real parts, then all imaginary
-parts) and the referee uniforms.  Each round then builds its
+The draws follow seed scheme v6, replayed here with this module's own code:
+a play of a game whose kind has index k in ORACLE_KINDS takes two streams,
+the substreams 0 and 1 of the seed's substream k.  Round after round, it
+draws from the first its state's d complex normals, each as a (real,
+imaginary) pair of standard normals, and from the second the referee's
+uniform, one draw call per round.  Each round then builds its
 Haar state, tensor powers and Kraus branches on its own, on the full d^n and
 d^m registers, and scores the state the strategy hands the referee: an
 estimation round averages |<psi|guess_r>|^2 over the Born-rule outcomes r, a
@@ -24,9 +25,7 @@ from qgames.symmetric import sym_isometry
 
 import dense_oracle
 
-#: The draw-chunk length of seed scheme v5, written out rather than imported.
-ORACLE_DRAW_ROUNDS = 256
-#: The game kinds in the order of their seed scheme v5 substreams, written out
+#: The game kinds in the order of their seed scheme v6 substreams, written out
 #: rather than imported.
 ORACLE_KINDS = ("estimation", "cloning", "one_particle")
 
@@ -69,35 +68,27 @@ def one_particle_round_fidelity(ch: Channel, psi: PureState, clone: int) -> floa
     return float(np.vdot(psi.amplitudes, reduced @ psi.amplitudes).real)
 
 
-def _chunk_outcomes(kind: str, strategy, stream: RandomStream, rounds: int) -> list[int]:
-    """The first `rounds` outcomes of one draw chunk, from its own substream."""
-    b = ORACLE_DRAW_ROUNDS
-    d = 2 if kind == "estimation" else strategy.d
-    gen = stream.generator
-    real = gen.standard_normal((b, d))
-    normals = real + 1j * gen.standard_normal((b, d))
-    referee = gen.random(b)
-    outcomes = []
-    for i in range(rounds):
-        psi = PureState.normalized(normals[i])
-        if kind == "estimation":
-            fidelity = estimation_round_fidelity(strategy, psi)
-        elif kind == "cloning":
-            fidelity = global_round_fidelity(strategy, psi)
-        else:
-            fidelity = np.mean([one_particle_round_fidelity(strategy, psi, c)
-                                for c in range(1, strategy.n_out + 1)])
-        outcomes.append(_referee(fidelity, float(referee[i])))
-    return outcomes
+def _round_fidelity(kind: str, strategy, psi: PureState) -> float:
+    """The fidelity of the state the strategy hands the referee in one round on psi."""
+    if kind == "estimation":
+        return estimation_round_fidelity(strategy, psi)
+    if kind == "cloning":
+        return global_round_fidelity(strategy, psi)
+    return np.mean([one_particle_round_fidelity(strategy, psi, c)
+                    for c in range(1, strategy.n_out + 1)])
 
 
 def oracle_outcomes(kind: str, strategy, samples: int, seed: int) -> list[int]:
-    """The +-1 outcomes of rounds 0 .. samples-1, one substream per draw chunk."""
-    root = RandomStream(seed).substream(ORACLE_KINDS.index(kind))
+    """The +-1 outcomes of rounds 0 .. samples-1, each drawn on its own."""
+    game = RandomStream(seed).substream(ORACLE_KINDS.index(kind))
+    states, coins = game.substream(0).generator, game.substream(1).generator
+    d = 2 if kind == "estimation" else strategy.d
     outcomes = []
-    for c in range(-(-samples // ORACLE_DRAW_ROUNDS)):
-        rounds = min(ORACLE_DRAW_ROUNDS, samples - c * ORACLE_DRAW_ROUNDS)
-        outcomes += _chunk_outcomes(kind, strategy, root.substream(c), rounds)
+    for _ in range(samples):
+        pairs = states.standard_normal((d, 2))
+        psi = PureState.normalized(pairs[:, 0] + 1j * pairs[:, 1])
+        fidelity = _round_fidelity(kind, strategy, psi)
+        outcomes.append(_referee(fidelity, float(coins.random())))
     return outcomes
 
 

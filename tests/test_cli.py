@@ -320,15 +320,17 @@ class TestMcPlayCommand:
 
     @pytest.mark.parametrize(
         "game, mean_payoff",
-        [("estimation", 0.646), ("cloning", 0.66), ("one_particle", 0.87)],
+        [("estimation", 0.628), ("cloning", 0.674), ("one_particle", 0.828)],
     )
     def test_fixed_seed_draw_sequence_is_pinned(self, capsys, game, mean_payoff):
-        # pinned fixed-seed results (seed scheme v5, the universal POVM for
-        # estimation): a change to the order or the number of draws per draw
-        # chunk moves them, and the determinism contract forbids that.  Under
-        # v5 each game kind draws from its own substream of the seed.  Seed
-        # scheme v4 gave estimation 0.626, cloning 0.626 and one_particle
-        # 0.832; schemes v2 and v3 gave estimation 0.668 and one_particle 0.84.
+        # pinned fixed-seed results (seed scheme v6, the universal POVM for
+        # estimation): a change to the order or the number of draws per round
+        # moves them, and the determinism contract forbids that.  Under v6
+        # each game kind draws its states and its referee uniforms from two
+        # substreams of its own substream of the seed.  Seed scheme v5 gave
+        # estimation 0.646, cloning 0.66 and one_particle 0.87; v4 gave
+        # estimation 0.626, cloning 0.626 and one_particle 0.832; schemes v2
+        # and v3 gave estimation 0.668 and one_particle 0.84.
         code, out = run_cli(
             ["mc-play", "--game", game, "--samples", "1000", "--seed", "21"], capsys
         )
@@ -336,13 +338,15 @@ class TestMcPlayCommand:
         assert json.loads(out)["mean_payoff"] == mean_payoff
 
     @pytest.mark.parametrize("seed, mean_payoffs", [
-        (1, (0.8323, 0.6643, 0.6119, 0.8301, 0.667)),
-        (2, (0.8309, 0.6594, 0.605, 0.8316, 0.6698)),
+        (1, (0.8373, 0.6522, 0.585, 0.8363, 0.674)),
+        (2, (0.8346, 0.6649, 0.5963, 0.8472, 0.6785)),
     ])
     def test_benchmark_games_are_pinned_at_20000_rounds(self, capsys, seed, mean_payoffs):
-        # pinned fixed-seed results (seed scheme v5) of the five games of the
+        # pinned fixed-seed results (seed scheme v6) of the five games of the
         # benchmark's mc-rounds workload, rendered to 12 digits: how the
-        # rounds are scored in memory chunks must not move an outcome
+        # rounds are scored in slices must not move an outcome.  Seed scheme
+        # v5 gave (0.8323, 0.6643, 0.6119, 0.8301, 0.667) at seed 1 and
+        # (0.8309, 0.6594, 0.605, 0.8316, 0.6698) at seed 2.
         games = [("estimation", 2, 4, 4), ("cloning", 2, 1, 2), ("cloning", 3, 2, 3),
                  ("one_particle", 2, 1, 2), ("one_particle", 3, 1, 3)]
         for (game, d, n, m), mean_payoff in zip(games, mean_payoffs):
@@ -354,15 +358,16 @@ class TestMcPlayCommand:
             assert json.loads(out)["mean_payoff"] == mean_payoff, game
 
     @pytest.mark.parametrize("n, m, seed, mean_payoff", [
-        (1, 100, 1, 0.0203265578141),
-        (1, 100, 2, 0.0056647784072),
-        (2, 120, 1, 0.0263245584805),
-        (2, 120, 2, 0.00899700099967),
+        (1, 100, 1, -0.00633122292569),
+        (1, 100, 2, 0.0716427857381),
+        (2, 120, 1, -0.00233255581473),
+        (2, 120, 2, 0.0789736754415),
     ])
     def test_cloning_at_a_hundred_copies_is_pinned(self, capsys, n, m, seed, mean_payoff):
         # global cloning rows pair with psi^{(x)m}, so these plays take
         # coherent coordinates at m >= 100 copies, where numpy's integer-power
-        # loop hands over to cpow
+        # loop hands over to cpow (seed scheme v6; v5 gave 0.0203265578141,
+        # 0.0056647784072, 0.0263245584805 and 0.00899700099967)
         code, out = run_cli(
             ["mc-play", "--game", "cloning", "--d", "2", "--n", str(n), "--m", str(m),
              "--samples", "3001", "--seed", str(seed)], capsys

@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -445,6 +446,19 @@ class TestValueFormulas:
     def test_invalid(self):
         with pytest.raises(InvalidArity):
             value_formulas(2, 3, 2)
+
+    def test_values_are_the_nearest_floats_of_the_rationals(self):
+        # int true division and Fraction both round the exact ratio correctly
+        for d in range(1, 8):
+            for n in range(1, 41):
+                for m in range(n, 81):
+                    numer = n * (d + m) + m - n
+                    want = (float(Fraction(math.comb(d + n - 1, n), math.comb(d + m - 1, m))),
+                            float(Fraction(numer, (d + n) * m)), float(Fraction(numer, d + n)))
+                    got = value_formulas(d, n, m)
+                    got = (got.global_value, got.single_value, got.asym_bound)
+                    assert got == want, (d, n, m)
+                    assert all(type(v) is float for v in got)
 
 
 class TestChannelFamilies:

@@ -533,8 +533,8 @@ MC_GAMES = [
     _mc_game("one_particle", 3, 1, 3,
              lambda: random_isometry_channel(3, 1, 3, RandomStream(9), ancilla_dim=2), "random"),
 ]
-# one round, the edges of the first two 256-round draw chunks, and several
-# draw chunks
+# one round, the counts around the first two draw-chunk edges of seed scheme
+# v5 (256 rounds each), and 1000 rounds
 MC_SAMPLE_COUNTS = (1, 255, 256, 257, 513, 1000)
 
 
@@ -556,8 +556,8 @@ class TestMonteCarloOracle:
     # round at the 60- and 36-entry widths of (3,2,3) and (3,1,3)); 16 bytes
     # per row entry times 1, 7, 300 or 1024 rows give chunks of that many
     # rounds, and 3001 rounds with MEMORY_ROUNDS raised to match score the
-    # longest play in one chunk.  Chunks shorter than a draw chunk split it,
-    # longer ones span several and cut across their edges.
+    # longest play in one chunk.  Each chunk draws its rounds with one call per
+    # stream, so a chunk of one round draws one state and one uniform alone.
     @pytest.mark.parametrize("rounds, value", [
         (1, None), (7, None), (None, 1000), (300, None), (1024, None), (3001, None),
     ])
@@ -596,13 +596,13 @@ class TestMonteCarloOracle:
         peak = peak_bytes(lambda: monte_carlo_play(spec, strategy))
         assert peak <= mib * 2**20
 
-    # blocks of MEMORY_ROUNDS // 256 = 4 draw chunks of 256, each scored in one
-    # slice of at most MEMORY_ROUNDS = 1024 rounds
+    # slices of at most MEMORY_ROUNDS = 1024 rounds, drawn from the play's two
+    # streams
     @pytest.mark.parametrize("samples, tail", [
-        (600, "600 rounds in 1 slices of <= 1024, 1 blocks of <= 4 draw chunks; "
-              "seed scheme v5, 3 draw chunks of 256"),
-        (3001, "3001 rounds in 3 slices of <= 1024, 3 blocks of <= 4 draw chunks; "
-               "seed scheme v5, 12 draw chunks of 256"),
+        (600, "600 rounds in 1 slices of <= 1024; "
+              "seed scheme v6, one state and one coin stream"),
+        (3001, "3001 rounds in 3 slices of <= 1024; "
+               "seed scheme v6, one state and one coin stream"),
     ])
     def test_logs_one_record_per_call(self, caplog, samples, tail):
         spec = GameSpec("cloning", d=3, n=2, m=3, samples=samples, seed=1)
@@ -620,27 +620,25 @@ class TestMonteCarloOracle:
         ("one_particle", product_embedding_channel, 18),
         ("one_particle", optimal_cloner, 18),
     ])
-    @pytest.mark.parametrize("rounds, slices", [(100, 7), (300, 3)])
+    @pytest.mark.parametrize("rounds, slices", [(100, 6), (300, 2)])
     def test_wide_outputs_shorten_chunks(self, monkeypatch, caplog, kind, make, width,
                                          rounds, slices):
         # A round's widest array is its Choi-row product: 6 Sym_in x 10 Sym_out
         # entries per row for the whole output, 6 Sym_in x 3 clone entries
         # per row for a clone picked at random (18 rows of them, for Sym_out
         # and full outputs alike).  CHUNK_BYTES fits 100 or 300 rounds of
-        # them, fewer than MEMORY_ROUNDS, so each block is one draw chunk of
-        # 256, 256 and 88 rounds, scored in slices of 100, 100 and 56 rounds
-        # (3 + 3 + 1) or in one slice each.
+        # them, fewer than MEMORY_ROUNDS, so the 600 rounds are drawn and
+        # scored in 6 slices of 100 or 2 of 300.
         monkeypatch.setattr(qgames.harness, "CHUNK_BYTES", 16 * width * rounds)
         spec = GameSpec(kind, d=3, n=2, m=3, samples=600, seed=1)
         with caplog.at_level(logging.DEBUG, logger="qgames.harness"):
             monte_carlo_play(spec, make(3, 2, 3))
         message = caplog.records[-1].getMessage()
-        assert f"600 rounds in {slices} slices of <= {rounds}, 3 blocks of <= 1 draw chunks;" \
-            in message
+        assert f"600 rounds in {slices} slices of <= {rounds};" in message
 
     @pytest.mark.parametrize("kind, d, n, m, make", MC_GAMES)
     def test_shorter_play_is_a_prefix(self, monkeypatch, kind, d, n, m, make):
-        # seed scheme v5: round i depends on (seed, kind, i) alone, so 300 rounds
+        # seed scheme v6: round i depends on (seed, kind, i) alone, so 300 rounds
         # replay the first 300 outcomes of 600; the spy keeps the harness's own
         # per-round outcomes, which the records only sum
         strategy = make()
@@ -660,37 +658,75 @@ class TestMonteCarloOracle:
         assert len(outcomes[0]) == 300 and len(outcomes[1]) == 600
         assert np.array_equal(outcomes[0], outcomes[1][:300])
 
+    @pytest.mark.parametrize("rounds", [1, 7, 300, 1024])
+    @pytest.mark.parametrize("kind, d, n, m, make", MC_GAMES)
+    def test_outcomes_do_not_depend_on_slice_length(self, monkeypatch, kind, d, n, m, make,
+                                                   rounds):
+        # seed scheme v6: each slice reads its rounds from the play's two
+        # streams in order, and consecutive draws compose bit for bit, so a
+        # play in slices of 1, 7, 300 or 1024 rounds (CHUNK_BYTES cut to fit
+        # that many rows of the strategy's width) hands the referee the same
+        # uniforms and scores the same outcomes, round by round, as one in
+        # slices of MEMORY_ROUNDS
+        strategy = make()
+        spec = GameSpec(kind, d=d, n=n, m=m, samples=2100, seed=13)
+        width = _checked_payoffs(kind, d, n, m, strategy)[1]
+        slices = []
+        real = qgames.harness.referee_outcomes
+
+        def spy(overlaps, uniforms):
+            slices.append((uniforms, real(overlaps, uniforms)))
+            return slices[-1][1]
+
+        monkeypatch.setattr(qgames.harness, "referee_outcomes", spy)
+        expected = monte_carlo_play(spec, strategy)
+        whole = slices[:]
+        slices.clear()
+        monkeypatch.setattr(qgames.harness, "CHUNK_BYTES", 16 * width * rounds)
+        assert monte_carlo_play(spec, strategy) == expected
+        assert [len(u) for u, _ in slices] == [min(rounds, 2100 - start)
+                                               for start in range(0, 2100, rounds)]
+        for part in (0, 1):
+            assert np.array_equal(np.concatenate([s[part] for s in slices]),
+                                  np.concatenate([s[part] for s in whole]))
+
     @pytest.mark.parametrize("kind, d, n, m, make", MC_GAMES)
     def test_rounds_draw_only_states_and_referee_uniforms(self, monkeypatch, kind, d, n, m,
                                                            make):
-        # seed scheme v5: each draw chunk c draws from the path (k, c), k the
-        # index of the game kind, its rounds' Haar states, then the referee's
-        # uniforms, and nothing else; the estimation outcome and the referee's
-        # choice of clone are integrated out
+        # seed scheme v6: each slice draws its rounds' Haar states as (real,
+        # imaginary) pairs of normals from the path (k, 0), k the index of the
+        # game kind, then as many referee uniforms from the path (k, 1), and
+        # nothing else; the estimation outcome and the referee's choice of
+        # clone are integrated out.  CHUNK_BYTES is cut to slices of 256
+        # rounds, so 600 rounds take three slices.
         strategy = make()
         k = GAME_KINDS.index(kind)
+        width = _checked_payoffs(kind, d, n, m, strategy)[1]
+        monkeypatch.setattr(qgames.harness, "CHUNK_BYTES", 16 * width * 256)
         calls = spy_stream_draws(monkeypatch)
         monte_carlo_play(GameSpec(kind, d=d, n=n, m=m, samples=600, seed=5), strategy)
-        assert calls == [call for c in range(3)
-                         for call in (("complex_normals", (k, c), (256 * d,)),
-                                      ("random", (k, c), (256,)))]
+        assert calls == [call for b in (256, 256, 88)
+                         for call in (("standard_normal", (k, 0), ((b, d, 2),)),
+                                      ("random", (k, 1), (b,)))]
 
     @pytest.mark.parametrize("kind, d, n, m, make", MC_GAMES)
-    def test_one_stream_per_draw_chunk(self, monkeypatch, kind, d, n, m, make):
-        # the root stream plus one substream per draw chunk of DRAW_ROUNDS
+    def test_two_streams_per_play(self, monkeypatch, kind, d, n, m, make):
+        # the state stream (k, 0) and the coin stream (k, 1), whatever the
+        # round count
         strategy = make()
+        k = GAME_KINDS.index(kind)
         streams = []
         real = RandomStream.__init__
 
         def spy(self, *args, **kwargs):
-            streams.append(args)
             real(self, *args, **kwargs)
+            streams.append(self.path)
 
         monkeypatch.setattr(RandomStream, "__init__", spy)
         for samples in (1, 256, 600, 2000):
             streams.clear()
             monte_carlo_play(GameSpec(kind, d=d, n=n, m=m, samples=samples, seed=5), strategy)
-            assert len(streams) <= -(-samples // qgames.harness.DRAW_ROUNDS) + 1
+            assert streams == [(k, 0), (k, 1)]
 
 
 class TestAsymBoundScan:

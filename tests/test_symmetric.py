@@ -155,18 +155,30 @@ def _awkward_amplitudes(d):
 
 
 @pytest.mark.parametrize("d, top", [(1, 12), (2, 99), (3, 12), (4, 8), (5, 5)])
-def test_coherent_coordinates_keep_the_integer_power_bits(d, top):
+def test_coherent_coordinates_keep_the_integer_power_bits(monkeypatch, d, top):
     # the power table takes its entries from numpy's own integer-power loop,
     # which multiplies repeatedly up to exponent 99, so the coordinates match
     # `**` bit for bit, zero amplitudes and real ones included, and come out
-    # C-contiguous as it does
-    psi = _awkward_amplitudes(d)
+    # C-contiguous as it does; n = 0 and n = 1 fill the table without any
+    # `np.power` call, for a batch and for one state alike
+    batch = _awkward_amplitudes(d)
+    powers = []
+    real = np.power
+
+    def spy(*args, **kwargs):
+        powers.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "power", spy)
     for n in range(top + 1):
-        got = coherent_coordinates(psi, n)
-        want = _integer_power_coordinates(psi, n)
-        assert got.shape == want.shape and got.dtype == want.dtype
-        assert got.flags.c_contiguous
-        assert np.array_equal(got, want), n
+        for psi in (batch, batch[0, 1]):
+            powers.clear()
+            got = coherent_coordinates(psi, n)
+            want = _integer_power_coordinates(psi, n)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, want), n
+            assert len(powers) == (n >= 2), n
 
 
 @pytest.mark.parametrize("n", [100, 128, 300])
