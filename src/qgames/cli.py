@@ -264,7 +264,9 @@ def _run_mc_play(config):
         strategy = optimal_cloner(config.d, config.n, config.m)
     record = harness.monte_carlo_play(spec, strategy)
     exact = spec.theoretical_value()
-    z = (record.mean_payoff - exact) / record.stderr_payoff if record.stderr_payoff else 0.0
+    # z against the null error, the standard error of +-1 outcomes of mean `exact`
+    null_error = math.sqrt(max(0.0, 1.0 - exact * exact) / record.samples)
+    z = (record.mean_payoff - exact) / null_error if null_error else 0.0
     doc = {
         "command": "mc-play",
         "game": config.game,

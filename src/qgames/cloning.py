@@ -372,10 +372,8 @@ def random_isometry_channel(d, n_in, n_out, rng: RandomStream, ancilla_dim=None)
     their reduced QR with the phase fix of `_phase_fixed_q` orthonormalises
     them.  Those columns are distributed as the leading columns of a Haar
     unitary, so the isometry is Haar distributed.  The Kraus stack comes from
-    the batched kernel `_random_isometry_kraus` at a batch of one.  Under seed
-    scheme v3 the asymmetric-bound scan runs the same kernel on whole memory
-    chunks of channels: its channel i is the (i mod DRAW_ROUNDS)-th
-    consecutive call on `RandomStream(seed).substream(i // DRAW_ROUNDS)`
+    the batched kernel `_random_isometry_kraus` at a batch of one, which the
+    asymmetric-bound scan runs on whole memory chunks of channels
     (`harness.asym_bound_scan`).  The size cap counts the Ginibre side
     d**n_out * ancilla_dim and is checked before anything is drawn, as are
     ancilla_dim >= 1 and a Ginibre side of at least the d**n_in kept columns.

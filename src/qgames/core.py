@@ -137,13 +137,13 @@ class RandomStream:
     their substreams differ.  `parent` is the path a substream extends;
     `substream` passes it, and a stream built without it is root-level.
 
-    Under seed scheme v5 the asymmetric-bound scan's random channels,
+    Under seed scheme v7 the asymmetric-bound scan's random channels,
     `harness.haar_states` and the perturbations of
-    `harness.cloner_perturbations` and `harness.povm_perturbations` take one
-    substream `substream(c)` per draw chunk c of `harness.DRAW_ROUNDS` items
-    and draw the chunk's items from it in order.  Under seed scheme v6, which
-    covers `mc-play` rounds only, a play of the k-th of `harness.GAME_KINDS`
-    opens two streams, `substream(k).substream(0)` for its Haar states and
+    `harness.cloner_perturbations` and `harness.povm_perturbations` draw
+    their items in order from one stream, `substream(0)` of the stream they
+    are given.  Under seed scheme v6, which covers `mc-play` rounds only, a
+    play of the k-th of `harness.GAME_KINDS` opens two streams,
+    `substream(k).substream(0)` for its Haar states and
     `substream(k).substream(1)` for the referee's uniforms, and reads every
     round from them in order.
     """

@@ -173,11 +173,14 @@ def default_directions(n_copies: int) -> list[Direction]:
     points.  Nonnegative weights on these points do not always tile the
     identity: `build_povm` succeeds for n = 1-8 and 10-13 but raises
     IncompletePovm at n = 9, 14 and 15.  `universal_povm` is exact for every n.
+    The size cap counts the effect stack `build_povm` would make on these
+    points and is checked before any point is made.
     """
     if n_copies < 1:
         raise ValueError("need at least one copy")
     if n_copies == 1:
         return [Direction(0.0, 0.0), Direction(math.pi, 0.0)]
+    _check_effect_stack(n_copies, (n_copies + 1) ** 2)
     return fibonacci_directions((n_copies + 1) ** 2)
 
 

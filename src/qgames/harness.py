@@ -8,17 +8,17 @@ referee protocol, and the brute-force scan checks the asymmetric-cloning
 fidelity-sum ceiling over random channels.
 
 The scan's random channels, `haar_states` and the perturbations draw by
-seed scheme v5 (as under v3 and v4): item i belongs to draw chunk
-c = i // DRAW_ROUNDS and is the (i mod DRAW_ROUNDS)-th consecutive draw from
-the seed's `substream(c)`.  Monte Carlo rounds draw by seed scheme v6: a play
-of the k-th of GAME_KINDS opens two streams, `substream(k).substream(0)` for
-the Haar states and `substream(k).substream(1)` for the referee's uniforms,
-and reads round after round from each in order.  Either way item i depends on
-the seed, the game kind and i alone, and N items are a prefix of any longer
-run.  Items are evaluated in memory chunks, which bound memory only, so no
-record depends on them: Monte Carlo rounds in slices of at most
-MEMORY_ROUNDS rounds, the other consumers in memory chunks of at most one
-draw chunk, each holding fewer items where its rows would pass CHUNK_BYTES.
+seed scheme v7: item i is the i-th consecutive draw from the given stream's
+`substream(0)`, `RandomStream(seed).substream(0)` for the scan.  Monte Carlo
+rounds draw by seed scheme v6: a play of the k-th of GAME_KINDS opens two
+streams, `substream(k).substream(0)` for the Haar states and
+`substream(k).substream(1)` for the referee's uniforms, and reads round after
+round from each in order.  Either way item i depends on the seed, the game
+kind and i alone, and N items are a prefix of any longer run.  Items are
+evaluated in memory chunks, which bound memory only, so no record depends on
+them: Monte Carlo rounds in slices of at most MEMORY_ROUNDS rounds, the scan's
+channels and the discretized games' columns in chunks of at most
+MEMORY_ITEMS, each holding fewer items where its rows would pass CHUNK_BYTES.
 
 A strategy's payoff on psi is the overlap with psi of the state it hands the
 SWAP-test referee.  `_checked_payoffs` makes that function once per call,
@@ -41,6 +41,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,12 +85,9 @@ from .zerosum import MatrixGame, solve
 
 GAME_KINDS = ("estimation", "cloning", "one_particle")
 
-#: Items per draw chunk of seed scheme v5: draw chunk c covers random scan
-#: channels, Haar states or perturbations c*DRAW_ROUNDS .. (c+1)*DRAW_ROUNDS - 1
-#: and draws them all from one substream.  Monte Carlo rounds (seed scheme v6)
-#: have no draw chunks.  Part of the determinism contract: changing it changes
-#: every record of those consumers.
-DRAW_ROUNDS = 256
+#: Scan channels or game columns per memory chunk, fewer where the rows would
+#: pass CHUNK_BYTES.
+MEMORY_ITEMS = 256
 #: Bytes one memory chunk's widest per-item array may take: games whose rows
 #: are wide (many Sym_out coordinates or d^m amplitudes) evaluate fewer items
 #: per chunk.  Memory chunks bound the working memory only, so records do not
@@ -151,22 +149,15 @@ def fibonacci_states(count: int) -> list[PureState]:
     return [bloch_state(d) for d in fibonacci_directions(count)]
 
 
-def _item_streams(rng: RandomStream, count: int):
-    """(i, `rng.substream(i // DRAW_ROUNDS)`) for i < count, one stream per draw chunk."""
-    for c in range(-(-count // DRAW_ROUNDS)):
-        stream = rng.substream(c)
-        for i in range(c * DRAW_ROUNDS, min(count, (c + 1) * DRAW_ROUNDS)):
-            yield i, stream
-
-
 def haar_states(d: int, count: int, rng: RandomStream) -> list[PureState]:
-    """`count` Haar-random states by seed scheme v5 (as under v4).
+    """`count` Haar-random states by seed scheme v7.
 
-    State i is the (i mod DRAW_ROUNDS)-th consecutive `haar_random_state`
-    draw from `rng.substream(i // DRAW_ROUNDS)`, so the states of a smaller
-    count are a prefix of a larger one's.
+    State i is the i-th consecutive `haar_random_state` draw from
+    `rng.substream(0)`, so the states of a smaller count are a prefix of a
+    larger one's.
     """
-    return [haar_random_state(d, stream) for _, stream in _item_streams(rng, count)]
+    stream = rng.substream(0)
+    return [haar_random_state(d, stream) for _ in range(count)]
 
 
 def nested_state_sets(states, sizes) -> list[list[PureState]]:
@@ -199,18 +190,9 @@ def _state_rows(states, dim: int) -> np.ndarray:
     return np.stack([psi.amplitudes for psi in states])
 
 
-def _chunk_length(width: int, most: int = DRAW_ROUNDS) -> int:
+def _chunk_length(width: int, most: int = MEMORY_ITEMS) -> int:
     """Rows per chunk: `most`, fewer when width-wide rows would pass CHUNK_BYTES."""
     return max(1, min(most, CHUNK_BYTES // (16 * width)))
-
-
-def _chunk_counts(total: int, chunk: int) -> tuple[int, int]:
-    """(draw chunks, memory chunks) for `total` items in memory chunks of `chunk`.
-
-    Memory chunks subdivide draw chunks of DRAW_ROUNDS and never straddle one.
-    """
-    full, rest = divmod(total, DRAW_ROUNDS)
-    return full + (rest > 0), full * -(-DRAW_ROUNDS // chunk) + -(-rest // chunk)
 
 
 def _checked_payoffs(kind: str, d: int, n: int, m: int, strategy):
@@ -250,7 +232,7 @@ def _payoff_matrix(kind: str, d: int, n: int, m: int, strategies, states) -> Mat
     """A[i, j] = `_checked_payoffs` of strategies[i] on states[j].
 
     Each row is evaluated over all columns at once, in chunks of at most
-    DRAW_ROUNDS columns, fewer where the rows would pass CHUNK_BYTES.
+    MEMORY_ITEMS columns, fewer where the rows would pass CHUNK_BYTES.
     """
     strategies = list(strategies)
     states = list(states)
@@ -372,10 +354,11 @@ def perturb_best_response_check(base, perturbations) -> PerturbationReport:
 
 
 def cloner_perturbations(ch: Channel, count: int, rng: RandomStream) -> list[Channel]:
-    """Output-unitary kicks alternating with mixes toward symmetric noise, by seed scheme v5."""
+    """Output-unitary kicks alternating with mixes toward symmetric noise, by seed scheme v7."""
     noise = symmetric_noise_channel(ch.d, ch.n_in, ch.n_out)
+    stream = rng.substream(0)
     out = []
-    for i, stream in _item_streams(rng, count):
+    for i in range(count):
         if i % 2 == 0:
             u = haar_random_unitary(ch.dim_out, stream)
             out.append(conjugate_output(ch, u))
@@ -386,9 +369,10 @@ def cloner_perturbations(ch: Channel, count: int, rng: RandomStream) -> list[Cha
 
 
 def povm_perturbations(povm: Povm, count: int, rng: RandomStream) -> list[Povm]:
-    """Misalign the guesses: per-guess unitary kicks and common rotations, by seed scheme v5."""
+    """Misalign the guesses: per-guess unitary kicks and common rotations, by seed scheme v7."""
+    stream = rng.substream(0)
     out = []
-    for i, stream in _item_streams(rng, count):
+    for i in range(count):
         if i % 2 == 0:
             guesses = [haar_random_unitary(2, stream) @ g for g in povm.guesses]
         else:
@@ -472,8 +456,7 @@ def monte_carlo_play(spec: GameSpec, strategy) -> MonteCarloRecord:
 # ---------------------------------------------------------------------------
 # asymmetric-cloning bound scan
 
-@dataclass(frozen=True)
-class ScanRecord:
+class ScanRecord(NamedTuple):
     kind: str  # "random" | "grid" | "optimal"
     label: str
     fidelities: tuple
@@ -532,20 +515,19 @@ def asym_bound_scan(
     checked against the size cap, with the arity checks of
     `random_isometry_channel`, before the first channel is built.
 
-    Seed scheme v3, which v4, v5 and v6 leave as it is: random channel i is the
-    (i mod DRAW_ROUNDS)-th consecutive `random_isometry_channel` draw from
-    the one stream `RandomStream(seed).substream(i // DRAW_ROUNDS)`.  The
-    channels are handled in memory chunks of at most DRAW_ROUNDS, fewer when
-    a channel's Ginibre block is so wide that a chunk would pass CHUNK_BYTES;
-    memory chunks subdivide draw chunks and never straddle one.  Each memory
-    chunk is array work: `cloning._random_isometry_kraus` draws the chunk's
-    Ginibre blocks with one call on its draw chunk's generator and
-    orthonormalises them by one batched QR; one batched check
-    (`cloning._checked_defects`) refuses non-finite entries and completeness
-    defects above `cloning.COMPLETENESS_ATOL`, as `Channel` does; one batched
-    contraction per clone scores the chunk.  Records depend on
-    the seed and the channel index alone, not on the chunk length, and N
-    random channels are a prefix of any larger scan's.  The optimal cloner,
+    Seed scheme v7: random channel i is the i-th consecutive
+    `random_isometry_channel` draw from the one stream
+    `RandomStream(seed).substream(0)`.  The channels are handled in memory
+    chunks of at most MEMORY_ITEMS, fewer when a channel's Ginibre block is
+    so wide that a chunk would pass CHUNK_BYTES.  Each memory chunk is array
+    work: `cloning._random_isometry_kraus` draws the chunk's Ginibre blocks
+    with one call on the stream's generator and orthonormalises them by one
+    batched QR; one batched check (`cloning._checked_defects`) refuses
+    non-finite entries and completeness defects above
+    `cloning.COMPLETENESS_ATOL`, as `Channel` does; one batched contraction
+    per clone scores the chunk.  Records depend on the seed and the channel
+    index alone, not on the chunk length, and N random channels are a prefix
+    of any larger scan's.  The optimal cloner,
     the one `Channel` built, is scored as a stack of one, and the grid
     (`_asymmetry_grid_kraus`) is built, checked and scored in memory chunks.
     """
@@ -553,28 +535,24 @@ def asym_bound_scan(
     bound = value_formulas(d, n_in, n_out).asym_bound
     n_grid = grid_points if (n_in, n_out) == (1, 2) and grid_points > 0 else 0
     chunk = _chunk_length(dim * d**n_in)
-    draw_chunks, memory_chunks = _chunk_counts(n_random, chunk)
     _log.debug(
         "asym_bound_scan d=%d n_in=%d n_out=%d: %d random channels (%d Kraus operators), "
         "%d grid channels, Choi side %d; %d chunks of <= %d channels; "
-        "seed scheme v3, %d draw chunks of <= %d channels",
+        "seed scheme v7, one stream",
         d, n_in, n_out, n_random, dim // d**n_out, n_grid, dim_sym(d, n_in) * d**n_out,
-        memory_chunks, chunk, draw_chunks, DRAW_ROUNDS,
+        -(-n_random // chunk), chunk,
     )
 
     def blocks():
         # (kind, labels, checked (N, K, rows, cols) Kraus stack)
         best = optimal_cloner(d, n_in, n_out)
         yield "optimal", ["optimal-cloner"], best.kraus[None]
-        root = RandomStream(seed)
-        for c in range(draw_chunks):
-            stream = root.substream(c)
-            end = min((c + 1) * DRAW_ROUNDS, n_random)
-            for start in range(c * DRAW_ROUNDS, end, chunk):
-                index = range(start, min(start + chunk, end))
-                kraus = _random_isometry_kraus(d, n_in, n_out, stream, len(index), ancilla_dim)
-                _checked_defects(kraus)
-                yield "random", [f"random-{i}" for i in index], kraus
+        stream = RandomStream(seed).substream(0)
+        for start in range(0, n_random, chunk):
+            index = range(start, min(start + chunk, n_random))
+            kraus = _random_isometry_kraus(d, n_in, n_out, stream, len(index), ancilla_dim)
+            _checked_defects(kraus)
+            yield "random", [f"random-{i}" for i in index], kraus
         t = np.linspace(0.0, 1.0, n_grid)
         step = _chunk_length(2 * d**4)  # 2d Kraus operators of d^2 x d per grid channel
         for start in range(0, n_grid, step):
@@ -583,7 +561,7 @@ def asym_bound_scan(
             yield "grid", [f"grid-t={x:.6f}" for x in t[start:start + step]], kraus
 
     records = [
-        ScanRecord(kind, label, tuple(row), float(sum(row)))
+        ScanRecord(kind, label, tuple(row), sum(row))
         for kind, labels, kraus in blocks()
         for label, row in zip(labels, _scan_fidelities(d, n_in, n_out, kraus).tolist())
     ]

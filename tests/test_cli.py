@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import qgames.cli
+import qgames.estimation
 import qgames.harness
 from qgames.cli import build_parser, main, parse_args
 from qgames.cloning import optimal_cloner, single_clone_haar_fidelity
@@ -145,6 +146,18 @@ class TestEstimateCommand:
         assert json.loads(out)["error"]["type"] == "SizeCapExceeded"
         assert peak <= 2**20
 
+    def test_default_frame_fails_before_any_direction(self, capsys, monkeypatch):
+        # the default frame has (n+1)^2 = 4 004 001 points at n = 2000, which
+        # took 9.7 s and 725 MB to build before build_povm refused their
+        # effect stack; the cap now refuses it before the first point
+        made = []
+        monkeypatch.setattr(qgames.estimation.Direction, "__post_init__",
+                            lambda self: made.append(self))
+        code, out = run_cli(["estimate", "--n", "2000"], capsys)
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "SizeCapExceeded"
+        assert made == []
+
     def test_payoff_operator_cap_counts_the_compressed_side(self, capsys):
         # 98 effects of side 13 and a 26 x 26 payoff operator
         code, out = run_cli(["estimate", "--universal", "--n", "12"], capsys)
@@ -171,9 +184,10 @@ class TestSandwichCommand:
         assert len(doc["levels"]) == 3
 
     def test_qutrit_states_are_pinned(self, capsys, monkeypatch):
-        # pinned fixed-seed results (seed scheme v3): the 16 Haar states are
-        # consecutive draws from substream 0 of the seed, so state 0 is the
-        # draw seed scheme v2 made and the others moved.  Every row of this
+        # pinned fixed-seed results (seed scheme v3, whose first 256 items
+        # seed scheme v7 keeps): the 16 Haar states are consecutive draws
+        # from substream 0 of the seed, so state 0 is the draw seed scheme v2
+        # made and the others moved.  Every row of this
         # game is constant, so the document itself shows the states only in
         # round-off; the pin reads |<0|psi>|^2 of the states the CLI solves on.
         columns = []
@@ -193,6 +207,14 @@ class TestSandwichCommand:
         weights = [round(float(abs(psi.amplitudes[0]) ** 2), 12) for psi in columns[-1]]
         assert weights[:3] + weights[-1:] == [
             0.35808325066, 0.012773501067, 0.267452174468, 0.282812279932]
+
+    def test_qutrit_document_is_pinned(self, capsys):
+        # SHA-256 of the whole document, taken under seed scheme v5, whose
+        # first 256 Haar states seed scheme v7 keeps
+        code, out = run_cli(["sandwich", "--game", "cloning", "--d", "3", "--seed", "21"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "46c5a07db433423b51a8a1c5b0578839ff254e26739bd5a14d18ec619fd345c0")
 
     def test_cloning_csv(self, capsys):
         code, out = run_cli(
@@ -259,9 +281,10 @@ class TestAsymBoundCommand:
         assert [r["kind"] for r in doc["records"]] == ["optimal"] + ["random"] * 3
 
     def test_random_channels_are_pinned(self, capsys):
-        # pinned fixed-seed results (seed scheme v3): the random channels are
-        # consecutive draws of the Ginibre columns they keep from substream 0
-        # of the seed, however they are orthonormalised.  Channel 0 is the
+        # pinned fixed-seed results (seed scheme v3, whose first 256 items
+        # seed scheme v7 keeps): the random channels are consecutive draws of
+        # the Ginibre columns they keep from substream 0 of the seed, however
+        # they are orthonormalised.  Channel 0 is the
         # draw seed scheme v2 made; v2 gave random-1 0.672871595548 and
         # random-2 0.641894096544
         code, out = run_cli(
@@ -277,20 +300,30 @@ class TestAsymBoundCommand:
         ]
 
 
-    @pytest.mark.parametrize("args, digest", [
-        (["--d", "2", "--n", "1", "--m", "2"],
-         "07019336b91bc85f1cb9956fc00fcc039275caeed770a8b7d250dbde46cc26ae"),
-        (["--d", "3", "--n", "1", "--m", "2"],
-         "830e6ddd46a40e509d1e3fc275c4635689b0cb8c47b854a3cac1d2d8b561e024"),
-        (["--d", "2", "--n", "1", "--m", "3"],
-         "a68e347c18f2753514cefe30db003a7931c3e37b6b728d72a628f2e570b0ab93"),
-        (["--d", "2", "--n", "1", "--m", "2", "--format", "csv"],
-         "1872d75d6fa5bf41a125f3527f3446461f1d1c2e86da70e4543b3d2929250339"),
+    @pytest.mark.parametrize("samples, args, digest", [
+        ("1000", ["--d", "2", "--n", "1", "--m", "2"],
+         "cb50bbf2502d93eaf971aeda4bb1a53c0c857ef63d1ebb839614da148559f60c"),
+        ("1000", ["--d", "3", "--n", "1", "--m", "2"],
+         "3f9edfae55d26d594f232cdcb023fcfaedfa4df15e878519da84433d3a32d95a"),
+        ("1000", ["--d", "2", "--n", "1", "--m", "3"],
+         "7ae5172e673da4cbdc9f3188b069907636a6faa983cb0f1e2de27d897ecb1f4b"),
+        ("1000", ["--d", "2", "--n", "1", "--m", "2", "--format", "csv"],
+         "637c772ebbd37deafa41d932f6e1e946445cd585cc939dad57693de63f3ff0fc"),
+        # taken under seed scheme v3: v7 continues v3's first substream, so up
+        # to 256 channels the documents stay byte for byte as they were
+        ("256", ["--d", "2", "--n", "1", "--m", "2"],
+         "84eeffd2042cac27f42ca7961f972ba9308c913f181c01edff87c87b1329ae83"),
+        ("256", ["--d", "3", "--n", "1", "--m", "2"],
+         "55dcd5d06b3c2e5b6246ea8d14d1c91372eb62a2e9d0c198ce5e3dd80dd419f5"),
+        ("256", ["--d", "2", "--n", "1", "--m", "3"],
+         "58cef7d3488512e3dbf3ef560d4d896cc3a9da7caf13ce93e97604ab5339358b"),
     ])
-    def test_whole_documents_are_pinned(self, capsys, args, digest):
-        # SHA-256 of whole 1000-channel documents, so that a flip in the 12th
-        # digit of any record fails
-        code, out = run_cli(["asym-bound", *args, "--samples", "1000", "--seed", "5"], capsys)
+    def test_whole_documents_are_pinned(self, capsys, samples, args, digest):
+        # SHA-256 of whole documents (seed scheme v7), so that a flip in the
+        # 12th digit of any record fails.  Every random record of the three
+        # 1000-channel JSON documents equals, at 12 digits, the per-channel
+        # route of consecutive `random_isometry_channel` calls on substream 0.
+        code, out = run_cli(["asym-bound", *args, "--samples", samples, "--seed", "5"], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -304,6 +337,34 @@ class TestMcPlayCommand:
         doc = json.loads(out)
         assert abs(doc["z_score"]) <= 3.0
         assert doc["exact_value"] == pytest.approx(2.0 / 3.0, abs=1e-12)
+
+    @pytest.mark.parametrize("args", [
+        ["--game", "one_particle", "--samples", "3000", "--seed", "0"],
+        ["--game", "estimation", "--n", "2", "--samples", "500", "--seed", "3"],
+        ["--game", "cloning", "--d", "3", "--n", "1", "--m", "3", "--samples", "700",
+         "--seed", "4"],
+        # one round scores +-1, whose sample error is 0
+        ["--game", "cloning", "--samples", "1", "--seed", "1"],
+    ])
+    def test_z_score_divides_by_the_null_error(self, capsys, args):
+        # the error of +-1 outcomes at the exact mean F, not at the observed
+        # mean, which would shrink the error bar of a mean drifting to +1
+        code, out = run_cli(["mc-play", *args], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        f, mean = doc["exact_value"], doc["mean_payoff"]
+        null_error = math.sqrt((1.0 - f * f) / doc["samples"])
+        assert doc["z_score"] == pytest.approx((mean - f) / null_error, rel=1e-9)
+        assert doc["z_score"] != 0.0
+
+    @pytest.mark.parametrize("game", ["cloning", "one_particle"])
+    def test_z_score_is_zero_when_n_equals_m(self, capsys, game):
+        # every round passes at F = 1, so the null error is 0
+        code, out = run_cli(["mc-play", "--game", game, "--d", "3", "--n", "2", "--m", "2",
+                             "--samples", "300", "--seed", "6"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["exact_value"], doc["mean_payoff"], doc["z_score"]) == (1.0, 1.0, 0.0)
 
     def test_byte_identical_given_seed(self, tmp_path):
         for name, args in [

@@ -181,15 +181,15 @@ class TestStateSets:
         assert [len(s) for s in sets] == [4, 8, 16]
         assert sets[0] == sets[1][:4]
 
-    def test_haar_states_draw_by_seed_scheme_v3(self):
-        # state i is the (i mod 256)-th consecutive haar_random_state draw
-        # from substream i // 256, so 300 states are a prefix of 600
+    def test_haar_states_draw_by_seed_scheme_v7(self):
+        # state i is the i-th consecutive haar_random_state draw from
+        # substream 0, across the old 256-state boundary of seed scheme v3,
+        # so 300 states are a prefix of 600
         states = haar_states(3, 600, RandomStream(41))
-        for c, first in enumerate((0, 256, 512)):
-            stream = RandomStream(41).substream(c)
-            want = [haar_random_state(3, stream) for _ in range(min(256, 600 - first))]
-            got = states[first:first + 256]
-            assert all(np.array_equal(a.amplitudes, b.amplitudes) for a, b in zip(got, want))
+        stream = RandomStream(41).substream(0)
+        want = [haar_random_state(3, stream) for _ in range(600)]
+        assert len(states) == 600
+        assert all(np.array_equal(a.amplitudes, b.amplitudes) for a, b in zip(states, want))
         prefix = haar_states(3, 300, RandomStream(41))
         assert all(np.array_equal(a.amplitudes, b.amplitudes)
                    for a, b in zip(prefix, states))
@@ -390,24 +390,27 @@ class TestPerturbations:
         assert report.passed
 
     def test_povm_perturbation_kicks_differ(self):
-        # the per-guess kicks are consecutive draws from the draw chunk's
-        # substream; they once collapsed onto the root's substreams, which
-        # gave every even perturbation the same guesses
+        # the per-guess kicks are consecutive draws from one substream; they
+        # once collapsed onto the root's substreams, which gave every even
+        # perturbation the same guesses
         perts = povm_perturbations(universal_povm(1), 6, RandomStream(13))
         even = [p.guesses for p in perts[::2]]
         assert not any(np.allclose(even[i], even[j])
                        for i in range(len(even)) for j in range(i + 1, len(even)))
 
-    def test_perturbations_follow_the_draw_chunks(self):
-        # seed scheme v5, as v4: perturbation i is the (i mod 256)-th consecutive
-        # draw from substream i // 256, so 258 perturbations start a second
-        # draw chunk and 10 are a prefix of them
+    def test_perturbations_draw_from_one_stream(self):
+        # seed scheme v7: perturbation i takes the i-th draws from substream
+        # 0, across the old 256-item boundary of seed scheme v5, and 10
+        # perturbations are a prefix of 258
         povm = universal_povm(1)
         perts = povm_perturbations(povm, 258, RandomStream(13))
-        stream = RandomStream(13).substream(1)
-        kicks = [haar_random_unitary(2, stream) @ g for g in povm.guesses]
-        assert np.array_equal(perts[256].guesses, kicks)
-        assert np.array_equal(perts[257].guesses, povm.guesses @ haar_random_unitary(2, stream).T)
+        stream = RandomStream(13).substream(0)
+        for i, pert in enumerate(perts):
+            if i % 2 == 0:
+                want = [haar_random_unitary(2, stream) @ g for g in povm.guesses]
+            else:
+                want = povm.guesses @ haar_random_unitary(2, stream).T
+            assert np.array_equal(pert.guesses, want), i
         prefix = povm_perturbations(povm, 10, RandomStream(13))
         assert all(np.array_equal(a.guesses, b.guesses) for a, b in zip(prefix, perts))
 
@@ -787,17 +790,20 @@ class TestAsymBoundScan:
         assert built == [(2, 1, 2)]
         assert checked == [(256, 4, 4, 2), (256, 4, 4, 2), (88, 4, 4, 2), (21, 4, 4, 2)]
 
-    # 12-digit values taken before the grid and the optimal cloner were
-    # scored as Kraus stacks; the grid is scanned for 1 -> 2 only
+    # 12-digit values: the optimal, grid and random-0 values were taken before
+    # the grid and the optimal cloner were scored as Kraus stacks; random-256
+    # and random-599 (seed scheme v7) come from the per-channel route of
+    # `_per_channel_records`, consecutive `random_isometry_channel` calls on
+    # substream 0.  The grid is scanned for 1 -> 2 only
     @pytest.mark.parametrize("d, n, m, pins", [
         (2, 1, 2, {"optimal-cloner": "1.666666666667", "random-0": "1.078356781930",
-                   "random-599": "1.024974732080", "grid-t=0.250000": "1.583333333333",
-                   "grid-t=0.750000": "1.583333333333"}),
+                   "random-256": "1.086010730169", "random-599": "0.904316284926",
+                   "grid-t=0.250000": "1.583333333333", "grid-t=0.750000": "1.583333333333"}),
         (3, 1, 2, {"optimal-cloner": "1.500000000000", "random-0": "0.704282238518",
-                   "random-599": "0.682043526764", "grid-t=0.250000": "1.416666666667",
-                   "grid-t=0.750000": "1.416666666667"}),
+                   "random-256": "0.690378963750", "random-599": "0.659939127595",
+                   "grid-t=0.250000": "1.416666666667", "grid-t=0.750000": "1.416666666667"}),
         (2, 1, 3, {"optimal-cloner": "2.333333333333", "random-0": "1.464286916430",
-                   "random-599": "1.479057403092"}),
+                   "random-256": "1.431461953270", "random-599": "1.475817237232"}),
     ])
     def test_records_are_pinned(self, d, n, m, pins):
         report = asym_bound_scan(d, n, m, 600, 21, seed=5)
@@ -877,18 +883,18 @@ class TestAsymBoundScan:
         assert calls == []
 
     @pytest.mark.parametrize("chunk, sizes", [
-        # the draw chunks of 256, 256 and 88 channels, whole or in memory
-        # chunks of at most 100 that never straddle a draw chunk
-        (None, [[256], [256], [88]]),
-        (100, [[100, 100, 56], [100, 100, 56], [88]]),
+        # memory chunks of at most 256 or 100 channels; the third chunk of 100
+        # crosses the old 256-channel boundary of seed scheme v3
+        (None, [256, 256, 88]),
+        (100, [100] * 6),
     ])
     @pytest.mark.parametrize("d, n, m, ancilla_dim", [(2, 1, 2, None), (3, 1, 2, None),
                                                       (2, 2, 3, 3), (2, 1, 3, 1)])
     def test_random_channels_draw_only_kept_columns(self, monkeypatch, d, n, m, ancilla_dim,
                                                     chunk, sizes):
-        # seed scheme v3: one substream per draw chunk of 256 channels, and
-        # one draw of k * 2 * D * d^n_in normals per memory chunk of k
-        # channels, D = d^m * ancilla, not the D^2 of a whole Ginibre matrix
+        # seed scheme v7: all channels draw from one substream, one draw of
+        # k * 2 * D * d^n_in normals per memory chunk of k channels,
+        # D = d^m * ancilla, not the D^2 of a whole Ginibre matrix
         anc = d**m if ancilla_dim is None else ancilla_dim
         side = d**m * anc
         if chunk is not None:
@@ -905,9 +911,8 @@ class TestAsymBoundScan:
         report = asym_bound_scan(d, n, m, n_random=600, grid_points=0, seed=4,
                                  ancilla_dim=ancilla_dim)
         assert report.passed
-        assert len(streams) == 1 + 3  # the root, then one substream per draw chunk
-        assert calls == [((c,), (k, 2, side, d**n))
-                         for c, ks in enumerate(sizes) for k in ks]
+        assert len(streams) == 2  # the root, then its substream 0
+        assert calls == [((0,), (k, 2, side, d**n)) for k in sizes]
 
     @pytest.mark.parametrize("ancilla_dim", [-1, 0])
     def test_empty_ancilla_fails_before_drawing(self, monkeypatch, ancilla_dim):
@@ -921,26 +926,23 @@ class TestAsymBoundScan:
 # the batched scan against the per-channel route
 
 ORACLE_SEED = 27
+#: One channel past 256, where seed scheme v3 opened its second substream.
 ORACLE_COUNT = 257
-#: The draw-chunk length of seed scheme v3, written out rather than imported.
-ORACLE_DRAW_CHANNELS = 256
 
 
 @functools.lru_cache(maxsize=None)
 def _per_channel_records(d, n, m, ancilla_dim):
     """Oracle: the scan's first ORACLE_COUNT random records, one channel at a time.
 
-    Channel i is the (i mod 256)-th consecutive `random_isometry_channel` call
-    on substream i // 256 of the seed (seed scheme v3), checked with
+    Channel i is the i-th consecutive `random_isometry_channel` call on
+    substream 0 of the seed (seed scheme v7), checked with
     `dense_oracle.completeness_defect` and scored with one
     `single_clone_haar_fidelity` per clone: the per-channel route through the
     public API.
     """
-    root = RandomStream(ORACLE_SEED)
+    stream = RandomStream(ORACLE_SEED).substream(0)
     records = []
     for i in range(ORACLE_COUNT):
-        if i % ORACLE_DRAW_CHANNELS == 0:
-            stream = root.substream(i // ORACLE_DRAW_CHANNELS)
         ch = random_isometry_channel(d, n, m, stream, ancilla_dim)
         assert dense_oracle.completeness_defect(ch) <= 1e-8
         fids = tuple(single_clone_haar_fidelity(ch, k) for k in range(1, m + 1))
@@ -998,14 +1000,10 @@ class TestBatchedScan:
         assert calls == [((0,), (20, 2, 16, 2))]
 
     @pytest.mark.parametrize("n_random, chunk, tail", [
-        (1000, None, "; 4 chunks of <= 256 channels; "
-                     "seed scheme v3, 4 draw chunks of <= 256 channels"),
-        # memory chunks of 100, 100 and 56 channels, then 1, never straddling
-        # a draw chunk
-        (257, 100, "; 4 chunks of <= 100 channels; "
-                   "seed scheme v3, 2 draw chunks of <= 256 channels"),
-        (0, None, "; 0 chunks of <= 256 channels; "
-                  "seed scheme v3, 0 draw chunks of <= 256 channels"),
+        (1000, None, "; 4 chunks of <= 256 channels; seed scheme v7, one stream"),
+        # memory chunks of 100, 100 and 57 channels, one across channel 256
+        (257, 100, "; 3 chunks of <= 100 channels; seed scheme v7, one stream"),
+        (0, None, "; 0 chunks of <= 256 channels; seed scheme v7, one stream"),
     ])
     def test_log_reports_the_chunks(self, monkeypatch, caplog, n_random, chunk, tail):
         if chunk is not None:  # (2, 1, 2): 4 x 2 Ginibre entries per channel

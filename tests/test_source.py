@@ -208,3 +208,30 @@ def test_scan_finds_an_unread_private_name():
         "b": ast.parse("from . import a\nfrom .a import _orphan\n\nBOX = a._Box()\n"),
     }
     assert unread_private_names(modules) == ["a._UNREAD", "a._orphan"]
+
+
+def stale_seed_schemes(text: str) -> list[str]:
+    """Mentions of a seed scheme other than v6 and v7, then of draw chunks.
+
+    The package draws Monte Carlo rounds by seed scheme v6 and everything else
+    by v7, which reads each consumer's items from one stream; v3 to v5 drew
+    from a new substream every 256 items, a "draw chunk".  Mentions may
+    wrap across lines and are returned with their whitespace collapsed.
+    """
+    schemes = [m for m in re.finditer(r"seed\s+scheme\s+v(\d+)", text, re.IGNORECASE)
+               if m.group(1) not in ("6", "7")]
+    chunks = list(re.finditer(r"draw[\s-]+chunk", text, re.IGNORECASE))
+    return [" ".join(m.group(0).split()) for m in schemes + chunks]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_stale_seed_schemes(path):
+    assert stale_seed_schemes(path.read_text()) == []
+
+
+def test_scan_finds_a_stale_seed_scheme():
+    text = ('"""Seed scheme v7 and seed scheme v6 are live, seed\n'
+            '    scheme v3 is not, nor is seed scheme v17; one draw\n'
+            '    chunk, two draw-chunks and DRAW CHUNKS."""\n')
+    assert stale_seed_schemes(text) == ["seed scheme v3", "seed scheme v17", "draw chunk",
+                                        "draw-chunk", "DRAW CHUNK"]
