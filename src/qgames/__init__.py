@@ -34,7 +34,6 @@ from .estimation import (
     Direction,
     IncompletePovm,
     Povm,
-    bloch_state,
     build_povm,
     default_directions,
     design_directions,

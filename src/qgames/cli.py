@@ -164,21 +164,25 @@ def _run_solve(config):
     return doc, [row], 0
 
 
+def _entry_rows(doc, entries, before, after):
+    """One CSV row per entry: the doc's `before` fields, the entry's, then the doc's `after`."""
+    return ({**{k: doc[k] for k in before}, **entry, **{k: doc[k] for k in after}}
+            for entry in entries)
+
+
 def _run_sandwich(config):
-    sizes = (4, 8, 16)
-    rng = RandomStream(config.seed)
     if config.game == "estimation":
         spec = harness.GameSpec("estimation", d=2, n=config.n, m=config.n, seed=config.seed)
         player_i = [universal_povm(config.n), build_povm(config.n, default_directions(config.n))]
-        sets = harness.default_state_sets(2, sizes)
     else:
         spec = harness.GameSpec("cloning", d=config.d, n=config.n, m=config.m, seed=config.seed)
         player_i = [
             optimal_cloner(config.d, config.n, config.m),
             product_embedding_channel(config.d, config.n, config.m),
         ]
-        sets = harness.default_state_sets(config.d, sizes, rng)
-    report = harness.sandwich_report(spec, player_i, sets)
+    states = (harness.fibonacci_states(16) if spec.d == 2
+              else harness.haar_states(spec.d, 16, RandomStream(config.seed)))
+    report = harness.sandwich_report(spec, player_i, states, (4, 8, 16))
     doc = {
         "command": "sandwich",
         "game": config.game,
@@ -196,21 +200,8 @@ def _run_sandwich(config):
         "converged": report.converged,
         "passed": report.passed,
     }
-    rows = (
-        {
-            "command": "sandwich",
-            "game": config.game,
-            "d": spec.d,
-            "n": spec.n,
-            "m": spec.m,
-            "seed": config.seed,
-            "n_states": lv.n_states,
-            "value": lv.value,
-            "exploitability": lv.exploitability,
-            "theoretical_value": report.theoretical_value,
-        }
-        for lv in report.levels
-    )
+    rows = _entry_rows(doc, doc["levels"], ("command", "game", "d", "n", "m", "seed"),
+                       ("theoretical_value",))
     return doc, rows, 0 if report.passed else 1
 
 
@@ -236,20 +227,7 @@ def _run_asym_bound(config):
             for r in report.records
         ],
     }
-    rows = (
-        {
-            "command": "asym-bound",
-            "d": config.d,
-            "n": config.n,
-            "m": config.m,
-            "seed": config.seed,
-            "kind": r.kind,
-            "label": r.label,
-            "sum_fidelity": r.sum_fidelity,
-            "bound": report.bound,
-        }
-        for r in report.records
-    )
+    rows = _entry_rows(doc, doc["records"], ("command", "d", "n", "m", "seed"), ("bound",))
     return doc, rows, 0 if report.passed else 1
 
 

@@ -52,7 +52,11 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 
 def _check_unit_rows(rows: np.ndarray) -> np.ndarray:
-    """`rows` itself, once every row norm is within 1e-12 of 1 (NaN is not), as in `PureState`."""
+    """`rows` itself, once every row norm is within 1e-12 of 1 (NaN is not).
+
+    The one unit-norm rule: `PureState` checks its amplitudes here, so a
+    state and a row of states are refused alike.
+    """
     norms = np.linalg.norm(rows, axis=-1)
     off = ~(np.abs(norms - 1.0) <= 1e-12)
     if np.any(off):
@@ -70,10 +74,7 @@ class PureState:
         amp = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if amp.size == 0:
             raise ShapeError("state vector must be nonempty")
-        norm = np.linalg.norm(amp)
-        if not abs(norm - 1.0) <= 1e-12:
-            raise ValueError(f"state vector norm {norm!r} is not 1 within 1e-12")
-        object.__setattr__(self, "amplitudes", _frozen(amp))
+        object.__setattr__(self, "amplitudes", _frozen(_check_unit_rows(amp)))
 
     @property
     def dim(self) -> int:

@@ -87,11 +87,6 @@ def _amplitudes(directions) -> np.ndarray:
                     axis=1)
 
 
-def bloch_state(direction: Direction) -> PureState:
-    """Qubit along the given Bloch direction, with the phase split of `_amplitudes`."""
-    return PureState(_amplitudes([direction])[0])
-
-
 def _check_effect_stack(n_copies: int, count: int) -> None:
     """Refuse `count` effects on Sym_n: their vector stack has count * (n+1) entries."""
     check_size_cap(count * (n_copies + 1))

@@ -3,7 +3,11 @@
 Discretized matrix games restrict both players to finite strategy sets; the
 restricted value can only fall as the column player's set grows, and it is
 pinned from below by any row whose payoff is constant, so refining the state
-sets sandwiches the theoretical game value.  Monte Carlo play runs the actual
+sets sandwiches the theoretical game value.  Player II's states are one
+ordered list of amplitude rows, an (N, d) array (`fibonacci_states`,
+`haar_states`), and `sandwich_report` builds one payoff matrix over it whose
+column prefixes are the refinement levels, so the levels nest by
+construction.  Monte Carlo play runs the actual
 referee protocol, and the brute-force scan checks the asymmetric-cloning
 fidelity-sum ceiling over random channels.
 
@@ -64,7 +68,6 @@ from .cloning import (
     value_formulas,
 )
 from .core import (
-    PureState,
     RandomStream,
     ShapeError,
     SizeCapExceeded,
@@ -75,7 +78,7 @@ from .core import (
 from .estimation import (
     Povm,
     _payoffs,
-    bloch_state,
+    _amplitudes,
     fibonacci_directions,
     mean_fidelity,
 )
@@ -143,51 +146,37 @@ class GameSpec:
 
 
 # ---------------------------------------------------------------------------
-# deterministic state sets (column-player discretizations)
+# player II's states as amplitude rows
 
-def fibonacci_states(count: int) -> list[PureState]:
-    return [bloch_state(d) for d in fibonacci_directions(count)]
+def fibonacci_states(count: int) -> np.ndarray:
+    """(count, 2) qubit rows along the first `count` Fibonacci directions."""
+    return _amplitudes(fibonacci_directions(count))
 
 
-def haar_states(d: int, count: int, rng: RandomStream) -> list[PureState]:
-    """`count` Haar-random states by seed scheme v7.
+def haar_states(d: int, count: int, rng: RandomStream) -> np.ndarray:
+    """(count, d) Haar-random rows by seed scheme v7.
 
-    State i is the i-th consecutive `haar_random_state` draw from
-    `rng.substream(0)`, so the states of a smaller count are a prefix of a
+    Row i is the i-th consecutive `haar_random_state` draw from
+    `rng.substream(0)`, so the rows of a smaller count are a prefix of a
     larger one's.
     """
     stream = rng.substream(0)
-    return [haar_random_state(d, stream) for _ in range(count)]
-
-
-def nested_state_sets(states, sizes) -> list[list[PureState]]:
-    """Prefixes of one ordered state list, so refinement levels truly nest."""
-    states = list(states)
-    sizes = sorted(int(s) for s in sizes)
-    if sizes[-1] > len(states):
-        raise ValueError(f"largest size {sizes[-1]} exceeds {len(states)} states")
-    return [states[:s] for s in sizes]
-
-
-def default_state_sets(d: int, sizes, rng: RandomStream | None = None):
-    """Fibonacci prefixes for qubits, Haar-sample prefixes above."""
-    top = max(int(s) for s in sizes)
-    if d == 2:
-        return nested_state_sets(fibonacci_states(top), sizes)
-    if rng is None:
-        raise ValueError("state sets for d > 2 are sampled and need a RandomStream")
-    return nested_state_sets(haar_states(d, top, rng), sizes)
+    rows = [haar_random_state(d, stream).amplitudes for _ in range(count)]
+    return np.array(rows, dtype=complex).reshape(count, d)
 
 
 # ---------------------------------------------------------------------------
 # discretized matrix games
 
 def _state_rows(states, dim: int) -> np.ndarray:
-    """The states' amplitudes stacked as rows; every state must have dimension `dim`."""
-    for psi in states:
-        if psi.dim != dim:
-            raise ShapeError(f"state dimension {psi.dim} != local dimension {dim}")
-    return np.stack([psi.amplitudes for psi in states])
+    """(N, dim) unit amplitude rows of `states`, an (N, dim) array or a sequence of PureStates."""
+    rows = [np.asarray(getattr(psi, "amplitudes", psi)) for psi in states]
+    for row in rows:
+        if row.shape != (dim,):
+            raise ShapeError(
+                f"state of shape {row.shape}, dimension {row.size}, is not a row of "
+                f"local dimension {dim}")
+    return _check_unit_rows(np.array(rows, dtype=complex).reshape(len(rows), dim))
 
 
 def _chunk_length(width: int, most: int = MEMORY_ITEMS) -> int:
@@ -235,13 +224,12 @@ def _payoff_matrix(kind: str, d: int, n: int, m: int, strategies, states) -> Mat
     MEMORY_ITEMS columns, fewer where the rows would pass CHUNK_BYTES.
     """
     strategies = list(strategies)
-    states = list(states)
-    if not strategies or not states:
+    psi = _state_rows(states, d)
+    if not strategies or not len(psi):
         raise ShapeError("need at least one strategy per player")
     kernels = [_checked_payoffs(kind, d, n, m, s) for s in strategies]
-    psi = _state_rows(states, d)
     chunk = _chunk_length(max(width for _, width in kernels))
-    a = np.empty((len(strategies), len(states)))
+    a = np.empty((len(strategies), len(psi)))
     for i, (payoffs, _) in enumerate(kernels):
         for start in range(0, len(psi), chunk):
             a[i, start:start + chunk] = payoffs(psi[start:start + chunk])
@@ -267,7 +255,7 @@ class SandwichLevel:
 
 @dataclass(frozen=True)
 class SandwichReport:
-    """Restricted game values across nested column refinements."""
+    """Restricted game values on column prefixes of one payoff matrix."""
 
     kind: str
     theoretical_value: float
@@ -282,25 +270,32 @@ class SandwichReport:
         return self.lower_bound_ok and self.monotone_ok and self.converged
 
 
-def sandwich_report(spec: GameSpec, player_i, player_ii_sets) -> SandwichReport:
+def sandwich_report(spec: GameSpec, player_i, states, sizes) -> SandwichReport:
     """Solve the restricted game at each refinement level and check the sandwich.
 
-    `player_ii_sets` must be nested (each level a superset of the previous);
-    then the value is non-increasing, stays above the theoretical value as
-    long as player I's set contains an optimal (constant-row) strategy, and
-    converges onto it once the finest set pins every other row down.
+    `states` is player II's ordered state list: an (N, d) array of amplitude
+    rows or a sequence of PureStates.  One payoff matrix is built, over the
+    first max(sizes) states, and the level of size s solves its first s
+    columns, the levels in increasing size.  The levels therefore nest by
+    construction: the value is non-increasing, stays above the theoretical
+    value as long as player I's set contains an optimal (constant-row)
+    strategy, and converges onto it once the finest level pins every other
+    row down.  Empty `sizes`, or a size outside 1..len(states), raises
+    ValueError before anything is scored.
     """
-    player_i = list(player_i)
+    sizes = sorted(int(s) for s in sizes)
+    if not sizes or sizes[0] < 1 or sizes[-1] > len(states):
+        raise ValueError(f"sizes {sizes} must be nonempty and within 1..{len(states)}")
+    if spec.kind == "estimation":
+        game = discretize_estimation_game(spec.n, player_i, states[:sizes[-1]])
+    elif spec.kind == "cloning":
+        game = discretize_cloning_game(spec.d, spec.n, spec.m, player_i, states[:sizes[-1]])
+    else:
+        raise ValueError("sandwich_report supports estimation and cloning games")
     levels = []
-    for states in player_ii_sets:
-        if spec.kind == "estimation":
-            game = discretize_estimation_game(spec.n, player_i, states)
-        elif spec.kind == "cloning":
-            game = discretize_cloning_game(spec.d, spec.n, spec.m, player_i, states)
-        else:
-            raise ValueError("sandwich_report supports estimation and cloning games")
-        eq = solve(game, tol=REPORT_TOL)
-        levels.append(SandwichLevel(len(states), eq.value, eq.exploitability))
+    for size in sizes:
+        eq = solve(MatrixGame(game.payoff[:, :size]), tol=REPORT_TOL)
+        levels.append(SandwichLevel(size, eq.value, eq.exploitability))
     theory = spec.theoretical_value()
     lower = all(lv.value >= theory - REPORT_TOL for lv in levels)
     monotone = all(

@@ -6,13 +6,18 @@ import pytest
 
 from qgames.cloning import Channel, _padding_kraus
 from qgames.core import DensityOperator, PureState, RandomStream, haar_random_state
-from qgames.estimation import Direction, bloch_state
+from qgames.estimation import Direction, _amplitudes
 from qgames.zerosum import MixedStrategy
 
 
 @pytest.fixture
 def rng():
     return RandomStream(20240901)
+
+
+def bloch_state(direction: Direction) -> PureState:
+    """Qubit along the given Bloch direction, with the phase split of `estimation._amplitudes`."""
+    return PureState(_amplitudes([direction])[0])
 
 
 def peak_bytes(fn) -> int:

@@ -31,7 +31,7 @@ from qgames.harness import (
     GameSpec,
     asym_bound_scan,
     cloner_perturbations,
-    default_state_sets,
+    fibonacci_states,
     monte_carlo_play,
     perturb_best_response_check,
     povm_perturbations,
@@ -271,7 +271,8 @@ def test_criterion_09_minimax_discretization_sandwich():
     est_report = sandwich_report(
         est_spec,
         [universal_povm(1), build_povm(1, default_directions(1))],
-        default_state_sets(2, (4, 8, 16)),
+        fibonacci_states(16),
+        (4, 8, 16),
     )
     assert est_report.lower_bound_ok
     assert est_report.monotone_ok
@@ -281,7 +282,8 @@ def test_criterion_09_minimax_discretization_sandwich():
     clone_report = sandwich_report(
         clone_spec,
         [optimal_cloner(2, 1, 2), product_embedding_channel(2, 1, 2)],
-        default_state_sets(2, (4, 8, 16)),
+        fibonacci_states(16),
+        (4, 8, 16),
     )
     assert clone_report.lower_bound_ok
     assert clone_report.monotone_ok

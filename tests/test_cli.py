@@ -189,7 +189,8 @@ class TestSandwichCommand:
         # from substream 0 of the seed, so state 0 is the draw seed scheme v2
         # made and the others moved.  Every row of this
         # game is constant, so the document itself shows the states only in
-        # round-off; the pin reads |<0|psi>|^2 of the states the CLI solves on.
+        # round-off; the pin reads |<0|psi>|^2 of the states the CLI solves on,
+        # the 16 rows of its one payoff matrix.
         columns = []
         real = qgames.harness.discretize_cloning_game
 
@@ -203,8 +204,8 @@ class TestSandwichCommand:
         doc = json.loads(out)
         assert doc["passed"] is True
         assert [lv["value"] for lv in doc["levels"]] == [0.5, 0.5, 0.5]
-        assert [len(states) for states in columns] == [4, 8, 16]
-        weights = [round(float(abs(psi.amplitudes[0]) ** 2), 12) for psi in columns[-1]]
+        assert [states.shape for states in columns] == [(16, 3)]
+        weights = [round(float(abs(psi[0]) ** 2), 12) for psi in columns[0]]
         assert weights[:3] + weights[-1:] == [
             0.35808325066, 0.012773501067, 0.267452174468, 0.282812279932]
 
@@ -215,6 +216,35 @@ class TestSandwichCommand:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "46c5a07db433423b51a8a1c5b0578839ff254e26739bd5a14d18ec619fd345c0")
+
+    @pytest.mark.parametrize("args, json_digest, csv_digest", [
+        (["--game", "estimation", "--n", "1"],
+         "8eb92704614807c10cf4654115d7c2ef676f7c21ba7801c2567ca7720f0135dc",
+         "5d8a61a9f431d6f57940f7acea619b94eb750d29e47cec7d5be1a8754ca30a13"),
+        (["--game", "estimation", "--n", "2"],
+         "133ede2a05773c24ed46b839006e1654cfff58d2555b20d8c5f5f0463af3ef79",
+         "714cb1252cd40be5dc398b53247c01bf78b27271df5baf1a0a901d11610dd048"),
+        (["--game", "estimation", "--n", "3"],
+         "2d01e3a6e50d6ac258949f0555c3b3f0773ee96f8b763913ec54f18333531e9d",
+         "0a47e82e156c6ddeff906593c85f995552e45222b56a7a7ee05fb6b76c5c9316"),
+        (["--game", "cloning", "--d", "2", "--n", "1", "--m", "2"],
+         "1d9abced015fd1c48463513598b9fb354fe15931aeb82768715c9f97dd0545c1",
+         "016c0b797f7b0526f4e95081de55bbe804c35f915e125452bb0f2674474ec6e8"),
+        (["--game", "cloning", "--d", "3", "--n", "1", "--m", "2"],
+         "46c5a07db433423b51a8a1c5b0578839ff254e26739bd5a14d18ec619fd345c0",
+         "43b54e0b9b6d2929155573be324fa38b89fb755ee5a479ac0dacdf918de30b37"),
+        (["--game", "cloning", "--d", "2", "--n", "2", "--m", "3"],
+         "3d684f91045118e0a113f49d30e2004b73f245c2ad1657ef24da4c2da7ec0a31",
+         "5e8907f0a591b650deb9edc39954bd3441e81ba80b5a9e43f9e2ab93216f0dd7"),
+    ])
+    def test_whole_documents_are_pinned(self, capsys, args, json_digest, csv_digest):
+        # SHA-256 of whole documents, taken when each level was scored from
+        # its own state list: the column prefixes of one payoff matrix give
+        # the same bytes
+        for fmt, digest in [("json", json_digest), ("csv", csv_digest)]:
+            code, out = run_cli(["sandwich", *args, "--seed", "21", "--format", fmt], capsys)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_cloning_csv(self, capsys):
         code, out = run_cli(
@@ -371,10 +401,14 @@ class TestMcPlayCommand:
             ("mc", ["mc-play", "--game", "estimation", "--n", "1", "--samples", "500",
                     "--seed", "21"]),
             ("sandwich", ["sandwich", "--game", "cloning", "--seed", "21"]),
+            # player II plays 16 Haar rows
+            ("sandwich-qutrit", ["sandwich", "--game", "cloning", "--d", "3", "--seed", "21"]),
+            ("sandwich-qutrit-csv", ["sandwich", "--game", "cloning", "--d", "3", "--seed", "21",
+                                     "--format", "csv"]),
             ("asym-bound", ["asym-bound", "--d", "3", "--samples", "20", "--seed", "21"]),
         ]:
-            path_a = tmp_path / f"{name}-a.json"
-            path_b = tmp_path / f"{name}-b.json"
+            path_a = tmp_path / f"{name}-a.out"
+            path_b = tmp_path / f"{name}-b.out"
             assert main(args + ["--out", str(path_a)]) == 0
             assert main(args + ["--out", str(path_b)]) == 0
             assert path_a.read_bytes() == path_b.read_bytes()

@@ -40,11 +40,11 @@ from qgames.core import (
     partial_trace_matrix,
     tensor_power,
 )
-from qgames.estimation import bloch_state, design_directions
+from qgames.estimation import design_directions
 from qgames.symmetric import dim_sym
 
 import dense_oracle
-from conftest import mirror_embedding_channel, peak_bytes
+from conftest import bloch_state, mirror_embedding_channel, peak_bytes
 from dense_oracle import apply_matrix_via_choi
 
 KET0 = PureState.basis(2, 0)

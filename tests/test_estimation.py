@@ -26,7 +26,6 @@ from qgames.estimation import (
     Direction,
     IncompletePovm,
     Povm,
-    bloch_state,
     build_povm,
     default_directions,
     design_directions,
@@ -38,6 +37,7 @@ from qgames.estimation import (
 from qgames.symmetric import coherent_coordinates, dim_sym, sym_projector
 
 import dense_oracle
+from conftest import bloch_state
 from dense_oracle import SymBasis
 
 KET0 = PureState.basis(2, 0)

@@ -39,6 +39,7 @@ from qgames.estimation import (
     Povm,
     build_povm,
     default_directions,
+    fibonacci_directions,
     pointwise_payoff,
     universal_povm,
 )
@@ -49,22 +50,20 @@ from qgames.harness import (
     GameSpec,
     asym_bound_scan,
     cloner_perturbations,
-    default_state_sets,
     discretize_cloning_game,
     discretize_estimation_game,
     fibonacci_states,
     haar_states,
     monte_carlo_play,
-    nested_state_sets,
     perturb_best_response_check,
     povm_perturbations,
     sandwich_report,
 )
 from qgames.swap_test import expected_payoff
-from qgames.zerosum import solve
+from qgames.zerosum import MatrixGame, solve
 
 import dense_oracle
-from conftest import icosahedral_states, mirror_embedding_channel, peak_bytes
+from conftest import bloch_state, icosahedral_states, mirror_embedding_channel, peak_bytes
 from exact_simplex import exact_simplex
 from mc_oracle import oracle_outcomes, oracle_record
 from test_dense_oracle import estimation_strategies
@@ -176,35 +175,31 @@ class TestStateSets:
         mean = np.mean([abs(np.vdot(probe.amplitudes, s.amplitudes)) ** 4 for s in states])
         assert mean == pytest.approx(1.0 / 3.0, abs=1e-12)
 
-    def test_nested_sets_are_prefixes(self):
-        sets = nested_state_sets(fibonacci_states(16), (4, 8, 16))
-        assert [len(s) for s in sets] == [4, 8, 16]
-        assert sets[0] == sets[1][:4]
+    @pytest.mark.parametrize("count", [1, 2, 16, 257, 2000])
+    def test_fibonacci_states_are_stacked_bloch_states(self, count):
+        rows = fibonacci_states(count)
+        want = np.stack([bloch_state(u).amplitudes for u in fibonacci_directions(count)])
+        assert rows.shape == (count, 2)
+        assert np.array_equal(rows, want)
 
     def test_haar_states_draw_by_seed_scheme_v7(self):
-        # state i is the i-th consecutive haar_random_state draw from
+        # row i is the i-th consecutive haar_random_state draw from
         # substream 0, across the old 256-state boundary of seed scheme v3,
-        # so 300 states are a prefix of 600
+        # so 300 rows are a prefix of 600
         states = haar_states(3, 600, RandomStream(41))
         stream = RandomStream(41).substream(0)
-        want = [haar_random_state(3, stream) for _ in range(600)]
-        assert len(states) == 600
-        assert all(np.array_equal(a.amplitudes, b.amplitudes) for a, b in zip(states, want))
-        prefix = haar_states(3, 300, RandomStream(41))
-        assert all(np.array_equal(a.amplitudes, b.amplitudes)
-                   for a, b in zip(prefix, states))
-        assert len(prefix) == 300
+        want = np.stack([haar_random_state(3, stream).amplitudes for _ in range(600)])
+        assert states.shape == (600, 3)
+        assert np.array_equal(states, want)
+        assert np.array_equal(haar_states(3, 300, RandomStream(41)), states[:300])
+        assert haar_states(3, 0, RandomStream(41)).shape == (0, 3)
 
     def test_haar_states_of_nested_substreams_differ(self):
         # substream(1).substream(0) used to be substream(0) again, so these
         # two sets were equal
         a = haar_states(3, 4, RandomStream(9).substream(1))
         b = haar_states(3, 4, RandomStream(9).substream(2))
-        assert not any(np.allclose(x.amplitudes, y.amplitudes) for x in a for y in b)
-
-    def test_haar_sets_need_stream(self):
-        with pytest.raises(ValueError):
-            default_state_sets(3, (4, 8))
+        assert not any(np.allclose(x, y) for x in a for y in b)
 
 
 class TestDiscretizedGames:
@@ -246,6 +241,26 @@ class TestDiscretizedGames:
         assert np.max(np.abs(game.payoff[0] - 2.0 / 3.0)) <= 1e-10
         assert np.max(np.abs(game.payoff[1] - 0.5)) <= 1e-10
 
+    def test_rows_and_pure_states_give_one_matrix(self, rng):
+        states = [haar_random_state(2, rng.substream(60 + i)) for i in range(5)]
+        rows = np.stack([psi.amplitudes for psi in states])
+        povms = [universal_povm(2), build_povm(2, default_directions(2))]
+        assert np.array_equal(discretize_estimation_game(2, povms, rows).payoff,
+                              discretize_estimation_game(2, povms, states).payoff)
+
+    def test_rows_are_refused_by_the_pure_state_rule(self):
+        # a state row and a PureState are held to one unit-norm rule, with
+        # one message
+        row = np.array([0.6, 0.8 + 1e-9])
+        with pytest.raises(ValueError) as want:
+            PureState(row)
+        with pytest.raises(ValueError) as got:
+            discretize_estimation_game(1, [universal_povm(1)], row[None])
+        assert str(got.value) == str(want.value)
+        with pytest.raises(ValueError, match="nan"):
+            discretize_cloning_game(2, 1, 2, [optimal_cloner(2, 1, 2)],
+                                    np.array([[1.0, 0.0], [np.nan, 0.0]]))
+
     def test_empty_inputs_rejected(self):
         with pytest.raises(ShapeError):
             discretize_estimation_game(1, [], [PureState.basis(2, 0)])
@@ -273,6 +288,11 @@ class TestDiscretizedGames:
             discretize_cloning_game(
                 2, 1, 2, [optimal_cloner(2, 1, 2)], [PureState.basis(2, 0), PureState.basis(3, 0)]
             )
+        # amplitude rows are held to the same shape rule
+        with pytest.raises(ShapeError, match="dimension 3"):
+            discretize_estimation_game(1, [universal_povm(1)], np.eye(3, dtype=complex))
+        with pytest.raises(ShapeError, match=r"shape \(2,\)"):
+            discretize_cloning_game(3, 1, 2, [optimal_cloner(3, 1, 2)], np.eye(2))
 
     def test_cloning_matrix_memory_stays_bounded(self):
         # 2000 columns of 512-amplitude output rows take 16 MiB per array when
@@ -292,8 +312,8 @@ class TestDiscretizedGames:
         povms = estimation_strategies(n)
         width = max(_checked_payoffs("estimation", 2, n, 1, povm)[1] for povm in povms)
         monkeypatch.setattr(qgames.harness, "CHUNK_BYTES", 16 * width * chunk_rounds)
-        states = fibonacci_states(12) + [haar_random_state(2, RandomStream(8300 + i))
-                                         for i in range(8)]
+        states = [PureState(row) for row in fibonacci_states(12)]
+        states += [haar_random_state(2, RandomStream(8300 + i)) for i in range(8)]
         game = discretize_estimation_game(n, povms, states)
         want = np.array([[pointwise_payoff(povm, psi) for psi in states] for povm in povms])
         assert np.max(np.abs(game.payoff - want)) <= 1e-14
@@ -315,46 +335,106 @@ class TestDiscretizedGames:
         assert np.max(np.abs(game.payoff - want)) <= 1e-14
 
 
+def sandwich_players(kind):
+    """(spec, player I) of the CLI's restricted games for a qubit game kind."""
+    if kind == "estimation":
+        return (GameSpec("estimation", n=1, seed=1),
+                [universal_povm(1), build_povm(1, default_directions(1))])
+    return (GameSpec("cloning", d=2, n=1, m=2, seed=1),
+            [optimal_cloner(2, 1, 2), product_embedding_channel(2, 1, 2)])
+
+
+def spy_sandwich(monkeypatch):
+    """Record every discretized game's states and payoff, and every payoff `solve` sees."""
+    built, solved = [], []
+    for name in ("discretize_estimation_game", "discretize_cloning_game"):
+        real = getattr(qgames.harness, name)
+
+        def spy(*args, real=real):
+            game = real(*args)
+            built.append((args[-1], game.payoff))
+            return game
+
+        monkeypatch.setattr(qgames.harness, name, spy)
+
+    def solve_spy(game, tol):
+        solved.append(game.payoff)
+        return solve(game, tol=tol)
+
+    monkeypatch.setattr(qgames.harness, "solve", solve_spy)
+    return built, solved
+
+
 class TestSandwich:
     def test_estimation_refinement(self):
-        spec = GameSpec("estimation", n=1, seed=1)
-        player_i = [universal_povm(1), build_povm(1, default_directions(1))]
-        sets = default_state_sets(2, (4, 8, 16))
-        report = sandwich_report(spec, player_i, sets)
+        spec, player_i = sandwich_players("estimation")
+        report = sandwich_report(spec, player_i, fibonacci_states(16), (4, 8, 16))
         assert report.lower_bound_ok and report.monotone_ok and report.converged
         assert report.levels[-1].value == pytest.approx(2.0 / 3.0, abs=1e-9)
 
+    @pytest.mark.parametrize("kind", ["estimation", "cloning"])
+    def test_levels_are_column_prefixes_of_one_matrix(self, monkeypatch, kind):
+        # one discretized game per report, over the first max(sizes) states;
+        # each level solves a column prefix of it, which equals the game
+        # scored on that many states alone
+        spec, player_i = sandwich_players(kind)
+        states = fibonacci_states(20)
+        discretize = (qgames.harness.discretize_estimation_game if kind == "estimation"
+                      else qgames.harness.discretize_cloning_game)
+        args = (spec.n, player_i) if kind == "estimation" else (2, 1, 2, player_i)
+        own = {s: discretize(*args, states[:s]).payoff for s in (2, 5, 11)}
+        built, solved = spy_sandwich(monkeypatch)
+        report = sandwich_report(spec, player_i, states, (5, 11, 2))
+        ((columns, payoff),) = built
+        assert np.array_equal(columns, states[:11])
+        assert [lv.n_states for lv in report.levels] == [2, 5, 11]
+        assert len(solved) == 3
+        for size, matrix in zip((2, 5, 11), solved):
+            assert np.array_equal(matrix, payoff[:, :size])
+            assert np.array_equal(matrix, own[size])
+
+    @pytest.mark.parametrize("sizes", [(), (0, 8), (-4, 8), (4, 17), (17,)])
+    def test_invalid_sizes_raise_before_any_scoring(self, monkeypatch, sizes):
+        # (-4, 8) used to give levels of 12 and then 8 states, and a report
+        # that passed; () used to raise a bare IndexError
+        spec, player_i = sandwich_players("cloning")
+        built, solved = spy_sandwich(monkeypatch)
+        scored = []
+        monkeypatch.setattr(qgames.harness, "_checked_payoffs",
+                            lambda *args: scored.append(args))
+        with pytest.raises(ValueError, match="sizes"):
+            sandwich_report(spec, player_i, fibonacci_states(16), sizes)
+        assert built == solved == scored == []
+
+    def test_one_particle_is_refused(self):
+        spec = GameSpec("one_particle", d=2, n=1, m=2)
+        with pytest.raises(ValueError, match="estimation and cloning"):
+            sandwich_report(spec, [optimal_cloner(2, 1, 2)], fibonacci_states(4), (4,))
+
     def test_cli_games_match_exact_simplex(self):
         # the restricted games behind `qgames sandwich` for both game kinds
-        sizes = (4, 8, 16)
-        games = [
-            discretize_estimation_game(
-                1, [universal_povm(1), build_povm(1, default_directions(1))], states
-            )
-            for states in default_state_sets(2, sizes)
-        ]
-        games += [
-            discretize_cloning_game(
-                2, 1, 2, [optimal_cloner(2, 1, 2), product_embedding_channel(2, 1, 2)], states
-            )
-            for states in default_state_sets(2, sizes)
-        ]
-        for game in games:
-            eq = solve(game, tol=1e-9)
-            assert eq.exploitability <= 1e-9
-            assert abs(eq.value - exact_simplex(game.payoff)[2]) <= 1e-12
+        for kind in ("estimation", "cloning"):
+            spec, player_i = sandwich_players(kind)
+            if kind == "estimation":
+                game = discretize_estimation_game(1, player_i, fibonacci_states(16))
+            else:
+                game = discretize_cloning_game(2, 1, 2, player_i, fibonacci_states(16))
+            for size in (4, 8, 16):
+                prefix = MatrixGame(game.payoff[:, :size])
+                eq = solve(prefix, tol=1e-9)
+                assert eq.exploitability <= 1e-9
+                assert abs(eq.value - exact_simplex(prefix.payoff)[2]) <= 1e-12
 
     def test_estimation_single_optimal_povm_against_icosahedron(self):
         spec = GameSpec("estimation", n=1, seed=1)
-        report = sandwich_report(spec, [universal_povm(1)], [icosahedral_states()])
+        report = sandwich_report(spec, [universal_povm(1)], icosahedral_states(), (12,))
         assert report.levels[0].value >= 2.0 / 3.0 - 1e-9
         assert abs(report.levels[0].value - 2.0 / 3.0) <= 1e-9
 
     def test_cloning_refinement(self, rng):
-        spec = GameSpec("cloning", d=2, n=1, m=2, seed=1)
-        player_i = [optimal_cloner(2, 1, 2), product_embedding_channel(2, 1, 2)]
+        spec, player_i = sandwich_players("cloning")
         states = [haar_random_state(2, rng.substream(100 + i)) for i in range(20)]
-        report = sandwich_report(spec, player_i, nested_state_sets(states, (5, 10, 20)))
+        report = sandwich_report(spec, player_i, states, (5, 10, 20))
         assert report.passed
         assert report.levels[-1].value == pytest.approx(2.0 / 3.0, abs=1e-9)
 
@@ -363,7 +443,7 @@ class TestSandwich:
         spec = GameSpec("estimation", n=1, seed=1)
         player_i = [build_povm(1, default_directions(1))]
         polar = fibonacci_states(16)  # first entries cluster near the pole
-        report = sandwich_report(spec, player_i, nested_state_sets(polar, (2, 4, 16)))
+        report = sandwich_report(spec, player_i, polar, (2, 4, 16))
         values = [lv.value for lv in report.levels]
         assert values[0] > values[-1]
         assert report.monotone_ok
