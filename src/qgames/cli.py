@@ -10,7 +10,12 @@ A JSON document is written by `_json_text`, one recursive function that
 writes the indent-2 text and rounds each float on the way.  Its text is that
 of `json.dumps(doc, indent=2)` on the rounded document; the standard library
 runs its pure-Python encoder whenever an indent is set, and the direct writer
-takes about half that time.  A CSV document has one row per record, and the
+takes about half that time.  A list of flat records that share one key order
+takes the record path (`_flat_records_text`): each record is one string
+filled into a template, with no recursion, as long as every value is a
+string or a finite float.  `asym-bound` hands its records to that path as
+`_Records`, columns read straight from the scan report's arrays, so no dict
+is built per record.  A CSV document has one row per record, and the
 runners that return many rows return them as generators, built only for
 --format csv.
 
@@ -28,6 +33,7 @@ import functools
 import io
 import math
 import sys
+from collections.abc import Sequence
 from json.encoder import encode_basestring_ascii
 
 from . import harness
@@ -37,12 +43,76 @@ from .estimation import build_povm, default_directions, mean_fidelity, universal
 from .zerosum import NonConvergence, rock_paper_scissors, solve
 
 
+class _Records(Sequence):
+    """Flat records that share one key order, held as columns.
+
+    Record i maps keys[j] to columns[j][i].  The JSON writer reads the
+    columns; indexing or iterating builds a record's dict on demand.
+    """
+
+    def __init__(self, keys, columns):
+        self.keys = tuple(keys)
+        self.columns = tuple(columns)
+
+    def __len__(self):
+        return len(self.columns[0]) if self.columns else 0
+
+    def __getitem__(self, i):
+        return dict(zip(self.keys, [column[i] for column in self.columns]))
+
+    def __iter__(self):
+        return (dict(zip(self.keys, row)) for row in zip(*self.columns))
+
+
+def _flat_records_text(value, indent: str):
+    """JSON text of `value` as `_json_text` writes it, or None where this path does not apply.
+
+    It applies to a `_Records` and to a nonempty list of dicts with one
+    nonempty key order, when every key is a string and every value a string
+    or a finite float.  Each column is rendered at once and each record is
+    one string filled into a template, with no recursion.
+    """
+    if isinstance(value, _Records):
+        keys, columns = value.keys, value.columns
+    elif type(value) is list and value and type(value[0]) is dict:
+        keys = tuple(value[0])
+        if not all(type(r) is dict and tuple(r) == keys for r in value):
+            return None
+        columns = list(zip(*[r.values() for r in value]))
+    else:
+        return None
+    if not keys or not all(type(k) is str for k in keys):
+        return None
+    cells = []
+    for column in columns:
+        types = set(map(type, column))
+        if types == {str}:
+            cells.append(map(encode_basestring_ascii, column))
+        elif types == {float} and all(map(math.isfinite, column)):
+            texts = list(map("{:.12g}".format, column))
+            # a 12-digit text in fixed notation with a fraction is already the
+            # repr of the float it reads as; whole numbers and exponents are not
+            joined = "".join(texts)
+            if joined.count(".") != len(texts) or "e" in joined:
+                texts = map(float.__repr__, map(float, texts))
+            cells.append(texts)
+        else:
+            return None
+    inner, field = indent + "  ", indent + "    "
+    names = [encode_basestring_ascii(k).replace("%", "%%") for k in keys]
+    template = f"{{\n{field}" + f",\n{field}".join(f"{k}: %s" for k in names) + f"\n{inner}}}"
+    items = f",\n{inner}".join(map(template.__mod__, zip(*cells)))
+    return f"[\n{inner}{items}\n{indent}]"
+
+
 def _json_text(value, indent: str = "") -> str:
     """`value` as indent-2 JSON text, floats rounded to 12 significant digits.
 
     The text is what `json.dumps(value, indent=2)` writes once every float
     is replaced by float(f"{x:.12g}"): ASCII only, NaN and the infinities as
-    JavaScript names, tuples as lists.  Dict keys must be strings.
+    JavaScript names, tuples and `_Records` as lists.  Dict keys must be
+    strings.  Lists of flat records take `_flat_records_text` where it
+    applies.
     """
     if isinstance(value, str):
         return encode_basestring_ascii(value)
@@ -58,9 +128,12 @@ def _json_text(value, indent: str = "") -> str:
         items = sep.join([f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
                           for k, v in value.items()])
         return f"{{\n{inner}{items}\n{indent}}}"
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple, _Records)):
         if not value:
             return "[]"
+        text = _flat_records_text(value, indent)
+        if text is not None:
+            return text
         items = sep.join([_json_text(v, inner) for v in value])
         return f"[\n{inner}{items}\n{indent}]"
     if value is None:
@@ -222,10 +295,8 @@ def _run_asym_bound(config):
         "max_sum_fidelity": report.max_sum_fidelity,
         "argmax": report.argmax,
         "passed": report.passed,
-        "records": [
-            {"kind": r.kind, "label": r.label, "sum_fidelity": r.sum_fidelity}
-            for r in report.records
-        ],
+        "records": _Records(("kind", "label", "sum_fidelity"),
+                            (report.kinds, report.labels, report.sums.tolist())),
     }
     rows = _entry_rows(doc, doc["records"], ("command", "d", "n", "m", "seed"), ("bound",))
     return doc, rows, 0 if report.passed else 1

@@ -191,11 +191,24 @@ def _checked_defects(kraus: np.ndarray) -> None:
     COMPLETENESS_ATOL passes without an eigensolve.  Only a batch above it
     pays for `_completeness_defects`, which then decides and names the
     worst defect.  Non-finite entries are refused before any product.
+
+    The Frobenius norms come from the real Gram matrix of the stacked rows'
+    float view, one batched real product: float columns 2c and 2c+1 hold
+    column c's real and imaginary parts, so sum(K^dag K) has real part
+    G[2c, 2c'] + G[2c+1, 2c'+1] and imaginary part G[2c, 2c'+1] - G[2c+1, 2c'],
+    and no conjugate copy of the stack is made.  The stack is copied only
+    when it has no float view, as a transposed stack has not.
     """
     if not np.all(np.isfinite(kraus)):
         raise ValueError("Kraus operators have non-finite entries")
-    parts = _defect_matrices(kraus).view(float)
-    if math.sqrt(np.einsum("...ij,...ij->...", parts, parts).max()) <= COMPLETENESS_ATOL:
+    cols = kraus.shape[-1]
+    rows = np.ascontiguousarray(kraus, dtype=complex).reshape(*kraus.shape[:-3], -1, cols)
+    parts = rows.view(float)
+    gram = parts.swapaxes(-1, -2) @ parts
+    re = gram[..., ::2, ::2] + gram[..., 1::2, 1::2] - np.eye(cols)
+    im = gram[..., ::2, 1::2] - gram[..., 1::2, ::2]
+    squares = np.einsum("...ij,...ij->...", re, re) + np.einsum("...ij,...ij->...", im, im)
+    if math.sqrt(squares.max()) <= COMPLETENESS_ATOL:
         return
     worst = float(_completeness_defects(kraus).max())
     if worst > COMPLETENESS_ATOL:
@@ -294,12 +307,14 @@ def _phase_fixed_q(z: np.ndarray) -> np.ndarray:
 
     Fixing the phases makes Q a function of z alone, so a Ginibre z gives
     Haar-distributed orthonormal columns.  Leading axes of z are a batch: one
-    `np.linalg.qr` call factors every matrix of the stack.
+    `np.linalg.qr` call factors every matrix of the stack.  The phases are
+    applied in place on the fresh Q.
     """
     q, r = np.linalg.qr(z)
     phases = np.diagonal(r, axis1=-2, axis2=-1).copy()
     phases /= np.abs(phases)
-    return q * phases.conj()[..., None, :]
+    q *= phases.conj()[..., None, :]
+    return q
 
 
 def haar_random_unitary(dim: int, rng: RandomStream) -> np.ndarray:
@@ -336,25 +351,31 @@ def _random_isometry_kraus(d, n_in, n_out, rng: RandomStream, count: int,
     is the (i+1)-th consecutive `random_isometry_channel` draw from `rng`: one
     `standard_normal((count, 2, D, d**n_in))` call, D = d**n_out * anc, draws
     every channel's real parts, then its imaginary parts, exactly as `count`
-    consecutive `complex_normals(D * d**n_in)` calls would.  The blocks are
-    orthonormalised by one batched phase-fixed QR, and one 2-D product by V_in
-    restricts every isometry to Sym_in; the stack is a C-contiguous copy of
-    that product with its output and ancilla axes swapped, so that the
-    completeness check and the scoring reshape it without further copies.
-    The arity checks and the size cap run before anything is drawn;
-    a non-finite draw raises ValueError before the QR.
+    consecutive `complex_normals(D * d**n_in)` calls would.  The draws are
+    scaled by 1/sqrt(2) in place, which is what numpy's division of a complex
+    block by the real sqrt(2) does to each part (a product with the
+    reciprocal), and one pass writes them into the complex blocks.  The
+    blocks are orthonormalised by one batched phase-fixed QR.  For n_in >= 2
+    one 2-D product by V_in restricts every isometry to Sym_in; for n_in = 1,
+    V_in is the identity and the product, which would change no bit, is
+    skipped.  The stack is a C-contiguous copy with its output and ancilla
+    axes swapped, so that the completeness check and the scoring reshape it
+    without further copies.  The arity checks and the size cap run before
+    anything is drawn; a non-finite draw raises ValueError before the QR.
     """
     dim = _ginibre_side(d, n_in, n_out, ancilla_dim)
     dim_in, dim_out = d**n_in, d**n_out
     parts = rng.generator.standard_normal((count, 2, dim, dim_in))
     if not np.all(np.isfinite(parts)):
         raise ValueError("Ginibre draws have non-finite entries")
+    parts *= 1.0 / math.sqrt(2.0)
     z = np.empty((count, dim, dim_in), dtype=complex)
     z.real, z.imag = parts[:, 0], parts[:, 1]
     del parts  # the QR's working memory need not sit beside the draws
-    z /= math.sqrt(2.0)
-    restricted = _phase_fixed_q(z).reshape(-1, dim_in) @ sym_isometry(d, n_in)
-    stack = restricted.reshape(count, dim_out, dim // dim_out, -1).transpose(0, 2, 1, 3)
+    q = _phase_fixed_q(z)
+    if n_in > 1:
+        q = q.reshape(-1, dim_in) @ sym_isometry(d, n_in)
+    stack = q.reshape(count, dim_out, dim // dim_out, -1).transpose(0, 2, 1, 3)
     return np.ascontiguousarray(stack)
 
 

@@ -42,6 +42,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -132,14 +133,20 @@ class Povm:
         vectors = np.array(self.vectors, dtype=complex)
         if vectors.ndim != 2 or vectors.shape[1] != dim:
             raise ShapeError(f"effect vector stack shape {vectors.shape} is not (R, {dim})")
-        rows = [np.asarray(getattr(g, "amplitudes", g), dtype=complex) for g in self.guesses]
+        rows = self.guesses
+        if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.shape[1] == 2:
+            rows = np.array(rows, dtype=complex)
+        else:
+            rows = [np.asarray(getattr(g, "amplitudes", g), dtype=complex) for g in rows]
         if len(vectors) != len(rows):
             raise ShapeError("one guess per effect required")
-        if any(g.shape != (2,) for g in rows):
-            raise ShapeError("guesses must be qubits")
+        if isinstance(rows, list):
+            if any(g.shape != (2,) for g in rows):
+                raise ShapeError("guesses must be qubits")
+            rows = np.array(rows, dtype=complex).reshape(len(rows), 2)
         if not np.all(np.isfinite(vectors)):
             raise ValueError("effect vectors have non-finite entries")
-        guesses = _check_unit_rows(np.array(rows, dtype=complex).reshape(len(rows), 2))
+        guesses = _check_unit_rows(rows)
         vectors.setflags(write=False)
         guesses.setflags(write=False)
         object.__setattr__(self, "vectors", vectors)
@@ -215,6 +222,15 @@ def design_directions(n_copies: int) -> tuple[list[Direction], np.ndarray]:
     return dirs, np.array(weights)
 
 
+@lru_cache(maxsize=None)
+def _upper_indices(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """`np.triu_indices(dim, 1)`, read-only, made once per side."""
+    upper = np.triu_indices(dim, 1)
+    for index in upper:
+        index.setflags(write=False)
+    return upper
+
+
 def _completeness_system(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Real system (design, target) with ||design @ c - target|| = ||sum_r c_r P_r - I||_F.
 
@@ -226,7 +242,7 @@ def _completeness_system(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     dim = vectors.shape[-1]
     projectors = vectors[:, :, None] * vectors[:, None, :].conj()
-    upper = np.triu_indices(dim, 1)
+    upper = _upper_indices(dim)
     off = math.sqrt(2.0) * projectors[:, upper[0], upper[1]]
     diag = np.diagonal(projectors, axis1=1, axis2=2).real
     design = np.concatenate([diag, off.real, off.imag], axis=1).T

@@ -73,7 +73,6 @@ from .core import (
     SizeCapExceeded,
     _check_unit_rows,
     check_size_cap,
-    haar_random_state,
 )
 from .estimation import (
     Povm,
@@ -158,11 +157,18 @@ def haar_states(d: int, count: int, rng: RandomStream) -> np.ndarray:
 
     Row i is the i-th consecutive `haar_random_state` draw from
     `rng.substream(0)`, so the rows of a smaller count are a prefix of a
-    larger one's.
+    larger one's.  One `standard_normal((count, 2, d))` call draws what
+    `count` consecutive `complex_normals(d)` calls would, and each row is
+    divided by `np.linalg.norm` of that row, the call one state makes on its
+    own draw, so every row keeps the bits of its state.
     """
-    stream = rng.substream(0)
-    rows = [haar_random_state(d, stream).amplitudes for _ in range(count)]
-    return np.array(rows, dtype=complex).reshape(count, d)
+    if d < 1 and count:
+        raise ShapeError("dimension must be positive")
+    parts = rng.substream(0).generator.standard_normal((count, 2, d))
+    z = np.empty((count, d), dtype=complex)
+    z.real, z.imag = parts[:, 0], parts[:, 1]
+    norms = np.array([np.linalg.norm(row) for row in z]).reshape(count, 1)
+    return _check_unit_rows(z / norms)
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +176,8 @@ def haar_states(d: int, count: int, rng: RandomStream) -> np.ndarray:
 
 def _state_rows(states, dim: int) -> np.ndarray:
     """(N, dim) unit amplitude rows of `states`, an (N, dim) array or a sequence of PureStates."""
+    if isinstance(states, np.ndarray) and states.ndim == 2 and states.shape[1] == dim:
+        return _check_unit_rows(states.astype(complex, copy=False))
     rows = [np.asarray(getattr(psi, "amplitudes", psi)) for psi in states]
     for row in rows:
         if row.shape != (dim,):
@@ -458,17 +466,45 @@ class ScanRecord(NamedTuple):
     sum_fidelity: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScanReport:
+    """What `asym_bound_scan` found: one record per scanned channel, kept as arrays.
+
+    `kinds` and `labels` name the records in scan order, `fidelities` is the
+    read-only (N, n_out) array of every record's per-clone Haar fidelities
+    and `sums` the read-only (N,) fidelity sums, each added left to right as
+    Python's `sum` adds its row.  `records` builds the `ScanRecord`s from
+    them on demand.  `argmax` labels the first record with the largest sum
+    and `max_sum_fidelity` is that sum.  Two reports are equal when these
+    scalars and their records are.
+    """
+
     max_sum_fidelity: float
     bound: float
     argmax: str
-    records: tuple
     tol: float
+    kinds: tuple
+    labels: tuple
+    fidelities: np.ndarray
+    sums: np.ndarray
+
+    @property
+    def records(self) -> tuple:
+        return tuple(map(ScanRecord, self.kinds, self.labels,
+                         map(tuple, self.fidelities.tolist()), self.sums.tolist()))
 
     @property
     def passed(self) -> bool:
         return self.max_sum_fidelity <= self.bound + self.tol
+
+    def _key(self) -> tuple:
+        return self.max_sum_fidelity, self.bound, self.argmax, self.records, self.tol
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, ScanReport) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def _scan_fidelities(d, n_in, n_out, kraus) -> np.ndarray:
@@ -525,6 +561,9 @@ def asym_bound_scan(
     of any larger scan's.  The optimal cloner,
     the one `Channel` built, is scored as a stack of one, and the grid
     (`_asymmetry_grid_kraus`) is built, checked and scored in memory chunks.
+    The report keeps the records as arrays, the scores of every chunk in one
+    (N, n_out) array with their sums (`ScanReport`), and builds no per-record
+    object.
     """
     dim = _ginibre_side(d, n_in, n_out, ancilla_dim)
     bound = value_formulas(d, n_in, n_out).asym_bound
@@ -555,10 +594,17 @@ def asym_bound_scan(
             _checked_defects(kraus)
             yield "grid", [f"grid-t={x:.6f}" for x in t[start:start + step]], kraus
 
-    records = [
-        ScanRecord(kind, label, tuple(row), sum(row))
-        for kind, labels, kraus in blocks()
-        for label, row in zip(labels, _scan_fidelities(d, n_in, n_out, kraus).tolist())
-    ]
-    best = max(records, key=lambda r: r.sum_fidelity)
-    return ScanReport(best.sum_fidelity, bound, best.label, tuple(records), REPORT_TOL)
+    kinds, labels, scores = [], [], []
+    for kind, block_labels, kraus in blocks():
+        kinds += [kind] * len(block_labels)
+        labels += block_labels
+        scores.append(_scan_fidelities(d, n_in, n_out, kraus))
+    fidelities = np.concatenate(scores)
+    sums = np.zeros(len(fidelities))
+    for column in fidelities.T:  # left to right, as sum(row) adds
+        sums += column
+    fidelities.setflags(write=False)
+    sums.setflags(write=False)
+    best = int(np.argmax(sums))  # the first of the largest, as max() picks
+    return ScanReport(float(sums[best]), bound, labels[best], REPORT_TOL, tuple(kinds),
+                      tuple(labels), fidelities, sums)

@@ -20,10 +20,13 @@ vectors by `effect_stack`, and an `EffectStack` may hold effects of any rank.
 
 `random_isometry_kraus` is the long way to a random isometry channel: the
 same Ginibre columns, orthonormalised by Gram-Schmidt instead of QR.
+`assembled_isometry_kraus` is the batched kernel's earlier route to the same
+stacks, the oracle of its bits.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,6 +107,31 @@ def random_isometry_kraus(d, n_in, n_out, rng, ancilla_dim=None) -> list[np.ndar
         q[:, j] = v / np.linalg.norm(v)
     iso = q.reshape(dim_out, anc, dim_in)
     return [iso[:, a, :] for a in range(anc)]
+
+
+def assembled_isometry_kraus(d, n_in, n_out, rng, count, ancilla_dim=None) -> np.ndarray:
+    """`count` consecutive random isometry Kraus stacks, assembled step by step.
+
+    The route `cloning._random_isometry_kraus` took before it scaled the
+    draws in place: the complex blocks are written part by part and then
+    divided by sqrt(2), the phase fix multiplies a copy of Q, and every
+    isometry is multiplied by V_in = sym_isometry(d, n_in), the identity when
+    n_in = 1.  The result is the (count, anc, d**n_out, dim_sym(d, n_in))
+    C-contiguous stack.
+    """
+    dim_in, dim_out = d**n_in, d**n_out
+    anc = dim_out if ancilla_dim is None else int(ancilla_dim)
+    parts = rng.generator.standard_normal((count, 2, dim_out * anc, dim_in))
+    z = np.empty((count, dim_out * anc, dim_in), dtype=complex)
+    z.real, z.imag = parts[:, 0], parts[:, 1]
+    z /= math.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    phases = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    phases /= np.abs(phases)
+    q = q * phases.conj()[..., None, :]
+    restricted = q.reshape(-1, dim_in) @ sym_isometry(d, n_in)
+    stack = restricted.reshape(count, dim_out, anc, -1).transpose(0, 2, 1, 3)
+    return np.ascontiguousarray(stack)
 
 
 def apply_matrix_via_choi(ch: Channel, mat: np.ndarray) -> np.ndarray:

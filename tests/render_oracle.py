@@ -1,7 +1,8 @@
 """The standard library's rendering of CLI documents: the oracle for `cli._render_json`.
 
 A JSON document is `json.dumps(indent=2)` of the document with every float
-replaced by float(f"{x:.12g}"), tuples read as lists.  A CSV document is
+replaced by float(f"{x:.12g}"), tuples and every other sequence but a string
+(the CLI's columnar records) read as lists of their items.  A CSV document is
 `csv.DictWriter` output of the row dicts, the header read from the first row,
 floats written with 12 significant digits.
 """
@@ -9,6 +10,7 @@ floats written with 12 significant digits.
 import csv
 import io
 import json
+from collections.abc import Sequence
 
 
 def round_floats(obj):
@@ -16,7 +18,7 @@ def round_floats(obj):
         return float(f"{obj:.12g}")
     if isinstance(obj, dict):
         return {k: round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, Sequence) and not isinstance(obj, str):
         return [round_floats(v) for v in obj]
     return obj
 

@@ -236,6 +236,10 @@ class TestSandwichCommand:
         (["--game", "cloning", "--d", "2", "--n", "2", "--m", "3"],
          "3d684f91045118e0a113f49d30e2004b73f245c2ad1657ef24da4c2da7ec0a31",
          "5e8907f0a591b650deb9edc39954bd3441e81ba80b5a9e43f9e2ab93216f0dd7"),
+        # ququart Haar rows, taken while `haar_states` drew one state at a time
+        (["--game", "cloning", "--d", "4", "--n", "1", "--m", "2"],
+         "3dade4cf43159735db52f80b6828099fdda53bce8ff8080891cfc2989d7661cc",
+         "42f1d06550540d20ed9590b8f398abee242eb8cb7cd6d306d758efba13754145"),
     ])
     def test_whole_documents_are_pinned(self, capsys, args, json_digest, csv_digest):
         # SHA-256 of whole documents, taken when each level was scored from
@@ -347,6 +351,13 @@ class TestAsymBoundCommand:
          "55dcd5d06b3c2e5b6246ea8d14d1c91372eb62a2e9d0c198ce5e3dd80dd419f5"),
         ("256", ["--d", "2", "--n", "1", "--m", "3"],
          "58cef7d3488512e3dbf3ef560d4d896cc3a9da7caf13ce93e97604ab5339358b"),
+        # (2,2,3) keeps the product by V_in, which n_in = 1 skips
+        ("1000", ["--d", "2", "--n", "2", "--m", "3"],
+         "857f1e59a52d1a9ec1e5dcbc33c0b07897fbc074ec28fdf515988c5eb252c958"),
+        ("1000", ["--d", "3", "--n", "1", "--m", "2", "--format", "csv"],
+         "fed2536520aad4d98b18c2551da3ee1a0c1e31644fd94dbae9a7ddf23a8fd8ea"),
+        ("1000", ["--d", "2", "--n", "1", "--m", "3", "--format", "csv"],
+         "e1e42fad6b5b25d3644095805a517a2eca61740ca1587616a745cebe6586ac88"),
     ])
     def test_whole_documents_are_pinned(self, capsys, samples, args, digest):
         # SHA-256 of whole documents (seed scheme v7), so that a flip in the
@@ -354,6 +365,22 @@ class TestAsymBoundCommand:
         # 1000-channel JSON documents equals, at 12 digits, the per-channel
         # route of consecutive `random_isometry_channel` calls on substream 0.
         code, out = run_cli(["asym-bound", *args, "--samples", samples, "--seed", "5"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("args, digest", [
+        (["--d", "2", "--n", "1", "--m", "2"],
+         "aee319d6c0a38a1d69d1899d17e8be179cebdbb5117ba0449ca3ed20a6ef7754"),
+        (["--d", "3", "--n", "1", "--m", "2"],
+         "bb917be14b5c7113cb491423142c83b427b763a730a116dd8b958329ed61ffa5"),
+        (["--d", "2", "--n", "1", "--m", "3"],
+         "cadaef7444549973a4b4052442f95e6ace9b8602b85c50e472ef42860655bb87"),
+    ])
+    def test_benchmark_documents_are_pinned(self, capsys, args, digest):
+        # the three scans of perfbench's restricted-games workload at seed
+        # 21: SHA-256 of the whole documents, taken before the scan's records
+        # were kept as arrays and written without a dict per record
+        code, out = run_cli(["asym-bound", *args, "--samples", "1000", "--seed", "21"], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -639,6 +666,114 @@ class TestDocumentWriter:
         assert inspect.getgeneratorstate(rows) == inspect.GEN_CREATED
         # the same generator yields the rows --format csv writes
         assert run_cli([*args, "--format", "csv"], capsys)[1] == render_csv(rows)
+
+
+#: Flat records: every value a string or a float, one key set per list.
+RECORD_STRINGS = st.one_of(st.text(max_size=6), st.sampled_from(
+    AWKWARD_STRINGS + ["d\u00e9j\u00e0 \u00e9t\u00e9", "it's \"q\"", "a\\b", "%s %(x)s %%"]))
+RECORD_FLOATS = st.one_of(st.floats(), st.floats(-10.0, 10.0),
+                          st.sampled_from(SPECIAL_FLOATS[:9] + [1.0, 12.0, 123456789012.5, 1.5e13,
+                                                                 1e16, 1e-4, 9.5e-5]))
+RECORD_KEYS = st.lists(st.one_of(st.text(max_size=5), st.sampled_from(["%s", "kind", "é"])),
+                       min_size=1, max_size=4, unique=True)
+
+
+def scan_records(report):
+    """The asym-bound document's records of a scan report, one dict each."""
+    return [{"kind": r.kind, "label": r.label, "sum_fidelity": r.sum_fidelity}
+            for r in report.records]
+
+
+class TestRecordPath:
+    """Lists of flat records: the one-string-per-record path against the oracle."""
+
+    @staticmethod
+    def columns(records):
+        keys = list(records[0]) if records else []
+        return qgames.cli._Records(keys, [[r[k] for r in records] for k in keys])
+
+    @staticmethod
+    def assert_rendered(records, fast):
+        # as a list of dicts and as columns, at the top and nested in a document
+        text = render_json(records)
+        assert qgames.cli._render_json(records) == text
+        doc = {"command": "x", "records": records, "after": [records]}
+        assert qgames.cli._render_json(doc) == render_json(doc)
+        applies = qgames.cli._flat_records_text(records, "") is not None
+        assert applies is fast
+        if records and records[0] and all(list(r) == list(records[0]) for r in records):
+            table = TestRecordPath.columns(records)
+            assert qgames.cli._render_json(table) == text
+            assert (qgames.cli._flat_records_text(table, "") is not None) is fast
+
+    @settings(deadline=None, derandomize=True)
+    @given(RECORD_KEYS.flatmap(lambda keys: st.lists(
+        st.fixed_dictionaries({k: st.one_of(RECORD_STRINGS, RECORD_FLOATS) for k in keys}),
+        max_size=6)))
+    def test_flat_records_match_the_oracle(self, records):
+        columns = [[r[k] for r in records] for k in (records[0] if records else ())]
+        fast = bool(records) and all(
+            all(type(v) is str for v in c) or all(type(v) is float and math.isfinite(v)
+                                                for v in c)
+            for c in columns)
+        self.assert_rendered(records, fast)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 3, True, False, None,
+                                       np.float64(0.5), [0.5], {"x": 0.5}])
+    def test_other_values_take_the_generic_path(self, value):
+        records = [{"label": "a", "sum_fidelity": 0.5}, {"label": "b", "sum_fidelity": value}]
+        self.assert_rendered(records, fast=False)
+
+    @pytest.mark.parametrize("value", [-0.0, 0.0, 1e-300, 5e-324, 1.0, 2.0 / 3.0, 1.5e13])
+    def test_special_finite_floats_take_the_record_path(self, value):
+        self.assert_rendered([{"label": "a", "sum_fidelity": value}], fast=True)
+
+    @pytest.mark.parametrize("label", ["\u00e9t\u00e9 \u96ea \U0001f600", 'say "hi"',
+                                       "back\\slash", "\ud800", "\n\t", "%d"])
+    def test_awkward_labels_take_the_record_path(self, label):
+        self.assert_rendered([{"kind": "random", "label": label, "sum_fidelity": 0.25}] * 2,
+                             fast=True)
+
+    def test_key_orders_that_differ_take_the_generic_path(self):
+        records = [{"label": "a", "sum_fidelity": 0.5}, {"sum_fidelity": 0.25, "label": "b"}]
+        self.assert_rendered(records, fast=False)
+        self.assert_rendered([{"label": "a"}, {"label": "b", "extra": "c"}], fast=False)
+        self.assert_rendered([{}, {}], fast=False)
+
+    @pytest.mark.parametrize("n_random", [0, 1020])
+    def test_scan_documents_of_1_and_1021_records(self, n_random):
+        # the optimal cloner alone, and the optimal cloner with 1000 random
+        # channels and the 21-point grid: 1021 records as the CLI writes them
+        report = qgames.harness.asym_bound_scan(3, 1, 2, n_random, grid_points=0, seed=2)
+        records = scan_records(report)
+        assert len(records) == 1 + n_random
+        self.assert_rendered(records, fast=True)
+        self.assert_rendered([], fast=False)
+
+    def test_records_read_as_dicts(self):
+        table = qgames.cli._Records(("kind", "sum_fidelity"), (["a", "b"], [0.5, 0.25]))
+        assert len(table) == 2 and table[1] == {"kind": "b", "sum_fidelity": 0.25}
+        assert list(table) == [{"kind": "a", "sum_fidelity": 0.5},
+                               {"kind": "b", "sum_fidelity": 0.25}]
+        assert len(qgames.cli._Records((), ())) == 0
+
+    def test_asym_bound_builds_no_dict_per_record(self, monkeypatch, capsys):
+        # the JSON document's records are columns of the scan report's arrays
+        returned = []
+        runner = qgames.cli._RUNNERS["asym-bound"]
+
+        def spy(config):
+            returned.append(runner(config))
+            return returned[-1]
+
+        monkeypatch.setitem(qgames.cli._RUNNERS, "asym-bound", spy)
+        code, out = run_cli(["asym-bound", "--samples", "1000", "--seed", "4"], capsys)
+        assert code == 0
+        ((doc, _, _),) = returned
+        assert type(doc["records"]) is qgames.cli._Records
+        report = qgames.harness.asym_bound_scan(2, 1, 2, 1000, seed=4)
+        assert json.loads(out)["records"] == json.loads(render_json(scan_records(report)))
+        assert out == render_json({**doc, "records": scan_records(report)})
 
 
 def run_fresh(args):

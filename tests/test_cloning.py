@@ -16,6 +16,7 @@ from qgames.cloning import (
     _checked_defects,
     _choi_rows,
     _completeness_defects,
+    _random_isometry_kraus,
     _state_fidelities,
     conjugate_output,
     global_fidelity,
@@ -207,6 +208,29 @@ class TestChannelMechanics:
         batch = np.stack([np.eye(2)[None], kraus, math.sqrt(1.0 + 3e-10) * np.eye(2)[None]])
         with pytest.raises(ValueError, match=r"\(defect 3\.000e-10 > 1e-10\)$"):
             _checked_defects(batch.astype(complex))
+
+    def test_complex_defect_within_the_tolerance_passes_through_the_eigensolve(self,
+                                                                              monkeypatch):
+        # a complex stack K M, K an isometry, with M^dag M - I = U diag(e, -e) U^dag
+        # for e = 0.8e-10: its operator norm 0.8e-10 is within the tolerance,
+        # its Frobenius norm 1.13e-10 is not, and its off-diagonal entries are
+        # complex, so the batch is decided by one batched eigensolve
+        e = 0.8e-10
+        u = haar_random_unitary(2, RandomStream(4))
+        m = u @ np.diag(np.sqrt([1.0 + e, 1.0 - e])) @ u.conj().T
+        batch = np.stack([random_isometry_channel(2, 1, 2, RandomStream(s)).kraus @ m
+                          for s in range(3)])
+        defects = _completeness_defects(batch)
+        assert np.all(np.abs(defects - e) <= 1e-14)
+        frobenius = np.linalg.norm(
+            np.einsum("kab,kac->bc", batch[0].conj(), batch[0]) - np.eye(2))
+        assert frobenius > COMPLETENESS_ATOL
+        calls = self.spied_eigensolves(monkeypatch)
+        _checked_defects(batch)
+        assert calls == [(3, 2, 2)]
+        ch = Channel(2, 1, 2, batch[1])
+        assert calls == [(3, 2, 2), (2, 2)]
+        assert np.array_equal(ch.kraus, batch[1])
 
     def test_non_finite_batch_refused_before_any_eigensolve(self, monkeypatch):
         batch = np.stack([np.eye(2, dtype=complex)[None]] * 3)
@@ -484,6 +508,19 @@ class TestChannelFamilies:
         ch = random_isometry_channel(2, 3, 1, RandomStream(1), ancilla_dim=8)
         assert ch.kraus.shape == (8, 2, 4)
         assert dense_oracle.completeness_defect(ch) <= 1e-10
+
+    @pytest.mark.parametrize("ancilla_dim", [None, 1, 3])
+    @pytest.mark.parametrize("d, n, m", [(2, 1, 2), (3, 1, 2), (2, 1, 3), (2, 2, 3)])
+    def test_kernel_keeps_the_bits_of_the_assembled_route(self, d, n, m, ancilla_dim):
+        # the stacks equal, byte for byte, the route that assembled complex
+        # blocks, divided them by sqrt(2), re-phased a copy of Q and multiplied
+        # by V_in at every n_in, the identity when n_in = 1
+        for seed, count in [(3, 1), (8, 40), (21, 257)]:
+            got = _random_isometry_kraus(d, n, m, RandomStream(seed), count, ancilla_dim)
+            want = dense_oracle.assembled_isometry_kraus(d, n, m, RandomStream(seed), count,
+                                                         ancilla_dim)
+            assert got.shape == want.shape and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
 
     def test_unitary_conjugation_stays_a_channel(self, rng):
         base = optimal_cloner(2, 1, 2)

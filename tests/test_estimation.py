@@ -390,6 +390,48 @@ class TestPovmType:
         with pytest.raises(ValueError, match="norm"):
             Povm(1, povm.vectors, ([1.0, 0.0], [0.0, 1.0 + 1e-9]))
 
+    @pytest.mark.parametrize("guesses, error, message", [
+        (np.eye(2)[:1], ShapeError, "^one guess per effect required$"),
+        (np.zeros((2, 3)), ShapeError, "^guesses must be qubits$"),
+        (np.zeros(2), ShapeError, "^guesses must be qubits$"),
+        (np.zeros((2, 2, 1)), ShapeError, "^guesses must be qubits$"),
+        (np.array([[1.0, 0.0], [0.0, 1.0 + 1e-9]]), ValueError, "not 1 within 1e-12"),
+    ])
+    def test_guess_arrays_keep_the_sequence_rules(self, guesses, error, message):
+        povm = build_povm(1, default_directions(1))
+        with pytest.raises(error, match=message):
+            Povm(1, povm.vectors, guesses)
+        with pytest.raises(error, match=message):
+            Povm(1, povm.vectors, list(guesses))
+
+    def test_guess_array_is_taken_without_a_per_row_conversion(self, monkeypatch):
+        povm = universal_povm(4)
+        guesses = np.array(povm.guesses)
+        calls = []
+        asarray = np.asarray
+        monkeypatch.setattr(np, "asarray", lambda *a, **k: calls.append(1) or asarray(*a, **k))
+        from_array = Povm(4, povm.vectors, guesses)
+        assert calls == []
+        from_rows = Povm(4, povm.vectors, list(guesses))
+        assert len(calls) == len(guesses)
+        assert from_array.guesses.tobytes() == from_rows.guesses.tobytes()
+        assert not np.shares_memory(from_array.guesses, guesses)
+        assert from_array.completeness_residual == from_rows.completeness_residual
+
+    def test_upper_indices_are_made_once_per_side(self, monkeypatch):
+        calls = []
+        triu = np.triu_indices
+        monkeypatch.setattr(np, "triu_indices", lambda *a, **k: calls.append(a) or triu(*a, **k))
+        qgames.estimation._upper_indices.cache_clear()
+        vectors = coherent_coordinates(_amplitudes(default_directions(3)), 3)
+        first = _completeness_system(vectors)
+        second = _completeness_system(vectors)
+        assert calls == [(4, 1)]
+        assert all(np.array_equal(a, b) for a, b in zip(first, second))
+        rows, cols = qgames.estimation._upper_indices(4)
+        assert not rows.flags.writeable and not cols.flags.writeable
+        assert [a.tolist() for a in (rows, cols)] == [a.tolist() for a in triu(4, 1)]
+
     def test_stacks_are_read_only(self):
         povm = build_povm(2, default_directions(2))
         assert povm.vectors.shape == (9, 3) and povm.vectors.dtype == complex

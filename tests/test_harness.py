@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import logging
 import math
 
@@ -48,6 +49,7 @@ from qgames.harness import (
     _checked_payoffs,
     GAME_KINDS,
     GameSpec,
+    ScanRecord,
     asym_bound_scan,
     cloner_perturbations,
     discretize_cloning_game,
@@ -193,6 +195,31 @@ class TestStateSets:
         assert np.array_equal(states, want)
         assert np.array_equal(haar_states(3, 300, RandomStream(41)), states[:300])
         assert haar_states(3, 0, RandomStream(41)).shape == (0, 3)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 7])
+    def test_haar_rows_keep_the_bits_of_single_states(self, d):
+        # one draw for all rows, each divided by np.linalg.norm of its own
+        # row: byte for byte the consecutive haar_random_state draws
+        stream = RandomStream(53).substream(0)
+        want = np.stack([haar_random_state(d, stream).amplitudes for _ in range(300)])
+        assert haar_states(d, 300, RandomStream(53)).tobytes() == want.tobytes()
+        assert haar_states(d, 0, RandomStream(53)).shape == (0, d)
+
+    def test_haar_states_refuse_an_empty_dimension(self):
+        with pytest.raises(ShapeError, match="dimension must be positive"):
+            haar_states(0, 3, RandomStream(1))
+
+    def test_state_rows_take_arrays_without_a_per_row_conversion(self, monkeypatch):
+        rows = fibonacci_states(40)
+        calls = []
+        asarray = np.asarray
+        monkeypatch.setattr(np, "asarray", lambda *a, **k: calls.append(1) or asarray(*a, **k))
+        checked = qgames.harness._state_rows(rows, 2)
+        assert calls == []
+        states = [PureState(r) for r in rows]
+        calls.clear()
+        assert checked.tobytes() == qgames.harness._state_rows(states, 2).tobytes()
+        assert len(calls) == len(rows)
 
     def test_haar_states_of_nested_substreams_differ(self):
         # substream(1).substream(0) used to be substream(0) again, so these
@@ -889,6 +916,31 @@ class TestAsymBoundScan:
         report = asym_bound_scan(d, n, m, 600, 21, seed=5)
         got = {r.label: f"{r.sum_fidelity:.12f}" for r in report.records}
         assert {label: got[label] for label in pins} == pins
+
+    @pytest.mark.parametrize("d, n, m, digest", [
+        (2, 1, 2, "826187e3cab3fe4c0f90bdb3e5669d429f95a487dd393d20b3e2d0db1c36d8ee"),
+        (3, 1, 2, "dd57d639752a4296382924bc0801871d2c756b0d896c2b95434acce20c7aa2dd"),
+        (2, 1, 3, "bc6e3a1ae006add49541cd3d83a10987dba6a56a9661e536c1b7fb1b3d9a63ba"),
+        (2, 2, 3, "70dc0a483a6e3d8cab9daaf6dc958086182a85a6badbb2826becba0394b49e98"),
+    ])
+    def test_records_rebuilt_from_the_arrays_are_pinned(self, d, n, m, digest):
+        # SHA-256 of repr(report.records), every float in full, taken while
+        # the scan built one ScanRecord per channel with sum(row) as its sum
+        report = asym_bound_scan(d, n, m, 300, seed=5)
+        records = report.records
+        assert hashlib.sha256(repr(records).encode()).hexdigest() == digest
+        assert all(type(r) is ScanRecord and r.sum_fidelity == sum(r.fidelities)
+                   for r in records)
+        best = max(records, key=lambda r: r.sum_fidelity)
+        assert (report.argmax, report.max_sum_fidelity) == (best.label, best.sum_fidelity)
+
+    def test_argmax_is_the_first_largest_sum(self):
+        # ties go to the first record, as max() picks them: the grid's t = 1/2
+        # point scores the optimal cloner's sum up to rounding, and record 0
+        # is the optimal cloner itself
+        report = asym_bound_scan(2, 1, 2, 0, grid_points=3, seed=1)
+        sums = [r.sum_fidelity for r in report.records]
+        assert report.argmax == report.records[sums.index(max(sums))].label
 
     def test_deterministic_given_seed(self):
         a = asym_bound_scan(2, 1, 2, n_random=5, grid_points=5, seed=11)
