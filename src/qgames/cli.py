@@ -10,14 +10,14 @@ A JSON document is written by `_json_text`, one recursive function that
 writes the indent-2 text and rounds each float on the way.  Its text is that
 of `json.dumps(doc, indent=2)` on the rounded document; the standard library
 runs its pure-Python encoder whenever an indent is set, and the direct writer
-takes about half that time.  A list of flat records that share one key order
-takes the record path (`_flat_records_text`): each record is one string
-filled into a template, with no recursion, as long as every value is a
-string or a finite float.  `asym-bound` hands its records to that path as
-`_Records`, columns read straight from the scan report's arrays, so no dict
-is built per record.  A CSV document has one row per record, and the
-runners that return many rows return them as generators, built only for
---format csv.
+takes about half that time.  Flat records that share one key order, held
+as columns in a `_Records`, take the record path (`_flat_records_text`):
+each record is one string filled into a template, with no recursion, as
+long as every value is a string or a finite float.  `asym-bound` hands its
+records to that path, columns read straight from the scan report's arrays,
+so no dict is built per record; every other list takes the generic path.
+A CSV document has one row per record, and the runners that return many
+rows return them as generators, built only for --format csv.
 
 The argument parser is built on the first `parse_args` (or `main`) call and
 shared by every later call in the process, so a script or test that calls
@@ -37,7 +37,8 @@ from collections.abc import Sequence
 from json.encoder import encode_basestring_ascii
 
 from . import harness
-from .cloning import optimal_cloner, product_embedding_channel, single_clone_haar_fidelity, value_formulas, haar_avg_global_fidelity
+from .cloning import (haar_avg_global_fidelity, optimal_cloner, product_embedding_channel,
+                      single_clone_haar_fidelity, value_formulas)
 from .core import RandomStream
 from .estimation import build_povm, default_directions, mean_fidelity, universal_povm
 from .zerosum import NonConvergence, rock_paper_scissors, solve
@@ -67,24 +68,16 @@ class _Records(Sequence):
 def _flat_records_text(value, indent: str):
     """JSON text of `value` as `_json_text` writes it, or None where this path does not apply.
 
-    It applies to a `_Records` and to a nonempty list of dicts with one
-    nonempty key order, when every key is a string and every value a string
-    or a finite float.  Each column is rendered at once and each record is
-    one string filled into a template, with no recursion.
+    It applies to a `_Records` with a nonempty key order, when every key is
+    a string and every value a string or a finite float.  Each column is
+    rendered at once and each record is one string filled into a template,
+    with no recursion.
     """
-    if isinstance(value, _Records):
-        keys, columns = value.keys, value.columns
-    elif type(value) is list and value and type(value[0]) is dict:
-        keys = tuple(value[0])
-        if not all(type(r) is dict and tuple(r) == keys for r in value):
-            return None
-        columns = list(zip(*[r.values() for r in value]))
-    else:
-        return None
+    keys = value.keys if isinstance(value, _Records) else ()
     if not keys or not all(type(k) is str for k in keys):
         return None
     cells = []
-    for column in columns:
+    for column in value.columns:
         types = set(map(type, column))
         if types == {str}:
             cells.append(map(encode_basestring_ascii, column))
@@ -111,8 +104,7 @@ def _json_text(value, indent: str = "") -> str:
     The text is what `json.dumps(value, indent=2)` writes once every float
     is replaced by float(f"{x:.12g}"): ASCII only, NaN and the infinities as
     JavaScript names, tuples and `_Records` as lists.  Dict keys must be
-    strings.  Lists of flat records take `_flat_records_text` where it
-    applies.
+    strings.  A `_Records` takes `_flat_records_text` where it applies.
     """
     if isinstance(value, str):
         return encode_basestring_ascii(value)

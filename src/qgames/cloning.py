@@ -39,7 +39,8 @@ coordinatised.  A product state scores
 sum_rows |w . (coh_in(psi) (x) conj(out(psi)))|^2 (`_state_fidelities`), with
 out(psi) the Sym_out coordinates of psi^{(x)n_out} or psi itself for one
 clone; the Haar average is Re tr(w G w^dag) over a moment G
-(`_haar_fidelities`).
+(`_haar_fidelities`).  The same kernels score an estimation POVM as the
+n -> 1 channel of its Kraus stack |g_r><v_r| (`estimation._kraus`).
 
 The average of <psi^{m}| ch(psi^{n}) |psi^{m}> over Haar psi is
 
@@ -85,9 +86,10 @@ class Channel:
     `kraus` is the read-only (K, rows, dim_sym(d, n_in)) stack of Kraus
     operators on Sym_in occupation coordinates, and the only stored form of
     the channel.  It is given as one such array, converted to complex once
-    and stored as a C-contiguous copy, or as a sequence of operators.  rows = dim_sym(d, n_out) means Sym_out occupation
-    coordinates and rows = d^n_out the full output space (module docstring);
-    `sym_out` reads which.  No other row count is accepted.  Construction
+    and stored as a C-contiguous copy, or as a sequence of operators.
+    rows = dim_sym(d, n_out) means Sym_out occupation coordinates and
+    rows = d^n_out the full output space (module docstring); `sym_out`
+    reads which.  No other row count is accepted.  Construction
     verifies that every entry is finite and that sum(K^dag K) is the identity
     on Sym_in within COMPLETENESS_ATOL.  sum_K vec(K) vec(K)^dag is positive
     semidefinite for every finite stack, so nothing else needs checking.
@@ -339,7 +341,8 @@ def _ginibre_side(d, n_in, n_out, ancilla_dim=None) -> int:
     if anc < 1:
         raise InvalidArity(f"ancilla dimension must be >= 1, got {anc}")
     if dim_out * anc < dim_in:
-        raise InvalidArity(f"Ginibre side {dim_out * anc} < {dim_in} kept columns; raise ancilla_dim")
+        raise InvalidArity(
+            f"Ginibre side {dim_out * anc} < {dim_in} kept columns; raise ancilla_dim")
     return check_size_cap(dim_out * anc)
 
 
@@ -455,13 +458,14 @@ def _state_fidelities(n_in: int, copies: int, rows: np.ndarray, psi: np.ndarray)
 
     `rows` come from `_choi_rows`, `psi` is a (B, d) array of amplitudes and
     `copies` is the number of output copies the rows pair with: n_out for the
-    whole output, 1 for a clone.  Each term is |<psi^{copies}| K_j
-    |psi^{n_in}>|^2, so the sum is the output's overlap with psi^{copies}.  One
-    product serves every Kraus operator; its (B, rows) result is as wide as
-    the rows are many.
+    whole output, 1 for a clone or for an estimation guess.  Each term is
+    |<psi^{copies}| K_j |psi^{n_in}>|^2, so the sum is the output's overlap
+    with psi^{copies}.  One product serves every Kraus operator; its (B, rows)
+    result is as wide as the rows are many.  The one-copy bra is psi itself,
+    which is `coherent_coordinates(psi, 1)` bit for bit.
     """
     vin = coherent_coordinates(psi, n_in)
-    bra = coherent_coordinates(psi, copies).conj()
+    bra = (psi if copies == 1 else coherent_coordinates(psi, copies)).conj()
     x = (vin[:, :, None] * bra[:, None, :]).reshape(len(psi), -1)
     y = x @ rows.T
     return np.einsum("bi,bi->b", y.view(float), y.view(float))

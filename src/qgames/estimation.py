@@ -18,6 +18,10 @@ Born probabilities and guesses, so every payoff stays as it is.  The optimal
 covariant measurement is rank-one too (Massar and Popescu, PRL 74, 1259
 (1995)).  So effects are Hermitian and PSD by type; only completeness is checked.
 
+A POVM scores as the measure-and-prepare channel from Sym_n to the guess
+qubit with Kraus operators |g_r><v_r| (`_kraus`), through `cloning`'s
+kernels: every payoff of the three games is computed there.
+
 Why completeness alone pins the mean fidelity at (n+1)/(n+2) for aligned
 guesses: each effect c_r |Phi_r><Phi_r| embeds into the full copy space as c_r
 times the projector onto phi_r^{tensor n}; tensoring on the aligned guess
@@ -47,8 +51,9 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .cloning import _choi_rows, _haar_fidelities, _state_fidelities
 from .core import PureState, ShapeError, _check_unit_rows, check_size_cap
-from .symmetric import coherent_coordinates, dim_sym, sym_split
+from .symmetric import coherent_coordinates
 
 _log = logging.getLogger(__name__)
 
@@ -91,23 +96,6 @@ def _amplitudes(directions) -> np.ndarray:
 def _check_effect_stack(n_copies: int, count: int) -> None:
     """Refuse `count` effects on Sym_n: their vector stack has count * (n+1) entries."""
     check_size_cap(count * (n_copies + 1))
-
-
-def _born_probabilities(povm: Povm, psi: np.ndarray) -> np.ndarray:
-    """Born probabilities |<v_r|psi^{tensor n}>|^2, one row per qubit.
-
-    `psi` is a (B, 2) array of qubit amplitudes; the result has shape (B, R).
-    """
-    if psi.shape[1] != 2:
-        raise ShapeError("input must be a qubit")
-    check_size_cap(povm.n + 1)
-    return np.abs(coherent_coordinates(psi, povm.n) @ povm.vectors.conj().T) ** 2
-
-
-def _payoffs(povm: Povm, psi: np.ndarray) -> np.ndarray:
-    """sum_r tr[E_r psi^{tensor n}] |<psi|guess_r>|^2 for each row of the (B, 2) array psi."""
-    probs = _born_probabilities(povm, psi)
-    return np.sum(probs * np.abs(psi.conj() @ povm.guesses.T) ** 2, axis=1)
 
 
 @dataclass(frozen=True)
@@ -164,8 +152,17 @@ class Povm:
         return self._residual
 
     def outcome_probabilities(self, psi: PureState) -> np.ndarray:
-        """Born probabilities tr[E_r rho] for the n-copy input psi^{tensor n}."""
-        return _born_probabilities(self, psi.amplitudes[None])[0]
+        """Born probabilities |<v_r|psi^{tensor n}>|^2 for the n-copy input psi^{tensor n}."""
+        if psi.dim != 2:
+            raise ShapeError("input must be a qubit")
+        check_size_cap(self.n + 1)
+        coordinates = coherent_coordinates(psi.amplitudes[None], self.n)
+        return np.abs(coordinates @ self.vectors.conj().T)[0] ** 2
+
+
+def _kraus(povm: Povm) -> np.ndarray:
+    """The (R, 2, n+1) Kraus stack K_r = |guess_r><v_r| of the measure-and-prepare channel."""
+    return povm.guesses[:, :, None] * povm.vectors[:, None, :].conj()
 
 
 def default_directions(n_copies: int) -> list[Direction]:
@@ -355,10 +352,11 @@ def build_povm(n_copies: int, directions, tol: float = 1e-8) -> Povm:
 
     Minimizes the Frobenius defect || sum_r c_r |Phi_r><Phi_r| - I || over
     c_r >= 0 with the numpy NNLS `_nnls`, which returns the minimum defect;
-    raises IncompletePovm when that residual exceeds `tol` or no direction
-    is given.  The effect vectors are sqrt(c_r) Phi_r and the guesses are the
-    directions themselves.  The size cap counts the effect stack, one vector
-    of length n+1 per direction, and is checked before any vector is built.
+    raises IncompletePovm when that residual is not within `tol` (a NaN
+    `tol` admits none) or no direction is given.  The effect vectors are
+    sqrt(c_r) Phi_r and the guesses are the directions themselves.  The size
+    cap counts the effect stack, one vector of length n+1 per direction, and
+    is checked before any vector is built.
     """
     directions = list(directions)
     if not directions:
@@ -367,7 +365,7 @@ def build_povm(n_copies: int, directions, tol: float = 1e-8) -> Povm:
     amps = _amplitudes(directions)
     vectors = coherent_coordinates(amps, n_copies)
     weights, residual = _nnls(*_completeness_system(vectors))
-    if residual > tol:
+    if not residual <= tol:
         raise IncompletePovm(
             f"completeness residual {residual:.3e} exceeds tol {tol:.0e}; "
             f"supply more than {len(directions)} directions"
@@ -390,8 +388,11 @@ def universal_povm(n_copies: int) -> Povm:
 
 
 def pointwise_payoff(povm: Povm, psi: PureState) -> float:
-    """Expected +-1 payoff of one fixed-frame round against psi."""
-    return float(_payoffs(povm, psi.amplitudes[None])[0])
+    """Expected +-1 payoff of one fixed-frame round against psi, scored as the channel `_kraus`."""
+    if psi.dim != 2:
+        raise ShapeError("input must be a qubit")
+    rows = _choi_rows(2, povm.n, 1, _kraus(povm), 0)
+    return float(_state_fidelities(povm.n, 1, rows, psi.amplitudes[None])[0])
 
 
 def payoff_operator(povm: Povm) -> np.ndarray:
@@ -401,8 +402,9 @@ def payoff_operator(povm: Povm) -> np.ndarray:
     guess qubit is the last factor.  With E_r = |v_r><v_r| the sum is the Gram
     product x^T conj(x) of the rows x_r = v_r (x) guess_r.  Embedding the
     first factor with sym_isometry(2, n) gives the operator on the full
-    2^(n+1)-dimensional copy-and-guess space; the evaluators below never need
-    that embedding.  The size cap counts the effect stack and the side 2(n+1).
+    2^(n+1)-dimensional copy-and-guess space.  No evaluator of the package
+    reads it: they score the Kraus stack `_kraus`.  The size cap counts the
+    effect stack and the side 2(n+1).
     """
     count = len(povm.vectors)
     _check_effect_stack(povm.n, count)
@@ -412,18 +414,16 @@ def payoff_operator(povm: Povm) -> np.ndarray:
 
 
 def mean_fidelity(povm: Povm) -> float:
-    """Exact Haar-averaged payoff, tr[S^T W S] / dim_sym(2, n+1).
+    """Exact Haar-averaged payoff, tr[W P_sym] / dim_sym(2, n+1) for W = `payoff_operator`.
 
-    W is `payoff_operator` and S = sym_split(2, n, 1), so S^T W S is W on the
-    (n+2)-dimensional space Sym_{n+1}; this equals tr[W P_sym] over n+1 copies.
+    That is the Haar mean fidelity of the channel `_kraus(povm)`, which
+    `cloning._haar_fidelities` takes from its Choi rows without forming W.
+    The size cap counts the effect stack and the Choi side 2(n+1).
     """
-    k = povm.n + 1
-    w = payoff_operator(povm)
-    split = sym_split(2, povm.n, 1)
+    _check_effect_stack(povm.n, len(povm.vectors))
     _log.debug(
-        "mean_fidelity n=%d: %d effects, payoff operator side %d on Sym_n (x) C^2 "
+        "mean_fidelity n=%d: %d effects, Choi side %d on Sym_n (x) C^2 "
         "(full copy-and-guess space: %d)",
-        povm.n, len(povm.vectors), w.shape[0], 2**k,
+        povm.n, len(povm.vectors), 2 * povm.n + 2, 2 ** (povm.n + 1),
     )
-    val = np.trace(split.T @ w @ split)
-    return float(val.real) / dim_sym(2, k)
+    return float(_haar_fidelities(2, povm.n, 1, _kraus(povm), 0))

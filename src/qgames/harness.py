@@ -27,12 +27,12 @@ MEMORY_ITEMS, each holding fewer items where its rows would pass CHUNK_BYTES.
 A strategy's payoff on psi is the overlap with psi of the state it hands the
 SWAP-test referee.  `_checked_payoffs` makes that function once per call,
 for every game kind: the discretized games tabulate it and Monte Carlo rounds
-feed it to the referee.  For the cloning games it is one product of the
-channel's Choi rows (`cloning._choi_rows`, built once per call) with each
-memory chunk's states, the whole output for cloning and the clone-averaged
-reduced channel for one_particle.  Integrating out the estimation outcome and
-the referee's choice of clone leaves each round's pass probability
-(1 + F)/2 as it is.
+feed it to the referee.  For all three kinds it is one product of Choi rows
+(`cloning._choi_rows`, built once per call) with each memory chunk's states:
+those of a POVM's measure-and-prepare channel for estimation, of the whole
+output for cloning and of the clone-averaged reduced channel for
+one_particle.  Integrating out the estimation outcome and the referee's
+choice of clone leaves each round's pass probability (1 + F)/2 as it is.
 
 Analytic reports quote fidelities F; the protocol's literal stakes are +-1.
 A round passes with probability p = (1 + F)/2, so the mean +-1 payoff is
@@ -76,8 +76,8 @@ from .core import (
 )
 from .estimation import (
     Povm,
-    _payoffs,
     _amplitudes,
+    _kraus,
     fibonacci_directions,
     mean_fidelity,
 )
@@ -199,29 +199,31 @@ def _checked_payoffs(kind: str, d: int, n: int, m: int, strategy):
     each row: the overlap with psi of the state the strategy returns, the
     guess for estimation (averaged over the Born-rule outcomes), the whole
     output for cloning and a clone picked uniformly at random for
-    one_particle.  Estimation takes a Povm on n copies; the cloning games
-    take a Channel of arity (d, n, m), whose Choi rows (`cloning._choi_rows`)
-    are built here, once.  `width` is the widest per-state array `payoffs`
-    makes: the outcome count or the n + 1 coordinates of a Povm, the row
-    count or the row length of a Channel's Choi rows.  Before anything is
-    built the size cap counts the Povm's width, or the Channel's Kraus rows
-    or columns, whichever is more.
+    one_particle.  Estimation takes a Povm on n copies, scored as the n -> 1
+    channel `estimation._kraus`; the cloning games take a Channel of arity
+    (d, n, m).  Its Choi rows (`cloning._choi_rows`) are built here, once.
+    `width`, the widest per-state array `payoffs` makes, is the row count or
+    the row length of those rows, whichever is more.  Before anything is
+    built the size cap counts the Povm's outcomes or its n + 1 coordinates,
+    or the Channel's Kraus rows or columns, whichever is more.
     """
     if kind == "estimation":
         if not isinstance(strategy, Povm):
             raise TypeError(f"estimation is played with a Povm, got {type(strategy).__name__}")
         if strategy.n != n:
             raise ShapeError(f"povm copy count {strategy.n} != {n}")
-        width = check_size_cap(max(len(strategy.vectors), n + 1))
-        return (lambda psi: _payoffs(strategy, psi)), width
-    if not isinstance(strategy, Channel):
-        raise TypeError(f"{kind} is played with a Channel, got {type(strategy).__name__}")
-    arity = (strategy.d, strategy.n_in, strategy.n_out)
-    if arity != (d, n, m):
-        raise ShapeError(f"channel arity {arity} != {(d, n, m)}")
-    check_size_cap(max(strategy.kraus.shape[1:]))
-    clone, copies = (0, m) if kind == "cloning" else (None, 1)
-    rows = _choi_rows(d, n, m, strategy.kraus, clone)
+        check_size_cap(max(len(strategy.vectors), n + 1))
+        n_out, kraus, clone = 1, _kraus(strategy), 0
+    else:
+        if not isinstance(strategy, Channel):
+            raise TypeError(f"{kind} is played with a Channel, got {type(strategy).__name__}")
+        arity = (strategy.d, strategy.n_in, strategy.n_out)
+        if arity != (d, n, m):
+            raise ShapeError(f"channel arity {arity} != {(d, n, m)}")
+        check_size_cap(max(strategy.kraus.shape[1:]))
+        n_out, kraus, clone = m, strategy.kraus, 0 if kind == "cloning" else None
+    copies = n_out if clone == 0 else 1
+    rows = _choi_rows(d, n, n_out, kraus, clone)
     return (lambda psi: _state_fidelities(n, copies, rows, psi)), max(rows.shape)
 
 

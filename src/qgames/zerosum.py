@@ -192,7 +192,7 @@ def solve(game: MatrixGame, tol: float = 1e-9) -> EquilibriumPair:
     payoffs, is <= tol; otherwise, or when the simplex hits its pivot cap,
     NonConvergence carries the gap (inf at the cap).
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     a = game.payoff
     m, n = a.shape

@@ -18,9 +18,11 @@ from qgames.core import (
     haar_random_state,
     tensor_power,
 )
+from qgames.cloning import Channel, haar_avg_global_fidelity
 from qgames.estimation import (
     _amplitudes,
     _completeness_system,
+    _kraus,
     _lawson_hanson,
     _nnls,
     Direction,
@@ -34,6 +36,7 @@ from qgames.estimation import (
     pointwise_payoff,
     universal_povm,
 )
+from qgames.harness import discretize_cloning_game, discretize_estimation_game, fibonacci_states
 from qgames.symmetric import coherent_coordinates, dim_sym, sym_projector
 
 import dense_oracle
@@ -218,6 +221,10 @@ class TestBuildPovm:
     def test_no_directions_refused_before_the_solver(self):
         with pytest.raises(IncompletePovm):
             build_povm(2, [])
+
+    def test_nan_tol_admits_no_residual(self):
+        with pytest.raises(IncompletePovm):
+            build_povm(2, default_directions(2), tol=math.nan)
 
     def test_effect_stack_capped_before_it_is_built(self, monkeypatch):
         # 441 effects of side 21 stack 9261 rows, over the cap of 4096
@@ -577,6 +584,31 @@ class TestMeanFidelity:
                 assert abs(mean_fidelity(povm) - want) <= 10.0 * max(
                     povm.completeness_residual, 1e-12
                 ) + 1e-10
+
+
+def povms_up_to_twelve_copies():
+    """`universal_povm(n)` and, where it builds, the default-frame POVM, n = 1..12."""
+    for n in range(1, 13):
+        yield f"universal-{n}", universal_povm(n)
+        try:
+            yield f"default-{n}", build_povm(n, default_directions(n))
+        except IncompletePovm:
+            pass
+
+
+def test_povm_scores_as_its_measure_and_prepare_channel():
+    # the n -> 1 channel with Kraus operators |g_r><v_r| gives the POVM's
+    # Haar mean and payoff matrix bit for bit
+    states = fibonacci_states(40)
+    labels = []
+    for label, povm in povms_up_to_twelve_copies():
+        channel = Channel(2, povm.n, 1, _kraus(povm))
+        assert mean_fidelity(povm) == haar_avg_global_fidelity(channel), label
+        estimation = discretize_estimation_game(povm.n, [povm], states).payoff
+        cloning = discretize_cloning_game(2, povm.n, 1, [channel], states).payoff
+        assert np.array_equal(estimation, cloning), label
+        labels.append(label)
+    assert len(labels) == 23
 
 
 class TestUniversalPovm:

@@ -38,6 +38,12 @@ def test_scan_finds_an_unused_import():
     assert unused_imports(tree) == ["math (line 1)", "arr (line 2)"]
 
 
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_source_lines_fit_100_columns(path):
+    long = [i for i, line in enumerate(path.read_text().splitlines(), 1) if len(line) > 100]
+    assert long == []
+
+
 def imported_packages(tree: ast.Module) -> set[str]:
     """Top-level package names that the module's import statements load."""
     names = set()

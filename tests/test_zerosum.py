@@ -96,6 +96,11 @@ class TestSolve:
             solve(game, tol=1e-20)
         assert info.value.exploitability > 0.0
 
+    def test_nan_tol_is_refused(self):
+        # NaN passed `tol <= 0`, and no gap exceeds NaN: nothing was certified
+        with pytest.raises(ValueError, match="tol must be positive"):
+            solve(rock_paper_scissors(), tol=float("nan"))
+
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             solve(PENNIES, tol=0.0)
