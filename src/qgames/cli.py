@@ -2,9 +2,12 @@
 
 Commands map onto the harness operations; every randomized command requires an
 explicit --seed (there is no implicit entropy anywhere), so identical
-invocations produce byte-identical output documents.  Floats are rendered with
-12 significant digits.  Exit codes: 0 success, 1 a checked assertion failed
-(e.g. a bound violation) or an inner error was surfaced, 2 usage error.
+invocations produce byte-identical output documents.  `sandwich` requires a
+seed too but reads it only at d != 2, where player II's 16 states are Haar
+draws; at d = 2, every estimation game included, they are the 16 Fibonacci
+states whatever the seed.  Floats are rendered with 12 significant digits.
+Exit codes: 0 success, 1 a checked assertion failed (e.g. a bound violation)
+or an inner error was surfaced, 2 usage error.
 
 A JSON document is written by `_json_text`, one recursive function that
 writes the indent-2 text and rounds each float on the way.  Its text is that
@@ -196,7 +199,7 @@ def _run_estimate(config):
     if config.universal:
         povm = universal_povm(config.n)
     else:
-        povm = build_povm(config.n, default_directions(config.n), tol=1e-8)
+        povm = build_povm(config.n, default_directions(config.n))
     doc = {
         "command": "estimate",
         "n": config.n,
@@ -237,14 +240,14 @@ def _entry_rows(doc, entries, before, after):
 
 def _run_sandwich(config):
     if config.game == "estimation":
-        spec = harness.GameSpec("estimation", d=2, n=config.n, m=config.n, seed=config.seed)
         player_i = [universal_povm(config.n), build_povm(config.n, default_directions(config.n))]
     else:
-        spec = harness.GameSpec("cloning", d=config.d, n=config.n, m=config.m, seed=config.seed)
         player_i = [
             optimal_cloner(config.d, config.n, config.m),
             product_embedding_channel(config.d, config.n, config.m),
         ]
+    best = player_i[0]
+    spec = harness.GameSpec(config.game, d=best.d, n=best.n_in, m=best.n_out, seed=config.seed)
     states = (harness.fibonacci_states(16) if spec.d == 2
               else harness.haar_states(spec.d, 16, RandomStream(config.seed)))
     report = harness.sandwich_report(spec, player_i, states, (4, 8, 16))
@@ -295,14 +298,12 @@ def _run_asym_bound(config):
 
 
 def _run_mc_play(config):
-    spec = harness.GameSpec(
-        config.game, d=config.d, n=config.n, m=config.m,
-        samples=config.samples, seed=config.seed,
-    )
     if config.game == "estimation":
         strategy = universal_povm(config.n)
     else:
         strategy = optimal_cloner(config.d, config.n, config.m)
+    spec = harness.GameSpec(config.game, d=strategy.d, n=strategy.n_in, m=strategy.n_out,
+                            samples=config.samples, seed=config.seed)
     record = harness.monte_carlo_play(spec, strategy)
     exact = spec.theoretical_value()
     # z against the null error, the standard error of +-1 outcomes of mean `exact`
@@ -354,10 +355,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
+    def add_arity(p):
+        p.add_argument("--d", type=int, default=2)
+        p.add_argument("--n", type=int, default=1)
+        p.add_argument("--m", type=int, default=2)
+
     p = sub.add_parser("clone", help="closed-form and measured cloning values")
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--m", type=int, default=2)
+    add_arity(p)
     add_common(p)
 
     p = sub.add_parser("estimate", help="build an estimation POVM and its mean fidelity")
@@ -371,16 +375,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sandwich", help="restricted-game refinement report")
     p.add_argument("--game", choices=("estimation", "cloning"), required=True)
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--m", type=int, default=2)
+    add_arity(p)
     p.add_argument("--seed", type=int, required=True)
     add_common(p)
 
     p = sub.add_parser("asym-bound", help="scan channels against the fidelity-sum bound")
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--m", type=int, default=2)
+    add_arity(p)
     p.add_argument("--samples", type=int, default=1000, help="random channels to scan")
     p.add_argument("--grid", type=int, default=21, help="asymmetry grid points (1->2 only)")
     p.add_argument("--seed", type=int, required=True)
@@ -389,9 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mc-play", help="Monte Carlo protocol play: the universal POVM "
                                        "or the optimal cloner against the referee")
     p.add_argument("--game", choices=("estimation", "cloning", "one_particle"), required=True)
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--m", type=int, default=2)
+    add_arity(p)
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--seed", type=int, required=True)
     add_common(p)
@@ -408,13 +406,10 @@ def parse_args(argv) -> argparse.Namespace:
     if config.command in ("clone", "sandwich", "asym-bound", "mc-play") and not estimation_game:
         if not 1 <= config.n <= config.m:
             parser.error(f"need 1 <= n <= m, got n={config.n} m={config.m}")
-    if estimation_game:
-        if config.n < 1:
-            parser.error("--n must be >= 1")
-        if config.d != 2:
-            parser.error("estimation games require --d 2")
-    if config.command == "estimate" and config.n < 1:
+    if (estimation_game or config.command == "estimate") and config.n < 1:
         parser.error("--n must be >= 1")
+    if estimation_game and config.d != 2:
+        parser.error("estimation games require --d 2")
     if config.command in ("asym-bound", "mc-play") and config.samples < 1:
         parser.error("--samples must be >= 1")
     if config.command == "asym-bound" and config.grid < 0:

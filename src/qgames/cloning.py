@@ -39,8 +39,8 @@ coordinatised.  A product state scores
 sum_rows |w . (coh_in(psi) (x) conj(out(psi)))|^2 (`_state_fidelities`), with
 out(psi) the Sym_out coordinates of psi^{(x)n_out} or psi itself for one
 clone; the Haar average is Re tr(w G w^dag) over a moment G
-(`_haar_fidelities`).  The same kernels score an estimation POVM as the
-n -> 1 channel of its Kraus stack |g_r><v_r| (`estimation._kraus`).
+(`_haar_fidelities`).  An estimation POVM, the (2, n, 1) channel of its
+Kraus stack |g_r><v_r| (`estimation.Povm.kraus`), is scored as a `Channel` is.
 
 The average of <psi^{m}| ch(psi^{n}) |psi^{m}> over Haar psi is
 
@@ -162,24 +162,17 @@ class Channel:
         )
 
 
-def _defect_matrices(kraus: np.ndarray) -> np.ndarray:
-    """sum(K^dag K) - I on Sym_in for each Kraus stack of a (..., K, rows, cols) array.
-
-    A channel's Kraus operators stacked vertically form one (K * rows, cols)
-    matrix whose Gram matrix is sum(K^dag K).  Leading axes are a batch of
-    channels: one product serves them all.
-    """
-    rows = kraus.reshape(*kraus.shape[:-3], -1, kraus.shape[-1])
-    return rows.conj().swapaxes(-1, -2) @ rows - np.eye(rows.shape[-1])
-
-
 def _completeness_defects(kraus: np.ndarray) -> np.ndarray:
     """Operator norm of sum(K^dag K) - I on Sym_in for each Kraus stack.
 
-    The defect is Hermitian, so its norm is its largest eigenvalue modulus;
-    one `eigvalsh` serves a whole batch of `_defect_matrices`.
+    A channel's Kraus operators stacked vertically form one (K * rows, cols)
+    matrix whose Gram matrix is sum(K^dag K).  The defect is Hermitian, so its
+    norm is its largest eigenvalue modulus.  Leading axes are a batch of
+    channels, which one product and one `eigvalsh` serve.
     """
-    return np.abs(np.linalg.eigvalsh(_defect_matrices(kraus))).max(axis=-1)
+    rows = kraus.reshape(*kraus.shape[:-3], -1, kraus.shape[-1])
+    defects = rows.conj().swapaxes(-1, -2) @ rows - np.eye(rows.shape[-1])
+    return np.abs(np.linalg.eigvalsh(defects)).max(axis=-1)
 
 
 def _checked_defects(kraus: np.ndarray) -> None:
@@ -493,7 +486,10 @@ def _haar_fidelities(d, n_in, n_out, kraus: np.ndarray, clone: int) -> np.ndarra
 
 
 def global_fidelity(ch: Channel, psi: PureState) -> float:
-    """<psi^{n_out}| ch(psi^{n_in}) |psi^{n_out}>."""
+    """<psi^{n_out}| ch(psi^{n_in}) |psi^{n_out}>.
+
+    `ch` is any strategy exposing `d`, `n_in`, `n_out` and `kraus`, a Povm too.
+    """
     if psi.dim != ch.d:
         raise ShapeError(f"state dimension {psi.dim} != local dimension {ch.d}")
     rows = _choi_rows(ch.d, ch.n_in, ch.n_out, ch.kraus, 0)
@@ -517,6 +513,7 @@ def _transposed_moment(d: int, n_in: int, n_out: int) -> np.ndarray:
 def haar_avg_global_fidelity(ch: Channel) -> float:
     """Exact Haar average of global_fidelity (module docstring).
 
+    `ch` is any strategy exposing `d`, `n_in`, `n_out` and `kraus`, a Povm too.
     The size cap counts the moment side dim_sym(d, n_in) * dim_sym(d, n_out).
     """
     return float(_haar_fidelities(ch.d, ch.n_in, ch.n_out, ch.kraus, 0))

@@ -18,9 +18,9 @@ Born probabilities and guesses, so every payoff stays as it is.  The optimal
 covariant measurement is rank-one too (Massar and Popescu, PRL 74, 1259
 (1995)).  So effects are Hermitian and PSD by type; only completeness is checked.
 
-A POVM scores as the measure-and-prepare channel from Sym_n to the guess
-qubit with Kraus operators |g_r><v_r| (`_kraus`), through `cloning`'s
-kernels: every payoff of the three games is computed there.
+A POVM is the strategy of arity (d, n_in, n_out) = (2, n, 1) whose channel
+has the Kraus operators |g_r><v_r| (`Povm.kraus`): `cloning`'s evaluators and
+the harness score it as they score a `Channel`.
 
 Why completeness alone pins the mean fidelity at (n+1)/(n+2) for aligned
 guesses: each effect c_r |Phi_r><Phi_r| embeds into the full copy space as c_r
@@ -46,12 +46,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .cloning import _choi_rows, _haar_fidelities, _state_fidelities
+from .cloning import global_fidelity, haar_avg_global_fidelity
 from .core import PureState, ShapeError, _check_unit_rows, check_size_cap
 from .symmetric import coherent_coordinates
 
@@ -110,28 +110,35 @@ class Povm:
     `PureState`s or amplitude rows.  Vectors must be finite and complete within
     1e-8, the Frobenius norm of V^T conj(V) - I that `completeness_residual`
     records; every guess row must have unit norm within 1e-12.
+
+    As a strategy it reads like a `cloning.Channel`: class attributes `d` = 2
+    and `n_out` = 1, `n_in` = n, and `kraus`, the read-only (R, 2, n+1) stack
+    K_r = |g_r><v_r| of its measure-and-prepare channel, cached on first read.
     """
+
+    d = 2
+    n_out = 1
 
     n: int
     vectors: np.ndarray
     guesses: np.ndarray
 
     def __post_init__(self):
-        dim = self.n + 1
+        dim, qubit = self.n + 1, self.d**self.n_out
         vectors = np.array(self.vectors, dtype=complex)
         if vectors.ndim != 2 or vectors.shape[1] != dim:
             raise ShapeError(f"effect vector stack shape {vectors.shape} is not (R, {dim})")
         rows = self.guesses
-        if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.shape[1] == 2:
+        if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.shape[1] == qubit:
             rows = np.array(rows, dtype=complex)
         else:
             rows = [np.asarray(getattr(g, "amplitudes", g), dtype=complex) for g in rows]
         if len(vectors) != len(rows):
             raise ShapeError("one guess per effect required")
         if isinstance(rows, list):
-            if any(g.shape != (2,) for g in rows):
+            if any(g.shape != (qubit,) for g in rows):
                 raise ShapeError("guesses must be qubits")
-            rows = np.array(rows, dtype=complex).reshape(len(rows), 2)
+            rows = np.array(rows, dtype=complex).reshape(len(rows), qubit)
         if not np.all(np.isfinite(vectors)):
             raise ValueError("effect vectors have non-finite entries")
         guesses = _check_unit_rows(rows)
@@ -151,18 +158,23 @@ class Povm:
     def completeness_residual(self) -> float:
         return self._residual
 
+    @property
+    def n_in(self) -> int:
+        return self.n
+
+    @cached_property
+    def kraus(self) -> np.ndarray:
+        kraus = self.guesses[:, :, None] * self.vectors[:, None, :].conj()
+        kraus.setflags(write=False)
+        return kraus
+
     def outcome_probabilities(self, psi: PureState) -> np.ndarray:
         """Born probabilities |<v_r|psi^{tensor n}>|^2 for the n-copy input psi^{tensor n}."""
-        if psi.dim != 2:
+        if psi.dim != self.d:
             raise ShapeError("input must be a qubit")
         check_size_cap(self.n + 1)
         coordinates = coherent_coordinates(psi.amplitudes[None], self.n)
         return np.abs(coordinates @ self.vectors.conj().T)[0] ** 2
-
-
-def _kraus(povm: Povm) -> np.ndarray:
-    """The (R, 2, n+1) Kraus stack K_r = |guess_r><v_r| of the measure-and-prepare channel."""
-    return povm.guesses[:, :, None] * povm.vectors[:, None, :].conj()
 
 
 def default_directions(n_copies: int) -> list[Direction]:
@@ -388,11 +400,8 @@ def universal_povm(n_copies: int) -> Povm:
 
 
 def pointwise_payoff(povm: Povm, psi: PureState) -> float:
-    """Expected +-1 payoff of one fixed-frame round against psi, scored as the channel `_kraus`."""
-    if psi.dim != 2:
-        raise ShapeError("input must be a qubit")
-    rows = _choi_rows(2, povm.n, 1, _kraus(povm), 0)
-    return float(_state_fidelities(povm.n, 1, rows, psi.amplitudes[None])[0])
+    """Expected +-1 payoff of one fixed-frame round against psi: `cloning.global_fidelity`."""
+    return global_fidelity(povm, psi)
 
 
 def payoff_operator(povm: Povm) -> np.ndarray:
@@ -403,8 +412,8 @@ def payoff_operator(povm: Povm) -> np.ndarray:
     product x^T conj(x) of the rows x_r = v_r (x) guess_r.  Embedding the
     first factor with sym_isometry(2, n) gives the operator on the full
     2^(n+1)-dimensional copy-and-guess space.  No evaluator of the package
-    reads it: they score the Kraus stack `_kraus`.  The size cap counts the
-    effect stack and the side 2(n+1).
+    reads it: they score the Kraus stack `Povm.kraus`.  The size cap counts
+    the effect stack and the side 2(n+1).
     """
     count = len(povm.vectors)
     _check_effect_stack(povm.n, count)
@@ -416,9 +425,9 @@ def payoff_operator(povm: Povm) -> np.ndarray:
 def mean_fidelity(povm: Povm) -> float:
     """Exact Haar-averaged payoff, tr[W P_sym] / dim_sym(2, n+1) for W = `payoff_operator`.
 
-    That is the Haar mean fidelity of the channel `_kraus(povm)`, which
-    `cloning._haar_fidelities` takes from its Choi rows without forming W.
-    The size cap counts the effect stack and the Choi side 2(n+1).
+    That is `cloning.haar_avg_global_fidelity` of the POVM, read from the
+    Choi rows of `Povm.kraus` without forming W.  The size cap counts the
+    effect stack and the Choi side 2(n+1).
     """
     _check_effect_stack(povm.n, len(povm.vectors))
     _log.debug(
@@ -426,4 +435,4 @@ def mean_fidelity(povm: Povm) -> float:
         "(full copy-and-guess space: %d)",
         povm.n, len(povm.vectors), 2 * povm.n + 2, 2 ** (povm.n + 1),
     )
-    return float(_haar_fidelities(2, povm.n, 1, _kraus(povm), 0))
+    return haar_avg_global_fidelity(povm)

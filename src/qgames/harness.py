@@ -77,7 +77,6 @@ from .core import (
 from .estimation import (
     Povm,
     _amplitudes,
-    _kraus,
     fibonacci_directions,
     mean_fidelity,
 )
@@ -112,7 +111,11 @@ _log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class GameSpec:
-    """What to play: which game, at which arity, for how many rounds."""
+    """What to play: which game, at the arity (d, n, m) of its strategies, for how many rounds.
+
+    Estimation needs the arity (Povm.d, n, Povm.n_out) = (2, n, 1) with n >= 1,
+    the cloning games 1 <= n <= m; any other arity raises ValueError.
+    """
 
     kind: str
     d: int = 2
@@ -127,13 +130,14 @@ class GameSpec:
         if self.d < 1:
             raise ValueError(f"dimension d must be >= 1, got {self.d}")
         if self.kind == "estimation":
-            if self.d != 2:
+            if self.d != Povm.d:
                 raise ValueError("estimation strategies are implemented for qubits only")
             if self.n < 1:
                 raise ValueError("estimation needs n >= 1 copies")
-        else:
-            if not 1 <= self.n <= self.m:
-                raise ValueError(f"cloning arity needs 1 <= n <= m, got ({self.n}, {self.m})")
+            if self.m != Povm.n_out:
+                raise ValueError(f"estimation returns one guess qubit, m = 1; got m={self.m}")
+        elif not 1 <= self.n <= self.m:
+            raise ValueError(f"cloning arity needs 1 <= n <= m, got ({self.n}, {self.m})")
         if self.samples < 0:
             raise ValueError("samples must be nonnegative")
 
@@ -199,31 +203,25 @@ def _checked_payoffs(kind: str, d: int, n: int, m: int, strategy):
     each row: the overlap with psi of the state the strategy returns, the
     guess for estimation (averaged over the Born-rule outcomes), the whole
     output for cloning and a clone picked uniformly at random for
-    one_particle.  Estimation takes a Povm on n copies, scored as the n -> 1
-    channel `estimation._kraus`; the cloning games take a Channel of arity
-    (d, n, m).  Its Choi rows (`cloning._choi_rows`) are built here, once.
-    `width`, the widest per-state array `payoffs` makes, is the row count or
-    the row length of those rows, whichever is more.  Before anything is
-    built the size cap counts the Povm's outcomes or its n + 1 coordinates,
-    or the Channel's Kraus rows or columns, whichever is more.
+    one_particle.  Estimation takes a Povm and the cloning games a Channel;
+    past that type check one path reads every strategy: its (d, n_in, n_out)
+    must be (d, n, m), and the Choi rows of its `kraus` (`cloning._choi_rows`)
+    are built here, once.  `width`, the widest per-state array `payoffs`
+    makes, is the row count or the row length of those rows, whichever is
+    more.  Before the rows are built the size cap counts the longest axis of
+    `kraus`: the Kraus operators (a Povm's outcomes), their rows or columns.
     """
-    if kind == "estimation":
-        if not isinstance(strategy, Povm):
-            raise TypeError(f"estimation is played with a Povm, got {type(strategy).__name__}")
-        if strategy.n != n:
-            raise ShapeError(f"povm copy count {strategy.n} != {n}")
-        check_size_cap(max(len(strategy.vectors), n + 1))
-        n_out, kraus, clone = 1, _kraus(strategy), 0
-    else:
-        if not isinstance(strategy, Channel):
-            raise TypeError(f"{kind} is played with a Channel, got {type(strategy).__name__}")
-        arity = (strategy.d, strategy.n_in, strategy.n_out)
-        if arity != (d, n, m):
-            raise ShapeError(f"channel arity {arity} != {(d, n, m)}")
-        check_size_cap(max(strategy.kraus.shape[1:]))
-        n_out, kraus, clone = m, strategy.kraus, 0 if kind == "cloning" else None
-    copies = n_out if clone == 0 else 1
-    rows = _choi_rows(d, n, n_out, kraus, clone)
+    strategy_type = Povm if kind == "estimation" else Channel
+    if not isinstance(strategy, strategy_type):
+        raise TypeError(f"{kind} is played with a {strategy_type.__name__}, "
+                        f"got {type(strategy).__name__}")
+    arity = (strategy.d, strategy.n_in, strategy.n_out)
+    if arity != (d, n, m):
+        raise ShapeError(f"{kind} strategy arity {arity} != {(d, n, m)}")
+    check_size_cap(max(strategy.kraus.shape))
+    clone = None if kind == "one_particle" else 0
+    copies = m if clone == 0 else 1
+    rows = _choi_rows(d, n, m, strategy.kraus, clone)
     return (lambda psi: _state_fidelities(n, copies, rows, psi)), max(rows.shape)
 
 
@@ -248,7 +246,7 @@ def _payoff_matrix(kind: str, d: int, n: int, m: int, strategies, states) -> Mat
 
 def discretize_estimation_game(n_copies: int, povms, states) -> MatrixGame:
     """A[i, j] = sum_r |<v_r|psi_j^{tensor n}>|^2 |<psi_j|guess_r>|^2 for v, guess of povms[i]."""
-    return _payoff_matrix("estimation", 2, n_copies, 1, povms, states)
+    return _payoff_matrix("estimation", Povm.d, n_copies, Povm.n_out, povms, states)
 
 
 def discretize_cloning_game(d, n_in, n_out, channels, states) -> MatrixGame:

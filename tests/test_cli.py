@@ -220,16 +220,17 @@ class TestSandwichCommand:
     @pytest.mark.parametrize("args, json_digest, csv_digest", [
         # estimation rows taken when POVMs were first scored as their
         # measure-and-prepare channels, which moved only exploitability
-        # fields, each by at most 4.4e-16
+        # fields, each by at most 4.4e-16; n = 2 and 3 re-taken when the
+        # documents' "m" became the one guess qubit
         (["--game", "estimation", "--n", "1"],
          "8c19a74665d43faca9e4f0f1895fdb8729b9775d0c6e815a52dc187f69aa136c",
          "d4c2bb90a71492f4e0fd83ecc35380d7a4232ca9f3b7181650b35929bcb7dda4"),
         (["--game", "estimation", "--n", "2"],
-         "64a0f800d1b7acd69a5ebbde62642f88726f5f1eac1ebb77bbc355b62cabda50",
-         "4ff1c5e39b189f2b6d67f3b97c711a4f62a4ed8540cb535ec7c566f4ca73d810"),
+         "e2bf738fdafc01ab04c62b9fbf16dcab3829b2fcc3149ba29c6f9f74d65419f0",
+         "daf309f9b3c256050b6b5974eebe2610a113c8d2550790782141cba493d24849"),
         (["--game", "estimation", "--n", "3"],
-         "18809e1097cb036becd075b83b1bf3b0fdbcae0271131c2697c29755f73f42d3",
-         "29ae7970338d50316c9ad151530f0a45b1707d0148aaca88caad6afe49edd6a9"),
+         "638f04599225be8c0633bf106cf8bb5e03505d19c7d546f32c23ab221ac91c9f",
+         "47c118d37ed387d8b6cca69cfab326e82402fe1d680bfb9642205332b9ffb782"),
         (["--game", "cloning", "--d", "2", "--n", "1", "--m", "2"],
          "1d9abced015fd1c48463513598b9fb354fe15931aeb82768715c9f97dd0545c1",
          "016c0b797f7b0526f4e95081de55bbe804c35f915e125452bb0f2674474ec6e8"),
@@ -549,6 +550,23 @@ class TestMcPlayCommand:
         with pytest.raises(SystemExit) as info:
             parse_args(["mc-play", "--game", "estimation", "--d", "3", "--seed", "1"])
         assert info.value.code == 2
+
+
+def test_estimation_reports_the_game_it_plays(capsys):
+    # an estimation strategy returns one guess qubit, so its documents read
+    # m = 1 whatever --n or --m say, and a spec of any other m is refused
+    for args in (["sandwich", "--game", "estimation", "--n", "2", "--seed", "1"],
+                 ["mc-play", "--game", "estimation", "--m", "4", "--samples", "200",
+                  "--seed", "1"]):
+        code, out = run_cli(args, capsys)
+        assert code == 0
+        assert json.loads(out)["m"] == 1, args
+        code, out = run_cli([*args, "--format", "csv"], capsys)
+        assert code == 0
+        header, *rows = [line.split(",") for line in out.splitlines()]
+        assert rows and {row[header.index("m")] for row in rows} == {"1"}, args
+    with pytest.raises(ValueError, match="m=2"):
+        qgames.harness.GameSpec("estimation", n=2, m=2)
 
 
 class TestOutputDiscipline:

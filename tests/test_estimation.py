@@ -18,11 +18,10 @@ from qgames.core import (
     haar_random_state,
     tensor_power,
 )
-from qgames.cloning import Channel, haar_avg_global_fidelity
+from qgames.cloning import Channel, global_fidelity, haar_avg_global_fidelity
 from qgames.estimation import (
     _amplitudes,
     _completeness_system,
-    _kraus,
     _lawson_hanson,
     _nnls,
     Direction,
@@ -598,12 +597,21 @@ def povms_up_to_twelve_copies():
 
 def test_povm_scores_as_its_measure_and_prepare_channel():
     # the n -> 1 channel with Kraus operators |g_r><v_r| gives the POVM's
-    # Haar mean and payoff matrix bit for bit
+    # Haar mean and payoff matrix bit for bit, and the cloning evaluators
+    # score the POVM itself as that channel
     states = fibonacci_states(40)
     labels = []
     for label, povm in povms_up_to_twelve_copies():
-        channel = Channel(2, povm.n, 1, _kraus(povm))
+        kraus = povm.kraus
+        assert povm.kraus is kraus, label
+        with pytest.raises(ValueError, match="read-only"):
+            kraus[0, 0, 0] = 0.0
+        channel = Channel(2, povm.n, 1, kraus)
         assert mean_fidelity(povm) == haar_avg_global_fidelity(channel), label
+        assert haar_avg_global_fidelity(povm) == mean_fidelity(povm), label
+        for row in states[::7]:
+            psi = PureState(row)
+            assert global_fidelity(povm, psi) == pointwise_payoff(povm, psi), label
         estimation = discretize_estimation_game(povm.n, [povm], states).payoff
         cloning = discretize_cloning_game(2, povm.n, 1, [channel], states).payoff
         assert np.array_equal(estimation, cloning), label

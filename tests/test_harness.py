@@ -303,7 +303,7 @@ class TestDiscretizedGames:
             monte_carlo_play(GameSpec("estimation", n=3, samples=10), povm)
 
     def test_strategy_arity_mismatch_rejected(self):
-        with pytest.raises(ShapeError, match="copy count"):
+        with pytest.raises(ShapeError, match="arity"):
             discretize_estimation_game(2, [universal_povm(1)], [PureState.basis(2, 0)])
         with pytest.raises(ShapeError, match="arity"):
             discretize_cloning_game(2, 1, 3, [optimal_cloner(2, 1, 2)], [PureState.basis(2, 0)])
@@ -587,7 +587,7 @@ class TestMonteCarlo:
             monte_carlo_play(GameSpec("cloning", d=2, n=1, m=2, samples=10), universal_povm(1))
 
     @pytest.mark.parametrize("kind, d, n, m, make", [
-        ("estimation", 2, 4, 4, lambda: universal_povm(4)),
+        ("estimation", 2, 4, 1, lambda: universal_povm(4)),
         ("cloning", 2, 1, 2, lambda: optimal_cloner(2, 1, 2)),
         ("one_particle", 3, 1, 3, lambda: optimal_cloner(3, 1, 3)),
     ])
@@ -629,8 +629,8 @@ def _mc_game(kind, d, n, m, make, label="optimal"):
 # checks that each one-particle round scores the mean over all the clones
 MC_GAMES = [
     _mc_game("estimation", 2, 1, 1, lambda: build_povm(1, default_directions(1)), "default"),
-    _mc_game("estimation", 2, 4, 4, lambda: build_povm(4, default_directions(4)), "default"),
-    _mc_game("estimation", 2, 3, 3, lambda: universal_povm(3), "universal"),
+    _mc_game("estimation", 2, 4, 1, lambda: build_povm(4, default_directions(4)), "default"),
+    _mc_game("estimation", 2, 3, 1, lambda: universal_povm(3), "universal"),
     _mc_game("cloning", 2, 1, 2, lambda: optimal_cloner(2, 1, 2)),
     _mc_game("cloning", 3, 2, 3, lambda: optimal_cloner(3, 2, 3)),
     _mc_game("cloning", 2, 2, 3, lambda: optimal_cloner(2, 2, 3)),

@@ -241,3 +241,79 @@ def test_scan_finds_a_stale_seed_scheme():
             '    chunk, two draw-chunks and DRAW CHUNKS."""\n')
     assert stale_seed_schemes(text) == ["seed scheme v3", "seed scheme v17", "draw chunk",
                                         "draw-chunk", "DRAW CHUNK"]
+
+
+def dead_references(sources: dict[str, str]) -> list[str]:
+    """Backticked references in `sources` (module name -> source text) that name nothing.
+
+    A reference `module.name` or `module.Class.attr`, to one of the modules
+    and with or without a leading `qgames.`, must name a top-level
+    definition, assignment or import of that module, and `.attr` a method,
+    class attribute, annotated field or `self` attribute of that class.  A
+    private `_name` must be a function, class, assignment target or `self`
+    attribute somewhere in `sources`.  The rest are returned as
+    "module: reference", the reference as written up to its first
+    non-name character.
+    """
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+
+    def bound(nodes):
+        """Names the statements bind: by def, class, assignment, import or self.<name> =."""
+        names = set()
+        for node in nodes:
+            for sub in ast.walk(node):
+                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    names.add(sub.name)
+                elif isinstance(sub, (ast.Name, ast.Attribute)) and isinstance(sub.ctx, ast.Store):
+                    names.add(sub.id if isinstance(sub, ast.Name) else sub.attr)
+                elif isinstance(sub, (ast.Import, ast.ImportFrom)):
+                    names.update((a.asname or a.name).split(".")[0] for a in sub.names)
+        return names
+
+    def top_level(body):
+        """{name: class node or None} for the names a module or class body binds."""
+        names = {}
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names[node.name] = node if isinstance(node, ast.ClassDef) else None
+            else:
+                names.update(dict.fromkeys(bound([node])))
+        return names
+
+    def attributes(cls):
+        """What instances of `cls` carry: its body's names and its self.<name> targets."""
+        return set(top_level(cls.body)) | {
+            sub.attr for sub in ast.walk(cls) if isinstance(sub, ast.Attribute)
+            and isinstance(sub.ctx, ast.Store) and getattr(sub.value, "id", None) == "self"}
+
+    members = {module: top_level(tree.body) for module, tree in trees.items()}
+    defined = bound(trees.values())
+    modules = "|".join(map(re.escape, sources))
+    reference = re.compile(rf"`(?:qgames\.)?({modules})\.(\w+)(?:\.(\w+))?")
+    dead = []
+    for module, text in sources.items():
+        for match in reference.finditer(text):
+            owner, name, attr = match.groups()
+            node = members[owner].get(name, False)
+            if node is False or attr and not (node and attr in attributes(node)):
+                dead.append(f"{module}: {match.group(0)[1:]}")
+        dead += [f"{module}: {name}" for name in re.findall(r"`(_[A-Za-z]\w*)", text)
+                 if name not in defined]
+    return dead
+
+
+def test_docstring_references_resolve():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert dead_references(sources) == []
+
+
+def test_scan_finds_a_dead_docstring_reference():
+    sources = {
+        "a": ('"""Uses `b.run`, `qgames.b.Box.size`, `b.Box.width()`, `b.LIMIT` and\n'
+              '`_helper(n)`; not `b.gone`, `b.Box.depth`, `b.run.x` or `_lost`."""\n'
+              'from .b import run as _helper\n'),
+        "b": ("LIMIT: int = 3\n\n\ndef run():\n    pass\n\n\n"
+              "class Box:\n    def __init__(self):\n        self.size = 1\n\n"
+              "    def width(self):\n        return self.size\n"),
+    }
+    assert dead_references(sources) == ["a: b.gone", "a: b.Box.depth", "a: b.run.x", "a: _lost"]
