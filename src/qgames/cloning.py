@@ -39,8 +39,8 @@ coordinatised.  A product state scores
 sum_rows |w . (coh_in(psi) (x) conj(out(psi)))|^2 (`_state_fidelities`), with
 out(psi) the Sym_out coordinates of psi^{(x)n_out} or psi itself for one
 clone; the Haar average is Re tr(w G w^dag) over a moment G
-(`_haar_fidelities`).  An estimation POVM, the (2, n, 1) channel of its
-Kraus stack |g_r><v_r| (`estimation.Povm.kraus`), is scored as a `Channel` is.
+(`_haar_fidelities`).  An estimation POVM (`estimation.Povm`) is the
+(2, n, 1) `Channel` of its Kraus stack |g_r><v_r| and is scored as one.
 
 The average of <psi^{m}| ch(psi^{n}) |psi^{m}> over Haar psi is
 
@@ -85,8 +85,9 @@ class Channel:
 
     `kraus` is the read-only (K, rows, dim_sym(d, n_in)) stack of Kraus
     operators on Sym_in occupation coordinates, and the only stored form of
-    the channel.  It is given as one such array, converted to complex once
-    and stored as a C-contiguous copy, or as a sequence of operators.
+    the channel.  It is given as one such array or as a sequence of
+    operators, converted to complex once and copied only if the caller may
+    still hold the result or it is not C-contiguous.
     rows = dim_sym(d, n_out) means Sym_out occupation coordinates and
     rows = d^n_out the full output space (module docstring); `sym_out`
     reads which.  No other row count is accepted.  Construction
@@ -127,9 +128,11 @@ class Channel:
             raise ShapeError("channel needs at least one Kraus operator")
         check_shape(stacked.shape[1:])
         _checked_defects(stacked)
-        # a C-contiguous copy, made after the check so that the check's
-        # working memory and the copy never coexist
-        stacked = np.array(stacked, order="C")
+        # copied after the check, so that the check's working memory and the
+        # copy never coexist
+        shared = isinstance(kraus, np.ndarray) and np.may_share_memory(stacked, kraus)
+        if shared or not stacked.flags.c_contiguous:
+            stacked = np.array(stacked, order="C")
         stacked.setflags(write=False)
         self.kraus = stacked
         rows = stacked.shape[1]
@@ -157,7 +160,7 @@ class Channel:
 
     def __repr__(self):
         return (
-            f"Channel(d={self.d}, n_in={self.n_in}, n_out={self.n_out}, "
+            f"{type(self).__name__}(d={self.d}, n_in={self.n_in}, n_out={self.n_out}, "
             f"kraus={len(self.kraus)}, output={'Sym_out' if self.sym_out else 'full'})"
         )
 
@@ -486,10 +489,7 @@ def _haar_fidelities(d, n_in, n_out, kraus: np.ndarray, clone: int) -> np.ndarra
 
 
 def global_fidelity(ch: Channel, psi: PureState) -> float:
-    """<psi^{n_out}| ch(psi^{n_in}) |psi^{n_out}>.
-
-    `ch` is any strategy exposing `d`, `n_in`, `n_out` and `kraus`, a Povm too.
-    """
+    """<psi^{n_out}| ch(psi^{n_in}) |psi^{n_out}>, for any channel, a Povm too."""
     if psi.dim != ch.d:
         raise ShapeError(f"state dimension {psi.dim} != local dimension {ch.d}")
     rows = _choi_rows(ch.d, ch.n_in, ch.n_out, ch.kraus, 0)
@@ -511,9 +511,8 @@ def _transposed_moment(d: int, n_in: int, n_out: int) -> np.ndarray:
 
 
 def haar_avg_global_fidelity(ch: Channel) -> float:
-    """Exact Haar average of global_fidelity (module docstring).
+    """Exact Haar average of global_fidelity (module docstring), a Povm's too.
 
-    `ch` is any strategy exposing `d`, `n_in`, `n_out` and `kraus`, a Povm too.
     The size cap counts the moment side dim_sym(d, n_in) * dim_sym(d, n_out).
     """
     return float(_haar_fidelities(ch.d, ch.n_in, ch.n_out, ch.kraus, 0))

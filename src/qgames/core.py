@@ -2,9 +2,9 @@
 
 Everything here is a plain numpy computation on explicit matrices: tensor
 powers, partial traces of matrices, overlaps, and Haar-random state sampling.
-Values are immutable after construction and safe to share between threads;
-randomness is drawn from :class:`RandomStream` values that are split by
-counter, never shared mutably.
+Values are immutable after construction, compare and hash by identity, and
+are safe to share between threads; randomness is drawn from
+:class:`RandomStream` values that are split by counter, never shared mutably.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ def _check_unit_rows(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """Unit-norm complex state vector."""
 
@@ -99,7 +99,7 @@ class PureState:
         return DensityOperator(np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Hermitian, PSD, unit-trace matrix; a non-finite entry fails the Hermiticity check."""
 

@@ -10,7 +10,8 @@ subspace (completeness), which we solve for by nonnegative least squares over
 any supplied direction set.  The NNLS engine is numpy only (`_nnls`): the
 unconstrained least-squares solution when it is already nonnegative,
 otherwise block principal pivoting with a Lawson-Hanson fallback; either way
-it returns the minimum residual, which decides IncompletePovm.
+it returns the minimum residual, which `build_povm` reports when the
+weighted effects fail `Povm`'s completeness rule.
 
 Rank-one effects lose no strategy: an effect split along its eigenvectors
 into outcomes sqrt(l_k) e_k, each keeping its guess, has the same summed
@@ -18,9 +19,10 @@ Born probabilities and guesses, so every payoff stays as it is.  The optimal
 covariant measurement is rank-one too (Massar and Popescu, PRL 74, 1259
 (1995)).  So effects are Hermitian and PSD by type; only completeness is checked.
 
-A POVM is the strategy of arity (d, n_in, n_out) = (2, n, 1) whose channel
-has the Kraus operators |g_r><v_r| (`Povm.kraus`): `cloning`'s evaluators and
-the harness score it as they score a `Channel`.
+A `Povm` is a `cloning.Channel`: the strategy of arity (d, n_in, n_out) =
+(2, n, 1) whose Kraus operators are |g_r><v_r|.  One constructor checks it,
+with `Channel`'s one completeness rule, and `cloning`'s evaluators and the
+harness score it as they score any channel.
 
 Why completeness alone pins the mean fidelity at (n+1)/(n+2) for aligned
 guesses: each effect c_r |Phi_r><Phi_r| embeds into the full copy space as c_r
@@ -51,7 +53,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .cloning import global_fidelity, haar_avg_global_fidelity
+from .cloning import Channel, global_fidelity, haar_avg_global_fidelity
 from .core import PureState, ShapeError, _check_unit_rows, check_size_cap
 from .symmetric import coherent_coordinates
 
@@ -98,37 +100,32 @@ def _check_effect_stack(n_copies: int, count: int) -> None:
     check_size_cap(count * (n_copies + 1))
 
 
-@dataclass(frozen=True)
-class Povm:
+class Povm(Channel):
     """Measure-and-resend strategy: rank-one effects on the symmetric subspace plus guesses.
 
-    Stored as two read-only stacks: `vectors`, complex of shape (R, n+1), row
-    v_r the effect |v_r><v_r| in occupation coordinates, and `guesses`, the
-    (R, 2) amplitude rows of the guess qubits.  Any POVM splits into a rank-one
-    one with the same payoffs (module docstring), so the type loses no
-    strategy.  The constructor takes any (R, n+1) array and any sequence of
-    `PureState`s or amplitude rows.  Vectors must be finite and complete within
-    1e-8, the Frobenius norm of V^T conj(V) - I that `completeness_residual`
-    records; every guess row must have unit norm within 1e-12.
-
-    As a strategy it reads like a `cloning.Channel`: class attributes `d` = 2
-    and `n_out` = 1, `n_in` = n, and `kraus`, the read-only (R, 2, n+1) stack
-    K_r = |g_r><v_r| of its measure-and-prepare channel, cached on first read.
+    The `cloning.Channel` of arity (d, n_in, n_out) = (2, n, 1) with Kraus
+    operators K_r = |g_r><v_r|, checked and stored by `Channel`'s
+    constructor: a stack whose sum(K^dag K) = V^T conj(V) fails its
+    completeness rule, or that has no effect, raises IncompletePovm, which
+    names the defect.  `vectors` is the read-only complex (R, n+1) stack, row
+    v_r the effect |v_r><v_r| in occupation coordinates, and `guesses` the
+    read-only (R, 2) amplitude rows of the guess qubits.  Any POVM splits
+    into a rank-one one with the same payoffs (module docstring), so the type
+    loses no strategy.  The constructor takes any (R, n+1) array of finite
+    vectors and any sequence of `PureState`s or amplitude rows of unit norm
+    within 1e-12.  `completeness_residual` is the Frobenius norm of
+    V^T conj(V) - I.
     """
 
     d = 2
     n_out = 1
 
-    n: int
-    vectors: np.ndarray
-    guesses: np.ndarray
-
-    def __post_init__(self):
-        dim, qubit = self.n + 1, self.d**self.n_out
-        vectors = np.array(self.vectors, dtype=complex)
+    def __init__(self, n, vectors, guesses):
+        dim, qubit = n + 1, self.d**self.n_out
+        vectors = np.array(vectors, dtype=complex)
         if vectors.ndim != 2 or vectors.shape[1] != dim:
             raise ShapeError(f"effect vector stack shape {vectors.shape} is not (R, {dim})")
-        rows = self.guesses
+        rows = guesses
         if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.shape[1] == qubit:
             rows = np.array(rows, dtype=complex)
         else:
@@ -139,34 +136,25 @@ class Povm:
             if any(g.shape != (qubit,) for g in rows):
                 raise ShapeError("guesses must be qubits")
             rows = np.array(rows, dtype=complex).reshape(len(rows), qubit)
+        # refused before the Kraus product, where inf * 0 would warn
         if not np.all(np.isfinite(vectors)):
             raise ValueError("effect vectors have non-finite entries")
         guesses = _check_unit_rows(rows)
+        try:
+            super().__init__(Povm.d, n, Povm.n_out,
+                             guesses[:, :, None] * vectors[:, None, :].conj())
+        except ValueError as err:  # an empty stack or a completeness defect
+            raise IncompletePovm(f"effects do not tile the identity: {err}") from None
         vectors.setflags(write=False)
         guesses.setflags(write=False)
-        object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "guesses", guesses)
-        residual = float(np.linalg.norm(vectors.T @ vectors.conj() - np.eye(dim), "fro"))
-        object.__setattr__(self, "_residual", residual)
-        if not residual <= 1e-8:
-            raise IncompletePovm(
-                f"effects sum to identity only within {residual:.3e} (> 1e-8); "
-                "add more directions"
-            )
-
-    @property
-    def completeness_residual(self) -> float:
-        return self._residual
-
-    @property
-    def n_in(self) -> int:
-        return self.n
+        self.n = self.n_in
+        self.vectors = vectors
+        self.guesses = guesses
 
     @cached_property
-    def kraus(self) -> np.ndarray:
-        kraus = self.guesses[:, :, None] * self.vectors[:, None, :].conj()
-        kraus.setflags(write=False)
-        return kraus
+    def completeness_residual(self) -> float:
+        vectors = self.vectors
+        return float(np.linalg.norm(vectors.T @ vectors.conj() - np.eye(self.n + 1), "fro"))
 
     def outcome_probabilities(self, psi: PureState) -> np.ndarray:
         """Born probabilities |<v_r|psi^{tensor n}>|^2 for the n-copy input psi^{tensor n}."""
@@ -359,16 +347,17 @@ def _nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     return x, float(np.linalg.norm(a @ x - b))
 
 
-def build_povm(n_copies: int, directions, tol: float = 1e-8) -> Povm:
+def build_povm(n_copies: int, directions) -> Povm:
     """Solve for nonnegative weights making the direction projectors complete.
 
     Minimizes the Frobenius defect || sum_r c_r |Phi_r><Phi_r| - I || over
-    c_r >= 0 with the numpy NNLS `_nnls`, which returns the minimum defect;
-    raises IncompletePovm when that residual is not within `tol` (a NaN
-    `tol` admits none) or no direction is given.  The effect vectors are
-    sqrt(c_r) Phi_r and the guesses are the directions themselves.  The size
-    cap counts the effect stack, one vector of length n+1 per direction, and
-    is checked before any vector is built.
+    c_r >= 0 with the numpy NNLS `_nnls`, which returns the minimum defect.
+    The effect vectors are sqrt(c_r) Phi_r and the guesses are the
+    directions themselves; `Povm`'s completeness rule decides whether they
+    tile the identity.  Raises IncompletePovm, naming that minimum defect,
+    when they do not or no direction is given.  The size cap counts the
+    effect stack, one vector of length n+1 per direction, and is checked
+    before any vector is built.
     """
     directions = list(directions)
     if not directions:
@@ -377,12 +366,13 @@ def build_povm(n_copies: int, directions, tol: float = 1e-8) -> Povm:
     amps = _amplitudes(directions)
     vectors = coherent_coordinates(amps, n_copies)
     weights, residual = _nnls(*_completeness_system(vectors))
-    if not residual <= tol:
+    try:
+        return Povm(n_copies, np.sqrt(weights)[:, None] * vectors, amps)
+    except IncompletePovm:
         raise IncompletePovm(
-            f"completeness residual {residual:.3e} exceeds tol {tol:.0e}; "
+            f"completeness residual {residual:.3e} at best; "
             f"supply more than {len(directions)} directions"
-        )
-    return Povm(n_copies, np.sqrt(weights)[:, None] * vectors, amps)
+        ) from None
 
 
 def universal_povm(n_copies: int) -> Povm:
@@ -412,8 +402,8 @@ def payoff_operator(povm: Povm) -> np.ndarray:
     product x^T conj(x) of the rows x_r = v_r (x) guess_r.  Embedding the
     first factor with sym_isometry(2, n) gives the operator on the full
     2^(n+1)-dimensional copy-and-guess space.  No evaluator of the package
-    reads it: they score the Kraus stack `Povm.kraus`.  The size cap counts
-    the effect stack and the side 2(n+1).
+    reads it: they score the POVM's Kraus stack `cloning.Channel.kraus`.  The
+    size cap counts the effect stack and the side 2(n+1).
     """
     count = len(povm.vectors)
     _check_effect_stack(povm.n, count)
@@ -426,7 +416,7 @@ def mean_fidelity(povm: Povm) -> float:
     """Exact Haar-averaged payoff, tr[W P_sym] / dim_sym(2, n+1) for W = `payoff_operator`.
 
     That is `cloning.haar_avg_global_fidelity` of the POVM, read from the
-    Choi rows of `Povm.kraus` without forming W.  The size cap counts the
+    Choi rows of its Kraus stack without forming W.  The size cap counts the
     effect stack and the Choi side 2(n+1).
     """
     _check_effect_stack(povm.n, len(povm.vectors))

@@ -78,7 +78,6 @@ from .estimation import (
     Povm,
     _amplitudes,
     fibonacci_directions,
-    mean_fidelity,
 )
 from .swap_test import referee_outcomes
 from .symmetric import dim_sym
@@ -203,13 +202,14 @@ def _checked_payoffs(kind: str, d: int, n: int, m: int, strategy):
     each row: the overlap with psi of the state the strategy returns, the
     guess for estimation (averaged over the Born-rule outcomes), the whole
     output for cloning and a clone picked uniformly at random for
-    one_particle.  Estimation takes a Povm and the cloning games a Channel;
-    past that type check one path reads every strategy: its (d, n_in, n_out)
-    must be (d, n, m), and the Choi rows of its `kraus` (`cloning._choi_rows`)
-    are built here, once.  `width`, the widest per-state array `payoffs`
-    makes, is the row count or the row length of those rows, whichever is
-    more.  Before the rows are built the size cap counts the longest axis of
-    `kraus`: the Kraus operators (a Povm's outcomes), their rows or columns.
+    one_particle.  Estimation takes a Povm and the cloning games a Channel, a
+    Povm too; past that type check one path reads every strategy: its
+    (d, n_in, n_out) must be (d, n, m), and the Choi rows of its `kraus`
+    (`cloning._choi_rows`) are built here, once.  `width`, the widest
+    per-state array `payoffs` makes, is the row count or the row length of
+    those rows, whichever is more.  Before the rows are built the size cap
+    counts the longest axis of `kraus`: the Kraus operators (a Povm's
+    outcomes), their rows or columns.
     """
     strategy_type = Povm if kind == "estimation" else Channel
     if not isinstance(strategy, strategy_type):
@@ -332,11 +332,9 @@ class PerturbationReport:
 
 
 def _haar_value(strategy) -> float:
-    if isinstance(strategy, Channel):
-        return haar_avg_global_fidelity(strategy)
-    if isinstance(strategy, Povm):
-        return mean_fidelity(strategy)
-    raise TypeError(f"unsupported strategy type {type(strategy).__name__}")
+    if not isinstance(strategy, Channel):
+        raise TypeError(f"unsupported strategy type {type(strategy).__name__}")
+    return haar_avg_global_fidelity(strategy)
 
 
 def perturb_best_response_check(base, perturbations) -> PerturbationReport:
@@ -542,9 +540,10 @@ def asym_bound_scan(
     Scans Haar-random isometry channels plus (for 1 -> 2) the asymmetry grid
     and the optimal cloner itself, which attains the bound exactly.  The scan
     passes when no record's fidelity sum exceeds the bound by more than
-    REPORT_TOL.  The random channels' Ginibre side d^n_out * ancilla_dim is
-    checked against the size cap, with the arity checks of
-    `random_isometry_channel`, before the first channel is built.
+    REPORT_TOL.  Negative `n_random` or `grid_points` raise ValueError, and
+    the random channels' Ginibre side d^n_out * ancilla_dim is checked
+    against the size cap, with the arity checks of `random_isometry_channel`;
+    both before the first channel is built.
 
     Seed scheme v7: random channel i is the i-th consecutive
     `random_isometry_channel` draw from the one stream
@@ -565,9 +564,12 @@ def asym_bound_scan(
     (N, n_out) array with their sums (`ScanReport`), and builds no per-record
     object.
     """
+    if n_random < 0 or grid_points < 0:
+        raise ValueError(f"need n_random >= 0 and grid_points >= 0, "
+                         f"got {n_random} and {grid_points}")
     dim = _ginibre_side(d, n_in, n_out, ancilla_dim)
     bound = value_formulas(d, n_in, n_out).asym_bound
-    n_grid = grid_points if (n_in, n_out) == (1, 2) and grid_points > 0 else 0
+    n_grid = grid_points if (n_in, n_out) == (1, 2) else 0
     chunk = _chunk_length(dim * d**n_in)
     _log.debug(
         "asym_bound_scan d=%d n_in=%d n_out=%d: %d random channels (%d Kraus operators), "

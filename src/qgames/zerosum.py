@@ -50,7 +50,7 @@ class CovarianceViolation(ValueError):
     """The payoff matrix does not intertwine the row map with the action."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixGame:
     """Real payoff matrix; rows belong to the maximizing player."""
 
@@ -70,7 +70,7 @@ class MatrixGame:
         return self.payoff.shape
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixedStrategy:
     """Probability vector over pure strategies; NaN fails its checks."""
 
@@ -93,7 +93,7 @@ class MixedStrategy:
         return cls(np.full(size, 1.0 / size))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EquilibriumPair:
     x: MixedStrategy
     y: MixedStrategy

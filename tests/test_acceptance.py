@@ -90,7 +90,7 @@ def test_criterion_03_estimation_game_value():
     worst_value = 0.0
     worst_residual = 0.0
     for n in range(1, 6):
-        povm = build_povm(n, default_directions(n), tol=1e-8)
+        povm = build_povm(n, default_directions(n))
         worst_residual = max(worst_residual, povm.completeness_residual)
         worst_value = max(worst_value, abs(mean_fidelity(povm) - (n + 1) / (n + 2)))
     elapsed = time.perf_counter() - start

@@ -158,6 +158,40 @@ class TestEstimateCommand:
         assert json.loads(out)["error"]["type"] == "SizeCapExceeded"
         assert made == []
 
+    @pytest.mark.parametrize("args, json_digest, csv_digest", [
+        (["--universal", "--n", "8"],
+         "6f1bd5972bb8b5d9205d73db2dfe3ff8422fc14b8ad711b93f6d391bc6794be4",
+         "ab9d44bd02c0f5711dde9c8acda086eb3e024d60294c8e1edbb5257ab4d3ce1c"),
+        (["--universal", "--n", "9"],
+         "42ac6385a9154f90be6b60ac4e14e975d2cc63db4cb0797ced047a355acf18f4",
+         "da9838f7b5e90590ce6c8307b5453efbe4508dc600ec32e77bd15ae9452ccc67"),
+        (["--universal", "--n", "10"],
+         "d1c4a3f344315b9a23ccb9e2bab8217211840d18a0de490c808e9c8ca1991e46",
+         "d7b5ceaabda695cb94bc2b99ffadad2c70c71a4ba911351ef4e6636b0c4217b0"),
+        (["--n", "8"],
+         "498f7992e1515e5b884ac41b6f3a3aca5fea479d3cf426d54fd8a96ac765fa94",
+         "e3e3138568b39340b6a5f0c40da3524210c6a7d765a91dc7045ade2cab2ecc0b"),
+        (["--n", "1"],
+         "2948d0736cfb428e4732f9aa815fc2097cfbc39457197ebf44a805d28afc4ba9",
+         "812b80f3c41fbceafea0a4087415e827dc88d758ab2c7760dbcdffd77ee2c466"),
+        (["--universal", "--n", "1"],
+         "6c0975532817ad962bd14d659120b659bc86d82a3d4c84f2c86ae395a98ebf9f",
+         "a70c5ec22637f160c58998537621c0fac8c938ff272f891575425fac15975be2"),
+    ])
+    def test_whole_documents_are_pinned(self, capsys, args, json_digest, csv_digest):
+        # SHA-256 of whole documents, taken while a Povm was a dataclass of
+        # its own with a Frobenius completeness rule
+        for fmt, digest in [("json", json_digest), ("csv", csv_digest)]:
+            code, out = run_cli(["estimate", *args, "--format", fmt], capsys)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_incomplete_default_frame_is_an_error_document(self, capsys):
+        # the 100-point default frame cannot tile the identity at n = 9
+        code, out = run_cli(["estimate", "--n", "9"], capsys)
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "IncompletePovm"
+
     def test_payoff_operator_cap_counts_the_compressed_side(self, capsys):
         # 98 effects of side 13 and a 26 x 26 payoff operator
         code, out = run_cli(["estimate", "--universal", "--n", "12"], capsys)

@@ -563,3 +563,11 @@ class TestChannelFamilies:
         ch = []
         assert peak_bytes(lambda: ch.append(symmetric_noise_channel(3, 1, 20))) <= 2.2 * stack
         assert ch[0].kraus.nbytes == stack
+
+    def test_real_stack_is_converted_without_a_second_copy(self):
+        # (2, 1, 10): 512 real Kraus operators of 1024 x 2.  Their complex
+        # conversion is already private, so `Channel` stores it as it is
+        ch = []
+        peak = peak_bytes(lambda: ch.append(product_embedding_channel(2, 1, 10)))
+        assert ch[0].kraus.nbytes == 512 * 1024 * 2 * 16
+        assert peak <= 1.75 * ch[0].kraus.nbytes

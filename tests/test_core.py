@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -21,7 +22,7 @@ from qgames.core import (
 )
 from qgames.estimation import Povm
 from qgames.symmetric import dim_sym, sym_projector
-from qgames.zerosum import MixedStrategy
+from qgames.zerosum import MatrixGame, MixedStrategy, solve
 
 from conftest import random_density
 
@@ -282,3 +283,19 @@ def test_nan_fails_every_value_check(build):
     # NaN compares false, so a check of the form `abs(x - 1) > tol` lets it through
     with pytest.raises(ValueError):
         build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: PLUS,
+    lambda: KET0.density(),
+    lambda: MatrixGame(np.eye(2)),
+    lambda: MixedStrategy([0.5, 0.5]),
+    lambda: solve(MatrixGame(np.eye(2))),
+    lambda: Povm(1, np.eye(2), np.eye(2)),
+], ids=["pure-state", "density", "matrix-game", "mixed-strategy", "equilibrium-pair", "povm"])
+def test_array_valued_types_compare_and_hash_by_identity(build):
+    # their fields are arrays, so field-wise == and hash would raise
+    value = build()
+    assert value == value
+    assert value != copy.copy(value)
+    assert value in {value}

@@ -210,7 +210,7 @@ class TestBuildPovm:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_default_directions_complete_up_to_five(self, n):
-        povm = build_povm(n, default_directions(n), tol=1e-8)
+        povm = build_povm(n, default_directions(n))
         assert povm.completeness_residual <= 1e-8
 
     def test_single_direction_incomplete(self):
@@ -220,10 +220,6 @@ class TestBuildPovm:
     def test_no_directions_refused_before_the_solver(self):
         with pytest.raises(IncompletePovm):
             build_povm(2, [])
-
-    def test_nan_tol_admits_no_residual(self):
-        with pytest.raises(IncompletePovm):
-            build_povm(2, default_directions(2), tol=math.nan)
 
     def test_effect_stack_capped_before_it_is_built(self, monkeypatch):
         # 441 effects of side 21 stack 9261 rows, over the cap of 4096
@@ -251,7 +247,7 @@ class TestBuildPovm:
                     for _ in range(4 * (n + 1) ** 2 + 8)
                 ]
                 try:
-                    povm = build_povm(n, dirs, tol=1e-6)
+                    povm = build_povm(n, dirs)
                 except IncompletePovm:
                     continue
                 for effect in dense_oracle.effect_stack(povm).effects:
@@ -371,6 +367,22 @@ class TestPovmType:
         with pytest.raises(IncompletePovm):
             Povm(1, ([1.0, 0.0],), (KET0,))
 
+    def test_is_a_channel_with_its_completeness_rule(self):
+        # a Frobenius defect of 3e-9 that the old rule (Frobenius <= 1e-8)
+        # admitted; the operator-norm defect 3e-9 passes COMPLETENESS_ATOL
+        vectors = [[1.0, 0.0], [0.0, (1.0 + 3e-9) ** 0.5]]
+        with pytest.raises(IncompletePovm, match=r"\(defect 3\.000e-09 > 1e-10\)"):
+            Povm(1, vectors, [[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(IncompletePovm, match="at least one Kraus operator"):
+            Povm(1, np.zeros((0, 2)), [])
+        povm = Povm(1, np.eye(2), np.eye(2))
+        assert isinstance(povm, Channel) and repr(povm).startswith("Povm(d=2, n_in=1, n_out=1,")
+        assert (povm.d, povm.n, povm.n_in, povm.n_out) == (2, 1, 1, 1)
+        # the stack |g_r><v_r| as the measure-and-prepare channel stores it
+        assert povm.kraus.tobytes() == (povm.guesses[:, :, None]
+                                        * povm.vectors[:, None, :].conj()).tobytes()
+        assert not (povm.vectors.flags.writeable or povm.guesses.flags.writeable)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_vector(self, bad):
         # refused before the completeness product, where inf would warn
@@ -413,13 +425,16 @@ class TestPovmType:
     def test_guess_array_is_taken_without_a_per_row_conversion(self, monkeypatch):
         povm = universal_povm(4)
         guesses = np.array(povm.guesses)
+        # per-row conversions take one guess row each; `Channel` converts the
+        # whole Kraus stack in one call
         calls = []
         asarray = np.asarray
-        monkeypatch.setattr(np, "asarray", lambda *a, **k: calls.append(1) or asarray(*a, **k))
+        monkeypatch.setattr(np, "asarray", lambda a, *r, **k: calls.append(np.shape(a) == (2,))
+                            or asarray(a, *r, **k))
         from_array = Povm(4, povm.vectors, guesses)
-        assert calls == []
+        assert calls.count(True) == 0
         from_rows = Povm(4, povm.vectors, list(guesses))
-        assert len(calls) == len(guesses)
+        assert calls.count(True) == len(guesses)
         assert from_array.guesses.tobytes() == from_rows.guesses.tobytes()
         assert not np.shares_memory(from_array.guesses, guesses)
         assert from_array.completeness_residual == from_rows.completeness_residual
@@ -576,7 +591,7 @@ class TestMeanFidelity:
                     for _ in range((n + 1) ** 2 + 5)
                 ]
                 try:
-                    povm = build_povm(n, dirs, tol=1e-9)
+                    povm = build_povm(n, dirs)
                 except IncompletePovm:
                     continue
                 want = (n + 1) / (n + 2)

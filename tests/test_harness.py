@@ -583,7 +583,8 @@ class TestMonteCarlo:
     def test_strategy_kind_must_match_spec(self):
         with pytest.raises(TypeError, match="Povm"):
             monte_carlo_play(GameSpec("estimation", n=1, samples=10), optimal_cloner(2, 1, 2))
-        with pytest.raises(TypeError, match="Channel"):
+        # a Povm is a Channel, of arity (2, n, 1): a cloning spec refuses its arity
+        with pytest.raises(ShapeError, match="arity"):
             monte_carlo_play(GameSpec("cloning", d=2, n=1, m=2, samples=10), universal_povm(1))
 
     @pytest.mark.parametrize("kind, d, n, m, make", [
@@ -1130,6 +1131,14 @@ class TestBatchedScan:
             report = asym_bound_scan(2, 1, 2, 20, seed=3)
         assert report is None
         assert calls == [((0,), (20, 2, 16, 2))]
+
+    @pytest.mark.parametrize("n_random, grid_points", [(-5, -3), (-1, 21), (3, -1)])
+    def test_negative_counts_fail_before_drawing(self, monkeypatch, n_random, grid_points):
+        # (-5, -3) used to pass over the optimal cloner alone
+        calls = refuse_draws(monkeypatch)
+        with pytest.raises(ValueError, match="need n_random >= 0 and grid_points >= 0"):
+            asym_bound_scan(2, 1, 2, n_random, grid_points=grid_points)
+        assert calls == []
 
     @pytest.mark.parametrize("n_random, chunk, tail", [
         (1000, None, "; 4 chunks of <= 256 channels; seed scheme v7, one stream"),

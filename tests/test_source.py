@@ -317,3 +317,78 @@ def test_scan_finds_a_dead_docstring_reference():
               "    def width(self):\n        return self.size\n"),
     }
     assert dead_references(sources) == ["a: b.gone", "a: b.Box.depth", "a: b.run.x", "a: _lost"]
+
+
+def array_valued_dataclasses(modules: dict[str, ast.Module]) -> list[str]:
+    """Dataclasses whose generated `==` and hash would compare arrays field by field.
+
+    A class decorated `@dataclass` (called or not) in `modules` (module name
+    -> tree) is flagged when it neither passes `eq=False` nor defines
+    `__eq__`, and one of its annotated fields names `ndarray` or another
+    flagged class, wherever that class is defined.  Comparing such fields
+    raises on `==`, and a frozen one raises on `hash`.  The flagged classes
+    are returned as "module.Class".
+    """
+    def annotation_names(node):
+        names = set()
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                names.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                names.add(sub.attr)
+            elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                names |= annotation_names(ast.parse(sub.value, mode="eval"))
+        return names
+
+    def compares_fields(cls):
+        for deco in cls.decorator_list:
+            call = deco if isinstance(deco, ast.Call) else None
+            target = call.func if call else deco
+            if (getattr(target, "id", None) or getattr(target, "attr", None)) != "dataclass":
+                continue
+            eq = [k.value for k in (call.keywords if call else []) if k.arg == "eq"]
+            defines_eq = any(isinstance(s, ast.FunctionDef) and s.name == "__eq__"
+                             for s in cls.body)
+            return not defines_eq and not any(
+                isinstance(v, ast.Constant) and v.value is False for v in eq)
+        return False
+
+    candidates = {}
+    for module, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and compares_fields(node):
+                fields = set()
+                for sub in node.body:
+                    if isinstance(sub, ast.AnnAssign):
+                        fields |= annotation_names(sub.annotation)
+                candidates[node.name] = (f"{module}.{node.name}", fields)
+    flagged, grew = {"ndarray"}, True
+    while grew:
+        new = {name for name, (_, fields) in candidates.items()
+               if name not in flagged and fields & flagged}
+        flagged |= new
+        grew = bool(new)
+    return [label for name, (label, _) in candidates.items() if name in flagged]
+
+
+def test_no_array_valued_dataclass_compares_its_fields():
+    modules = {p.stem: ast.parse(p.read_text()) for p in MODULES}
+    assert array_valued_dataclasses(modules) == []
+
+
+def test_scan_finds_an_array_valued_dataclass():
+    modules = {
+        "a": ast.parse("import dataclasses\nimport numpy as np\nfrom dataclasses import dataclass\n"
+                       "\n\n@dataclass(frozen=True)\nclass Raw:\n    data: np.ndarray\n"
+                       "\n\n@dataclasses.dataclass\nclass Named:\n    data: 'ndarray | None'\n"
+                       "\n\n@dataclass(frozen=True, eq=False)\nclass Identity:\n"
+                       "    data: np.ndarray\n"
+                       "\n\n@dataclass(frozen=True)\nclass Keyed:\n    data: np.ndarray\n\n"
+                       "    def __eq__(self, other):\n        return self is other\n"
+                       "\n\nclass Undecorated:\n    data: np.ndarray\n"),
+        "b": ast.parse("from dataclasses import dataclass\n\nfrom .a import Identity, Raw\n"
+                       "\n\n@dataclass\nclass Holder:\n    pair: tuple[Raw, Raw]\n    n: int\n"
+                       "\n\n@dataclass\nclass Outer:\n    holder: 'Holder'\n"
+                       "\n\n@dataclass\nclass Plain:\n    n: int\n    ident: Identity\n"),
+    }
+    assert array_valued_dataclasses(modules) == ["a.Raw", "a.Named", "b.Holder", "b.Outer"]
